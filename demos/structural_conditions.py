@@ -23,20 +23,19 @@ from levsketch import (
     exact_lstsq,
     generate_problem,
     leverage_distribution,
-    leverage_scores,
-    orthonormal_basis,
+    profile_from_basis,
     ProblemSpec,
     solve_with_plan,
-    spectral_extremes,
 )
 
 a, b, _ = generate_problem(
     ProblemSpec("gaussian-incoherent", 4000, 5, rhs_cols=2, noise_scale=1.0, seed=42)
 )
+# one QR gives the exact solve, the basis Q and the singular values of A
 exact = exact_lstsq(a, b)
-basis = orthonormal_basis(a)
-dist = leverage_distribution(leverage_scores(a))
-spectral = spectral_extremes(a)
+basis = exact.basis
+dist = leverage_distribution(profile_from_basis(basis))
+spectral = exact.spectral
 eps = 0.25
 trials = 200
 

@@ -54,7 +54,6 @@ from .linalg import (
     LstsqSolution,
     OrthonormalBasis,
     SpectralSummary,
-    b_perp,
     exact_lstsq,
     fro_norm_sq,
     orthonormal_basis,
@@ -119,7 +118,6 @@ __all__ = [
     "accuracy_ratio",
     "approx_matmul",
     "apply_sketch",
-    "b_perp",
     "blended_distribution",
     "build_sketch",
     "check_bounds",

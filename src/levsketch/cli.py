@@ -24,23 +24,17 @@ from .exceptions import (
 from .experiment import (
     PRESETS,
     TrialConfig,
+    build_distribution,
     run_experiment,
+    sample_count,
     write_report,
 )
-from .experiment import parse_sample_rule
-from .leverage import (
-    blended_distribution,
-    leverage_distribution,
-    leverage_scores,
-    misestimation_beta,
-    profile_from_basis,
-    uniform_distribution,
-)
-from .linalg import exact_lstsq, orthonormal_basis
+from .leverage import leverage_scores, profile_from_basis
+from .linalg import exact_lstsq
 from .mmio import read_matrix, write_matrix
 from .problems import ProblemSpec
 from .sketch import RngStream, build_sketch
-from .solver import AccuracyTarget, accuracy_ratio, required_samples, solve_with_plan
+from .solver import AccuracyTarget, accuracy_ratio, solve_with_plan
 
 _CONFIG_KEYS = {
     "kind",
@@ -131,43 +125,21 @@ def _trial_config(values: dict[str, str]) -> TrialConfig:
     )
 
 
-def _make_distribution(name: str, profile):
-    if name == "uniform":
-        return uniform_distribution(profile.n_rows)
-    if name.startswith("blended:"):
-        return blended_distribution(leverage_distribution(profile), float(name.split(":", 1)[1]))
-    if name == "leverage":
-        return leverage_distribution(profile)
-    raise _UsageError(f"unknown distribution {name!r}")
-
-
 def _cmd_solve(args) -> int:
     a = read_matrix(args.a)
     b = read_matrix(args.b)
-    basis = orthonormal_basis(a)
-    profile = profile_from_basis(basis)
-    dist = _make_distribution(args.dist, profile)
-    beta = misestimation_beta(dist, profile)
+    exact = exact_lstsq(a, b)
+    profile = profile_from_basis(exact.basis)
+    dist, beta = build_distribution(args.dist, profile)
     target = AccuracyTarget(args.epsilon, args.delta)
-    try:
-        rule, arg = parse_sample_rule(args.samples)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    if rule == "auto":
-        s = required_samples(profile.rank, beta, target)
-    elif rule == "xr":
-        s = arg * profile.rank
-    else:
-        s = arg
-    rng = RngStream(args.seed, stream_index=1)
-    plan = build_sketch(dist, s, rng)
+    s = sample_count(args.samples, profile.rank, beta, target)
+    plan = build_sketch(dist, s, RngStream(args.seed, stream_index=1))
     sol = solve_with_plan(a, b, plan)
     print(
         f"rows={a.rows} cols={a.cols} rhs={b.cols} dist={args.dist} "
         f"beta={beta:.6g} s={s} sketched_residual_sq={sol.sketched_residual_sq:.17g}"
     )
     if args.exact:
-        exact = exact_lstsq(a, b)
         ratio = accuracy_ratio(a, b, sol.x_tilde, exact)
         print(
             f"exact_residual_sq={exact.residual_sq:.17g} "

@@ -20,6 +20,7 @@ from .diagnostics import check_bounds, check_structural
 from .exceptions import (
     GenerationFailedError,
     InvalidParameterError,
+    InvalidSampleCountError,
     SketchRankDeficientError,
 )
 from .leverage import (
@@ -30,7 +31,7 @@ from .leverage import (
     profile_from_basis,
     uniform_distribution,
 )
-from .linalg import exact_lstsq, orthonormal_basis, spectral_extremes
+from .linalg import exact_lstsq
 from .problems import ProblemSpec, generate_problem
 from .sketch import RngStream, build_sketch
 from .solver import AccuracyTarget, accuracy_ratio, required_samples, solve_with_plan
@@ -59,7 +60,10 @@ CSV_COLUMNS = (
     "rng_stream_index",
 )
 
-_DISTRIBUTION_NAMES = ("leverage", "uniform", "blended")
+#: Most rows one sketch may draw; a sketch of s rows is gathered into
+#: s x (r + m) float64 arrays.  Larger requests (the auto rule asks for 5e12
+#: rows at epsilon = delta = 1e-6) fail before anything is allocated.
+MAX_SAMPLES = 10_000_000
 
 
 def parse_distribution_spec(text: str) -> tuple[str, float]:
@@ -173,25 +177,40 @@ class ExperimentReport:
     wall_time_s: float
 
 
-def _build_distribution(spec_text: str, profile) -> SamplingDistribution:
+def build_distribution(spec_text: str, profile) -> tuple[SamplingDistribution, float]:
+    """The distribution named by ``spec_text`` and its ``beta``: the analytic
+    annotation when there is one, else the estimate against ``profile``."""
     name, alpha = parse_distribution_spec(spec_text)
     if name == "leverage":
-        return leverage_distribution(profile)
-    if name == "uniform":
-        return uniform_distribution(profile.n_rows)
-    return blended_distribution(leverage_distribution(profile), alpha)
+        dist = leverage_distribution(profile)
+    elif name == "uniform":
+        dist = uniform_distribution(profile.n_rows)
+    else:
+        dist = blended_distribution(leverage_distribution(profile), alpha)
+    beta = dist.beta if dist.beta is not None else misestimation_beta(dist, profile)
+    return dist, beta
 
 
-def _sample_count(cfg: TrialConfig, rank: int, beta: float) -> int:
-    rule, arg = parse_sample_rule(cfg.sample_rule)
+def sample_count(
+    rule_text: str, rank: int, beta: float, target: AccuracyTarget, cap: int = 0
+) -> int:
+    """Rows per sketch for a sample rule, capped at ``cap`` when ``cap > 0``;
+    raises InvalidSampleCountError past :data:`MAX_SAMPLES`."""
+    rule, arg = parse_sample_rule(rule_text)
     if rule == "auto":
-        s = required_samples(rank, beta, cfg.target)
+        s = required_samples(rank, beta, target)
     elif rule == "xr":
         s = arg * rank
     else:
         s = arg
-    if cfg.cap_samples > 0:
-        s = min(s, cfg.cap_samples)
+    if cap > 0:
+        s = min(s, cap)
+    if s > MAX_SAMPLES:
+        raise InvalidSampleCountError(
+            f"sample rule {rule_text!r} asks for {s} rows per sketch, over the "
+            f"budget of {MAX_SAMPLES}; lower it with --cap-samples or an "
+            f"explicit --samples count"
+        )
     return s
 
 
@@ -253,19 +272,14 @@ def run_experiment(cfg: TrialConfig, threads: int = 1) -> ExperimentReport:
         )
 
     exact = exact_lstsq(a, b)
-    basis = orthonormal_basis(a)
-    profile = profile_from_basis(basis)
-    dist = _build_distribution(cfg.distribution, profile)
-    # Prefer the analytic annotation (exact for the leverage distribution);
-    # fall back to the generic estimate for anything unannotated.
-    beta = dist.beta if dist.beta is not None else misestimation_beta(dist, profile)
-    s = _sample_count(cfg, profile.rank, beta)
-    spectral = spectral_extremes(a)
+    profile = profile_from_basis(exact.basis)
+    dist, beta = build_distribution(cfg.distribution, profile)
+    s = sample_count(cfg.sample_rule, profile.rank, beta, cfg.target, cfg.cap_samples)
 
     def one_trial(t: int) -> TrialRecord:
         rng = RngStream(cfg.master_seed, stream_index=t + 1)
         plan = build_sketch(dist, s, rng)
-        sr = check_structural(plan, basis, exact.b_perp, eps, exact.residual_sq)
+        sr = check_structural(plan, exact.basis, exact.b_perp, eps, exact.residual_sq)
         try:
             sol = solve_with_plan(a, b, plan)
         except SketchRankDeficientError as exc:
@@ -278,7 +292,7 @@ def run_experiment(cfg: TrialConfig, threads: int = 1) -> ExperimentReport:
                 sc2_holds=sr.sc2_holds,
             )
         ratio = accuracy_ratio(a, b, sol.x_tilde, exact)
-        br = check_bounds(a, b, exact, sol, eps, spectral=spectral)
+        br = check_bounds(a, b, exact, sol, eps, spectral=exact.spectral)
         return TrialRecord(
             trial_id=t,
             s=s,

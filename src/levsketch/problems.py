@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import GenerationFailedError, InvalidParameterError
+from .exceptions import GenerationFailedError, InvalidParameterError, RankDeficientError
 from .leverage import leverage_scores
-from .linalg import DenseMatrix, RANK_TOL
+from .linalg import DenseMatrix
 from .mmio import read_matrix
 from .sketch import RngStream
 
@@ -69,11 +69,6 @@ class ProblemSpec:
                     f"coherence_target must lie in [{lo:.3g}, 1], got "
                     f"{self.coherence_target}"
                 )
-
-
-def _full_rank(arr: np.ndarray) -> bool:
-    sv = np.linalg.svd(arr, compute_uv=False)
-    return sv[0] > 0.0 and sv[-1] > RANK_TOL * sv[0]
 
 
 def _plant_spike(arr: np.ndarray, target: float) -> np.ndarray:
@@ -134,19 +129,22 @@ def generate_problem(spec: ProblemSpec) -> tuple[DenseMatrix, DenseMatrix, dict]
             except np.linalg.LinAlgError:
                 last_error = "singular Gram matrix while planting the spike"
                 continue
-        if not _full_rank(arr):
+        a = DenseMatrix.from_array(arr)
+        try:
+            # Rank check and coherence in one QR, before x_true is drawn.
+            coherence = leverage_scores(a).coherence
+        except RankDeficientError:
             last_error = "design matrix came out rank deficient"
             continue
         x_true = g.standard_normal((r, spec.rhs_cols))
         barr = arr @ x_true
         if spec.kind != "consistent" and spec.noise_scale > 0.0:
             barr = barr + spec.noise_scale * g.standard_normal((n, spec.rhs_cols))
-        a = DenseMatrix.from_array(arr)
         b = DenseMatrix.from_array(barr)
         meta = {
             "kind": spec.kind,
             "x_true": DenseMatrix.from_array(x_true),
-            "coherence": leverage_scores(a).coherence,
+            "coherence": coherence,
             "attempts": attempt,
         }
         return a, b, meta

@@ -7,6 +7,7 @@ couple run the real interpreter entry point.
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,9 +90,39 @@ class TestSolve:
         a_path, b_path = problem_files
         assert main(["solve", str(a_path), str(b_path), "--samples", "later"]) == 1
 
-    def test_bad_dist_flag_is_exit_1(self, problem_files, capsys):
+    @pytest.mark.parametrize("dist", ["psychic", "blended:abc", "blended:2"])
+    def test_bad_dist_flag_is_exit_1(self, problem_files, capsys, dist):
         a_path, b_path = problem_files
-        assert main(["solve", str(a_path), str(b_path), "--dist", "psychic"]) == 1
+        assert main(["solve", str(a_path), str(b_path), "--dist", dist]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_one_factorization(self, problem_files, count_factorizations, capsys):
+        a_path, b_path = problem_files
+        code = main(["solve", str(a_path), str(b_path), "--samples", "xr:20", "--exact"])
+        assert code == 0
+        assert count_factorizations(120) == 1
+
+    @pytest.mark.parametrize("dist", ["leverage", "blended:0.5"])
+    def test_same_s_and_beta_as_bench(self, problem_files, tmp_path, capsys, dist):
+        # solve and a custom-file bench share one set-up path
+        a_path, b_path = problem_files
+        assert main(["solve", str(a_path), str(b_path), "--dist", dist]) == 0
+        solve_out = capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kind = custom-file\na_file = {a_path}\nb_file = {b_path}\n")
+        code = main(["bench", "--config", str(cfg), "--dist", dist, "--trials", "1",
+                     "--epsilon", "0.1", "--delta", "0.1", "--out", str(tmp_path / "r.csv")])
+        assert code == 0
+        bench_out = capsys.readouterr().out
+
+        def fields(text):
+            return {k: v for k, _, v in (t.partition("=") for t in text.split())
+                    if k in ("s", "beta")}
+
+        assert fields(solve_out) == fields(bench_out)
+        assert set(fields(solve_out)) == {"s", "beta"}
 
     def test_deterministic_output_file(self, problem_files, tmp_path, capsys):
         a_path, b_path = problem_files
@@ -167,6 +198,29 @@ class TestBench:
         out = tmp_path / "r.csv"
         code = main(["bench", "--epsilon", "2.0", "--out", str(out)])
         assert code == 1
+
+    def test_sample_budget_is_exit_1_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # The auto rule asks for ~5e12 rows here; the budget check must stop
+        # the run before any sketch is drawn or the report is opened.
+        import levsketch.experiment as experiment_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a sketch was built")
+
+        monkeypatch.setattr(experiment_mod, "build_sketch", never)
+        out = tmp_path / "r.csv"
+        tracemalloc.start()
+        try:
+            code = main(["bench", "--epsilon", "1e-6", "--delta", "1e-6", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--cap-samples" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert peak < 16 * 2**20  # the default 2000x5 problem, nothing sketch-sized
 
 
 class TestValidate:

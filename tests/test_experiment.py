@@ -9,6 +9,7 @@ from levsketch import (
     AccuracyTarget,
     GenerationFailedError,
     InvalidParameterError,
+    InvalidSampleCountError,
     PRESETS,
     ProblemSpec,
     TrialConfig,
@@ -142,6 +143,11 @@ class TestRunExperiment:
         assert all("generation failed" in r.error for r in report.records)
         assert report.success_rate == 0.0
 
+    def test_one_factorization_in_generation_and_one_in_setup(self, count_factorizations):
+        report = run_experiment(small_config())
+        assert report.s == 24  # sketches are not n-row, so trials add nothing
+        assert count_factorizations(120) == 2
+
     def test_threads_validated(self):
         with pytest.raises(InvalidParameterError):
             run_experiment(small_config(), threads=0)
@@ -162,6 +168,21 @@ class TestRunExperiment:
         # beta = r/(N * max score) at best: 3/(200*0.9) = 0.0167
         assert report.beta <= 3 / (200 * 0.9) + 1e-12
         assert report.beta > 0.0
+
+
+class TestSampleCount:
+    huge = AccuracyTarget(1e-6, 1e-6)  # the auto rule asks for ~5e12 rows
+
+    def test_over_budget_rejected(self):
+        with pytest.raises(InvalidSampleCountError, match="--cap-samples"):
+            experiment_mod.sample_count("auto", 5, 1.0, self.huge)
+        with pytest.raises(InvalidSampleCountError, match="--samples"):
+            experiment_mod.sample_count(str(experiment_mod.MAX_SAMPLES + 1), 5, 1.0, self.huge)
+
+    def test_cap_applies_before_budget(self):
+        assert experiment_mod.sample_count("auto", 5, 1.0, self.huge, cap=1000) == 1000
+        budget = experiment_mod.MAX_SAMPLES
+        assert experiment_mod.sample_count(str(budget), 5, 1.0, self.huge) == budget
 
 
 class TestReportFormat:

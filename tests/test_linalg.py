@@ -16,9 +16,9 @@ from levsketch import (
     OrthonormalBasis,
     RankDeficientError,
     SpectralSummary,
-    b_perp,
     exact_lstsq,
     fro_norm_sq,
+    leverage_scores,
     orthonormal_basis,
     spectral_extremes,
 )
@@ -161,13 +161,26 @@ class TestExactLstsq:
         with pytest.raises(RankDeficientError):
             exact_lstsq(a, np.ones((6, 1)))
 
-    def test_b_perp_helper(self):
+    def test_wide_matrix_rejected(self):
+        with pytest.raises(DimensionError):
+            exact_lstsq(np.ones((2, 5)), np.ones((2, 1)))
+
+    def test_basis_and_spectrum_match_independent_paths(self):
+        # The basis and spectrum come from the solve's own QR; the leverage
+        # scores of a separate factorization and the full SVD of a must agree.
         rng = np.random.default_rng(10)
-        a = rng.standard_normal((15, 2))
-        b = rng.standard_normal((15, 1))
-        np.testing.assert_array_equal(
-            b_perp(a, b).array, exact_lstsq(a, b).b_perp.array
-        )
+        for scale in (1.0, 1e-3, 1e4):
+            a = rng.standard_normal((60, 4)) * np.array([1.0, 10.0, 0.1, scale])
+            sol = exact_lstsq(a, rng.standard_normal((60, 2)))
+            q = sol.basis.q.array
+            np.testing.assert_allclose(
+                np.einsum("ij,ij->i", q, q), leverage_scores(a).scores, rtol=1e-12
+            )
+            ref = spectral_extremes(a)
+            for got, want in ((sol.spectral.sigma_min, ref.sigma_min),
+                              (sol.spectral.sigma_max, ref.sigma_max),
+                              (sol.spectral.kappa, ref.kappa)):
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

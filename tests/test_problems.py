@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import levsketch.problems as problems_mod
 from levsketch import (
     DenseMatrix,
+    GenerationFailedError,
     InvalidParameterError,
+    RankDeficientError,
     ProblemSpec,
     PROBLEM_KINDS,
     exact_lstsq,
@@ -93,6 +96,40 @@ class TestConsistent:
         b1 = generate_problem(s1)[1]
         b2 = generate_problem(s2)[1]
         np.testing.assert_array_equal(b1.array, b2.array)
+
+
+class TestRetry:
+    spec = ProblemSpec("gaussian-incoherent", n_rows=40, n_cols=3, seed=5)
+
+    def test_rank_deficient_draw_is_retried(self, monkeypatch):
+        calls = []
+        real = problems_mod.leverage_scores
+
+        def deficient_once(a):
+            calls.append(a.array.copy())
+            if len(calls) == 1:
+                raise RankDeficientError("pretend the first draw lost rank")
+            return real(a)
+
+        monkeypatch.setattr(problems_mod, "leverage_scores", deficient_once)
+        a, _, meta = generate_problem(self.spec)
+        assert meta["attempts"] == 2
+        # the retry uses the next design drawn from the same stream
+        np.testing.assert_array_equal(a.array, calls[1])
+        assert not np.array_equal(calls[0], calls[1])
+        assert meta["coherence"] == real(a).coherence
+
+    def test_always_deficient_gives_up(self, monkeypatch):
+        def deficient(a):
+            raise RankDeficientError("never full rank")
+
+        monkeypatch.setattr(problems_mod, "leverage_scores", deficient)
+        with pytest.raises(GenerationFailedError, match="rank deficient"):
+            generate_problem(self.spec)
+
+    def test_one_factorization(self, count_factorizations):
+        generate_problem(self.spec)
+        assert count_factorizations(40) == 1
 
 
 class TestCustomFile:
