@@ -12,6 +12,8 @@ from .diagnostics import (
     SC1_THRESHOLD,
     BoundReport,
     StructuralReport,
+    TrialScore,
+    TrialScorer,
     check_bounds,
     check_structural,
 )
@@ -114,6 +116,8 @@ __all__ = [
     "StructuralReport",
     "TrialConfig",
     "TrialRecord",
+    "TrialScore",
+    "TrialScorer",
     "UnsupportedRowError",
     "accuracy_ratio",
     "approx_matmul",

@@ -25,6 +25,8 @@ from .experiment import (
     PRESETS,
     TrialConfig,
     build_distribution,
+    parse_distribution_spec,
+    parse_sample_rule,
     run_experiment,
     sample_count,
     write_report,
@@ -126,12 +128,15 @@ def _trial_config(values: dict[str, str]) -> TrialConfig:
 
 
 def _cmd_solve(args) -> int:
+    # Reject bad flags before the files are read and A is factored.
+    parse_distribution_spec(args.dist)
+    parse_sample_rule(args.samples)
+    target = AccuracyTarget(args.epsilon, args.delta)
     a = read_matrix(args.a)
     b = read_matrix(args.b)
     exact = exact_lstsq(a, b)
     profile = profile_from_basis(exact.basis)
     dist, beta = build_distribution(args.dist, profile)
-    target = AccuracyTarget(args.epsilon, args.delta)
     s = sample_count(args.samples, profile.rank, beta, target)
     plan = build_sketch(dist, s, RngStream(args.seed, stream_index=1))
     sol = solve_with_plan(a, b, plan)

@@ -12,6 +12,10 @@ When both hold, the true residual of the sketched solution is within
 ``(1 + epsilon)`` of optimal and the solution error is bounded by
 ``epsilon * residual_sq / sigma_min(a)^2``.  These implications are what
 the bench harness counts violations of.
+
+:class:`TrialScorer` evaluates all of it for one plan in the coordinates of
+the orthonormal basis, without touching the ``n`` rows of the problem; the
+functions that work on ``(a, b)`` remain the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidParameterError
+from .exceptions import DimensionError, InvalidParameterError
 from .linalg import (
+    RANK_TOL,
     LstsqSolution,
     OrthonormalBasis,
     SpectralSummary,
@@ -31,7 +36,7 @@ from .linalg import (
     spectral_extremes,
 )
 from .sketch import SketchPlan, apply_sketch
-from .solver import SketchSolution
+from .solver import SketchSolution, _is_zero_residual, _residual_ratio
 
 #: Threshold on the smallest squared singular value of the sketched basis.
 SC1_THRESHOLD = 1.0 / math.sqrt(2.0)
@@ -107,7 +112,12 @@ def check_structural(
         sv = np.linalg.svd(sq, compute_uv=False)
         sc1_value = float(sv[-1]) ** 2
     sbp = apply_sketch(plan, b_perp).array
-    sc2_value = fro_norm_sq(sq.T @ sbp)
+    return _structural_report(sc1_value, fro_norm_sq(sq.T @ sbp), epsilon, residual_sq)
+
+
+def _structural_report(
+    sc1_value: float, sc2_value: float, epsilon: float, residual_sq: float
+) -> StructuralReport:
     return StructuralReport(
         sc1_value=sc1_value,
         sc1_holds=sc1_value >= SC1_THRESHOLD - _STRUCTURAL_SLACK,
@@ -154,43 +164,195 @@ def check_bounds(
         spectral = spectral_extremes(arr)
 
     scale_sq = fro_norm_sq(barr)
-    r2 = exact.residual_sq
-    noise_floor = _NOISE_FLOOR_REL * scale_sq
-
-    resid_sq = fro_norm_sq(arr @ xt - barr)
-    residual_bound_holds = bool(
-        resid_sq <= (1.0 + epsilon) * r2 + _BOUND_SLACK_REL * r2 + noise_floor
+    fit_norm = float(np.linalg.norm(arr @ xo))
+    limits = _BoundLimits.of(
+        epsilon,
+        exact.residual_sq,
+        scale_sq,
+        spectral,
+        fit_norm,
+        fro_norm_sq(xo),
+        literal_epsilon_squared=literal_epsilon_squared,
     )
+    return limits.report(fro_norm_sq(arr @ xt - barr), fro_norm_sq(xo - xt))
 
-    sigma_min_sq = spectral.sigma_min**2
-    sol_value = fro_norm_sq(xo - xt)
-    sol_limit = epsilon * r2 / sigma_min_sq if sigma_min_sq > 0 else float("inf")
-    sol_floor = noise_floor / sigma_min_sq if sigma_min_sq > 0 else float("inf")
-    solution_bound_holds = bool(
-        sol_value <= sol_limit * (1.0 + _BOUND_SLACK_REL) + sol_floor
-    )
 
-    b_norm = math.sqrt(scale_sq)
-    gamma = float(np.linalg.norm(arr @ xo) / b_norm) if b_norm > 0 else 1.0
-    factor = epsilon**2 if literal_epsilon_squared else epsilon
-    if gamma > 0:
-        gamma_limit = factor * spectral.kappa**2 * (1.0 / gamma**2 - 1.0) * fro_norm_sq(xo)
-        gamma_limit = max(gamma_limit, 0.0)  # gamma can round a hair past 1
-    else:
-        # b has no component in the column space: the alignment bound is
-        # vacuous, and gamma is floored to keep the report constructible.
-        gamma_limit = float("inf")
-        gamma = math.ulp(0.0)
-    gamma_bound_holds = bool(
-        sol_value <= gamma_limit * (1.0 + _BOUND_SLACK_REL) + sol_floor
-    )
+@dataclass(frozen=True)
+class _BoundLimits:
+    """The per-problem half of the bound checks: limits, slacks and the
+    noise floor, so a trial supplies only its residual and solution error."""
 
-    return BoundReport(
-        residual_bound_holds=residual_bound_holds,
-        solution_bound_value=sol_value,
-        solution_bound_limit=sol_limit,
-        solution_bound_holds=solution_bound_holds,
-        gamma=min(gamma, 1.0 + 1e-13),
-        gamma_bound_limit=gamma_limit,
-        gamma_bound_holds=gamma_bound_holds,
-    )
+    epsilon: float
+    residual_sq: float
+    noise_floor: float
+    solution_limit: float
+    solution_floor: float
+    gamma: float
+    gamma_limit: float
+
+    @classmethod
+    def of(
+        cls,
+        epsilon: float,
+        residual_sq: float,
+        scale_sq: float,
+        spectral: SpectralSummary,
+        fit_norm: float,
+        x_opt_norm_sq: float,
+        *,
+        literal_epsilon_squared: bool = False,
+    ) -> "_BoundLimits":
+        """Limits for a problem with ``||b||_F^2 = scale_sq`` and
+        ``||a @ x_opt||_F = fit_norm``."""
+        noise_floor = _NOISE_FLOOR_REL * scale_sq
+        sigma_min_sq = spectral.sigma_min**2
+        sol_limit = epsilon * residual_sq / sigma_min_sq if sigma_min_sq > 0 else float("inf")
+        sol_floor = noise_floor / sigma_min_sq if sigma_min_sq > 0 else float("inf")
+        b_norm = math.sqrt(scale_sq)
+        gamma = fit_norm / b_norm if b_norm > 0 else 1.0
+        factor = epsilon**2 if literal_epsilon_squared else epsilon
+        if gamma > 0:
+            gamma_limit = factor * spectral.kappa**2 * (1.0 / gamma**2 - 1.0) * x_opt_norm_sq
+            gamma_limit = max(gamma_limit, 0.0)  # gamma can round a hair past 1
+        else:
+            # b has no component in the column space: the alignment bound is
+            # vacuous, and gamma is floored to keep the report constructible.
+            gamma_limit = float("inf")
+            gamma = math.ulp(0.0)
+        return cls(epsilon, residual_sq, noise_floor, sol_limit, sol_floor, gamma, gamma_limit)
+
+    def report(self, resid_sq: float, sol_value: float) -> BoundReport:
+        """Verdicts for a candidate with true residual ``resid_sq`` and
+        solution error ``sol_value = ||x_opt - x||_F^2``."""
+        r2 = self.residual_sq
+        return BoundReport(
+            residual_bound_holds=bool(
+                resid_sq <= (1.0 + self.epsilon) * r2 + _BOUND_SLACK_REL * r2 + self.noise_floor
+            ),
+            solution_bound_value=sol_value,
+            solution_bound_limit=self.solution_limit,
+            solution_bound_holds=bool(
+                sol_value <= self.solution_limit * (1.0 + _BOUND_SLACK_REL) + self.solution_floor
+            ),
+            gamma=min(self.gamma, 1.0 + 1e-13),
+            gamma_bound_limit=self.gamma_limit,
+            gamma_bound_holds=bool(
+                sol_value <= self.gamma_limit * (1.0 + _BOUND_SLACK_REL) + self.solution_floor
+            ),
+        )
+
+
+@dataclass(frozen=True)
+class TrialScore:
+    """Everything one trial measures: the structural report, the accuracy
+    ratio, and the bound verdicts (``None``, with ``error`` set, when the
+    sketch cannot support a solve)."""
+
+    structural: StructuralReport
+    accuracy_ratio: float
+    bounds: BoundReport | None
+    error: str
+
+
+class TrialScorer:
+    """Scores sketch plans of one problem in the coordinates of ``q``.
+
+    With ``a = q @ r`` and ``z = (S q)^+ (S b_perp)``, the sketched solution
+    is ``x_opt + r^{-1} z`` and its true residual is ``residual_sq +
+    ||z||_F^2`` (Drineas, Mahoney and Muthukrishnan 2006, "Sampling
+    algorithms for l2 regression").  So a trial needs only the sampled rows
+    of ``[q | b_perp]``: one gather and one small least-squares solve give
+    both structural conditions, the accuracy ratio and all three bound
+    verdicts, with no work on the ``n`` rows of the problem.
+
+    The scorer keeps ``[q | b_perp]`` as one C-ordered ``n x (r + m)`` block,
+    the triangular factor ``r``, and every per-problem constant of the bound
+    and ratio policies; the caller may drop ``a``, ``b`` and ``exact``
+    afterwards.  :func:`check_structural`, :func:`solve_with_plan`,
+    :func:`accuracy_ratio` and :func:`check_bounds` on ``(a, b)`` remain the
+    oracle it is tested against.  Safe to share across threads.
+
+    Parameters
+    ----------
+    exact : LstsqSolution
+        The exact solve of the problem, from :func:`exact_lstsq`.
+    epsilon : float
+        Target accuracy in (0, 1).
+    """
+
+    def __init__(self, exact: LstsqSolution, epsilon: float) -> None:
+        if not (0.0 < epsilon < 1.0):
+            raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
+        q = exact.basis.q.array
+        columns = (*q.T, *exact.b_perp.array.T)
+        block = np.empty((q.shape[0], len(columns)))
+        for j, column in enumerate(columns):
+            block[:, j] = column
+        r_fac = exact.r_factor.array
+        xo = exact.x_opt.array
+        self._block = block
+        self._rank = q.shape[1]
+        self._r = r_fac
+        self._epsilon = epsilon
+        self._residual_sq = exact.residual_sq
+        self._scale_sq = exact.b_norm_sq
+        self._zero_residual = _is_zero_residual(exact.residual_sq, exact.b_norm_sq)
+        # ||a @ x_opt|| = ||q @ r @ x_opt|| = ||r @ x_opt||.
+        self._limits = _BoundLimits.of(
+            epsilon,
+            exact.residual_sq,
+            exact.b_norm_sq,
+            exact.spectral,
+            float(np.linalg.norm(r_fac @ xo)),
+            fro_norm_sq(xo),
+        )
+
+    def score(self, plan: SketchPlan) -> TrialScore:
+        """Measure one realized plan.
+
+        A plan with fewer samples than the rank, or whose sketched basis
+        loses rank, gets its structural report and an ``error`` naming the
+        cause instead of bound verdicts.
+        """
+        n = self._block.shape[0]
+        if plan.n_source_rows != n:
+            raise DimensionError(f"matrix has {n} rows, plan expects {plan.n_source_rows}")
+        g = self._block[plan.draws]
+        g *= plan.weights[:, None]
+        if not np.all(np.isfinite(g)):
+            raise InvalidParameterError("matrix entries must be finite")
+        r = self._rank
+        sq, sbp = g[:, :r], g[:, r:]
+        sc2_value = fro_norm_sq(sq.T @ sbp)
+        if plan.n_samples < r:
+            # Fewer samples than rank: the sketched basis has a kernel.
+            return TrialScore(
+                structural=_structural_report(0.0, sc2_value, self._epsilon, self._residual_sq),
+                accuracy_ratio=float("inf"),
+                bounds=None,
+                error=f"sketch rank deficient: {plan.n_samples} samples cannot cover rank {r}",
+            )
+        z, _, rank, sv = np.linalg.lstsq(sq, sbp, rcond=RANK_TOL)
+        structural = _structural_report(
+            float(sv[-1]) ** 2, sc2_value, self._epsilon, self._residual_sq
+        )
+        if rank < r:
+            return TrialScore(
+                structural=structural,
+                accuracy_ratio=float("inf"),
+                bounds=None,
+                error=f"sketch rank deficient: sketch lost rank ({rank} < {r}); "
+                "caller decides whether to resample",
+            )
+        resid_sq = self._residual_sq + fro_norm_sq(z)
+        # r is upper triangular: LU with partial pivoting leaves it as is, so
+        # this is a back substitution for r^{-1} z.
+        sol_value = fro_norm_sq(np.linalg.solve(self._r, z))
+        return TrialScore(
+            structural=structural,
+            accuracy_ratio=_residual_ratio(
+                resid_sq, self._residual_sq, self._scale_sq, self._zero_residual
+            ),
+            bounds=self._limits.report(resid_sq, sol_value),
+            error="",
+        )

@@ -16,12 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import check_bounds, check_structural
+from .diagnostics import TrialScorer
 from .exceptions import (
     GenerationFailedError,
     InvalidParameterError,
     InvalidSampleCountError,
-    SketchRankDeficientError,
 )
 from .leverage import (
     SamplingDistribution,
@@ -34,7 +33,7 @@ from .leverage import (
 from .linalg import exact_lstsq
 from .problems import ProblemSpec, generate_problem
 from .sketch import RngStream, build_sketch
-from .solver import AccuracyTarget, accuracy_ratio, required_samples, solve_with_plan
+from .solver import AccuracyTarget, required_samples
 
 #: Column order of CSV reports, fixed so reports are byte-comparable.
 CSV_COLUMNS = (
@@ -243,9 +242,12 @@ def run_experiment(cfg: TrialConfig, threads: int = 1) -> ExperimentReport:
     """Run ``cfg.n_trials`` independent sketched solves and score them.
 
     Trial ``t`` uses the stream ``(master_seed, t + 1)``; stream 0 is
-    reserved for problem generation.  Per-trial failures (a sketch losing
-    rank) become failure records, never batch aborts.  Records are sorted
-    by trial id, so the report is identical for any ``threads`` value.
+    reserved for problem generation.  The problem is factored once; each
+    trial then draws a plan and hands it to a :class:`TrialScorer`, which
+    scores it with one gather and one small solve in the coordinates of the
+    orthonormal basis.  Per-trial failures (a sketch losing rank) become
+    failure records, never batch aborts.  Records are sorted by trial id,
+    so the report is identical for any ``threads`` value.
     """
     if threads < 1:
         raise InvalidParameterError(f"need threads >= 1, got {threads}")
@@ -272,18 +274,23 @@ def run_experiment(cfg: TrialConfig, threads: int = 1) -> ExperimentReport:
         )
 
     exact = exact_lstsq(a, b)
+    # Trials read only the factors of the exact solve.  Dropping the problem,
+    # and then the column-major copies the scorer's block replaces, keeps
+    # peak memory at the factorization's.
+    del a, b, _meta
     profile = profile_from_basis(exact.basis)
     dist, beta = build_distribution(cfg.distribution, profile)
     s = sample_count(cfg.sample_rule, profile.rank, beta, cfg.target, cfg.cap_samples)
+    scorer = TrialScorer(exact, eps)
+    del exact, profile
 
     def one_trial(t: int) -> TrialRecord:
         rng = RngStream(cfg.master_seed, stream_index=t + 1)
-        plan = build_sketch(dist, s, rng)
-        sr = check_structural(plan, exact.basis, exact.b_perp, eps, exact.residual_sq)
-        try:
-            sol = solve_with_plan(a, b, plan)
-        except SketchRankDeficientError as exc:
-            rec = _failure_record(cfg, t, s, beta, f"sketch rank deficient: {exc}")
+        score = scorer.score(build_sketch(dist, s, rng))
+        sr = score.structural
+        br = score.bounds
+        if br is None:
+            rec = _failure_record(cfg, t, s, beta, score.error)
             return replace(
                 rec,
                 sc1_value=sr.sc1_value,
@@ -291,8 +298,7 @@ def run_experiment(cfg: TrialConfig, threads: int = 1) -> ExperimentReport:
                 sc2_value=sr.sc2_value,
                 sc2_holds=sr.sc2_holds,
             )
-        ratio = accuracy_ratio(a, b, sol.x_tilde, exact)
-        br = check_bounds(a, b, exact, sol, eps, spectral=exact.spectral)
+        ratio = score.accuracy_ratio
         return TrialRecord(
             trial_id=t,
             s=s,

@@ -80,6 +80,19 @@ class SamplingDistribution:
         return self.probs.size
 
     @cached_property
+    def cdf(self) -> np.ndarray:
+        """Read-only running sums of ``probs``: the inverse-CDF table row
+        draws search."""
+        cdf = np.cumsum(self.probs)
+        cdf.setflags(write=False)
+        return cdf
+
+    @cached_property
+    def last_positive(self) -> int:
+        """Index of the last row with positive probability."""
+        return int(np.flatnonzero(self.probs > 0.0)[-1])
+
+    @cached_property
     def digest(self) -> str:
         """Stable checksum of the probability vector (for plan provenance)."""
         return hashlib.sha256(np.ascontiguousarray(self.probs).tobytes()).hexdigest()[:16]

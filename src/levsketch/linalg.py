@@ -150,6 +150,11 @@ class LstsqSolution:
     Frobenius norm, the minimal value of the objective.  ``basis`` (whose
     squared row norms are the leverage scores) and ``spectral`` (the extreme
     singular values of ``a``) come from the same QR as the solve.
+
+    ``r_factor`` is the upper-triangular r x r factor of ``a = q @ r``, so a
+    step ``z`` in the coordinates of ``q`` moves the solution by
+    ``r^{-1} z``.  ``b_norm_sq`` is ``||b||_F^2``, the scale the zero-residual
+    and noise-floor policies are relative to.
     """
 
     x_opt: DenseMatrix
@@ -157,6 +162,8 @@ class LstsqSolution:
     b_perp: DenseMatrix
     basis: OrthonormalBasis
     spectral: SpectralSummary
+    r_factor: DenseMatrix
+    b_norm_sq: float
 
 
 @dataclass(frozen=True)
@@ -232,9 +239,10 @@ def exact_lstsq(a, b) -> LstsqSolution:
 
     This is the reference solve the sketched solver is measured against.
     With ``a = q @ r``, ``x_opt = r^{-1} q^T b`` and ``b_perp = b - q q^T b``;
-    ``q`` and the singular values of ``r`` are returned as the basis and
-    the spectral summary.  Normal equations are deliberately not used here;
-    they serve as an independent oracle in the test suite instead.
+    ``q``, ``r`` and the singular values of ``r`` are returned as the basis,
+    the triangular factor and the spectral summary.  Normal equations are
+    deliberately not used here; they serve as an independent oracle in the
+    test suite instead.
 
     Parameters
     ----------
@@ -256,6 +264,8 @@ def exact_lstsq(a, b) -> LstsqSolution:
         raise DimensionError(
             f"row counts differ: a has {arr.shape[0]}, b has {barr.shape[0]}"
         )
+    # Before the QR: on column-major b the norm makes row-major copies.
+    b_norm_sq = fro_norm_sq(barr)
     q_fac, r_fac, sv = _qr_full_rank(arr)
     # Multiply by q_fac as LAPACK returns it, not by the column-major copy in
     # the basis: on consistent systems b_perp is rounding noise, and the SC2
@@ -268,6 +278,8 @@ def exact_lstsq(a, b) -> LstsqSolution:
         b_perp=DenseMatrix.from_array(bp),
         basis=OrthonormalBasis(q=DenseMatrix.from_array(q_fac), source_rank=arr.shape[1]),
         spectral=_spectral_summary(sv),
+        r_factor=DenseMatrix.from_array(r_fac),
+        b_norm_sq=b_norm_sq,
     )
 
 

@@ -106,20 +106,22 @@ class SketchPlan:
 def multinomial_draws(p: SamplingDistribution, s: int, rng: RngStream) -> np.ndarray:
     """Draw ``s`` independent row indices distributed according to ``p``.
 
-    Implemented as inverse-CDF lookup with binary search, consuming exactly
-    ``s`` uniform variates from ``rng``.  Rows with zero probability are
-    never drawn.
+    Implemented as inverse-CDF lookup with binary search in ``p.cdf``,
+    consuming exactly ``s`` uniform variates from ``rng``.  The uniforms are
+    searched in sorted order, which keeps consecutive searches in cache, and
+    the indices are scattered back to draw order.  Rows with zero
+    probability are never drawn.
     """
     if int(s) < 1:
         raise InvalidSampleCountError(f"need s >= 1, got {s}")
     s = int(s)
-    cum = np.cumsum(p.probs)
     u = rng.generator.random(s)
-    idx = np.searchsorted(cum, u, side="right")
-    # Guard the (measure ~1e-16) event u >= cum[-1] from rounding; route it
+    order = np.argsort(u)
+    idx = np.empty(s, dtype=np.int64)
+    idx[order] = np.searchsorted(p.cdf, u[order], side="right")
+    # Guard the (measure ~1e-16) event u >= cdf[-1] from rounding; route it
     # to the largest positive-probability row rather than out of range.
-    last = int(np.flatnonzero(p.probs > 0.0)[-1])
-    return np.minimum(idx, last).astype(np.int64)
+    return np.minimum(idx, p.last_positive, out=idx)
 
 
 def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:

@@ -148,8 +148,21 @@ def accuracy_ratio(a, b, x_tilde, exact: LstsqSolution) -> float:
     xt = as_array(x_tilde)
     resid_sq = fro_norm_sq(arr @ xt - barr)
     scale_sq = fro_norm_sq(barr)
-    if exact.residual_sq <= _ZERO_RESIDUAL_REL * scale_sq:
-        if resid_sq <= _ZERO_RESIDUAL_PASS_REL * scale_sq:
-            return 1.0
-        return float("inf")
-    return resid_sq / exact.residual_sq
+    zero = _is_zero_residual(exact.residual_sq, scale_sq)
+    return _residual_ratio(resid_sq, exact.residual_sq, scale_sq, zero)
+
+
+def _is_zero_residual(residual_sq: float, scale_sq: float) -> bool:
+    """Whether an exact residual is indistinguishable from zero next to
+    ``scale_sq = ||b||_F^2`` (a consistent system)."""
+    return residual_sq <= _ZERO_RESIDUAL_REL * scale_sq
+
+
+def _residual_ratio(
+    resid_sq: float, residual_sq: float, scale_sq: float, zero_residual: bool
+) -> float:
+    """``resid_sq / residual_sq`` under the zero-residual policy of
+    :func:`accuracy_ratio`."""
+    if zero_residual:
+        return 1.0 if resid_sq <= _ZERO_RESIDUAL_PASS_REL * scale_sq else float("inf")
+    return resid_sq / residual_sq

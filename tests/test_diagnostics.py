@@ -5,6 +5,7 @@ sketched quantities have closed forms to compare against.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,23 +13,32 @@ import pytest
 from levsketch import (
     SC1_THRESHOLD,
     DenseMatrix,
+    DimensionError,
     InvalidParameterError,
     OrthonormalBasis,
+    ProblemSpec,
     RngStream,
     SketchPlan,
+    SketchRankDeficientError,
     SketchSolution,
+    accuracy_ratio,
     build_sketch,
     check_bounds,
     check_structural,
     exact_lstsq,
     fro_norm_sq,
+    generate_problem,
     leverage_distribution,
     leverage_scores,
     orthonormal_basis,
     sketched_lstsq,
     solve_with_plan,
     spectral_extremes,
+    write_matrix,
 )
+from levsketch.diagnostics import TrialScorer
+from levsketch.experiment import build_distribution
+from levsketch.leverage import profile_from_basis
 
 
 def identity_plan(n, weight=1.0):
@@ -232,3 +242,125 @@ def test_structural_conditions_imply_bounds_small_sweep():
         assert brep.solution_bound_holds, f"trial {t}: solution bound broke"
         checked += 1
     assert checked > 50  # the conditions hold often enough to mean something
+
+
+class TestTrialScorerAgainstOracle:
+    """The Q-coordinate kernel must reproduce the oracle path on (a, b):
+    solve_with_plan + accuracy_ratio + check_structural + check_bounds."""
+
+    EPS = 0.3
+    # Columns at the scale of the exact residual; on a consistent system
+    # they are rounding noise on both paths.
+    RESIDUAL_SCALE = {"sc2_value", "solution_bound_value", "solution_bound_limit",
+                      "gamma_bound_limit"}
+
+    @staticmethod
+    def problem(kind, tmp_path):
+        if kind == "custom-file":
+            a, b, _ = generate_problem(ProblemSpec("gaussian-incoherent", 80, 4, rhs_cols=2,
+                                                   seed=6101))
+            write_matrix(tmp_path / "a.mtx", a)
+            write_matrix(tmp_path / "b.mtx", b)
+            spec = ProblemSpec(kind, a_path=str(tmp_path / "a.mtx"),
+                               b_path=str(tmp_path / "b.mtx"))
+        else:
+            spec = ProblemSpec(kind, 80, 4, rhs_cols=2, noise_scale=0.8,
+                               coherence_target=0.9 if kind == "spiked-coherent" else 0.0,
+                               seed=6100)
+        a, b, _ = generate_problem(spec)
+        return a, b
+
+    @staticmethod
+    def plans(dist, rank, seed):
+        """A drawn plan and hand-built ones: duplicate draws, s = r, one row
+        drawn r times and r - 1 rows with one drawn twice (rank loss), and
+        s < r."""
+        rng = np.random.default_rng(seed)
+        n = dist.n_rows
+
+        def plan(draws):
+            draws = np.asarray(draws)
+            weights = 1.0 / np.sqrt(draws.size * dist.probs[draws])
+            return SketchPlan(n, draws.size, draws, weights, dist.digest)
+
+        some = rng.choice(n, size=3 * rank, replace=False)
+        return {
+            "drawn": build_sketch(dist, 6 * rank, RngStream(seed, 1)),
+            "duplicates": plan(np.concatenate([some, some[:rank], some[:2]])),
+            "s=r": plan(some[:rank]),
+            "one row r times": plan(np.full(rank, some[0])),
+            "r-1 rows, one twice": plan(np.concatenate([some[: rank - 1], some[:1]])),
+            "s<r": plan(some[: rank - 1]),
+        }
+
+    @classmethod
+    def oracle(cls, a, b, exact, plan):
+        sr = check_structural(plan, exact.basis, exact.b_perp, cls.EPS, exact.residual_sq)
+        out = {**asdict(sr), "accuracy_ratio": float("inf"), "error": ""}
+        try:
+            sol = solve_with_plan(a, b, plan)
+        except SketchRankDeficientError as exc:
+            out["error"] = f"sketch rank deficient: {exc}"
+            return out
+        out["accuracy_ratio"] = accuracy_ratio(a, b, sol.x_tilde, exact)
+        out.update(asdict(check_bounds(a, b, exact, sol, cls.EPS, spectral=exact.spectral)))
+        return out
+
+    @staticmethod
+    def kernel(scorer, plan):
+        score = scorer.score(plan)
+        out = {**asdict(score.structural), "accuracy_ratio": score.accuracy_ratio,
+               "error": score.error}
+        if score.bounds is not None:
+            out.update(asdict(score.bounds))
+        return out
+
+    @pytest.mark.parametrize("dist_spec", ["leverage", "uniform", "blended:0.5"])
+    @pytest.mark.parametrize("kind", ["gaussian-incoherent", "spiked-coherent", "consistent",
+                                      "custom-file"])
+    def test_kernel_equals_oracle(self, kind, dist_spec, tmp_path):
+        a, b = self.problem(kind, tmp_path)
+        exact = exact_lstsq(a, b)
+        dist, _ = build_distribution(dist_spec, profile_from_basis(exact.basis))
+        scorer = TrialScorer(exact, self.EPS)
+        zero_residual = exact.residual_sq <= 1e-18 * fro_norm_sq(b.array)
+        assert zero_residual == (kind == "consistent")
+        errors = {}
+        for name, plan in self.plans(dist, a.cols, seed=6200).items():
+            want = self.oracle(a, b, exact, plan)
+            got = self.kernel(scorer, plan)
+            assert got.keys() == want.keys(), name
+            for key, w in want.items():
+                g = got[key]
+                if isinstance(w, (bool, str)):
+                    assert g == w, f"{name}: {key} {g!r} != {w!r}"
+                elif not (zero_residual and key in self.RESIDUAL_SCALE):
+                    # sc1 of a rank-lost sketch is a singular value at rounding level
+                    assert math.isclose(g, w, rel_tol=1e-10, abs_tol=1e-20), (
+                        f"{name}: {key} {g!r} != {w!r}")
+            errors[name] = got["error"]
+        assert errors["drawn"] == errors["duplicates"] == errors["s=r"] == ""
+        assert errors["one row r times"] == (
+            "sketch rank deficient: sketch lost rank (1 < 4); caller decides whether to resample")
+        assert errors["r-1 rows, one twice"] == (
+            "sketch rank deficient: sketch lost rank (3 < 4); caller decides whether to resample")
+        assert errors["s<r"] == "sketch rank deficient: 3 samples cannot cover rank 4"
+
+    def test_non_finite_gather_rejected_like_the_oracle(self):
+        a, b = make_problem(12)
+        exact = exact_lstsq(a, b)
+        k = int(np.argmax(np.abs(exact.b_perp.array[:, 0])))
+        plan = SketchPlan(40, 3, np.array([k, 0, 1]), np.array([1e308, 1.0, 1.0]), "hand-built")
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                check_structural(plan, exact.basis, exact.b_perp, 0.3, exact.residual_sq)
+            with pytest.raises(InvalidParameterError, match="finite"):
+                TrialScorer(exact, 0.3).score(plan)
+
+    def test_plan_and_epsilon_validated(self):
+        a, b = make_problem(13)
+        exact = exact_lstsq(a, b)
+        with pytest.raises(InvalidParameterError):
+            TrialScorer(exact, 1.0)
+        with pytest.raises(DimensionError):
+            TrialScorer(exact, 0.3).score(identity_plan(39))

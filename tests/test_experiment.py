@@ -143,10 +143,22 @@ class TestRunExperiment:
         assert all("generation failed" in r.error for r in report.records)
         assert report.success_rate == 0.0
 
-    def test_one_factorization_in_generation_and_one_in_setup(self, count_factorizations):
+    def test_one_factorization_in_generation_and_one_in_setup(self, count_numpy_calls):
         report = run_experiment(small_config())
         assert report.s == 24  # sketches are not n-row, so trials add nothing
-        assert count_factorizations(120) == 2
+        assert count_numpy_calls(120) == 2
+
+    @pytest.mark.parametrize("n_trials", [3, 12])
+    def test_trial_work_is_one_small_solve(self, count_numpy_calls, n_trials):
+        # s = 24 sketched rows against n = 120: each trial makes one
+        # 24-row lstsq and nothing else; the SVDs are of the 3x3 factor R
+        # (generation and set-up) and the one cumsum is the cached CDF.
+        report = run_experiment(small_config(n_trials=n_trials))
+        assert all(r.error == "" for r in report.records)
+        assert count_numpy_calls(24, names=("lstsq",)) == n_trials
+        assert count_numpy_calls(None, names=("lstsq",)) == n_trials
+        assert count_numpy_calls(None, names=("svd",)) == count_numpy_calls(3, names=("svd",)) == 2
+        assert count_numpy_calls(None, names=("cumsum",)) == 1
 
     def test_threads_validated(self):
         with pytest.raises(InvalidParameterError):

@@ -127,9 +127,9 @@ class TestRetry:
         with pytest.raises(GenerationFailedError, match="rank deficient"):
             generate_problem(self.spec)
 
-    def test_one_factorization(self, count_factorizations):
+    def test_one_factorization(self, count_numpy_calls):
         generate_problem(self.spec)
-        assert count_factorizations(40) == 1
+        assert count_numpy_calls(40) == 1
 
 
 class TestCustomFile:

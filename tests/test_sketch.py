@@ -5,6 +5,8 @@ operator assembled by hand: an s x n matrix with weight w_t in column
 draws[t] of row t and zeros elsewhere.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +97,48 @@ class TestMultinomialDraws:
     def test_sample_count_validated(self):
         with pytest.raises(InvalidSampleCountError):
             multinomial_draws(uniform_distribution(3), 0, RngStream(0))
+
+    def test_sorted_search_equals_direct_search(self):
+        # The draws search the uniforms in sorted order; indices must be
+        # exactly those of a direct search of the same uniforms.
+        rng = np.random.default_rng(3003)
+        for i in range(300):
+            n = int(rng.integers(1, 300))
+            raw = rng.random(n)
+            raw[rng.random(n) < 0.4] = 0.0
+            raw[n - int(rng.integers(0, n)):] = 0.0  # often a zero tail
+            raw[int(rng.integers(0, n))] = 1.0 + rng.random()
+            p = SamplingDistribution(probs=raw / raw.sum())
+            s = int(rng.integers(1, 3 * n + 2))
+            got = multinomial_draws(p, s, RngStream(i, 7))
+            u = RngStream(i, 7).generator.random(s)
+            last = np.flatnonzero(p.probs > 0.0)[-1]
+            want = np.minimum(np.searchsorted(np.cumsum(p.probs), u, side="right"), last)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want.astype(np.int64))
+            assert np.all(p.probs[got] > 0.0)
+
+    def test_uniform_past_the_cdf_goes_to_last_positive_row(self):
+        # Probabilities may sum to 1 - 1e-13; a uniform above cdf[-1] must
+        # land on the last positive row, not on the zero tail or past it.
+        p = SamplingDistribution(probs=np.array([0.5, 0.5 - 1e-13, 0.0]))
+        top = SimpleNamespace(generator=SimpleNamespace(
+            random=lambda s: np.full(s, np.nextafter(1.0, 0.0))))
+        np.testing.assert_array_equal(multinomial_draws(p, 3, top), [1, 1, 1])
+
+    def test_cdf_is_read_only_and_computed_once(self, monkeypatch):
+        p = SamplingDistribution(probs=np.array([0.5, 0.0, 0.25, 0.0, 0.25]))
+        calls = []
+        cumsum = np.cumsum
+        monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+        for stream in range(3):
+            multinomial_draws(p, 10, RngStream(1, stream))
+        assert len(calls) == 1
+        assert p.cdf is p.cdf
+        np.testing.assert_array_equal(p.cdf, [0.5, 0.5, 0.75, 0.75, 1.0])
+        assert p.last_positive == 4
+        with pytest.raises(ValueError):
+            p.cdf[0] = 0.0
 
 
 class TestSketchPlan:
