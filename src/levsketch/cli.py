@@ -189,7 +189,7 @@ def _cmd_bench(args) -> int:
         cfg = _trial_config(values)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    report = run_experiment(cfg, threads=args.threads)
+    report = run_experiment(cfg)
     write_report(report, args.out)
     print(
         f"trials={cfg.n_trials} s={report.s} beta={report.beta:.6g} "
@@ -210,7 +210,7 @@ def _cmd_validate(args) -> int:
     failures = 0
     for name in names:
         preset = PRESETS[name]
-        reports = preset.run(threads=args.threads)
+        reports = preset.run()
         for check_name, ok, detail in preset.evaluate(reports):
             status = "PASS" if ok else "FAIL"
             print(f"[{status}] {name}/{check_name}: {detail}")
@@ -219,6 +219,19 @@ def _cmd_validate(args) -> int:
         print(f"{failures} validation check(s) failed", file=sys.stderr)
         return 3
     return 0
+
+
+_THREADS_HELP = "accepted for compatibility (N >= 1); trials always run serially"
+
+
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need an integer N >= 1, got {text!r}")
+    return n
 
 
 def _build_parser() -> _Parser:
@@ -257,13 +270,15 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--cap-samples", dest="cap_samples", type=int, default=None,
                          help="cap the sample count (0 = no cap)")
     p_bench.add_argument("--out", default="report.csv", help="CSV report path")
-    p_bench.add_argument("--threads", type=int, default=1)
+    p_bench.add_argument("--threads", type=_thread_count, default=1,
+                         metavar="N", help=_THREADS_HELP)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_val = sub.add_parser("validate", help="run built-in validation presets")
     p_val.add_argument("--preset", action="append", default=None,
                        help=f"preset name (repeatable); default: all of {sorted(PRESETS)}")
-    p_val.add_argument("--threads", type=int, default=1)
+    p_val.add_argument("--threads", type=_thread_count, default=1,
+                         metavar="N", help=_THREADS_HELP)
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

@@ -133,7 +133,6 @@ def check_bounds(
     sol: SketchSolution,
     epsilon: float,
     *,
-    literal_epsilon_squared: bool = False,
     spectral: SpectralSummary | None = None,
 ) -> BoundReport:
     """Compare a sketched solution against the accuracy bounds.
@@ -146,10 +145,6 @@ def check_bounds(
 
     Parameters
     ----------
-    literal_epsilon_squared : bool
-        Evaluate the alignment bound with ``epsilon**2`` instead of the
-        default ``epsilon`` (the exponent consistent with the other two
-        bounds); kept for comparison.
     spectral : SpectralSummary, optional
         Precomputed extremes of ``a``, to avoid one SVD per call in batch
         loops.
@@ -172,7 +167,6 @@ def check_bounds(
         spectral,
         fit_norm,
         fro_norm_sq(xo),
-        literal_epsilon_squared=literal_epsilon_squared,
     )
     return limits.report(fro_norm_sq(arr @ xt - barr), fro_norm_sq(xo - xt))
 
@@ -199,8 +193,6 @@ class _BoundLimits:
         spectral: SpectralSummary,
         fit_norm: float,
         x_opt_norm_sq: float,
-        *,
-        literal_epsilon_squared: bool = False,
     ) -> "_BoundLimits":
         """Limits for a problem with ``||b||_F^2 = scale_sq`` and
         ``||a @ x_opt||_F = fit_norm``."""
@@ -210,9 +202,8 @@ class _BoundLimits:
         sol_floor = noise_floor / sigma_min_sq if sigma_min_sq > 0 else float("inf")
         b_norm = math.sqrt(scale_sq)
         gamma = fit_norm / b_norm if b_norm > 0 else 1.0
-        factor = epsilon**2 if literal_epsilon_squared else epsilon
         if gamma > 0:
-            gamma_limit = factor * spectral.kappa**2 * (1.0 / gamma**2 - 1.0) * x_opt_norm_sq
+            gamma_limit = epsilon * spectral.kappa**2 * (1.0 / gamma**2 - 1.0) * x_opt_norm_sq
             gamma_limit = max(gamma_limit, 0.0)  # gamma can round a hair past 1
         else:
             # b has no component in the column space: the alignment bound is
@@ -270,7 +261,7 @@ class TrialScorer:
     and ratio policies; the caller may drop ``a``, ``b`` and ``exact``
     afterwards.  :func:`check_structural`, :func:`solve_with_plan`,
     :func:`accuracy_ratio` and :func:`check_bounds` on ``(a, b)`` remain the
-    oracle it is tested against.  Safe to share across threads.
+    oracle it is tested against.
 
     Parameters
     ----------

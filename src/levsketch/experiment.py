@@ -3,20 +3,21 @@
 A trial config fixes one problem instance, a sampling distribution, a
 sample-count rule, and an accuracy target.  Each trial derives its own
 random stream from the master seed, so reports are bit-reproducible for a
-fixed seed regardless of thread count or execution order.
+fixed seed.  Trials run serially: each is one draw, one gather and one small
+solve, and BLAS already spreads the solves over the available cores.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .diagnostics import TrialScorer
+from .diagnostics import StructuralReport, TrialScore, TrialScorer
 from .exceptions import (
     GenerationFailedError,
     InvalidParameterError,
@@ -213,121 +214,85 @@ def sample_count(
     return s
 
 
-def _failure_record(cfg: TrialConfig, trial_id: int, s: int, beta: float, msg: str) -> TrialRecord:
+#: Stands in for the bound verdicts of a trial that has none.
+_NO_BOUNDS = SimpleNamespace(
+    residual_bound_holds=False,
+    solution_bound_value=float("nan"),
+    solution_bound_limit=float("nan"),
+    solution_bound_holds=False,
+    gamma=float("nan"),
+    gamma_bound_limit=float("nan"),
+    gamma_bound_holds=False,
+)
+
+
+def _record(cfg: TrialConfig, t: int, s: int, beta: float, score: TrialScore) -> TrialRecord:
+    sr = score.structural
+    br = score.bounds or _NO_BOUNDS
     return TrialRecord(
-        trial_id=trial_id,
+        trial_id=t,
         s=s,
         beta=beta,
-        sc1_value=float("nan"),
-        sc1_holds=False,
-        sc2_value=float("nan"),
-        sc2_holds=False,
-        accuracy_ratio=float("inf"),
-        eps_accurate=False,
-        solution_err_sq=float("nan"),
-        solution_bound_limit=float("nan"),
-        solution_bound_holds=False,
-        residual_bound_holds=False,
-        gamma=float("nan"),
-        gamma_bound_limit=float("nan"),
-        gamma_bound_holds=False,
-        error=msg,
-        rng_algorithm="philox4x64",
+        sc1_value=sr.sc1_value,
+        sc1_holds=sr.sc1_holds,
+        sc2_value=sr.sc2_value,
+        sc2_holds=sr.sc2_holds,
+        accuracy_ratio=score.accuracy_ratio,
+        eps_accurate=score.accuracy_ratio <= 1.0 + cfg.target.epsilon,
+        solution_err_sq=br.solution_bound_value,
+        solution_bound_limit=br.solution_bound_limit,
+        solution_bound_holds=br.solution_bound_holds,
+        residual_bound_holds=br.residual_bound_holds,
+        gamma=br.gamma,
+        gamma_bound_limit=br.gamma_bound_limit,
+        gamma_bound_holds=br.gamma_bound_holds,
+        error=score.error,
+        rng_algorithm=RngStream.algorithm_id,
         rng_seed=cfg.master_seed,
-        rng_stream_index=trial_id + 1,
+        rng_stream_index=t + 1,
     )
 
 
-def run_experiment(cfg: TrialConfig, threads: int = 1) -> ExperimentReport:
+def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     """Run ``cfg.n_trials`` independent sketched solves and score them.
 
     Trial ``t`` uses the stream ``(master_seed, t + 1)``; stream 0 is
     reserved for problem generation.  The problem is factored once; each
     trial then draws a plan and hands it to a :class:`TrialScorer`, which
     scores it with one gather and one small solve in the coordinates of the
-    orthonormal basis.  Per-trial failures (a sketch losing rank) become
-    failure records, never batch aborts.  Records are sorted by trial id,
-    so the report is identical for any ``threads`` value.
+    orthonormal basis.  Trials run one after another.  Per-trial failures (a
+    sketch losing rank) become failure records, never batch aborts; so does
+    every trial of a problem that cannot be generated.
     """
-    if threads < 1:
-        raise InvalidParameterError(f"need threads >= 1, got {threads}")
     t_start = time.perf_counter()
-    eps = cfg.target.epsilon
-
     try:
         a, b, _meta = generate_problem(cfg.problem)
     except GenerationFailedError as exc:
-        records = tuple(
-            _failure_record(cfg, t, 0, float("nan"), f"generation failed: {exc}")
+        nan = float("nan")
+        s, beta = 0, nan
+        failed = TrialScore(
+            structural=StructuralReport(nan, False, nan, False),
+            accuracy_ratio=float("inf"),
+            bounds=None,
+            error=f"generation failed: {exc}",
+        )
+        scores = [failed] * cfg.n_trials
+    else:
+        exact = exact_lstsq(a, b)
+        # Trials read only the factors of the exact solve.  Dropping the
+        # problem, and then the column-major copies the scorer's block
+        # replaces, keeps peak memory at the factorization's.
+        del a, b, _meta
+        profile = profile_from_basis(exact.basis)
+        dist, beta = build_distribution(cfg.distribution, profile)
+        s = sample_count(cfg.sample_rule, profile.rank, beta, cfg.target, cfg.cap_samples)
+        scorer = TrialScorer(exact, cfg.target.epsilon)
+        del exact, profile
+        scores = (
+            scorer.score(build_sketch(dist, s, RngStream(cfg.master_seed, stream_index=t + 1)))
             for t in range(cfg.n_trials)
         )
-        return ExperimentReport(
-            config=cfg,
-            records=records,
-            s=0,
-            beta=float("nan"),
-            success_rate=0.0,
-            sc1_rate=0.0,
-            sc2_rate=0.0,
-            implication_violations=0,
-            wall_time_s=time.perf_counter() - t_start,
-        )
-
-    exact = exact_lstsq(a, b)
-    # Trials read only the factors of the exact solve.  Dropping the problem,
-    # and then the column-major copies the scorer's block replaces, keeps
-    # peak memory at the factorization's.
-    del a, b, _meta
-    profile = profile_from_basis(exact.basis)
-    dist, beta = build_distribution(cfg.distribution, profile)
-    s = sample_count(cfg.sample_rule, profile.rank, beta, cfg.target, cfg.cap_samples)
-    scorer = TrialScorer(exact, eps)
-    del exact, profile
-
-    def one_trial(t: int) -> TrialRecord:
-        rng = RngStream(cfg.master_seed, stream_index=t + 1)
-        score = scorer.score(build_sketch(dist, s, rng))
-        sr = score.structural
-        br = score.bounds
-        if br is None:
-            rec = _failure_record(cfg, t, s, beta, score.error)
-            return replace(
-                rec,
-                sc1_value=sr.sc1_value,
-                sc1_holds=sr.sc1_holds,
-                sc2_value=sr.sc2_value,
-                sc2_holds=sr.sc2_holds,
-            )
-        ratio = score.accuracy_ratio
-        return TrialRecord(
-            trial_id=t,
-            s=s,
-            beta=beta,
-            sc1_value=sr.sc1_value,
-            sc1_holds=sr.sc1_holds,
-            sc2_value=sr.sc2_value,
-            sc2_holds=sr.sc2_holds,
-            accuracy_ratio=ratio,
-            eps_accurate=ratio <= 1.0 + eps,
-            solution_err_sq=br.solution_bound_value,
-            solution_bound_limit=br.solution_bound_limit,
-            solution_bound_holds=br.solution_bound_holds,
-            residual_bound_holds=br.residual_bound_holds,
-            gamma=br.gamma,
-            gamma_bound_limit=br.gamma_bound_limit,
-            gamma_bound_holds=br.gamma_bound_holds,
-            error="",
-            rng_algorithm=rng.algorithm_id,
-            rng_seed=cfg.master_seed,
-            rng_stream_index=t + 1,
-        )
-
-    if threads == 1:
-        records = [one_trial(t) for t in range(cfg.n_trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one_trial, range(cfg.n_trials)))
-    records.sort(key=lambda r: r.trial_id)
+    records = tuple(_record(cfg, t, s, beta, score) for t, score in enumerate(scores))
 
     n = cfg.n_trials
     violations = sum(
@@ -339,7 +304,7 @@ def run_experiment(cfg: TrialConfig, threads: int = 1) -> ExperimentReport:
     )
     return ExperimentReport(
         config=cfg,
-        records=tuple(records),
+        records=records,
         s=s,
         beta=beta,
         success_rate=sum(r.eps_accurate for r in records) / n,
@@ -402,8 +367,8 @@ class Preset:
     configs: tuple[TrialConfig, ...]
     checks: tuple[tuple[str, Callable[[list[ExperimentReport]], tuple[bool, str]]], ...]
 
-    def run(self, threads: int = 1) -> list[ExperimentReport]:
-        return [run_experiment(c, threads=threads) for c in self.configs]
+    def run(self) -> list[ExperimentReport]:
+        return [run_experiment(c) for c in self.configs]
 
     def evaluate(self, reports: list[ExperimentReport]) -> list[tuple[str, bool, str]]:
         return [(name, *check(reports)) for name, check in self.checks]

@@ -109,7 +109,9 @@ def as_array(m) -> np.ndarray:
 
 def fro_norm_sq(m) -> float:
     """Squared Frobenius norm."""
-    a = np.asarray(m, dtype=np.float64)
+    # vdot ravels each argument on its own: one shared ravel makes at most
+    # one copy of a column-major matrix instead of two.
+    a = np.ravel(np.asarray(m, dtype=np.float64))
     return float(np.vdot(a, a))
 
 

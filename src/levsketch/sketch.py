@@ -21,39 +21,29 @@ from .exceptions import (
 from .leverage import SamplingDistribution
 from .linalg import DenseMatrix, as_array
 
-_DEFAULT_ALGORITHM = "philox4x64"
-_BIT_GENERATORS = {"philox4x64": np.random.Philox}
-
 
 class RngStream:
     """Deterministic, splittable random stream.
 
-    A stream is identified by ``(algorithm_id, seed, stream_index)``;
-    identical triples yield identical draw sequences on every platform, and
-    distinct stream indices give statistically independent streams.  The
-    default algorithm is the counter-based Philox 4x64 generator.
+    A stream is identified by ``(seed, stream_index)``; identical pairs
+    yield identical draw sequences on every platform, and distinct stream
+    indices give statistically independent streams.  The generator is the
+    counter-based Philox 4x64, named by :attr:`algorithm_id`.
 
     Streams are stateful: each draw consumes from the stream.  Use one
-    stream per thread or task.
+    stream per task.
     """
 
-    __slots__ = ("algorithm_id", "seed", "stream_index", "_generator")
+    algorithm_id = "philox4x64"
+    __slots__ = ("seed", "stream_index", "_generator")
 
-    def __init__(
-        self, seed: int, stream_index: int = 0, algorithm_id: str = _DEFAULT_ALGORITHM
-    ) -> None:
-        if algorithm_id not in _BIT_GENERATORS:
-            raise InvalidParameterError(
-                f"unknown algorithm {algorithm_id!r}; choose from "
-                f"{sorted(_BIT_GENERATORS)}"
-            )
+    def __init__(self, seed: int, stream_index: int = 0) -> None:
         if not (0 <= int(seed) < 2**64):
             raise InvalidParameterError(f"seed must be a 64-bit integer, got {seed}")
         if int(stream_index) < 0:
             raise InvalidParameterError(
                 f"stream_index must be nonnegative, got {stream_index}"
             )
-        self.algorithm_id = algorithm_id
         self.seed = int(seed)
         self.stream_index = int(stream_index)
         self._generator: np.random.Generator | None = None
@@ -62,7 +52,7 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         if self._generator is None:
             seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_index,))
-            self._generator = np.random.Generator(_BIT_GENERATORS[self.algorithm_id](seq))
+            self._generator = np.random.Generator(np.random.Philox(seq))
         return self._generator
 
     def __repr__(self) -> str:

@@ -272,6 +272,13 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "[PASS] smoke/implication_violations" in out
 
+    def test_threads_flag_accepted_and_inert(self, capsys):
+        outputs = []
+        for threads in ("1", "3"):
+            assert main(["validate", "--preset", "smoke", "--threads", threads]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_unknown_preset_is_exit_1(self, capsys):
         assert main(["validate", "--preset", "nonesuch"]) == 1
 
@@ -282,7 +289,7 @@ class TestValidate:
             name = "doomed"
             description = "always fails"
 
-            def run(self, threads=1):
+            def run(self):
                 return []
 
             def evaluate(self, reports):
@@ -294,6 +301,15 @@ class TestValidate:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("command", ["bench", "validate"])
+    def test_threads_validated(self, tmp_path, capsys, command):
+        extra = ["--out", str(tmp_path / "r.csv")] if command == "bench" else []
+        assert main([command, "--threads", "0", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--threads" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_no_arguments_is_exit_1(self, capsys):
         assert main([]) == 1
 

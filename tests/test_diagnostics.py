@@ -196,19 +196,6 @@ class TestCheckBounds:
         assert rep.gamma_bound_holds
         assert rep.gamma > 0.0
 
-    def test_literal_epsilon_squared_scales_limit(self):
-        a, b = make_problem(10)
-        exact = exact_lstsq(a, b)
-        sol = SketchSolution(
-            x_tilde=exact.x_opt, plan=identity_plan(40), sketched_residual_sq=exact.residual_sq
-        )
-        eps = 0.25
-        default = check_bounds(a, b, exact, sol, eps)
-        literal = check_bounds(a, b, exact, sol, eps, literal_epsilon_squared=True)
-        assert literal.gamma_bound_limit == pytest.approx(
-            eps * default.gamma_bound_limit, rel=1e-12
-        )
-
     def test_epsilon_validated(self):
         a, b = make_problem(11)
         exact = exact_lstsq(a, b)

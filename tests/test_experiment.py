@@ -89,13 +89,6 @@ class TestRunExperiment:
         for rate in (report.success_rate, report.sc1_rate, report.sc2_rate):
             assert 0.0 <= rate <= 1.0
 
-    def test_thread_count_does_not_change_records(self):
-        cfg = small_config(n_trials=16)
-        r1 = run_experiment(cfg, threads=1)
-        r4 = run_experiment(cfg, threads=4)
-        assert r1.records == r4.records
-        assert r1.success_rate == r4.success_rate
-
     def test_rerun_is_identical(self):
         cfg = small_config()
         assert run_experiment(cfg).records == run_experiment(cfg).records
@@ -159,10 +152,6 @@ class TestRunExperiment:
         assert count_numpy_calls(None, names=("lstsq",)) == n_trials
         assert count_numpy_calls(None, names=("svd",)) == count_numpy_calls(3, names=("svd",)) == 2
         assert count_numpy_calls(None, names=("cumsum",)) == 1
-
-    def test_threads_validated(self):
-        with pytest.raises(InvalidParameterError):
-            run_experiment(small_config(), threads=0)
 
     def test_uniform_beta_is_measured(self):
         # on a coherent instance uniform sampling misestimates leverage badly
@@ -241,8 +230,8 @@ class TestReportFormat:
         cfg = small_config()
         p1 = tmp_path / "r1.csv"
         p2 = tmp_path / "r2.csv"
-        write_report(run_experiment(cfg, threads=1), p1)
-        write_report(run_experiment(cfg, threads=3), p2)
+        write_report(run_experiment(cfg), p1)
+        write_report(run_experiment(cfg), p2)
 
         def body(p):
             return [l for l in p.read_bytes().split(b"\n") if not l.startswith(b"# wall_time_s")]

@@ -5,6 +5,8 @@ scratch here, and spectral extremes against a closed-form 2x2 eigenvalue
 computation, so none of these tests trust the code paths they exercise.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +91,24 @@ def test_fro_norm_sq_matches_manual_sum():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((7, 3))
     assert fro_norm_sq(a) == pytest.approx(float((a * a).sum()), rel=1e-14)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(50000, 2), (1000, 7), (3, 3)])
+def test_fro_norm_sq_bits_and_one_copy(order, shape):
+    # Same bits as vdot of the C-raveled array, for either memory order,
+    # and at most one temporary copy of a column-major input.
+    a = np.asarray(np.random.default_rng(12).standard_normal(shape), order=order)
+    flat = a.ravel()
+    assert fro_norm_sq(a) == float(np.vdot(flat, flat))
+    del flat
+    tracemalloc.start()
+    try:
+        fro_norm_sq(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * a.nbytes + 4096
 
 
 class TestOrthonormalBasis:

@@ -57,10 +57,6 @@ class TestRngStream:
         with pytest.raises(InvalidParameterError):
             RngStream(0, stream_index=-2)
 
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            RngStream(0, algorithm_id="mt19937")
-
     def test_repr_mentions_identity(self):
         text = repr(RngStream(7, 2))
         assert "7" in text and "2" in text and "philox4x64" in text
