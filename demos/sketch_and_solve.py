@@ -13,10 +13,9 @@ from levsketch import (
     ProblemSpec,
     RngStream,
     accuracy_ratio,
-    exact_lstsq,
     generate_problem,
     leverage_distribution,
-    leverage_scores,
+    profile_from_basis,
     required_samples,
     sketched_lstsq,
 )
@@ -27,11 +26,11 @@ a, b, meta = generate_problem(
 )
 print(f"problem: {a.rows} x {a.cols}, rhs {b.cols}, coherence {meta['coherence']:.4f}")
 
-exact = exact_lstsq(a, b)
+exact = meta["exact"]  # generation already solved the problem exactly
 print(f"exact residual^2 = {exact.residual_sq:.6f}")
 
 # the guarantee-backed sample count is conservative
-profile = leverage_scores(a)
+profile = profile_from_basis(exact.basis)  # leverage scores from the same QR
 target = AccuracyTarget(epsilon=0.1, delta=0.1)
 s_formula = required_samples(profile.rank, 1.0, target)
 print(f"formula sample count for eps=0.1, delta=0.1: {s_formula}")

@@ -20,7 +20,6 @@ from levsketch import (
     build_sketch,
     check_bounds,
     check_structural,
-    exact_lstsq,
     generate_problem,
     leverage_distribution,
     profile_from_basis,
@@ -28,11 +27,12 @@ from levsketch import (
     solve_with_plan,
 )
 
-a, b, _ = generate_problem(
+a, b, meta = generate_problem(
     ProblemSpec("gaussian-incoherent", 4000, 5, rhs_cols=2, noise_scale=1.0, seed=42)
 )
-# one QR gives the exact solve, the basis Q and the singular values of A
-exact = exact_lstsq(a, b)
+# generation's one QR gives the exact solve, the basis Q and the singular
+# values of A
+exact = meta["exact"]
 basis = exact.basis
 dist = leverage_distribution(profile_from_basis(basis))
 spectral = exact.spectral
@@ -44,7 +44,9 @@ for s in (20, 40, 80, 160, 320):
     sc1_hits = sc2_hits = both = violations = 0
     for t in range(trials):
         plan = build_sketch(dist, s, RngStream(9000 + s, t + 1))
-        rep = check_structural(plan, basis, exact.b_perp, eps, exact.residual_sq)
+        rep = check_structural(
+            plan, basis, exact.b_perp, eps, exact.residual_sq, exact.b_norm_sq
+        )
         sc1_hits += rep.sc1_holds
         sc2_hits += rep.sc2_holds
         if rep.sc1_holds and rep.sc2_holds:

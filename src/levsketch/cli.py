@@ -38,25 +38,7 @@ from .problems import ProblemSpec
 from .sketch import RngStream, build_sketch
 from .solver import AccuracyTarget, accuracy_ratio, solve_with_plan
 
-_CONFIG_KEYS = {
-    "kind",
-    "n_rows",
-    "n_cols",
-    "rhs_cols",
-    "noise_scale",
-    "coherence_target",
-    "problem_seed",
-    "a_file",
-    "b_file",
-    "dist",
-    "samples",
-    "cap_samples",
-    "epsilon",
-    "delta",
-    "trials",
-    "seed",
-}
-
+#: Every config key, with its default; config files may set no other key.
 _DEFAULTS = {
     "kind": "gaussian-incoherent",
     "n_rows": "2000",
@@ -97,7 +79,7 @@ def read_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigParseError(f"expected 'key = value', got {raw.rstrip()!r}", lineno)
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _DEFAULTS:
                 raise ConfigParseError(f"unknown key {key!r}", lineno)
             out[key] = value
     return out

@@ -83,6 +83,7 @@ def check_structural(
     b_perp,
     epsilon: float,
     residual_sq: float,
+    scale_sq: float,
 ) -> StructuralReport:
     """Evaluate both structural conditions for a realized plan.
 
@@ -97,6 +98,9 @@ def check_structural(
         Target accuracy in (0, 1).
     residual_sq : float
         Exact minimal residual ``||b_perp||_F^2``.
+    scale_sq : float
+        ``||b||_F^2``; the SC2 limit includes the noise floor relative to it,
+        so on a consistent system rounding noise does not decide the verdict.
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -112,17 +116,24 @@ def check_structural(
         sv = np.linalg.svd(sq, compute_uv=False)
         sc1_value = float(sv[-1]) ** 2
     sbp = apply_sketch(plan, b_perp).array
-    return _structural_report(sc1_value, fro_norm_sq(sq.T @ sbp), epsilon, residual_sq)
+    return _structural_report(
+        sc1_value, fro_norm_sq(sq.T @ sbp), epsilon, residual_sq, scale_sq
+    )
 
 
 def _structural_report(
-    sc1_value: float, sc2_value: float, epsilon: float, residual_sq: float
+    sc1_value: float, sc2_value: float, epsilon: float, residual_sq: float, scale_sq: float
 ) -> StructuralReport:
+    sc2_limit = (
+        epsilon * residual_sq / 2.0
+        + _STRUCTURAL_SLACK * residual_sq
+        + _NOISE_FLOOR_REL * scale_sq
+    )
     return StructuralReport(
         sc1_value=sc1_value,
         sc1_holds=sc1_value >= SC1_THRESHOLD - _STRUCTURAL_SLACK,
         sc2_value=sc2_value,
-        sc2_holds=sc2_value <= epsilon * residual_sq / 2.0 + _STRUCTURAL_SLACK * residual_sq,
+        sc2_holds=sc2_value <= sc2_limit,
     )
 
 
@@ -318,14 +329,16 @@ class TrialScorer:
         if plan.n_samples < r:
             # Fewer samples than rank: the sketched basis has a kernel.
             return TrialScore(
-                structural=_structural_report(0.0, sc2_value, self._epsilon, self._residual_sq),
+                structural=_structural_report(
+                    0.0, sc2_value, self._epsilon, self._residual_sq, self._scale_sq
+                ),
                 accuracy_ratio=float("inf"),
                 bounds=None,
                 error=f"sketch rank deficient: {plan.n_samples} samples cannot cover rank {r}",
             )
         z, _, rank, sv = np.linalg.lstsq(sq, sbp, rcond=RANK_TOL)
         structural = _structural_report(
-            float(sv[-1]) ** 2, sc2_value, self._epsilon, self._residual_sq
+            float(sv[-1]) ** 2, sc2_value, self._epsilon, self._residual_sq, self._scale_sq
         )
         if rank < r:
             return TrialScore(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -31,34 +31,9 @@ from .leverage import (
     profile_from_basis,
     uniform_distribution,
 )
-from .linalg import exact_lstsq
 from .problems import ProblemSpec, generate_problem
 from .sketch import RngStream, build_sketch
 from .solver import AccuracyTarget, required_samples
-
-#: Column order of CSV reports, fixed so reports are byte-comparable.
-CSV_COLUMNS = (
-    "trial_id",
-    "s",
-    "beta",
-    "sc1_value",
-    "sc1_holds",
-    "sc2_value",
-    "sc2_holds",
-    "accuracy_ratio",
-    "eps_accurate",
-    "solution_err_sq",
-    "solution_bound_limit",
-    "solution_bound_holds",
-    "residual_bound_holds",
-    "gamma",
-    "gamma_bound_limit",
-    "gamma_bound_holds",
-    "error",
-    "rng_algorithm",
-    "rng_seed",
-    "rng_stream_index",
-)
 
 #: Most rows one sketch may draw; a sketch of s rows is gathered into
 #: s x (r + m) float64 arrays.  Larger requests (the auto rule asks for 5e12
@@ -128,6 +103,7 @@ class TrialConfig:
     def __post_init__(self) -> None:
         parse_distribution_spec(self.distribution)
         parse_sample_rule(self.sample_rule)
+        RngStream(self.master_seed)  # the trial streams' seed check, before any work
         if self.n_trials < 1:
             raise InvalidParameterError(f"need n_trials >= 1, got {self.n_trials}")
         if self.cap_samples < 0:
@@ -160,6 +136,10 @@ class TrialRecord:
     rng_algorithm: str
     rng_seed: int
     rng_stream_index: int
+
+
+#: Column order of CSV reports, fixed so reports are byte-comparable.
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -266,7 +246,9 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     """
     t_start = time.perf_counter()
     try:
-        a, b, _meta = generate_problem(cfg.problem)
+        # Trials read only the factors of the exact solve; the problem
+        # itself is dropped here, so peak memory stays at generation's.
+        exact = generate_problem(cfg.problem)[2]["exact"]
     except GenerationFailedError as exc:
         nan = float("nan")
         s, beta = 0, nan
@@ -278,11 +260,6 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
         )
         scores = [failed] * cfg.n_trials
     else:
-        exact = exact_lstsq(a, b)
-        # Trials read only the factors of the exact solve.  Dropping the
-        # problem, and then the column-major copies the scorer's block
-        # replaces, keeps peak memory at the factorization's.
-        del a, b, _meta
         profile = profile_from_basis(exact.basis)
         dist, beta = build_distribution(cfg.distribution, profile)
         s = sample_count(cfg.sample_rule, profile.rank, beta, cfg.target, cfg.cap_samples)
@@ -378,18 +355,10 @@ def _three_se(rate: float, n: int) -> float:
     return 3.0 * math.sqrt(rate * (1.0 - rate) / n)
 
 
-def _check_success(threshold: float):
+def _check_rate(attr: str, threshold: float):
     def check(reports: list[ExperimentReport]) -> tuple[bool, str]:
-        rate = reports[0].success_rate
-        return rate >= threshold, f"success_rate={rate:.4f} threshold={threshold:.4f}"
-
-    return check
-
-
-def _check_sc2_rate(threshold: float):
-    def check(reports: list[ExperimentReport]) -> tuple[bool, str]:
-        rate = reports[0].sc2_rate
-        return rate >= threshold, f"sc2_rate={rate:.4f} threshold={threshold:.4f}"
+        rate = getattr(reports[0], attr)
+        return rate >= threshold, f"{attr}={rate:.4f} threshold={threshold:.4f}"
 
     return check
 
@@ -423,7 +392,7 @@ def _builtin_presets() -> dict[str, Preset]:
         "at rate >= 1-delta minus 3 standard errors (200 trials)",
         configs=(desk,),
         checks=(
-            ("success_rate", _check_success(0.8 - _three_se(0.8, 200))),
+            ("success_rate", _check_rate("success_rate", 0.8 - _three_se(0.8, 200))),
             ("implication_violations", _check_no_violations),
         ),
     )
@@ -443,7 +412,7 @@ def _builtin_presets() -> dict[str, Preset]:
         "standard errors with the minimal Markov sample count (400 trials)",
         configs=(sc2,),
         checks=(
-            ("sc2_rate", _check_sc2_rate(0.75 - _three_se(0.75, 400))),
+            ("sc2_rate", _check_rate("sc2_rate", 0.75 - _three_se(0.75, 400))),
             ("implication_violations", _check_no_violations),
         ),
     )

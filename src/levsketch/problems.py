@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GenerationFailedError, InvalidParameterError, RankDeficientError
-from .leverage import leverage_scores
-from .linalg import DenseMatrix
+from .leverage import profile_from_basis
+from .linalg import DenseMatrix, LstsqSolution, exact_lstsq
 from .mmio import read_matrix
 from .sketch import RngStream
 
@@ -95,9 +95,11 @@ def _plant_spike(arr: np.ndarray, target: float) -> np.ndarray:
 def generate_problem(spec: ProblemSpec) -> tuple[DenseMatrix, DenseMatrix, dict]:
     """Build one problem instance ``(a, b, meta)``.
 
-    ``meta`` records the kind, the planted solution when one exists, the
-    achieved coherence, and how many attempts generation took.  Generation
-    is deterministic in ``spec.seed``.
+    ``meta`` records the kind, the planted solution ``x_true`` when one
+    exists, the achieved coherence, how many attempts generation took, and
+    ``exact``: the :func:`~levsketch.linalg.exact_lstsq` solve of ``(a, b)``.
+    Its QR is the full-rank check, and its basis gives the coherence, so a
+    problem is factored once.  Generation is deterministic in ``spec.seed``.
 
     Raises
     ------
@@ -108,14 +110,7 @@ def generate_problem(spec: ProblemSpec) -> tuple[DenseMatrix, DenseMatrix, dict]
     if spec.kind == "custom-file":
         a = read_matrix(spec.a_path)
         b = read_matrix(spec.b_path)
-        profile = leverage_scores(a)  # also verifies full rank
-        meta = {
-            "kind": spec.kind,
-            "x_true": None,
-            "coherence": profile.coherence,
-            "attempts": 1,
-        }
-        return a, b, meta
+        return a, b, _meta(spec.kind, None, exact_lstsq(a, b), 1)
 
     rng = RngStream(spec.seed, stream_index=0)
     g = rng.generator
@@ -129,25 +124,33 @@ def generate_problem(spec: ProblemSpec) -> tuple[DenseMatrix, DenseMatrix, dict]
             except np.linalg.LinAlgError:
                 last_error = "singular Gram matrix while planting the spike"
                 continue
-        a = DenseMatrix.from_array(arr)
-        try:
-            # Rank check and coherence in one QR, before x_true is drawn.
-            coherence = leverage_scores(a).coherence
-        except RankDeficientError:
-            last_error = "design matrix came out rank deficient"
-            continue
         x_true = g.standard_normal((r, spec.rhs_cols))
         barr = arr @ x_true
         if spec.kind != "consistent" and spec.noise_scale > 0.0:
             barr = barr + spec.noise_scale * g.standard_normal((n, spec.rhs_cols))
+        a = DenseMatrix.from_array(arr)
         b = DenseMatrix.from_array(barr)
-        meta = {
-            "kind": spec.kind,
-            "x_true": DenseMatrix.from_array(x_true),
-            "coherence": coherence,
-            "attempts": attempt,
-        }
-        return a, b, meta
+        # The QR needs only the column-major copies: dropping the draws keeps
+        # one n x r array fewer alive at its peak.
+        del arr, barr
+        try:
+            exact = exact_lstsq(a, b)
+        except RankDeficientError:
+            last_error = "design matrix came out rank deficient"
+            continue
+        return a, b, _meta(spec.kind, DenseMatrix.from_array(x_true), exact, attempt)
     raise GenerationFailedError(
         f"gave up after {_MAX_ATTEMPTS} attempts: {last_error}"
     )
+
+
+def _meta(
+    kind: str, x_true: DenseMatrix | None, exact: LstsqSolution, attempts: int
+) -> dict:
+    return {
+        "kind": kind,
+        "x_true": x_true,
+        "coherence": profile_from_basis(exact.basis).coherence,
+        "attempts": attempts,
+        "exact": exact,
+    }

@@ -321,7 +321,9 @@ def test_c8_oracle_equivalence():
 
         basis = orthonormal_basis(a)
         exact = exact_lstsq(a, b)
-        rep = check_structural(plan, basis, exact.b_perp, 0.3, exact.residual_sq)
+        rep = check_structural(
+            plan, basis, exact.b_perp, 0.3, exact.residual_sq, exact.b_norm_sq
+        )
         sq = s_dense @ basis.q.array
         sc1_dense = float(np.linalg.svd(sq, compute_uv=False)[-1]) ** 2
         sc2_dense = float(np.sum((sq.T @ (s_dense @ exact.b_perp.array)) ** 2))

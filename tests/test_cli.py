@@ -242,6 +242,21 @@ class TestBench:
         code = main(["bench", "--epsilon", "2.0", "--out", str(out)])
         assert code == 1
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed_rejected_before_generation(self, tmp_path, capsys, monkeypatch, seed):
+        import levsketch.experiment as experiment_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the problem was generated")
+
+        monkeypatch.setattr(experiment_mod, "generate_problem", never)
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--seed", seed, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_sample_budget_is_exit_1_before_allocating(self, tmp_path, capsys, monkeypatch):
         # The auto rule asks for ~5e12 rows here; the budget check must stop
         # the run before any sketch is drawn or the report is opened.

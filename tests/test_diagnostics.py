@@ -64,7 +64,9 @@ class TestCheckStructural:
         a, b = make_problem(1)
         basis = orthonormal_basis(a)
         exact = exact_lstsq(a, b)
-        rep = check_structural(identity_plan(40), basis, exact.b_perp, 0.25, exact.residual_sq)
+        rep = check_structural(
+            identity_plan(40), basis, exact.b_perp, 0.25, exact.residual_sq, exact.b_norm_sq
+        )
         assert rep.sc1_value == pytest.approx(1.0, abs=1e-12)
         assert rep.sc1_holds
         assert rep.sc2_value == pytest.approx(0.0, abs=1e-18)
@@ -78,10 +80,12 @@ class TestCheckStructural:
         w_lo = math.sqrt(0.70)  # 0.70 < 1/sqrt(2) = 0.7071...
         w_hi = math.sqrt(0.72)
         rep_lo = check_structural(
-            identity_plan(40, w_lo), basis, exact.b_perp, 0.25, exact.residual_sq
+            identity_plan(40, w_lo), basis, exact.b_perp, 0.25, exact.residual_sq,
+            exact.b_norm_sq,
         )
         rep_hi = check_structural(
-            identity_plan(40, w_hi), basis, exact.b_perp, 0.25, exact.residual_sq
+            identity_plan(40, w_hi), basis, exact.b_perp, 0.25, exact.residual_sq,
+            exact.b_norm_sq,
         )
         assert rep_lo.sc1_value == pytest.approx(0.70, rel=1e-12)
         assert not rep_lo.sc1_holds
@@ -93,13 +97,25 @@ class TestCheckStructural:
         q = DenseMatrix.from_array(np.eye(5)[:, :2])
         basis = OrthonormalBasis(q=q, source_rank=2)
         plan = identity_plan(5)
-        eps, r2 = 0.5, 4.0  # threshold eps*r2/2 = 1.0
+        eps, r2 = 0.5, 4.0  # threshold eps*r2/2 = 1.0; b is all residual, ||b||^2 = r2
         for c_sq, expected in ((0.99, True), (1.01, False)):
             bp = np.zeros((5, 1))
             bp[0, 0] = math.sqrt(c_sq)
-            rep = check_structural(plan, basis, bp, eps, r2)
+            rep = check_structural(plan, basis, bp, eps, r2, r2)
             assert rep.sc2_value == pytest.approx(c_sq, rel=1e-12)
             assert rep.sc2_holds is expected
+
+    def test_sc2_noise_floor(self):
+        # A residual of 1e-20 against ||b||^2 = 1 is rounding noise: the
+        # cross term (also 1e-20, four times eps*r2/2) is under the noise
+        # floor 1e-18 * ||b||^2, so SC2 holds; at ||b||^2 = r2 it does not.
+        q = DenseMatrix.from_array(np.eye(5)[:, :2])
+        basis = OrthonormalBasis(q=q, source_rank=2)
+        bp = np.zeros((5, 1))
+        bp[0, 0] = 1e-10
+        r2 = 1e-20
+        assert check_structural(identity_plan(5), basis, bp, 0.5, r2, 1.0).sc2_holds
+        assert not check_structural(identity_plan(5), basis, bp, 0.5, r2, r2).sc2_holds
 
     def test_undersampled_plan_has_zero_sc1(self):
         a, b = make_problem(3, n=20, r=4)
@@ -112,7 +128,9 @@ class TestCheckStructural:
             weights=np.ones(2),
             source_probs_digest="hand-built",
         )
-        rep = check_structural(plan, basis, exact.b_perp, 0.25, exact.residual_sq)
+        rep = check_structural(
+            plan, basis, exact.b_perp, 0.25, exact.residual_sq, exact.b_norm_sq
+        )
         assert rep.sc1_value == 0.0
         assert not rep.sc1_holds
 
@@ -121,7 +139,9 @@ class TestCheckStructural:
         basis = orthonormal_basis(a)
         exact = exact_lstsq(a, b)
         with pytest.raises(InvalidParameterError):
-            check_structural(identity_plan(40), basis, exact.b_perp, 1.5, exact.residual_sq)
+            check_structural(
+                identity_plan(40), basis, exact.b_perp, 1.5, exact.residual_sq, exact.b_norm_sq
+            )
 
 
 class TestCheckBounds:
@@ -220,7 +240,9 @@ def test_structural_conditions_imply_bounds_small_sweep():
     checked = 0
     for t in range(300):
         plan = build_sketch(p, 64, RngStream(606060, t + 1))
-        srep = check_structural(plan, basis, exact.b_perp, eps, exact.residual_sq)
+        srep = check_structural(
+            plan, basis, exact.b_perp, eps, exact.residual_sq, exact.b_norm_sq
+        )
         if not (srep.sc1_holds and srep.sc2_holds):
             continue
         sol = solve_with_plan(a, b, plan)
@@ -282,7 +304,9 @@ class TestTrialScorerAgainstOracle:
 
     @classmethod
     def oracle(cls, a, b, exact, plan):
-        sr = check_structural(plan, exact.basis, exact.b_perp, cls.EPS, exact.residual_sq)
+        sr = check_structural(
+            plan, exact.basis, exact.b_perp, cls.EPS, exact.residual_sq, exact.b_norm_sq
+        )
         out = {**asdict(sr), "accuracy_ratio": float("inf"), "error": ""}
         try:
             sol = solve_with_plan(a, b, plan)
@@ -340,7 +364,9 @@ class TestTrialScorerAgainstOracle:
         plan = SketchPlan(40, 3, np.array([k, 0, 1]), np.array([1e308, 1.0, 1.0]), "hand-built")
         with np.errstate(over="ignore"):
             with pytest.raises(InvalidParameterError, match="finite"):
-                check_structural(plan, exact.basis, exact.b_perp, 0.3, exact.residual_sq)
+                check_structural(
+                    plan, exact.basis, exact.b_perp, 0.3, exact.residual_sq, exact.b_norm_sq
+                )
             with pytest.raises(InvalidParameterError, match="finite"):
                 TrialScorer(exact, 0.3).score(plan)
 

@@ -6,6 +6,7 @@ import pytest
 import levsketch.problems as problems_mod
 from levsketch import (
     DenseMatrix,
+    DimensionError,
     GenerationFailedError,
     InvalidParameterError,
     RankDeficientError,
@@ -98,32 +99,51 @@ class TestConsistent:
         np.testing.assert_array_equal(b1.array, b2.array)
 
 
+@pytest.mark.parametrize("kind", ["gaussian-incoherent", "spiked-coherent", "consistent"])
+def test_meta_carries_the_exact_solve(kind):
+    spec = ProblemSpec(kind, n_rows=60, n_cols=4, rhs_cols=2, coherence_target=0.9, seed=8)
+    a, b, meta = generate_problem(spec)
+    assert_same_solve(meta["exact"], exact_lstsq(a, b))
+    assert meta["coherence"] == leverage_scores(a).coherence
+
+
+def assert_same_solve(got, want):
+    """Bit-for-bit equality of two LstsqSolution results."""
+    for name in ("x_opt", "b_perp", "r_factor"):
+        np.testing.assert_array_equal(getattr(got, name).array, getattr(want, name).array)
+    np.testing.assert_array_equal(got.basis.q.array, want.basis.q.array)
+    assert got.basis.source_rank == want.basis.source_rank
+    assert got.spectral == want.spectral
+    assert got.residual_sq == want.residual_sq
+    assert got.b_norm_sq == want.b_norm_sq
+
+
 class TestRetry:
     spec = ProblemSpec("gaussian-incoherent", n_rows=40, n_cols=3, seed=5)
 
     def test_rank_deficient_draw_is_retried(self, monkeypatch):
         calls = []
-        real = problems_mod.leverage_scores
+        real = problems_mod.exact_lstsq
 
-        def deficient_once(a):
+        def deficient_once(a, b):
             calls.append(a.array.copy())
             if len(calls) == 1:
                 raise RankDeficientError("pretend the first draw lost rank")
-            return real(a)
+            return real(a, b)
 
-        monkeypatch.setattr(problems_mod, "leverage_scores", deficient_once)
+        monkeypatch.setattr(problems_mod, "exact_lstsq", deficient_once)
         a, _, meta = generate_problem(self.spec)
         assert meta["attempts"] == 2
         # the retry uses the next design drawn from the same stream
         np.testing.assert_array_equal(a.array, calls[1])
         assert not np.array_equal(calls[0], calls[1])
-        assert meta["coherence"] == real(a).coherence
+        assert meta["coherence"] == leverage_scores(a).coherence
 
     def test_always_deficient_gives_up(self, monkeypatch):
-        def deficient(a):
+        def deficient(a, b):
             raise RankDeficientError("never full rank")
 
-        monkeypatch.setattr(problems_mod, "leverage_scores", deficient)
+        monkeypatch.setattr(problems_mod, "exact_lstsq", deficient)
         with pytest.raises(GenerationFailedError, match="rank deficient"):
             generate_problem(self.spec)
 
@@ -146,6 +166,26 @@ class TestCustomFile:
         np.testing.assert_array_equal(a.array, a_src)
         np.testing.assert_array_equal(b.array, b_src)
         assert meta["x_true"] is None
+        assert meta["attempts"] == 1
+        assert_same_solve(meta["exact"], exact_lstsq(a, b))
+        assert meta["coherence"] == leverage_scores(a).coherence
+
+    def test_one_factorization(self, tmp_path, count_numpy_calls):
+        spec = self.write_spec(tmp_path, 12, 12)
+        generate_problem(spec)
+        assert count_numpy_calls(12) == 1
+
+    def test_row_mismatch_rejected(self, tmp_path):
+        with pytest.raises(DimensionError, match="row counts differ"):
+            generate_problem(self.write_spec(tmp_path, 12, 11))
+
+    @staticmethod
+    def write_spec(tmp_path, a_rows, b_rows):
+        rng = np.random.default_rng(10)
+        write_matrix(tmp_path / "a.mtx", DenseMatrix.from_array(rng.standard_normal((a_rows, 3))))
+        write_matrix(tmp_path / "b.mtx", DenseMatrix.from_array(rng.standard_normal((b_rows, 2))))
+        return ProblemSpec("custom-file", a_path=str(tmp_path / "a.mtx"),
+                           b_path=str(tmp_path / "b.mtx"))
 
     def test_paths_required(self):
         with pytest.raises(InvalidParameterError):
