@@ -6,8 +6,6 @@ Build a tall least-squares problem, sample a few hundred of its rows by
 leverage, solve the small problem, and compare against the exact answer.
 """
 
-import numpy as np
-
 from levsketch import (
     AccuracyTarget,
     ProblemSpec,
@@ -15,7 +13,6 @@ from levsketch import (
     accuracy_ratio,
     generate_problem,
     leverage_distribution,
-    profile_from_basis,
     required_samples,
     sketched_lstsq,
 )
@@ -30,7 +27,7 @@ exact = meta["exact"]  # generation already solved the problem exactly
 print(f"exact residual^2 = {exact.residual_sq:.6f}")
 
 # the guarantee-backed sample count is conservative
-profile = profile_from_basis(exact.basis)  # leverage scores from the same QR
+profile = meta["profile"]  # leverage scores from the same QR
 target = AccuracyTarget(epsilon=0.1, delta=0.1)
 s_formula = required_samples(profile.rank, 1.0, target)
 print(f"formula sample count for eps=0.1, delta=0.1: {s_formula}")
@@ -46,5 +43,5 @@ for s in (60, 300, 1500):
 # the sketch touches s rows out of 20000; the solve is s x 6 instead of
 # 20000 x 6
 sol = sketched_lstsq(a, b, dist, 300, RngStream(2024, stream_index=1))
-rows_touched = len(np.unique(sol.plan.draws))
+rows_touched = sol.plan.unique_rows.size
 print(f"rows touched at s = 300: {rows_touched} of {a.rows}")

@@ -22,7 +22,6 @@ from levsketch import (
     check_structural,
     generate_problem,
     leverage_distribution,
-    profile_from_basis,
     ProblemSpec,
     solve_with_plan,
 )
@@ -30,11 +29,11 @@ from levsketch import (
 a, b, meta = generate_problem(
     ProblemSpec("gaussian-incoherent", 4000, 5, rhs_cols=2, noise_scale=1.0, seed=42)
 )
-# generation's one QR gives the exact solve, the basis Q and the singular
-# values of A
+# generation's one QR gives the exact solve, the basis Q, the singular
+# values of A and the leverage scores
 exact = meta["exact"]
 basis = exact.basis
-dist = leverage_distribution(profile_from_basis(basis))
+dist = leverage_distribution(meta["profile"])
 spectral = exact.spectral
 eps = 0.25
 trials = 200

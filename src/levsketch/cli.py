@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or parameter error, 2 I/O or parse error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .exceptions import (
@@ -85,6 +86,22 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
+def _check_out_path(path: str | None) -> None:
+    """Fail before any work when ``path`` cannot be written: its directory
+    must exist and be writable, and ``path`` must not be a directory.  The
+    file itself is not created here."""
+    if path is None:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"cannot write {path}: no directory {directory}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    target = path if os.path.exists(path) else directory
+    if not os.access(target, os.W_OK):
+        raise PermissionError(f"cannot write {path}: permission denied")
+
+
 def _trial_config(values: dict[str, str]) -> TrialConfig:
     kind = values["kind"]
     spec = ProblemSpec(
@@ -110,10 +127,12 @@ def _trial_config(values: dict[str, str]) -> TrialConfig:
 
 
 def _cmd_solve(args) -> int:
-    # Reject bad flags before the files are read and A is factored.
+    # Reject bad flags and an unwritable --out before the files are read and
+    # A is factored.
     parse_distribution_spec(args.dist)
     parse_sample_rule(args.samples)
     target = AccuracyTarget(args.epsilon, args.delta)
+    _check_out_path(args.out)
     a = read_matrix(args.a)
     b = read_matrix(args.b)
     exact = exact_lstsq(a, b)
@@ -138,6 +157,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_leverage(args) -> int:
+    _check_out_path(args.out)
     a = read_matrix(args.a)
     profile = leverage_scores(a)
     print(f"rows={profile.n_rows} rank={profile.rank} coherence={profile.coherence:.17g}")
@@ -171,6 +191,7 @@ def _cmd_bench(args) -> int:
         cfg = _trial_config(values)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    _check_out_path(args.out)
     report = run_experiment(cfg)
     write_report(report, args.out)
     print(

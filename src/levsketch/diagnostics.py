@@ -13,9 +13,10 @@ When both hold, the true residual of the sketched solution is within
 ``epsilon * residual_sq / sigma_min(a)^2``.  These implications are what
 the bench harness counts violations of.
 
-:class:`TrialScorer` evaluates all of it for one plan in the coordinates of
-the orthonormal basis, without touching the ``n`` rows of the problem; the
-functions that work on ``(a, b)`` remain the reference it is tested against.
+:class:`TrialScorer` evaluates all of it for one plan from the small Gram
+matrix of the plan's distinct rows in the coordinates of the orthonormal
+basis, without touching the ``n`` rows of the problem; the functions that
+work on ``(a, b)`` remain the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ SC1_THRESHOLD = 1.0 / math.sqrt(2.0)
 _STRUCTURAL_SLACK = 1e-12
 _BOUND_SLACK_REL = 1e-10
 _NOISE_FLOOR_REL = 1e-18
+
+#: The scorer solves the normal equations of a sketch only when
+#: ``lambda_min > GRAM_FLOOR * lambda_max`` for the Gram matrix of the
+#: sketched basis, i.e. ``kappa(S q) < 100``.  Normal equations square the
+#: condition number, so this keeps their rounding near 1e-12 relative, well
+#: inside the oracle's 1e-10; every sketch with SC1 holding clears it.
+GRAM_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -262,10 +270,23 @@ class TrialScorer:
     With ``a = q @ r`` and ``z = (S q)^+ (S b_perp)``, the sketched solution
     is ``x_opt + r^{-1} z`` and its true residual is ``residual_sq +
     ||z||_F^2`` (Drineas, Mahoney and Muthukrishnan 2006, "Sampling
-    algorithms for l2 regression").  So a trial needs only the sampled rows
-    of ``[q | b_perp]``: one gather and one small least-squares solve give
-    both structural conditions, the accuracy ratio and all three bound
-    verdicts, with no work on the ``n`` rows of the problem.
+    algorithms for l2 regression").  Every trial quantity depends on ``S``
+    only through ``S^T S``, so a trial needs only the plan's distinct rows
+    of ``[q | b_perp]``, each scaled by the square root of its
+    ``weight_sq_sums`` entry.  One gather of those rows gives their
+    ``(r + m) x (r + m)`` Gram matrix ``G``, and from it:
+
+    * SC1 is the smallest eigenvalue of ``G_qq = (S q)^T (S q)``,
+    * SC2 is ``||G_qb||_F^2`` with ``G_qb = (S q)^T (S b_perp)``,
+    * ``z = G_qq^{-1} G_qb``, which gives the accuracy ratio and all three
+      bound verdicts,
+
+    with no work on the ``n`` rows of the problem.  The normal equations are
+    used only while ``G_qq`` is well conditioned (:data:`GRAM_FLOOR`).
+    Otherwise, or when ``G`` overflows, the gathered rows go through the
+    same rank-revealing ``lstsq`` as the oracle: they have the singular
+    values of ``S q``, so rank-loss verdicts and error texts do not depend
+    on which path ran.
 
     The scorer keeps ``[q | b_perp]`` as one C-ordered ``n x (r + m)`` block,
     the triangular factor ``r``, and every per-problem constant of the bound
@@ -314,49 +335,63 @@ class TrialScorer:
 
         A plan with fewer samples than the rank, or whose sketched basis
         loses rank, gets its structural report and an ``error`` naming the
-        cause instead of bound verdicts.
+        cause instead of bound verdicts.  A plan whose scaled rows are not
+        finite (including squared weights that overflow) is rejected.
         """
         n = self._block.shape[0]
         if plan.n_source_rows != n:
             raise DimensionError(f"matrix has {n} rows, plan expects {plan.n_source_rows}")
-        g = self._block[plan.draws]
-        g *= plan.weights[:, None]
-        if not np.all(np.isfinite(g)):
+        g = np.take(self._block, plan.unique_rows, axis=0)
+        # Overflow is caught below: a non-finite entry of g makes a diagonal
+        # entry of the Gram matrix non-finite, so g needs its own scan only
+        # when the Gram matrix is not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g *= np.sqrt(plan.weight_sq_sums)[:, None]
+            gram = g.T @ g
+        gram_finite = bool(np.isfinite(gram).all())
+        if not gram_finite and not np.all(np.isfinite(g)):
             raise InvalidParameterError("matrix entries must be finite")
         r = self._rank
-        sq, sbp = g[:, :r], g[:, r:]
-        sc2_value = fro_norm_sq(sq.T @ sbp)
+        g_qq, g_qb = gram[:r, :r], gram[:r, r:]
+        sc2_value = fro_norm_sq(g_qb)
         if plan.n_samples < r:
             # Fewer samples than rank: the sketched basis has a kernel.
             return TrialScore(
-                structural=_structural_report(
-                    0.0, sc2_value, self._epsilon, self._residual_sq, self._scale_sq
-                ),
+                structural=self._structural(0.0, sc2_value),
                 accuracy_ratio=float("inf"),
                 bounds=None,
                 error=f"sketch rank deficient: {plan.n_samples} samples cannot cover rank {r}",
             )
-        z, _, rank, sv = np.linalg.lstsq(sq, sbp, rcond=RANK_TOL)
-        structural = _structural_report(
-            float(sv[-1]) ** 2, sc2_value, self._epsilon, self._residual_sq, self._scale_sq
-        )
-        if rank < r:
-            return TrialScore(
-                structural=structural,
-                accuracy_ratio=float("inf"),
-                bounds=None,
-                error=f"sketch rank deficient: sketch lost rank ({rank} < {r}); "
-                "caller decides whether to resample",
-            )
+        eigs = np.linalg.eigvalsh(g_qq) if gram_finite else None
+        if eigs is not None and eigs[0] > GRAM_FLOOR * eigs[-1]:
+            sc1_value = float(eigs[0])
+            z = np.linalg.solve(g_qq, g_qb)
+        else:
+            z, _, rank, sv = np.linalg.lstsq(g[:, :r], g[:, r:], rcond=RANK_TOL)
+            # Fewer distinct rows than the rank leave S q a kernel.
+            sc1_value = float(sv[-1]) ** 2 if g.shape[0] >= r else 0.0
+            if rank < r:
+                return TrialScore(
+                    structural=self._structural(sc1_value, sc2_value),
+                    accuracy_ratio=float("inf"),
+                    bounds=None,
+                    error=f"sketch rank deficient: sketch lost rank ({rank} < {r}); "
+                    "caller decides whether to resample",
+                )
         resid_sq = self._residual_sq + fro_norm_sq(z)
         # r is upper triangular: LU with partial pivoting leaves it as is, so
         # this is a back substitution for r^{-1} z.
         sol_value = fro_norm_sq(np.linalg.solve(self._r, z))
         return TrialScore(
-            structural=structural,
+            structural=self._structural(sc1_value, sc2_value),
             accuracy_ratio=_residual_ratio(
                 resid_sq, self._residual_sq, self._scale_sq, self._zero_residual
             ),
             bounds=self._limits.report(resid_sq, sol_value),
             error="",
+        )
+
+    def _structural(self, sc1_value: float, sc2_value: float) -> StructuralReport:
+        return _structural_report(
+            sc1_value, sc2_value, self._epsilon, self._residual_sq, self._scale_sq
         )

@@ -3,8 +3,9 @@
 A trial config fixes one problem instance, a sampling distribution, a
 sample-count rule, and an accuracy target.  Each trial derives its own
 random stream from the master seed, so reports are bit-reproducible for a
-fixed seed.  Trials run serially: each is one draw, one gather and one small
-solve, and BLAS already spreads the solves over the available cores.
+fixed seed.  Trials run serially: each is one draw, one gather of the
+distinct rows drawn and one small solve, and BLAS already spreads the work
+over the available cores.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .leverage import (
     blended_distribution,
     leverage_distribution,
     misestimation_beta,
-    profile_from_basis,
     uniform_distribution,
 )
 from .problems import ProblemSpec, generate_problem
@@ -237,18 +237,19 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     """Run ``cfg.n_trials`` independent sketched solves and score them.
 
     Trial ``t`` uses the stream ``(master_seed, t + 1)``; stream 0 is
-    reserved for problem generation.  The problem is factored once; each
+    reserved for problem generation.  The problem is factored once, and the
+    leverage profile of that factorization sets the distribution; each
     trial then draws a plan and hands it to a :class:`TrialScorer`, which
-    scores it with one gather and one small solve in the coordinates of the
-    orthonormal basis.  Trials run one after another.  Per-trial failures (a
-    sketch losing rank) become failure records, never batch aborts; so does
-    every trial of a problem that cannot be generated.
+    scores it from the Gram matrix of the plan's distinct rows in the
+    coordinates of the orthonormal basis.  Trials run one after another.
+    Per-trial failures (a sketch losing rank) become failure records, never
+    batch aborts; so does every trial of a problem that cannot be generated.
     """
     t_start = time.perf_counter()
     try:
         # Trials read only the factors of the exact solve; the problem
         # itself is dropped here, so peak memory stays at generation's.
-        exact = generate_problem(cfg.problem)[2]["exact"]
+        meta = generate_problem(cfg.problem)[2]
     except GenerationFailedError as exc:
         nan = float("nan")
         s, beta = 0, nan
@@ -260,11 +261,11 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
         )
         scores = [failed] * cfg.n_trials
     else:
-        profile = profile_from_basis(exact.basis)
+        profile = meta["profile"]
         dist, beta = build_distribution(cfg.distribution, profile)
         s = sample_count(cfg.sample_rule, profile.rank, beta, cfg.target, cfg.cap_samples)
-        scorer = TrialScorer(exact, cfg.target.epsilon)
-        del exact, profile
+        scorer = TrialScorer(meta["exact"], cfg.target.epsilon)
+        del meta, profile
         scores = (
             scorer.score(build_sketch(dist, s, RngStream(cfg.master_seed, stream_index=t + 1)))
             for t in range(cfg.n_trials)

@@ -96,10 +96,12 @@ def generate_problem(spec: ProblemSpec) -> tuple[DenseMatrix, DenseMatrix, dict]
     """Build one problem instance ``(a, b, meta)``.
 
     ``meta`` records the kind, the planted solution ``x_true`` when one
-    exists, the achieved coherence, how many attempts generation took, and
-    ``exact``: the :func:`~levsketch.linalg.exact_lstsq` solve of ``(a, b)``.
-    Its QR is the full-rank check, and its basis gives the coherence, so a
-    problem is factored once.  Generation is deterministic in ``spec.seed``.
+    exists, how many attempts generation took, ``exact``: the
+    :func:`~levsketch.linalg.exact_lstsq` solve of ``(a, b)``, and
+    ``profile``: the leverage profile of its basis, whose coherence is also
+    kept as ``coherence``.  The QR is the full-rank check, so a problem is
+    factored once and its scores computed once.  Generation is deterministic
+    in ``spec.seed``.
 
     Raises
     ------
@@ -147,10 +149,12 @@ def generate_problem(spec: ProblemSpec) -> tuple[DenseMatrix, DenseMatrix, dict]
 def _meta(
     kind: str, x_true: DenseMatrix | None, exact: LstsqSolution, attempts: int
 ) -> dict:
+    profile = profile_from_basis(exact.basis)
     return {
         "kind": kind,
         "x_true": x_true,
-        "coherence": profile_from_basis(exact.basis).coherence,
+        "coherence": profile.coherence,
         "attempts": attempts,
         "exact": exact,
+        "profile": profile,
     }

@@ -2,13 +2,16 @@
 
 A sketch plan records ``s`` independent row draws from a sampling
 distribution plus the rescaling weight ``1/sqrt(s * p[draw])`` for each.
-Applying a plan to a matrix keeps the sampled, rescaled rows; the implied
-sketching operator is never materialized densely outside of tests.
+It also records the multiset of its draws: the distinct rows drawn and, for
+each, the sum of its squared weights.  That is all of ``S^T S``, which is
+all a least-squares trial depends on.  Applying a plan to a matrix keeps the
+sampled, rescaled rows; the implied sketching operator is never materialized
+densely outside of tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +71,14 @@ class SketchPlan:
 
     ``weights[t] * sqrt(n_samples * p[draws[t]]) == 1`` for the source
     distribution ``p``, whose checksum is kept in ``source_probs_digest``.
+    ``draws`` and ``weights`` are in draw order.
+
+    ``unique_rows`` lists the distinct rows drawn, ascending, and
+    ``weight_sq_sums[k]`` is the sum of ``weights[t]**2`` over the draws of
+    ``unique_rows[k]``, so ``S^T S`` is the diagonal matrix with
+    ``weight_sq_sums`` at ``unique_rows``.  Both are derived from ``draws``
+    and ``weights``; :func:`build_sketch` takes them from its sorted search
+    instead.
     """
 
     n_source_rows: int
@@ -75,14 +86,12 @@ class SketchPlan:
     draws: np.ndarray
     weights: np.ndarray
     source_probs_digest: str
+    unique_rows: np.ndarray = field(init=False)
+    weight_sq_sums: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         draws = np.asarray(self.draws, dtype=np.int64)
         weights = np.asarray(self.weights, dtype=np.float64)
-        draws.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "weights", weights)
         if self.n_samples < 1:
             raise InvalidSampleCountError(f"need n_samples >= 1, got {self.n_samples}")
         if draws.shape != (self.n_samples,) or weights.shape != (self.n_samples,):
@@ -91,6 +100,62 @@ class SketchPlan:
             raise DimensionError("draw indices out of range")
         if not np.all(np.isfinite(weights)) or weights.min() <= 0.0:
             raise InvalidParameterError("weights must be finite and positive")
+        rows, inverse = np.unique(draws, return_inverse=True)
+        # A weight past ~1e154 squares to inf; the scorer rejects that.
+        with np.errstate(over="ignore"):
+            weight_sq_sums = np.bincount(inverse, weights=weights * weights, minlength=rows.size)
+        for name, arr in (("draws", draws), ("weights", weights), ("unique_rows", rows),
+                          ("weight_sq_sums", weight_sq_sums)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _trusted(cls, **fields) -> "SketchPlan":
+        """A plan from the arrays :func:`build_sketch` has just made, valid by
+        construction: a trial's plan is not checked again."""
+        plan = object.__new__(cls)
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(plan, name, value)
+        return plan
+
+
+def _sorted_draws(p: SamplingDistribution, s: int, rng: RngStream):
+    """Draw ``s`` rows by inverse-CDF lookup of ``s`` uniforms from ``rng``.
+
+    Returns ``(order, rows)``: the uniforms' ascending order and the rows
+    they select, in that order, so draw ``order[k]`` is row ``rows[k]`` and
+    ``rows`` is sorted.  Searching sorted uniforms keeps consecutive
+    searches in cache.
+    """
+    if int(s) < 1:
+        raise InvalidSampleCountError(f"need s >= 1, got {s}")
+    u = rng.generator.random(int(s))
+    order = np.argsort(u)
+    rows = np.searchsorted(p.cdf, u[order], side="right")
+    # Guard the (measure ~1e-16) event u >= cdf[-1] from rounding; route it
+    # to the largest positive-probability row rather than out of range.
+    return order, np.minimum(rows, p.last_positive, out=rows)
+
+
+def _runs(sorted_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and how often each occurs."""
+    n = sorted_rows.size
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = n - starts[-1]
+    return sorted_rows[starts], counts
+
+
+def _in_draw_order(order: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
+    out = np.empty_like(sorted_values)
+    out[order] = sorted_values
+    return out
 
 
 def multinomial_draws(p: SamplingDistribution, s: int, rng: RngStream) -> np.ndarray:
@@ -102,16 +167,8 @@ def multinomial_draws(p: SamplingDistribution, s: int, rng: RngStream) -> np.nda
     the indices are scattered back to draw order.  Rows with zero
     probability are never drawn.
     """
-    if int(s) < 1:
-        raise InvalidSampleCountError(f"need s >= 1, got {s}")
-    s = int(s)
-    u = rng.generator.random(s)
-    order = np.argsort(u)
-    idx = np.empty(s, dtype=np.int64)
-    idx[order] = np.searchsorted(p.cdf, u[order], side="right")
-    # Guard the (measure ~1e-16) event u >= cdf[-1] from rounding; route it
-    # to the largest positive-probability row rather than out of range.
-    return np.minimum(idx, p.last_positive, out=idx)
+    order, rows = _sorted_draws(p, s, rng)
+    return _in_draw_order(order, rows)
 
 
 def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
@@ -119,17 +176,23 @@ def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
 
     The weight ``1/sqrt(s * p[i])`` makes sketched squared norms unbiased:
     ``E ||S x||^2 = ||x||^2`` for any fixed vector ``x`` supported on rows
-    with positive probability.
+    with positive probability.  The draws are those of
+    :func:`multinomial_draws` on the same stream.  The search already yields
+    them sorted, so runs of equal rows give the plan's multiset: a row drawn
+    ``c`` times has ``weight_sq_sums = c / (s * p[i])``.
     """
-    draws = multinomial_draws(p, s, rng)
-    p_at = p.probs[draws]
-    weights = 1.0 / np.sqrt(s * p_at)
-    return SketchPlan(
+    order, rows = _sorted_draws(p, s, rng)
+    s = rows.size
+    weights = 1.0 / np.sqrt(s * p.probs[rows])
+    unique_rows, counts = _runs(rows)
+    return SketchPlan._trusted(
         n_source_rows=p.n_rows,
-        n_samples=int(s),
-        draws=draws,
-        weights=weights,
+        n_samples=s,
+        draws=_in_draw_order(order, rows),
+        weights=_in_draw_order(order, weights),
         source_probs_digest=p.digest,
+        unique_rows=unique_rows,
+        weight_sq_sums=counts / (s * p.probs[unique_rows]),
     )
 
 

@@ -8,8 +8,8 @@ FACTORIZATIONS = ("qr", "svd", "lstsq")
 
 @pytest.fixture
 def count_numpy_calls(monkeypatch):
-    """Count ``np.linalg.qr``/``svd``/``lstsq`` and ``np.cumsum`` calls by the
-    row count of their first argument.
+    """Count ``np.linalg.qr``/``svd``/``lstsq``/``eigvalsh`` and ``np.cumsum``
+    calls by the row count of their first argument.
 
     Returns ``counts(rows, names=FACTORIZATIONS)``, the number of calls so
     far to the named functions on arrays with ``rows`` rows (any row count
@@ -18,7 +18,8 @@ def count_numpy_calls(monkeypatch):
     on the problem by its row count.
     """
     calls = []
-    for module, name in [(np.linalg, n) for n in FACTORIZATIONS] + [(np, "cumsum")]:
+    patched = [(np.linalg, n) for n in (*FACTORIZATIONS, "eigvalsh")] + [(np, "cumsum")]
+    for module, name in patched:
         original = getattr(module, name)
 
         def counting(a, *args, _original=original, _name=name, **kwargs):

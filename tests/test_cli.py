@@ -281,6 +281,36 @@ class TestBench:
         assert peak < 16 * 2**20  # the default 2000x5 problem, nothing sketch-sized
 
 
+class TestUnwritableOut:
+    """An --out that cannot be written fails with exit 2 before any input is
+    read or any problem generated, so no work is wasted."""
+
+    @staticmethod
+    def argv(command, out):
+        if command == "bench":
+            return ["bench", "--trials", "2", "--out", out]
+        if command == "solve":
+            return ["solve", "a.mtx", "b.mtx", "--out", out]
+        return ["leverage", "a.mtx", "--out", out]
+
+    @pytest.mark.parametrize("command", ["bench", "solve", "leverage"])
+    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    def test_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, command, where):
+        import levsketch.cli as cli_mod
+        import levsketch.experiment as experiment_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(experiment_mod, "generate_problem", never)
+        monkeypatch.setattr(cli_mod, "read_matrix", never)
+        out = tmp_path / "missing" / "out.txt" if where == "missing directory" else tmp_path
+        assert main(self.argv(command, str(out))) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+        assert not (tmp_path / "missing").exists()
+
+
 class TestValidate:
     def test_smoke_preset_passes(self, capsys):
         assert main(["validate", "--preset", "smoke"]) == 0

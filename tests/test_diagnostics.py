@@ -36,7 +36,7 @@ from levsketch import (
     spectral_extremes,
     write_matrix,
 )
-from levsketch.diagnostics import TrialScorer
+from levsketch.diagnostics import GRAM_FLOOR, TrialScorer
 from levsketch.experiment import build_distribution
 from levsketch.leverage import profile_from_basis
 
@@ -377,3 +377,95 @@ class TestTrialScorerAgainstOracle:
             TrialScorer(exact, 1.0)
         with pytest.raises(DimensionError):
             TrialScorer(exact, 0.3).score(identity_plan(39))
+
+
+def assert_kernel_matches_oracle(got, want):
+    """The comparison of TestTrialScorerAgainstOracle on a problem with a
+    nonzero residual: booleans and error texts equal, floats within 1e-10
+    relative."""
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        g = got[key]
+        if isinstance(w, (bool, str)):
+            assert g == w, f"{key} {g!r} != {w!r}"
+        else:
+            assert math.isclose(g, w, rel_tol=1e-10, abs_tol=1e-20), f"{key} {g!r} != {w!r}"
+
+
+class TestGramFloor:
+    """The scorer solves the normal equations only for well-conditioned
+    sketches (lambda_min > GRAM_FLOOR * lambda_max of the sketched basis's
+    Gram matrix); below the floor it runs one lstsq on the plan's distinct
+    rows.  Both sides of the floor must reproduce the oracle."""
+
+    N, RANK = 40, 3
+
+    @classmethod
+    def plan(cls, t):
+        """Every row once plus rows 0 and 1 again; rows 0 .. r-2 keep weight
+        1 and the rest get weight t, so as t -> 0 the sketched basis tends
+        to rank r - 1 and its Gram condition number grows without bound."""
+        draws = np.concatenate([np.arange(cls.N), [0, 1]])
+        weights = np.where(draws < cls.RANK - 1, 1.0, t)
+        return SketchPlan(cls.N, draws.size, draws, weights, "hand-built")
+
+    @staticmethod
+    def eig_ratio(q, plan):
+        sq = q[plan.unique_rows] * np.sqrt(plan.weight_sq_sums)[:, None]
+        eigs = np.linalg.eigvalsh(sq.T @ sq)
+        return eigs[0] / eigs[-1]
+
+    @classmethod
+    def floor_weight(cls, q):
+        """The weight t at which the plan's eigenvalue ratio is GRAM_FLOOR."""
+        lo, hi = 1e-8, 1.0
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if cls.eig_ratio(q, cls.plan(mid)) < GRAM_FLOOR:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    @pytest.mark.parametrize("side, lstsq_calls", [(1 + 1e-3, 0), (1 - 1e-3, 1)])
+    def test_both_sides_of_the_floor_match_the_oracle(self, side, lstsq_calls,
+                                                      count_numpy_calls):
+        a, b = make_problem(14, n=self.N, r=self.RANK)
+        exact = exact_lstsq(a, b)
+        q = exact.basis.q.array
+        plan = self.plan(side * self.floor_weight(q))
+        assert (self.eig_ratio(q, plan) > GRAM_FLOOR) == (lstsq_calls == 0)
+        scorer = TrialScorer(exact, TestTrialScorerAgainstOracle.EPS)
+        before = count_numpy_calls(None, names=("lstsq",))
+        got = TestTrialScorerAgainstOracle.kernel(scorer, plan)
+        # The fallback solves on the N distinct rows, not on the N + 2 draws.
+        assert count_numpy_calls(None, names=("lstsq",)) - before == lstsq_calls
+        assert count_numpy_calls(self.N, names=("lstsq",)) == lstsq_calls
+        want = TestTrialScorerAgainstOracle.oracle(a, b, exact, plan)
+        assert got["error"] == "" and not got["sc1_holds"]
+        assert_kernel_matches_oracle(got, want)
+
+    def test_squared_weights_that_overflow_are_rejected(self):
+        # Each weight is finite, but the scorer works with squared weights,
+        # and 1e160 squared overflows: the gathered rows are not finite.
+        a, b = make_problem(12)
+        exact = exact_lstsq(a, b)
+        plan = SketchPlan(40, 3, np.array([5, 0, 1]), np.array([1e160, 1.0, 1.0]), "hand-built")
+        assert np.isinf(plan.weight_sq_sums[-1])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            TrialScorer(exact, 0.3).score(plan)
+
+    def test_gram_overflow_falls_back_to_lstsq(self, count_numpy_calls):
+        # Rows scaled by 1e150 are finite, but b_perp at 1e6 makes their Gram
+        # entries overflow: the scorer solves on the rows instead.
+        a, b = make_problem(12)
+        b = b * 1e6
+        exact = exact_lstsq(a, b)
+        plan = SketchPlan(40, 6, np.arange(6), np.full(6, 1e150), "hand-built")
+        scorer = TrialScorer(exact, TestTrialScorerAgainstOracle.EPS)
+        got = TestTrialScorerAgainstOracle.kernel(scorer, plan)
+        assert count_numpy_calls(6, names=("lstsq",)) == 1
+        assert got["sc2_value"] == float("inf")
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = TestTrialScorerAgainstOracle.oracle(a, b, exact, plan)
+        assert_kernel_matches_oracle(got, want)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import levsketch.experiment as experiment_mod
+import levsketch.leverage as leverage_mod
+import levsketch.problems as problems_mod
 from levsketch import (
     CSV_COLUMNS,
     AccuracyTarget,
@@ -142,15 +144,35 @@ class TestRunExperiment:
         assert report.s == 24  # sketches are not n-row, so trials add nothing
         assert count_numpy_calls(120) == 1
 
+    def test_one_leverage_profile_per_problem(self, monkeypatch):
+        # generation's profile sets the distribution: the scores of the one
+        # QR are computed once
+        calls = []
+        original = leverage_mod.profile_from_basis
+
+        def counting(basis):
+            calls.append(basis)
+            return original(basis)
+
+        for module in (leverage_mod, problems_mod, experiment_mod):
+            if hasattr(module, "profile_from_basis"):
+                monkeypatch.setattr(module, "profile_from_basis", counting)
+        report = run_experiment(small_config())
+        assert report.beta == 1.0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n_trials", [3, 12])
     def test_trial_work_is_one_small_solve(self, count_numpy_calls, n_trials):
-        # s = 24 sketched rows against n = 120: each trial makes one
-        # 24-row lstsq and nothing else; the one SVD is of the 3x3 factor R
-        # and the one cumsum is the cached CDF.
+        # s = 24 sketched rows against n = 120.  Every sketch here clears the
+        # Gram floor, so each trial makes one eigvalsh of the 3x3 Gram block
+        # and no lstsq at all (a sketch below the floor makes one lstsq on
+        # its distinct rows: see test_diagnostics.py::TestGramFloor); the one
+        # SVD is of the 3x3 factor R and the one cumsum is the cached CDF.
         report = run_experiment(small_config(n_trials=n_trials))
         assert all(r.error == "" for r in report.records)
-        assert count_numpy_calls(24, names=("lstsq",)) == n_trials
-        assert count_numpy_calls(None, names=("lstsq",)) == n_trials
+        assert count_numpy_calls(None, names=("lstsq",)) == 0
+        assert count_numpy_calls(None, names=("eigvalsh",)) == count_numpy_calls(
+            3, names=("eigvalsh",)) == n_trials
         assert count_numpy_calls(None, names=("svd",)) == count_numpy_calls(3, names=("svd",)) == 1
         assert count_numpy_calls(None, names=("cumsum",)) == 1
 

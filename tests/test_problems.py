@@ -105,6 +105,9 @@ def test_meta_carries_the_exact_solve(kind):
     a, b, meta = generate_problem(spec)
     assert_same_solve(meta["exact"], exact_lstsq(a, b))
     assert meta["coherence"] == leverage_scores(a).coherence
+    profile = meta["profile"]
+    np.testing.assert_array_equal(profile.scores, leverage_scores(a).scores)
+    assert profile.coherence == meta["coherence"] and profile.rank == 4
 
 
 def assert_same_solve(got, want):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from levsketch import (
     DimensionError,
@@ -260,6 +260,40 @@ def test_norm_preserved_exactly_for_constant_leverage(seed, s):
     x = signs * 2.0
     plan = build_sketch(uniform_distribution(n), s, RngStream(seed))
     assert sketched_norm_sq(plan, x) == pytest.approx(float(x @ x), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.3, 1.0, 2.5]), min_size=1, max_size=30).filter(
+        lambda raw: sum(raw) > 0.0),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(["1", "r-1", "r", "6r"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_plan_multiset_is_the_draws_aggregated(raw, r, s_rule, seed):
+    """The plan's distinct rows and summed squared weights are the draws'
+    multiset, and they give the same S^T S as the dense operator."""
+    s = {"1": 1, "r-1": r - 1, "r": r, "6r": 6 * r}[s_rule]
+    assume(s >= 1)
+    probs = np.array(raw) / sum(raw)
+    p = SamplingDistribution(probs=probs)
+    plan = build_sketch(p, s, RngStream(seed, 3))
+    np.testing.assert_array_equal(plan.draws, multinomial_draws(p, s, RngStream(seed, 3)))
+    rows, inverse, counts = np.unique(plan.draws, return_inverse=True, return_counts=True)
+    np.testing.assert_array_equal(plan.unique_rows, rows)
+    assert plan.unique_rows.dtype == np.int64
+    assert np.all(probs[plan.unique_rows] > 0.0)
+    summed = np.bincount(inverse, weights=plan.weights**2, minlength=rows.size)
+    np.testing.assert_allclose(plan.weight_sq_sums, summed, rtol=1e-13)
+    np.testing.assert_allclose(plan.weight_sq_sums, counts / (s * probs[rows]), rtol=1e-15)
+    dense = materialize_sketch(plan).array
+    sts = np.zeros((p.n_rows, p.n_rows))
+    sts[plan.unique_rows, plan.unique_rows] = plan.weight_sq_sums
+    np.testing.assert_allclose(sts, dense.T @ dense, rtol=1e-13, atol=0.0)
+    # A hand-built copy of the plan derives the same multiset.
+    copy = SketchPlan(p.n_rows, s, plan.draws, plan.weights, plan.source_probs_digest)
+    np.testing.assert_array_equal(copy.unique_rows, plan.unique_rows)
+    np.testing.assert_allclose(copy.weight_sq_sums, plan.weight_sq_sums, rtol=1e-13)
 
 
 class TestApproxMatmul:
