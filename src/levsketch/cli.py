@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or parameter error, 2 I/O or parse error,
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -34,7 +35,7 @@ from .experiment import (
 )
 from .leverage import leverage_scores, profile_from_basis
 from .linalg import exact_lstsq
-from .mmio import read_matrix, write_matrix
+from .mmio import read_matrix, read_text, write_lines, write_matrix
 from .problems import ProblemSpec
 from .sketch import RngStream, build_sketch
 from .solver import AccuracyTarget, accuracy_ratio, solve_with_plan
@@ -72,7 +73,9 @@ class _Parser(argparse.ArgumentParser):
 def read_config(path: str) -> dict[str, str]:
     """Read a flat ``key = value`` config file; ``#`` starts a comment."""
     out: dict[str, str] = {}
-    with open(path, "r") as fh:
+    # Decode once as UTF-8, then split at universal newlines as a text-mode
+    # read would.
+    with io.StringIO(read_text(path, ConfigParseError), newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -161,14 +164,11 @@ def _cmd_leverage(args) -> int:
     a = read_matrix(args.a)
     profile = leverage_scores(a)
     print(f"rows={profile.n_rows} rank={profile.rank} coherence={profile.coherence:.17g}")
-    lines = [format(v, ".17g") for v in profile.scores]
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            write_lines(fh, profile.scores, "{:.17g}\n")
     else:
-        for line in lines:
-            print(line)
+        write_lines(sys.stdout, profile.scores, "{:.17g}\n")
     return 0
 
 

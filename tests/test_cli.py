@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levsketch import ConfigParseError, DenseMatrix, read_matrix, write_matrix
+from levsketch import ConfigParseError, DenseMatrix, leverage_scores, read_matrix, write_matrix
 from levsketch.cli import main, read_config
 
 
@@ -167,6 +167,17 @@ class TestLeverage:
         assert main(["leverage", str(a_path), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 120
 
+    def test_output_bytes_match_per_value_format(self, problem_files, tmp_path, capsys):
+        a_path, _ = problem_files
+        scores = leverage_scores(read_matrix(a_path)).scores
+        lines = "".join(format(v, ".17g") + "\n" for v in scores)
+        out = tmp_path / "scores.txt"
+        assert main(["leverage", str(a_path), "--out", str(out)]) == 0
+        assert out.read_bytes() == lines.encode()
+        header = capsys.readouterr().out
+        assert main(["leverage", str(a_path)]) == 0
+        assert capsys.readouterr().out == header + lines
+
     def test_rank_deficient_input_is_exit_1(self, tmp_path, capsys):
         a = np.column_stack([np.ones(5), np.ones(5)])
         path = tmp_path / "flat.mtx"
@@ -309,6 +320,33 @@ class TestUnwritableOut:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
         assert not (tmp_path / "missing").exists()
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is a parse error naming the line of the bad
+    byte: exit 2 with one error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            ("leverage", "error: line 4: not UTF-8: byte 0xff"),
+            ("solve", "error: line 4: not UTF-8: byte 0xff"),
+            ("bench", "error: line 2: not UTF-8: byte 0xe9"),
+        ],
+    )
+    def test_exit_2_with_the_line(self, problem_files, tmp_path, capsys, command, expected):
+        a_path, _ = problem_files
+        bad = tmp_path / "bad.mtx"
+        bad.write_bytes(b"%%MatrixMarket matrix array real general\n2 1\n1.0\n\xff\xfe\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"trials = 3\n# caf\xe9\n")
+        argv = {
+            "leverage": ["leverage", str(bad)],
+            "solve": ["solve", str(a_path), str(bad)],
+            "bench": ["bench", "--config", str(cfg), "--out", str(tmp_path / "r.csv")],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [expected]
 
 
 class TestValidate:

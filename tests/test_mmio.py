@@ -1,14 +1,20 @@
 """Matrix Market array-format reader and writer.
 
 scipy.io is the independent format oracle: files we write must load in
-scipy with identical values, and scipy-written files must load here.
+scipy with identical values, and scipy-written files must load here.  The
+line-by-line parser ``mmio._parse_lines`` is the oracle for the one-pass
+read: on any file both give bit-identical arrays or the same error.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
+from hypothesis import example, given, settings, strategies as st
 
-from levsketch import DenseMatrix, MatrixMarketParseError, read_matrix, write_matrix
+from levsketch import DenseMatrix, MatrixMarketParseError, mmio, read_matrix, write_matrix
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -158,3 +164,151 @@ def test_write_accepts_plain_arrays(tmp_path):
     path = tmp_path / "m.mtx"
     write_matrix(path, np.array([[1.0, 2.0]]))
     np.testing.assert_array_equal(read_matrix(path).array, [[1.0, 2.0]])
+
+
+def test_non_utf8_bytes_raise_parse_error_with_their_line(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix array real general\r\n2 1\r\n1.0\r\n\xff\xfe\r\n")
+    with pytest.raises(MatrixMarketParseError, match="not UTF-8: byte 0xff") as exc_info:
+        read_matrix(path)
+    assert exc_info.value.line == 4
+
+
+def test_plain_file_skips_the_line_parser(tmp_path, monkeypatch):
+    # Without this, a one-pass read that always fell back would pass every test.
+    def never(raw):
+        raise AssertionError("the line parser ran")
+
+    src = np.arange(12.0).reshape(4, 3) - 5.5
+    path = tmp_path / "m.mtx"
+    write_matrix(path, src)
+    monkeypatch.setattr(mmio, "_parse_lines", never)
+    np.testing.assert_array_equal(read_matrix(path).array, src)
+
+
+# -- the one-pass read against the line parser --------------------------------
+
+_EDGE_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+)
+_values = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-300, 300)),
+)
+_token_formats = st.sampled_from(["{!r}", "{:.16e}", "{:.17g}", "{:+.17E}", "{:.3f}", "{:.0f}"])
+_line_end_sets = st.sampled_from(
+    [("\n",), ("\r\n",), ("\n", "\r\n"), ("\n", "\r\n", "\r", "\x0c")]
+)
+_faults = st.none() | st.sampled_from(
+    ["non-numeric", "non-finite", "too few", "too many", "late comment"]
+)
+
+
+@st.composite
+def _mm_files(draw):
+    """A Matrix Market file's text, whether it is meant to be malformed, and
+    whether its prefix ends every line with ``\\n`` or ``\\r\\n``."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    tokens = [draw(_token_formats).format(draw(_values)) for _ in range(rows * cols)]
+    fault = draw(_faults)
+    at = draw(st.integers(0, len(tokens) - 1))
+    if fault == "non-numeric":
+        tokens[at] = draw(st.sampled_from(["bogus", "1.0.0", "0x10", "--1", "1,5"]))
+    elif fault == "non-finite":
+        tokens[at] = draw(st.sampled_from(["nan", "-inf", "Infinity", "1e999", "-1e400"]))
+    elif fault == "too few":
+        del tokens[at]
+    elif fault == "too many":
+        tokens.insert(at, "1.0")
+    gap = st.sampled_from([" ", "\t", "  "])
+    pad = st.one_of(st.just(""), gap)
+    lines = [draw(st.sampled_from([
+        "%%MatrixMarket matrix array real general",
+        "%%matrixmarket MATRIX Array Real GENERAL",
+        " %%MatrixMarket\tmatrix array real general ",
+    ]))]
+    lines += draw(st.lists(st.sampled_from(["% a comment", "%", "", "   ", "\t% indented"]),
+                           max_size=3))
+    lines.append(f"{draw(pad)}{rows}{draw(gap)}{cols}{draw(pad)}")
+    size_at = len(lines) - 1
+    while tokens:
+        k = draw(st.integers(1, 3))
+        lines.append(draw(pad) + draw(gap).join(tokens[:k]) + draw(pad))
+        del tokens[:k]
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(pad))
+    if fault == "late comment":
+        lines.insert(draw(st.integers(size_at + 1, len(lines))), "% late")
+    line_ends = st.sampled_from(draw(_line_end_sets))
+    ends = [draw(line_ends) for _ in lines]
+    text = "".join(map(str.__add__, lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, fault is not None, set(ends[: size_at + 1]) <= {"\n", "\r\n"}
+
+
+def _outcome(parse):
+    try:
+        m = parse()
+    except MatrixMarketParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("ok", m.shape, m.array.tobytes())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mm_files())
+# The line parser splits at "\f" and "\r" too: here the size line is
+# "1 3", hidden after a comment, not the "1 1" that follows.
+@example(("%%MatrixMarket matrix array real general\n%\x0c1 3\n1 1\n5\n", False, False))
+@example(("%%MatrixMarket matrix array real general\n%\r1 3\r\n1 1\n5\n", False, False))
+def test_read_matches_the_line_parser(case):
+    text, malformed, plain_prefix = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.mtx"
+        path.write_bytes(text.encode())
+        got = _outcome(lambda: read_matrix(path))
+    assert got == _outcome(lambda: mmio._parse_lines(text))
+    if not malformed:
+        assert got[0] == "ok"
+        if plain_prefix:
+            m = mmio._parse_body_at_once(text)
+            assert m is not None and ("ok", m.shape, m.array.tobytes()) == got
+
+
+# -- writer bytes ------------------------------------------------------------
+
+
+def _old_writer_bytes(a: np.ndarray) -> bytes:
+    """The file the per-value writer produced: one ``format(v, ".16e")`` a line."""
+    lines = ["%%MatrixMarket matrix array real general", f"{a.shape[0]} {a.shape[1]}"]
+    lines.extend(format(v, ".16e") for v in a.reshape(-1, order="F"))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "n", [1, mmio.WRITE_CHUNK - 1, mmio.WRITE_CHUNK, mmio.WRITE_CHUNK + 1]
+)
+def test_write_bytes_match_per_value_format(tmp_path, n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    a[::5] = -0.0
+    a[1::7] = 5e-324
+    a = a.reshape(-1, 1) if n % 2 else a.reshape(2, -1)
+    path = tmp_path / "m.mtx"
+    write_matrix(path, a)
+    assert path.read_bytes() == _old_writer_bytes(a)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+def test_write_read_round_trip_is_bit_exact(rows, cols, data):
+    src = np.array(
+        data.draw(st.lists(_values, min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.mtx"
+        write_matrix(path, src)
+        out = read_matrix(path)
+    assert out.array.tobytes(order="C") == src.tobytes(order="C")
