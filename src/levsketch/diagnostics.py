@@ -13,10 +13,10 @@ When both hold, the true residual of the sketched solution is within
 ``epsilon * residual_sq / sigma_min(a)^2``.  These implications are what
 the bench harness counts violations of.
 
-:class:`TrialScorer` evaluates all of it for one plan from the small Gram
-matrix of the plan's distinct rows in the coordinates of the orthonormal
-basis, without touching the ``n`` rows of the problem; the functions that
-work on ``(a, b)`` remain the reference it is tested against.
+:class:`TrialScorer` evaluates all of it for a chunk of sketches, each from
+the small Gram matrix of its distinct rows in the coordinates of the
+orthonormal basis, without touching the ``n`` rows of the problem; the
+functions that work on ``(a, b)`` remain the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .linalg import (
     fro_norm_sq,
     spectral_extremes,
 )
-from .sketch import SketchPlan, apply_sketch
+from .sketch import SketchChunk, SketchPlan, apply_sketch
 from .solver import SketchSolution, _is_zero_residual, _residual_ratio
 
 #: Threshold on the smallest squared singular value of the sketched basis.
@@ -265,28 +265,31 @@ class TrialScore:
 
 
 class TrialScorer:
-    """Scores sketch plans of one problem in the coordinates of ``q``.
+    """Scores the sketches of one problem in the coordinates of ``q``.
 
     With ``a = q @ r`` and ``z = (S q)^+ (S b_perp)``, the sketched solution
     is ``x_opt + r^{-1} z`` and its true residual is ``residual_sq +
     ||z||_F^2`` (Drineas, Mahoney and Muthukrishnan 2006, "Sampling
     algorithms for l2 regression").  Every trial quantity depends on ``S``
-    only through ``S^T S``, so a trial needs only the plan's distinct rows
+    only through ``S^T S``, so a trial needs only its sketch's distinct rows
     of ``[q | b_perp]``, each scaled by the square root of its
-    ``weight_sq_sums`` entry.  One gather of those rows gives their
-    ``(r + m) x (r + m)`` Gram matrix ``G``, and from it:
+    ``weight_sq_sums`` entry.  :meth:`score_chunk` gathers those rows for a
+    whole chunk of sketches at once, and each sketch's slice of them gives
+    its ``(r + m) x (r + m)`` Gram matrix ``G``, and from it:
 
     * SC1 is the smallest eigenvalue of ``G_qq = (S q)^T (S q)``,
     * SC2 is ``||G_qb||_F^2`` with ``G_qb = (S q)^T (S b_perp)``,
     * ``z = G_qq^{-1} G_qb``, which gives the accuracy ratio and all three
       bound verdicts,
 
-    with no work on the ``n`` rows of the problem.  The normal equations are
-    used only while ``G_qq`` is well conditioned (:data:`GRAM_FLOOR`).
-    Otherwise, or when ``G`` overflows, the gathered rows go through the
-    same rank-revealing ``lstsq`` as the oracle: they have the singular
-    values of ``S q``, so rank-loss verdicts and error texts do not depend
-    on which path ran.
+    with no work on the ``n`` rows of the problem.  The eigenvalues, the
+    normal equations and the back substitution with ``r`` are one stacked
+    call per chunk that solves each sketch on its own, so scores do not
+    depend on the chunk.  The normal equations are used only while ``G_qq``
+    is well conditioned (:data:`GRAM_FLOOR`).  Otherwise, or when ``G``
+    overflows, a sketch's gathered rows go through the same rank-revealing
+    ``lstsq`` as the oracle: they have the singular values of ``S q``, so
+    rank-loss verdicts and error texts do not depend on which path ran.
 
     The scorer keeps ``[q | b_perp]`` as one C-ordered ``n x (r + m)`` block,
     the triangular factor ``r``, and every per-problem constant of the bound
@@ -331,67 +334,67 @@ class TrialScorer:
         )
 
     def score(self, plan: SketchPlan) -> TrialScore:
-        """Measure one realized plan.
+        """Measure one realized plan: :meth:`score_chunk` of a chunk that
+        holds only its multiset."""
+        offsets = np.array([0, plan.unique_rows.size])
+        return self.score_chunk(SketchChunk(plan.n_source_rows, plan.n_samples,
+                                            plan.unique_rows, plan.weight_sq_sums, offsets))[0]
 
-        A plan with fewer samples than the rank, or whose sketched basis
+    def score_chunk(self, chunk: SketchChunk) -> list[TrialScore]:
+        """Measure every sketch of a chunk, in order.
+
+        A sketch with fewer samples than the rank, or whose sketched basis
         loses rank, gets its structural report and an ``error`` naming the
-        cause instead of bound verdicts.  A plan whose scaled rows are not
+        cause instead of bound verdicts.  A sketch whose scaled rows are not
         finite (including squared weights that overflow) is rejected.
         """
         n = self._block.shape[0]
-        if plan.n_source_rows != n:
-            raise DimensionError(f"matrix has {n} rows, plan expects {plan.n_source_rows}")
-        g = np.take(self._block, plan.unique_rows, axis=0)
+        if chunk.n_source_rows != n:
+            raise DimensionError(f"matrix has {n} rows, plan expects {chunk.n_source_rows}")
+        r, s = self._rank, chunk.n_samples
+        g = np.take(self._block, chunk.unique_rows, axis=0)
         # Overflow is caught below: a non-finite entry of g makes a diagonal
-        # entry of the Gram matrix non-finite, so g needs its own scan only
-        # when the Gram matrix is not finite.
+        # entry of its Gram matrix non-finite, so g needs its own scan only
+        # when a Gram matrix is not finite.
         with np.errstate(over="ignore", invalid="ignore"):
-            g *= np.sqrt(plan.weight_sq_sums)[:, None]
-            gram = g.T @ g
-        gram_finite = bool(np.isfinite(gram).all())
-        if not gram_finite and not np.all(np.isfinite(g)):
+            g *= np.sqrt(chunk.weight_sq_sums)[:, None]
+            rows = [g[lo:hi] for lo, hi in zip(chunk.offsets[:-1], chunk.offsets[1:])]
+            gram = np.stack([x.T @ x for x in rows])
+        finite = np.isfinite(gram).all(axis=(1, 2))
+        if not all(np.isfinite(rows[t]).all() for t in np.flatnonzero(~finite)):
             raise InvalidParameterError("matrix entries must be finite")
-        r = self._rank
-        g_qq, g_qb = gram[:r, :r], gram[:r, r:]
-        sc2_value = fro_norm_sq(g_qb)
-        if plan.n_samples < r:
-            # Fewer samples than rank: the sketched basis has a kernel.
-            return TrialScore(
-                structural=self._structural(0.0, sc2_value),
-                accuracy_ratio=float("inf"),
-                bounds=None,
-                error=f"sketch rank deficient: {plan.n_samples} samples cannot cover rank {r}",
-            )
-        eigs = np.linalg.eigvalsh(g_qq) if gram_finite else None
-        if eigs is not None and eigs[0] > GRAM_FLOOR * eigs[-1]:
-            sc1_value = float(eigs[0])
-            z = np.linalg.solve(g_qq, g_qb)
-        else:
-            z, _, rank, sv = np.linalg.lstsq(g[:, :r], g[:, r:], rcond=RANK_TOL)
-            # Fewer distinct rows than the rank leave S q a kernel.
-            sc1_value = float(sv[-1]) ** 2 if g.shape[0] >= r else 0.0
-            if rank < r:
-                return TrialScore(
-                    structural=self._structural(sc1_value, sc2_value),
-                    accuracy_ratio=float("inf"),
-                    bounds=None,
-                    error=f"sketch rank deficient: sketch lost rank ({rank} < {r}); "
-                    "caller decides whether to resample",
-                )
-        resid_sq = self._residual_sq + fro_norm_sq(z)
+        g_qq, g_qb = gram[:, :r, :r], gram[:, :r, r:]
+        sc1, z = np.zeros(len(rows)), np.zeros(g_qb.shape)
+        # Fewer samples than rank: the sketched basis has a kernel.
+        short = f"sketch rank deficient: {s} samples cannot cover rank {r}" if s < r else ""
+        errors = [short] * len(rows)
+        if s >= r:
+            eigs = np.linalg.eigvalsh(g_qq[finite])
+            sc1[finite] = eigs[:, 0]
+            fast = finite.copy()
+            fast[finite] = eigs[:, 0] > GRAM_FLOOR * eigs[:, -1]
+            z[fast] = np.linalg.solve(g_qq[fast], g_qb[fast])
+            for t in np.flatnonzero(~fast):
+                x = rows[t]
+                z[t], _, rank, sv = np.linalg.lstsq(x[:, :r], x[:, r:], rcond=RANK_TOL)
+                # Fewer distinct rows than the rank leave S q a kernel.
+                sc1[t] = float(sv[-1]) ** 2 if x.shape[0] >= r else 0.0
+                if rank < r:
+                    errors[t] = (f"sketch rank deficient: sketch lost rank ({rank} < {r}); "
+                                 "caller decides whether to resample")
         # r is upper triangular: LU with partial pivoting leaves it as is, so
         # this is a back substitution for r^{-1} z.
-        sol_value = fro_norm_sq(np.linalg.solve(self._r, z))
-        return TrialScore(
-            structural=self._structural(sc1_value, sc2_value),
-            accuracy_ratio=_residual_ratio(
-                resid_sq, self._residual_sq, self._scale_sq, self._zero_residual
-            ),
-            bounds=self._limits.report(resid_sq, sol_value),
-            error="",
-        )
-
-    def _structural(self, sc1_value: float, sc2_value: float) -> StructuralReport:
-        return _structural_report(
-            sc1_value, sc2_value, self._epsilon, self._residual_sq, self._scale_sq
-        )
+        x_err = np.linalg.solve(self._r, z)
+        scores = []
+        for t, error in enumerate(errors):
+            structural = _structural_report(float(sc1[t]), fro_norm_sq(g_qb[t]), self._epsilon,
+                                            self._residual_sq, self._scale_sq)
+            if error:
+                scores.append(TrialScore(structural, float("inf"), None, error))
+                continue
+            resid_sq = self._residual_sq + fro_norm_sq(z[t])
+            ratio = _residual_ratio(resid_sq, self._residual_sq, self._scale_sq,
+                                    self._zero_residual)
+            bounds = self._limits.report(resid_sq, fro_norm_sq(x_err[t]))
+            scores.append(TrialScore(structural, ratio, bounds, ""))
+        return scores

@@ -3,9 +3,10 @@
 A trial config fixes one problem instance, a sampling distribution, a
 sample-count rule, and an accuracy target.  Each trial derives its own
 random stream from the master seed, so reports are bit-reproducible for a
-fixed seed.  Trials run serially: each is one draw, one gather of the
-distinct rows drawn and one small solve, and BLAS already spreads the work
-over the available cores.
+fixed seed.  Trials run serially, a chunk at a time: one sort and one search
+draw a chunk's sketches, one gather of their distinct rows and stacked small
+solves score them, and BLAS already spreads the work over the available
+cores.  Reports are byte-identical whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -32,13 +33,17 @@ from .leverage import (
     uniform_distribution,
 )
 from .problems import ProblemSpec, generate_problem
-from .sketch import RngStream, build_sketch
+from .sketch import RngStream, build_sketch, draw_chunk  # noqa: F401 - re-exports build_sketch
 from .solver import AccuracyTarget, required_samples
 
 #: Most rows one sketch may draw; a sketch of s rows is gathered into
 #: s x (r + m) float64 arrays.  Larger requests (the auto rule asks for 5e12
 #: rows at epsilon = delta = 1e-6) fail before anything is allocated.
 MAX_SAMPLES = 10_000_000
+
+#: A chunk of trials holds ``max(1, CHUNK_DRAWS // s)`` sketches: at most this
+#: many draws, or one sketch of more.  Reports do not depend on it.
+CHUNK_DRAWS = 32768
 
 
 def parse_distribution_spec(text: str) -> tuple[str, float]:
@@ -238,10 +243,11 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
 
     Trial ``t`` uses the stream ``(master_seed, t + 1)``; stream 0 is
     reserved for problem generation.  The problem is factored once, and the
-    leverage profile of that factorization sets the distribution; each
-    trial then draws a plan and hands it to a :class:`TrialScorer`, which
-    scores it from the Gram matrix of the plan's distinct rows in the
-    coordinates of the orthonormal basis.  Trials run one after another.
+    leverage profile of that factorization sets the distribution.  Trials
+    then run in chunks of ``max(1, CHUNK_DRAWS // s)``: :func:`draw_chunk`
+    draws the multisets of a chunk's sketches and a :class:`TrialScorer`
+    scores each from the Gram matrix of its distinct rows in the coordinates
+    of the orthonormal basis.  No per-trial plan or draw order is built.
     Per-trial failures (a sketch losing rank) become failure records, never
     batch aborts; so does every trial of a problem that cannot be generated.
     """
@@ -266,10 +272,12 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
         s = sample_count(cfg.sample_rule, profile.rank, beta, cfg.target, cfg.cap_samples)
         scorer = TrialScorer(meta["exact"], cfg.target.epsilon)
         del meta, profile
-        scores = (
-            scorer.score(build_sketch(dist, s, RngStream(cfg.master_seed, stream_index=t + 1)))
-            for t in range(cfg.n_trials)
-        )
+        chunk = max(1, CHUNK_DRAWS // s)
+        scores = []
+        for first in range(0, cfg.n_trials, chunk):
+            trials = range(first, min(first + chunk, cfg.n_trials))
+            streams = [RngStream(cfg.master_seed, stream_index=t + 1) for t in trials]
+            scores += scorer.score_chunk(draw_chunk(dist, s, streams))
     records = tuple(_record(cfg, t, s, beta, score) for t, score in enumerate(scores))
 
     n = cfg.n_trials

@@ -26,6 +26,10 @@ PROBLEM_KINDS = (
 
 _MAX_ATTEMPTS = 5
 
+#: Most entries ``n_rows * (n_cols + rhs_cols)`` of A and b (0.8 GB) a generated
+#: problem may have; larger shapes fail before anything is allocated.
+MAX_ENTRIES = 100_000_000
+
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -58,6 +62,12 @@ class ProblemSpec:
             )
         if self.rhs_cols < 1:
             raise InvalidParameterError(f"need rhs_cols >= 1, got {self.rhs_cols}")
+        entries = self.n_rows * (self.n_cols + self.rhs_cols)
+        if entries > MAX_ENTRIES:
+            raise InvalidParameterError(
+                f"a {self.n_rows}x{self.n_cols} problem with {self.rhs_cols} right-hand "
+                f"side(s) has {entries} entries, over the budget of {MAX_ENTRIES}"
+            )
         if self.noise_scale < 0.0:
             raise InvalidParameterError(
                 f"noise_scale must be >= 0, got {self.noise_scale}"

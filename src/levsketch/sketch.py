@@ -4,7 +4,8 @@ A sketch plan records ``s`` independent row draws from a sampling
 distribution plus the rescaling weight ``1/sqrt(s * p[draw])`` for each.
 It also records the multiset of its draws: the distinct rows drawn and, for
 each, the sum of its squared weights.  That is all of ``S^T S``, which is
-all a least-squares trial depends on.  Applying a plan to a matrix keeps the
+all a least-squares trial depends on; :func:`draw_chunk` draws only the
+multisets of a chunk of sketches.  Applying a plan to a matrix keeps the
 sampled, rescaled rows; the implied sketching operator is never materialized
 densely outside of tests.
 """
@@ -12,6 +13,7 @@ densely outside of tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,54 +123,43 @@ class SketchPlan:
         return plan
 
 
-def _sorted_draws(p: SamplingDistribution, s: int, rng: RngStream):
-    """Draw ``s`` rows by inverse-CDF lookup of ``s`` uniforms from ``rng``.
-
-    Returns ``(order, rows)``: the uniforms' ascending order and the rows
-    they select, in that order, so draw ``order[k]`` is row ``rows[k]`` and
-    ``rows`` is sorted.  Searching sorted uniforms keeps consecutive
-    searches in cache.
-    """
+def _uniforms(s: int, streams: Sequence[RngStream]) -> np.ndarray:
+    """One row of ``s`` uniforms from each stream, in draw order."""
     if int(s) < 1:
         raise InvalidSampleCountError(f"need s >= 1, got {s}")
-    u = rng.generator.random(int(s))
-    order = np.argsort(u)
-    rows = np.searchsorted(p.cdf, u[order], side="right")
+    return np.stack([rng.generator.random(int(s)) for rng in streams])
+
+
+def _search(p: SamplingDistribution, sorted_u: np.ndarray) -> np.ndarray:
+    """Rows selected by uniforms ascending along their last axis, by binary
+    search of ``p.cdf``; sorted uniforms keep consecutive searches in cache."""
+    rows = np.searchsorted(p.cdf, sorted_u, side="right")
     # Guard the (measure ~1e-16) event u >= cdf[-1] from rounding; route it
     # to the largest positive-probability row rather than out of range.
-    return order, np.minimum(rows, p.last_positive, out=rows)
+    return np.minimum(rows, p.last_positive, out=rows)
 
 
-def _runs(sorted_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a sorted array and how often each occurs."""
-    n = sorted_rows.size
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=first[1:])
+def _multisets(p: SamplingDistribution, sorted_rows: np.ndarray):
+    """``(unique_rows, weight_sq_sums, offsets)`` of the sketches in the rows of
+    a ``(T, s)`` array sorted along its rows; ``c`` draws of row ``i`` weigh
+    ``c / (s * p[i])``."""
+    s = sorted_rows.shape[1]
+    flat = sorted_rows.ravel()
+    first = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    first[::s] = True  # a run never spans two sketches
     starts = np.flatnonzero(first)
-    counts = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = n - starts[-1]
-    return sorted_rows[starts], counts
-
-
-def _in_draw_order(order: np.ndarray, sorted_values: np.ndarray) -> np.ndarray:
-    out = np.empty_like(sorted_values)
-    out[order] = sorted_values
-    return out
+    unique_rows = flat[starts]
+    counts = np.diff(starts, append=flat.size)
+    offsets = np.append(np.flatnonzero(starts % s == 0), starts.size)
+    return unique_rows, counts / (s * p.probs[unique_rows]), offsets
 
 
 def multinomial_draws(p: SamplingDistribution, s: int, rng: RngStream) -> np.ndarray:
-    """Draw ``s`` independent row indices distributed according to ``p``.
-
-    Implemented as inverse-CDF lookup with binary search in ``p.cdf``,
-    consuming exactly ``s`` uniform variates from ``rng``.  The uniforms are
-    searched in sorted order, which keeps consecutive searches in cache, and
-    the indices are scattered back to draw order.  Rows with zero
-    probability are never drawn.
-    """
-    order, rows = _sorted_draws(p, s, rng)
-    return _in_draw_order(order, rows)
+    """Draw ``s`` independent row indices distributed according to ``p``:
+    the draws of :func:`build_sketch`, in draw order.  Rows with zero
+    probability are never drawn."""
+    return build_sketch(p, s, rng).draws
 
 
 def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
@@ -176,24 +167,51 @@ def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
 
     The weight ``1/sqrt(s * p[i])`` makes sketched squared norms unbiased:
     ``E ||S x||^2 = ||x||^2`` for any fixed vector ``x`` supported on rows
-    with positive probability.  The draws are those of
-    :func:`multinomial_draws` on the same stream.  The search already yields
-    them sorted, so runs of equal rows give the plan's multiset: a row drawn
-    ``c`` times has ``weight_sq_sums = c / (s * p[i])``.
+    with positive probability.  Draws are inverse-CDF lookups of ``s``
+    uniforms from ``rng`` in ``p.cdf``.  The uniforms are searched in sorted
+    order, so runs of equal rows give the plan's multiset, and the draws and
+    weights are scattered back to draw order.
     """
-    order, rows = _sorted_draws(p, s, rng)
-    s = rows.size
-    weights = 1.0 / np.sqrt(s * p.probs[rows])
-    unique_rows, counts = _runs(rows)
+    u = _uniforms(s, [rng])[0]
+    order = np.argsort(u)
+    rows = _search(p, u[order])
+    unique_rows, weight_sq_sums, _ = _multisets(p, rows[None])
+    draws, weights = np.empty_like(rows), np.empty(rows.size)
+    draws[order] = rows
+    weights[order] = 1.0 / np.sqrt(rows.size * p.probs[rows])
     return SketchPlan._trusted(
         n_source_rows=p.n_rows,
-        n_samples=s,
-        draws=_in_draw_order(order, rows),
-        weights=_in_draw_order(order, weights),
+        n_samples=rows.size,
+        draws=draws,
+        weights=weights,
         source_probs_digest=p.digest,
         unique_rows=unique_rows,
-        weight_sq_sums=counts / (s * p.probs[unique_rows]),
+        weight_sq_sums=weight_sq_sums,
     )
+
+
+class SketchChunk(NamedTuple):
+    """The multisets of consecutive sketches of ``n_samples`` rows each: sketch
+    ``t`` drew the rows ``unique_rows[offsets[t]:offsets[t + 1]]``, ascending,
+    with summed squared weights in the same slice of ``weight_sq_sums``."""
+
+    n_source_rows: int
+    n_samples: int
+    unique_rows: np.ndarray
+    weight_sq_sums: np.ndarray
+    offsets: np.ndarray
+
+
+def draw_chunk(p: SamplingDistribution, s: int, streams: Sequence[RngStream]) -> SketchChunk:
+    """One sketch of ``s`` rows from ``p`` per stream, as multisets only.
+
+    Sketch ``t`` is the multiset of ``build_sketch(p, s, streams[t])`` bit
+    for bit, from one sort of the ``(T, s)`` uniforms along their rows, one
+    search and one run-length pass, with no draw order.
+    """
+    u = _uniforms(s, streams)
+    u.sort(axis=1)
+    return SketchChunk(p.n_rows, u.shape[1], *_multisets(p, _search(p, u)))
 
 
 def apply_sketch(plan: SketchPlan, m) -> DenseMatrix:

@@ -274,9 +274,9 @@ class TestBench:
         import levsketch.experiment as experiment_mod
 
         def never(*args, **kwargs):
-            raise AssertionError("a sketch was built")
+            raise AssertionError("a sketch was drawn")
 
-        monkeypatch.setattr(experiment_mod, "build_sketch", never)
+        monkeypatch.setattr(experiment_mod, "draw_chunk", never)
         out = tmp_path / "r.csv"
         tracemalloc.start()
         try:
@@ -290,6 +290,25 @@ class TestBench:
         assert "Traceback" not in err
         assert not out.exists()
         assert peak < 16 * 2**20  # the default 2000x5 problem, nothing sketch-sized
+
+
+    def test_problem_budget_is_exit_1_before_generation(self, tmp_path, capsys, monkeypatch):
+        # A 1e11-row problem would need terabytes: one error line, no traceback,
+        # and nothing generated.
+        import levsketch.experiment as experiment_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the problem was generated")
+
+        monkeypatch.setattr(experiment_mod, "generate_problem", never)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("n_rows = 100000000000\n")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestUnwritableOut:

@@ -161,18 +161,27 @@ class TestRunExperiment:
         assert report.beta == 1.0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("n_trials", [3, 12])
-    def test_trial_work_is_one_small_solve(self, count_numpy_calls, n_trials):
-        # s = 24 sketched rows against n = 120.  Every sketch here clears the
-        # Gram floor, so each trial makes one eigvalsh of the 3x3 Gram block
-        # and no lstsq at all (a sketch below the floor makes one lstsq on
-        # its distinct rows: see test_diagnostics.py::TestGramFloor); the one
-        # SVD is of the 3x3 factor R and the one cumsum is the cached CDF.
+    @pytest.mark.parametrize("n_trials, per_chunk", [
+        pytest.param(3, 3, id="3"), pytest.param(12, 12, id="12"),
+        pytest.param(12, 5, id="12-in-chunks-of-5")])
+    def test_trial_work_is_one_small_solve(self, count_numpy_calls, monkeypatch, n_trials,
+                                           per_chunk):
+        # s = 24 sketched rows against n = 120, drawn and scored per_chunk
+        # trials at a time.  Every sketch here clears the Gram floor, so each
+        # chunk makes one search of the CDF for all its draws and one stacked
+        # eigvalsh of its trials' 3x3 Gram blocks, and there is no lstsq at
+        # all (a sketch below the floor makes one lstsq on its distinct rows:
+        # see test_diagnostics.py::TestGramFloor); the one SVD is of the 3x3
+        # factor R and the one cumsum is the cached CDF.
+        monkeypatch.setattr(experiment_mod, "CHUNK_DRAWS", 24 * per_chunk)
         report = run_experiment(small_config(n_trials=n_trials))
         assert all(r.error == "" for r in report.records)
+        chunks = [min(per_chunk, n_trials - first) for first in range(0, n_trials, per_chunk)]
         assert count_numpy_calls(None, names=("lstsq",)) == 0
-        assert count_numpy_calls(None, names=("eigvalsh",)) == count_numpy_calls(
-            3, names=("eigvalsh",)) == n_trials
+        assert count_numpy_calls(None, names=("eigvalsh",)) == len(chunks)
+        assert count_numpy_calls(None, names=("searchsorted",)) == len(chunks)
+        for size in set(chunks):
+            assert count_numpy_calls(3, names=("eigvalsh",), stack=size) == chunks.count(size)
         assert count_numpy_calls(None, names=("svd",)) == count_numpy_calls(3, names=("svd",)) == 1
         assert count_numpy_calls(None, names=("cumsum",)) == 1
 
@@ -192,6 +201,43 @@ class TestRunExperiment:
         # beta = r/(N * max score) at best: 3/(200*0.9) = 0.0167
         assert report.beta <= 3 / (200 * 0.9) + 1e-12
         assert report.beta > 0.0
+
+
+class TestChunkInvariance:
+    """Trials are drawn and scored a chunk at a time; a report's bytes must
+    not depend on how many trials a chunk holds."""
+
+    SWEEP = PRESETS["implication-sweep"].configs
+    CASES = {
+        "smoke": PRESETS["smoke"].configs[0],
+        # one sweep config of each problem kind
+        "incoherent-leverage": SWEEP[0],
+        "coherent-uniform": SWEEP[4],
+        "consistent-blended": SWEEP[8],
+        # s < r; rank-lost and below-floor sketches; s = r + 1
+        **{f"120x3-s{s}": small_config(sample_rule=str(s), n_trials=120) for s in (2, 3, 4)},
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_report_bytes_do_not_depend_on_chunk_size(self, case, tmp_path, monkeypatch,
+                                                      count_numpy_calls):
+        cfg = self.CASES[case]
+        report = run_experiment(cfg)  # at the default chunk size
+        lstsq_calls = count_numpy_calls(None, names=("lstsq",))
+        bodies = set()
+        for per_chunk in (1, 7, cfg.n_trials):
+            monkeypatch.setattr(experiment_mod, "CHUNK_DRAWS", per_chunk * report.s)
+            path = tmp_path / f"{per_chunk}.csv"
+            write_report(run_experiment(cfg), path)
+            lines = path.read_bytes().split(b"\n")
+            assert lines[-2].startswith(b"# wall_time_s=")
+            bodies.add(b"\n".join(lines[:-2]))
+        assert len(bodies) == 1
+        if case == "120x3-s3":
+            # Both of the scorer's lstsq uses occur: rank-lost sketches, and
+            # sketches below the Gram floor that still have full rank.
+            lost = sum("lost rank" in r.error for r in report.records)
+            assert 0 < lost < lstsq_calls
 
 
 class TestSampleCount:

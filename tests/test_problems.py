@@ -211,3 +211,11 @@ class TestSpecValidation:
     def test_noise_nonnegative(self):
         with pytest.raises(InvalidParameterError):
             ProblemSpec("gaussian-incoherent", n_rows=10, n_cols=2, noise_scale=-1.0)
+
+    def test_entry_budget(self):
+        # Shapes are checked before anything is allocated, so neither spec
+        # below allocates; the budget counts the entries of A and b together.
+        budget = problems_mod.MAX_ENTRIES
+        ProblemSpec("gaussian-incoherent", n_rows=budget // 5, n_cols=3, rhs_cols=2)
+        with pytest.raises(InvalidParameterError, match="budget"):
+            ProblemSpec("gaussian-incoherent", n_rows=budget // 5 + 1, n_cols=3, rhs_cols=2)
