@@ -309,11 +309,9 @@ class TrialScorer:
     def __init__(self, exact: LstsqSolution, epsilon: float) -> None:
         if not (0.0 < epsilon < 1.0):
             raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-        q = exact.basis.q.array
-        columns = (*q.T, *exact.b_perp.array.T)
-        block = np.empty((q.shape[0], len(columns)))
-        for j, column in enumerate(columns):
-            block[:, j] = column
+        q, bp = exact.basis.q.array, exact.b_perp.array
+        block = np.empty((q.shape[0], q.shape[1] + bp.shape[1]))
+        np.concatenate((q, bp), axis=1, out=block)
         r_fac = exact.r_factor.array
         xo = exact.x_opt.array
         self._block = block

@@ -12,12 +12,11 @@ cores.  Reports are byte-identical whatever the chunk size.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 from typing import Callable
-
-import numpy as np
 
 from .diagnostics import StructuralReport, TrialScore, TrialScorer
 from .exceptions import (
@@ -301,19 +300,16 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     )
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".17g")
-    return str(v).replace(",", ";").replace("\n", " ")
+def _fmt_float(v) -> str:
+    # 17 significant digits round-trip a double; nan and +-inf print as such.
+    return format(float(v), ".17g")
+
+
+_FORMATS = {"bool": lambda v: "true" if v else "false", "int": str, "float": _fmt_float,
+            "str": lambda v: str(v).replace(",", ";").replace("\n", " ")}
+#: One formatter per CSV column, picked from :class:`TrialRecord`'s field types.
+_COLUMN_FORMATS = tuple(_FORMATS[f.type] for f in fields(TrialRecord))
+_column_values = operator.attrgetter(*CSV_COLUMNS)
 
 
 def report_lines(report: ExperimentReport) -> list[str]:
@@ -324,16 +320,16 @@ def report_lines(report: ExperimentReport) -> list[str]:
     """
     lines = [",".join(CSV_COLUMNS)]
     for rec in report.records:
-        lines.append(",".join(_fmt(getattr(rec, c)) for c in CSV_COLUMNS))
+        lines.append(",".join([f(v) for f, v in zip(_COLUMN_FORMATS, _column_values(rec))]))
     lines.append(f"# n_trials={report.config.n_trials}")
     lines.append(f"# s={report.s}")
-    lines.append(f"# beta={_fmt(report.beta)}")
-    lines.append(f"# success_rate={_fmt(report.success_rate)}")
-    lines.append(f"# sc1_rate={_fmt(report.sc1_rate)}")
-    lines.append(f"# sc2_rate={_fmt(report.sc2_rate)}")
+    lines.append(f"# beta={_fmt_float(report.beta)}")
+    lines.append(f"# success_rate={_fmt_float(report.success_rate)}")
+    lines.append(f"# sc1_rate={_fmt_float(report.sc1_rate)}")
+    lines.append(f"# sc2_rate={_fmt_float(report.sc2_rate)}")
     lines.append(f"# implication_violations={report.implication_violations}")
     lines.append(f"# master_seed={report.config.master_seed}")
-    lines.append(f"# wall_time_s={_fmt(report.wall_time_s)}")
+    lines.append(f"# wall_time_s={_fmt_float(report.wall_time_s)}")
     return lines
 
 

@@ -3,7 +3,10 @@ exact least-squares reference solve, and spectral summaries.
 
 All matrices are real float64.  The canonical layout is column-major so that
 in-memory data vectors and matrix files agree entry for entry.  Rank
-decisions everywhere use the relative threshold :data:`RANK_TOL`.
+decisions everywhere use the relative threshold :data:`RANK_TOL`.  QRs are
+``dgeqrf``/``dorgqr`` from :mod:`numpy.linalg.lapack_lite` in place on a
+column-major copy, so ``q`` keeps LAPACK's layout; ``np.linalg.qr`` gives the
+same bits and is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .exceptions import DimensionError, InvalidParameterError, RankDeficientError
 
@@ -41,12 +45,19 @@ class DenseMatrix:
             )
         self._adopt(flat.reshape((rows, cols), order="F"))
 
-    def _adopt(self, a: np.ndarray) -> None:
+    def _adopt(self, a: np.ndarray, scan: bool = True) -> None:
         a = np.asfortranarray(a, dtype=np.float64)
-        if not np.all(np.isfinite(a)):
+        if scan and not np.all(np.isfinite(a)):
             raise InvalidParameterError("matrix entries must be finite")
         a.setflags(write=False)
         self._a = a
+
+    @classmethod
+    def _wrap(cls, a: np.ndarray, scan: bool = True) -> "DenseMatrix":
+        """Adopt an array built here; ``scan=False`` skips the finiteness scan."""
+        obj = cls.__new__(cls)
+        obj._adopt(a, scan)
+        return obj
 
     @classmethod
     def from_array(cls, arr) -> "DenseMatrix":
@@ -56,9 +67,7 @@ class DenseMatrix:
             raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise DimensionError(f"matrix shape must be positive, got {a.shape}")
-        obj = cls.__new__(cls)
-        obj._adopt(a)
-        return obj
+        return cls._wrap(a)
 
     @property
     def rows(self) -> int:
@@ -126,6 +135,13 @@ class OrthonormalBasis:
     q: DenseMatrix
     source_rank: int
 
+    @classmethod
+    def _of_qr(cls, q: DenseMatrix) -> "OrthonormalBasis":
+        """A QR's ``q``, orthonormal by construction: no n x r^2 check."""
+        obj = cls.__new__(cls)
+        obj.__dict__.update(q=q, source_rank=q.cols)
+        return obj
+
     def __post_init__(self) -> None:
         qa = self.q.array
         n, r = qa.shape
@@ -187,19 +203,33 @@ class SpectralSummary:
                 raise InvalidParameterError("kappa does not equal sigma_max/sigma_min")
 
 
+def _lapack(routine, *args) -> None:
+    """Call a ``lapack_lite`` routine with the workspace it asks for."""
+    work = np.empty(1)
+    routine(*args, work, -1, 0)
+    work = np.empty(max(1, int(work[0])))
+    routine(*args, work, work.size, 0)
+
+
 def _qr_full_rank(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QR ``arr = q @ r`` of a tall full-rank matrix, plus the singular values
-    of the r x r factor (which equal those of ``arr``)."""
+    of the r x r factor (which equal those of ``arr``).  ``dgeqrf`` and
+    ``dorgqr`` turn one column-major copy of ``arr`` into ``q`` in place."""
     n, r = arr.shape
     if n < r:
         raise DimensionError(f"matrix must be tall, got {n}x{r}")
-    q_fac, r_fac = np.linalg.qr(arr, mode="reduced")
+    q_fac = np.array(arr, dtype=np.float64, order="F")
+    # lapack_lite takes C-contiguous arrays: q_fac.T, leading dimension n.
+    at, tau = q_fac.T, np.empty(r)
+    _lapack(lapack_lite.dgeqrf, n, r, at, n, tau)
+    r_fac = np.triu(q_fac[:r])
     sv = np.linalg.svd(r_fac, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficientError(
             f"matrix is rank deficient (sigma_min/sigma_max = "
             f"{sv[-1] / sv[0] if sv[0] > 0 else 0.0:.3e})"
         )
+    _lapack(lapack_lite.dorgqr, n, r, r, at, n, tau)
     return q_fac, r_fac, sv
 
 
@@ -233,7 +263,7 @@ def orthonormal_basis(a) -> OrthonormalBasis:
         If ``sigma_min(a) <= RANK_TOL * sigma_max(a)``.
     """
     q_fac, _, _ = _qr_full_rank(as_array(a))
-    return OrthonormalBasis(q=DenseMatrix.from_array(q_fac), source_rank=q_fac.shape[1])
+    return OrthonormalBasis._of_qr(DenseMatrix._wrap(q_fac, scan=False))
 
 
 def exact_lstsq(a, b) -> LstsqSolution:
@@ -242,9 +272,10 @@ def exact_lstsq(a, b) -> LstsqSolution:
     This is the reference solve the sketched solver is measured against.
     With ``a = q @ r``, ``x_opt = r^{-1} q^T b`` and ``b_perp = b - q q^T b``;
     ``q``, ``r`` and the singular values of ``r`` are returned as the basis,
-    the triangular factor and the spectral summary.  Normal equations are
-    deliberately not used here; they serve as an independent oracle in the
-    test suite instead.
+    the triangular factor and the spectral summary.  The QR is one in-place
+    ``lapack_lite`` ``dgeqrf``/``dorgqr``, tested against ``np.linalg.qr``.
+    Normal equations are deliberately not used here; they serve as an
+    independent oracle in the test suite instead.
 
     Parameters
     ----------
@@ -269,18 +300,20 @@ def exact_lstsq(a, b) -> LstsqSolution:
     # Before the QR: on column-major b the norm makes row-major copies.
     b_norm_sq = fro_norm_sq(barr)
     q_fac, r_fac, sv = _qr_full_rank(arr)
-    # Multiply by q_fac as LAPACK returns it, not by the column-major copy in
-    # the basis: on consistent systems b_perp is rounding noise, and the SC2
-    # verdicts of seeded reports depend on this summation order.
-    qtb = q_fac.T @ barr
-    bp = barr - q_fac @ qtb
+    # Multiply by a row-major copy of q, as np.linalg.qr returns it: matmul's
+    # summation order follows q's layout, and on consistent systems b_perp is
+    # rounding noise whose bits show in the residual columns of seeded reports.
+    q_rows = np.ascontiguousarray(q_fac)
+    qtb = q_rows.T @ barr
+    bp = barr - q_rows @ qtb
+    # x_opt and b_perp can overflow when b nears the float64 limit: scanned.
     return LstsqSolution(
-        x_opt=DenseMatrix.from_array(np.linalg.solve(r_fac, qtb)),
+        x_opt=DenseMatrix._wrap(np.linalg.solve(r_fac, qtb)),
         residual_sq=fro_norm_sq(bp),
-        b_perp=DenseMatrix.from_array(bp),
-        basis=OrthonormalBasis(q=DenseMatrix.from_array(q_fac), source_rank=arr.shape[1]),
+        b_perp=DenseMatrix._wrap(bp),
+        basis=OrthonormalBasis._of_qr(DenseMatrix._wrap(q_fac, scan=False)),
         spectral=_spectral_summary(sv),
-        r_factor=DenseMatrix.from_array(r_fac),
+        r_factor=DenseMatrix._wrap(r_fac, scan=False),
         b_norm_sq=b_norm_sq,
     )
 

@@ -81,8 +81,8 @@ class ProblemSpec:
                 )
 
 
-def _plant_spike(arr: np.ndarray, target: float) -> np.ndarray:
-    """Rescale row 0 so its leverage score hits ``target`` exactly.
+def _plant_spike(arr: np.ndarray, target: float) -> None:
+    """Rescale row 0 in place so its leverage score hits ``target`` exactly.
 
     With row 0 equal to ``t*u`` and ``M`` the Gram matrix of the remaining
     rows, the leverage of row 0 is ``t^2 q / (1 + t^2 q)`` where
@@ -97,9 +97,7 @@ def _plant_spike(arr: np.ndarray, target: float) -> np.ndarray:
         scale = 1e8  # target 1 is unreachable exactly; saturate instead
     else:
         scale = np.sqrt(target / (q * (1.0 - target)))
-    out = arr.copy()
-    out[0, :] = scale * u
-    return out
+    arr[0, :] = scale * u
 
 
 def generate_problem(spec: ProblemSpec) -> tuple[DenseMatrix, DenseMatrix, dict]:
@@ -132,7 +130,7 @@ def generate_problem(spec: ProblemSpec) -> tuple[DenseMatrix, DenseMatrix, dict]
         arr = g.standard_normal((n, r))
         if spec.kind == "spiked-coherent":
             try:
-                arr = _plant_spike(arr, spec.coherence_target)
+                _plant_spike(arr, spec.coherence_target)
             except np.linalg.LinAlgError:
                 last_error = "singular Gram matrix while planting the spike"
                 continue

@@ -11,7 +11,10 @@ FACTORIZATIONS = ("qr", "svd", "lstsq")
 @pytest.fixture
 def count_numpy_calls(monkeypatch):
     """Count ``np.linalg.qr``/``svd``/``lstsq``/``eigvalsh``, ``np.cumsum`` and
-    ``np.searchsorted`` calls by the shape of their first argument.
+    ``np.searchsorted`` calls by the shape of their first argument, and the
+    in-place QRs of ``levsketch.linalg`` as ``"qr"``: one per
+    ``lapack_lite.dgeqrf`` factorization (workspace queries are not counted)
+    of a matrix with ``m`` rows, its first argument.
 
     Returns ``counts(rows, names=FACTORIZATIONS, stack=None)``, the number
     of calls so far to the named functions on matrices with ``rows`` rows
@@ -36,6 +39,15 @@ def count_numpy_calls(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
+
+    geqrf = np.linalg.lapack_lite.dgeqrf
+
+    def counting_geqrf(m, n, a, lda, tau, work, lwork, info):
+        if lwork != -1:
+            calls.append(("qr", m, 1))
+        return geqrf(m, n, a, lda, tau, work, lwork, info)
+
+    monkeypatch.setattr(np.linalg.lapack_lite, "dgeqrf", counting_geqrf)
 
     def counts(rows, names=FACTORIZATIONS, stack=None):
         return sum(1 for name, n, k in calls

@@ -1,5 +1,8 @@
 """Monte Carlo bench harness: configs, trial records, CSV reports, presets."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -142,7 +145,7 @@ class TestRunExperiment:
         # generation's exact solve is the set-up's: A is factored once
         report = run_experiment(small_config())
         assert report.s == 24  # sketches are not n-row, so trials add nothing
-        assert count_numpy_calls(120) == 1
+        assert count_numpy_calls(120, names=("qr",)) == count_numpy_calls(120) == 1
 
     def test_one_leverage_profile_per_problem(self, monkeypatch):
         # generation's profile sets the distribution: the scores of the one
@@ -301,6 +304,42 @@ class TestReportFormat:
         assert cols["accuracy_ratio"] == "inf"
         assert cols["eps_accurate"] == "false"
         assert cols["sc1_holds"] == "false"
+
+    def test_column_formatters_match_per_value_format(self):
+        # Each column's formatter is picked once from TrialRecord's field
+        # types; the bytes must equal those of the per-value type dispatch.
+        def per_value(v):
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            if isinstance(v, (int, np.integer)):
+                return str(int(v))
+            if isinstance(v, (float, np.floating)):
+                x = float(v)
+                if math.isnan(x):
+                    return "nan"
+                if math.isinf(x):
+                    return "inf" if x > 0 else "-inf"
+                return format(x, ".17g")
+            return str(v).replace(",", ";").replace("\n", " ")
+
+        report = run_experiment(small_config(n_trials=4))
+        specials = [
+            dict(sc1_value=float("nan"), gamma=float("-inf"), accuracy_ratio=float("inf"),
+                 sc2_holds=True, eps_accurate=False, error="lost rank, see\nbelow, twice"),
+            dict(beta=-0.0, sc2_value=5e-324, solution_err_sq=1.7976931348623157e308,
+                 solution_bound_limit=0.1, trial_id=2**40, rng_seed=0),
+            dict(gamma_bound_limit=-1e-300, error="a,b\n,c", rng_algorithm="x\ny"),
+        ]
+        records = tuple(dataclasses.replace(rec, **fields)
+                        for rec, fields in zip(report.records, specials)) + report.records[3:]
+        report = dataclasses.replace(report, records=records, beta=float("nan"),
+                                     success_rate=float("inf"), sc1_rate=0.25)
+        want = [",".join(CSV_COLUMNS)]
+        want += [",".join(per_value(getattr(rec, c)) for c in CSV_COLUMNS) for rec in records]
+        got = report_lines(report)
+        assert got[:5] == want
+        assert got[7:10] == ["# beta=nan", "# success_rate=inf", "# sc1_rate=0.25"]
+        assert ",a;b ;c," in got[3] and ",x y," in got[3]
 
     def test_written_bytes_stable_modulo_wall_time(self, tmp_path):
         cfg = small_config()

@@ -203,6 +203,78 @@ class TestExactLstsq:
                 assert got == pytest.approx(want, rel=1e-12)
 
 
+def reference_lstsq(a, b):
+    """The solve as built on ``np.linalg.qr``, summing over its row-major q."""
+    q, r = np.linalg.qr(a)
+    qtb = q.T @ b
+    bp = b - q @ qtb
+    return q, r, np.linalg.solve(r, qtb), bp, fro_norm_sq(bp)
+
+
+def reference_rank_error(a):
+    """The rank-deficiency text for the singular values of numpy's r."""
+    sv = np.linalg.svd(np.linalg.qr(a)[1], compute_uv=False)
+    ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+    return f"matrix is rank deficient (sigma_min/sigma_max = {ratio:.3e})"
+
+
+class TestInPlaceQrOracle:
+    """The in-place LAPACK QR against ``np.linalg.qr``, bit for bit."""
+
+    # Tall, blocked (r above LAPACK's 128-column crossover), square, and
+    # single-column shapes.
+    SHAPES = [(3000, 6), (300, 3), (600, 150), (7, 7), (40, 1), (1, 1)]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_solve_matches_numpy_qr_bits(self, shape, m, order):
+        rng = np.random.default_rng([*shape, m])
+        a = np.asarray(rng.standard_normal(shape), order=order)
+        for b in (np.asarray(rng.standard_normal((shape[0], m)), order=order),
+                  a @ rng.standard_normal((shape[1], m))):  # a consistent system too
+            q, r, x, bp, resid = reference_lstsq(a, b)
+            sol = exact_lstsq(a, b)
+            for got, want in ((sol.basis.q, q), (sol.r_factor, r), (sol.x_opt, x),
+                              (sol.b_perp, bp)):
+                np.testing.assert_array_equal(got.array, want, strict=True)
+            assert sol.residual_sq == resid
+            np.testing.assert_array_equal(orthonormal_basis(a).q.array, q, strict=True)
+
+    def test_inputs_are_not_modified(self):
+        rng = np.random.default_rng(31)
+        for order in ("C", "F"):
+            a = np.asarray(rng.standard_normal((50, 4)), order=order)
+            b = np.asarray(rng.standard_normal((50, 2)), order=order)
+            a0, b0 = a.copy(), b.copy()
+            exact_lstsq(a, b)
+            orthonormal_basis(a)
+            np.testing.assert_array_equal(a, a0, strict=True)
+            np.testing.assert_array_equal(b, b0, strict=True)
+        m = DenseMatrix.from_array(a0)
+        exact_lstsq(m, b0)
+        np.testing.assert_array_equal(m.array, a0, strict=True)
+
+    def test_factors_are_column_major_and_read_only(self):
+        rng = np.random.default_rng(32)
+        a = rng.standard_normal((60, 3))
+        sol = exact_lstsq(a, rng.standard_normal((60, 2)))
+        for m in (sol.basis.q, orthonormal_basis(a).q, sol.r_factor, sol.x_opt, sol.b_perp):
+            assert m.array.flags.f_contiguous
+            assert not m.array.flags.writeable
+
+    @pytest.mark.parametrize("a", [
+        np.ones((5, 2)),
+        np.zeros((4, 3)),
+        np.column_stack([np.arange(6.0), 2.0 * np.arange(6.0) + 1e-14, np.ones(6)]),
+    ], ids=["repeated", "zero", "near"])
+    def test_rank_deficient_text_matches(self, a):
+        for call in (orthonormal_basis, lambda x: exact_lstsq(x, np.ones((x.shape[0], 1)))):
+            with pytest.raises(RankDeficientError) as info:
+                call(a)
+            assert str(info.value) == reference_rank_error(a)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_exact_solve_is_optimal(seed):
