@@ -3,10 +3,10 @@
 A trial config fixes one problem instance, a sampling distribution, a
 sample-count rule, and an accuracy target.  Each trial derives its own
 random stream from the master seed, so reports are bit-reproducible for a
-fixed seed.  Trials run serially, a chunk at a time: one sort and one search
-draw a chunk's sketches, one gather of their distinct rows and stacked small
-solves score them, and BLAS already spreads the work over the available
-cores.  Reports are byte-identical whatever the chunk size.
+fixed seed.  Trials run serially, a chunk at a time: one sort and one
+guide-table lookup draw a chunk's sketches, one gather of their distinct
+rows and stacked small solves score them, and BLAS already spreads the work
+over the available cores.  Reports are byte-identical whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field, fields, replace
+from decimal import Decimal
 from types import SimpleNamespace
 from typing import Callable
 
@@ -182,7 +183,10 @@ def sample_count(
     raises InvalidSampleCountError past :data:`MAX_SAMPLES`."""
     rule, arg = parse_sample_rule(rule_text)
     if rule == "auto":
-        s = required_samples(rank, beta, target)
+        try:
+            s = required_samples(rank, beta, target)
+        except InvalidSampleCountError:  # past the float range
+            s = math.inf
     elif rule == "xr":
         s = arg * rank
     else:
@@ -190,10 +194,10 @@ def sample_count(
     if cap > 0:
         s = min(s, cap)
     if s > MAX_SAMPLES:
-        raise InvalidSampleCountError(
-            f"sample rule {rule_text!r} asks for {s} rows per sketch, over the "
-            f"budget of {MAX_SAMPLES}; lower it with --cap-samples or an "
-            f"explicit --samples count"
+        raise InvalidSampleCountError(  # a count past 1e15 as 5.00e+301, not 302 digits
+            f"sample rule {rule_text!r} asks for {s if s <= 1e15 else f'{Decimal(s):.3g}'} "
+            f"rows per sketch, over the budget of {MAX_SAMPLES}; lower it with an "
+            f"explicit --samples count or, in bench, with --cap-samples"
         )
     return s
 

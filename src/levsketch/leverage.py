@@ -80,12 +80,30 @@ class SamplingDistribution:
         return self.probs.size
 
     @cached_property
+    def sentinel_cdf(self) -> np.ndarray:
+        """Read-only running sums of ``probs``, then a ``+inf`` sentinel."""
+        padded = np.empty(self.n_rows + 1)
+        np.cumsum(self.probs, out=padded[:-1])
+        padded[-1] = np.inf
+        padded.setflags(write=False)
+        return padded
+
+    @cached_property
     def cdf(self) -> np.ndarray:
-        """Read-only running sums of ``probs``: the inverse-CDF table row
-        draws search."""
-        cdf = np.cumsum(self.probs)
-        cdf.setflags(write=False)
-        return cdf
+        """Read-only running sums of ``probs``: a view of :attr:`sentinel_cdf`."""
+        return self.sentinel_cdf[:-1]
+
+    @cached_property
+    def guide(self) -> np.ndarray:
+        """Read-only guide table (Chen & Asau 1974): ``guide[k]`` counts the rows
+        with ``cdf <= k / K``, ``K = guide.size - 1`` the least power of two ``>= n``,
+        so ``u`` draws a row in ``[guide[b], guide[b + 1]]``, ``b = floor(u * K)``."""
+        k = 1 << (self.n_rows - 1).bit_length()
+        first = np.minimum(np.ceil(self.cdf * k), k + 1).astype(np.intp)  # cdf[-1] may pass 1
+        guide = np.cumsum(np.bincount(first, minlength=k + 2)[:k + 1],
+                          dtype=np.int32 if k < 2**31 else np.int64)  # <= the CDF's bytes
+        guide.setflags(write=False)
+        return guide
 
     @cached_property
     def last_positive(self) -> int:

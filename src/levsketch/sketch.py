@@ -130,10 +130,24 @@ def _uniforms(s: int, streams: Sequence[RngStream]) -> np.ndarray:
     return np.stack([rng.generator.random(int(s)) for rng in streams])
 
 
-def _search(p: SamplingDistribution, sorted_u: np.ndarray) -> np.ndarray:
-    """Rows selected by uniforms ascending along their last axis, by binary
-    search of ``p.cdf``; sorted uniforms keep consecutive searches in cache."""
-    rows = np.searchsorted(p.cdf, sorted_u, side="right")
+#: Guide-table passes before keys still moving (in long zero runs) finish by bisection.
+_WALK_PASSES = 8
+
+
+def _search(p: SamplingDistribution, u: np.ndarray) -> np.ndarray:
+    """Rows drawn by uniforms ``u``: ``np.searchsorted(p.cdf, u, side="right")``
+    exactly, by a guide-table walk (Chen & Asau 1974): each key starts at its
+    bucket's first row, and each pass steps up every key with ``cdf <= u``."""
+    cdf = p.sentinel_cdf
+    rows = p.guide[(u * (p.guide.size - 1)).astype(np.intp)].astype(np.intp)
+    for _ in range(_WALK_PASSES):
+        step = cdf[rows] <= u
+        if not step.any():
+            break
+        rows += step
+    else:
+        late = cdf[rows] <= u
+        rows[late] = np.searchsorted(p.cdf, u[late], side="right")
     # Guard the (measure ~1e-16) event u >= cdf[-1] from rounding; route it
     # to the largest positive-probability row rather than out of range.
     return np.minimum(rows, p.last_positive, out=rows)
@@ -167,10 +181,10 @@ def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
 
     The weight ``1/sqrt(s * p[i])`` makes sketched squared norms unbiased:
     ``E ||S x||^2 = ||x||^2`` for any fixed vector ``x`` supported on rows
-    with positive probability.  Draws are inverse-CDF lookups of ``s``
-    uniforms from ``rng`` in ``p.cdf``.  The uniforms are searched in sorted
-    order, so runs of equal rows give the plan's multiset, and the draws and
-    weights are scattered back to draw order.
+    with positive probability.  Draws are inverse-CDF lookups of ``s`` uniforms
+    from ``rng`` in ``p.cdf`` through its guide table (Chen & Asau 1974), in
+    sorted order, so runs of equal rows give the plan's multiset, and the
+    draws and weights are scattered back to draw order.
     """
     u = _uniforms(s, [rng])[0]
     order = np.argsort(u)
@@ -207,7 +221,7 @@ def draw_chunk(p: SamplingDistribution, s: int, streams: Sequence[RngStream]) ->
 
     Sketch ``t`` is the multiset of ``build_sketch(p, s, streams[t])`` bit
     for bit, from one sort of the ``(T, s)`` uniforms along their rows, one
-    search and one run-length pass, with no draw order.
+    guide-table lookup (:func:`_search`) and one run-length pass.
     """
     u = _uniforms(s, streams)
     u.sort(axis=1)

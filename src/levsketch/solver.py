@@ -16,6 +16,7 @@ import numpy as np
 from .exceptions import (
     DimensionError,
     InvalidParameterError,
+    InvalidSampleCountError,
     SketchRankDeficientError,
 )
 from .leverage import SamplingDistribution
@@ -61,17 +62,20 @@ def required_samples(r: int, beta: float, target: AccuracyTarget) -> int:
     Evaluates ``ceil((r / beta) * max(C * ln(r / delta), 1 / (delta *
     epsilon)))`` with ``C = SAMPLE_SIZE_CONSTANT``.  The log branch pays for
     rank concentration, the other for the residual cross term; which one
-    binds depends on how small ``delta * epsilon`` is.  The result may
-    exceed the number of rows of the concrete problem; sampling is with
-    replacement, so it is not clipped here.
+    binds depends on how small ``delta * epsilon`` is.  The result may exceed
+    the problem's row count (sampling is with replacement); one past the float
+    range raises :class:`InvalidSampleCountError`.
     """
     if int(r) < 1:
         raise InvalidParameterError(f"rank must be >= 1, got {r}")
     if not (0.0 < beta <= 1.0):
         raise InvalidParameterError(f"beta must lie in (0, 1], got {beta}")
     log_branch = SAMPLE_SIZE_CONSTANT * math.log(int(r) / target.delta)
-    tail_branch = 1.0 / (target.delta * target.epsilon)
-    return math.ceil((int(r) / beta) * max(log_branch, tail_branch))
+    try:
+        tail_branch = 1.0 / (target.delta * target.epsilon)
+        return math.ceil((int(r) / beta) * max(log_branch, tail_branch))
+    except (ZeroDivisionError, OverflowError):
+        raise InvalidSampleCountError(f"{target} needs more rows than a float holds") from None
 
 
 def solve_with_plan(a, b, plan: SketchPlan) -> SketchSolution:

@@ -5,6 +5,7 @@ error, 3 validation failure.  Most tests drive cli.main() in process; a
 couple run the real interpreter entry point.
 """
 
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,16 @@ import pytest
 
 from levsketch import ConfigParseError, DenseMatrix, leverage_scores, read_matrix, write_matrix
 from levsketch.cli import main, read_config
+
+
+#: Accuracy targets whose auto sample count is past the float range or, for
+#: the last, a 302-digit integer.
+TINY_TARGETS = [
+    pytest.param(["--epsilon", "5e-324", "--delta", "0.1"], id="eps-delta-underflows"),
+    pytest.param(["--epsilon", "1e-310"], id="tiny-eps"),
+    pytest.param(["--delta", "1e-320"], id="tiny-delta"),
+    pytest.param(["--epsilon", "1e-300"], id="eps-1e-300"),
+]
 
 
 @pytest.fixture
@@ -114,6 +125,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", TINY_TARGETS)
+    def test_tiny_target_is_exit_1(self, problem_files, tmp_path, capsys, flags):
+        a_path, b_path = problem_files
+        out = tmp_path / "x.mtx"
+        assert main(["solve", str(a_path), str(b_path), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+        assert "Traceback" not in err
+        assert re.search(r"\d{17}", err) is None
+        assert not out.exists()
 
     def test_one_factorization(self, problem_files, count_numpy_calls, capsys):
         a_path, b_path = problem_files
@@ -291,6 +313,24 @@ class TestBench:
         assert not out.exists()
         assert peak < 16 * 2**20  # the default 2000x5 problem, nothing sketch-sized
 
+    @pytest.mark.parametrize("flags", TINY_TARGETS)
+    def test_tiny_target_is_exit_1(self, tmp_path, capsys, flags):
+        # epsilon * delta underflows to 0, or the auto count overflows a
+        # float: one error line, no traceback, no report.
+        out = tmp_path / "r.csv"
+        assert main(["bench", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
+        assert "Traceback" not in err
+        assert re.search(r"\d{17}", err) is None  # a count past 1e15 is shown as 5.00e+301
+        assert not out.exists()
+
+    def test_tiny_target_under_a_cap_runs(self, tmp_path, capsys):
+        # The cap bounds an auto count past the float range like any other.
+        out = tmp_path / "r.csv"
+        args = ["bench", "--epsilon", "1e-310", "--cap-samples", "40", "--trials", "2"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert " s=40 " in capsys.readouterr().out
 
     def test_problem_budget_is_exit_1_before_generation(self, tmp_path, capsys, monkeypatch):
         # A 1e11-row problem would need terabytes: one error line, no traceback,

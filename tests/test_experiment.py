@@ -171,22 +171,27 @@ class TestRunExperiment:
                                            per_chunk):
         # s = 24 sketched rows against n = 120, drawn and scored per_chunk
         # trials at a time.  Every sketch here clears the Gram floor, so each
-        # chunk makes one search of the CDF for all its draws and one stacked
-        # eigvalsh of its trials' 3x3 Gram blocks, and there is no lstsq at
-        # all (a sketch below the floor makes one lstsq on its distinct rows:
-        # see test_diagnostics.py::TestGramFloor); the one SVD is of the 3x3
-        # factor R and the one cumsum is the cached CDF.
+        # chunk makes one stacked eigvalsh of its trials' 3x3 Gram blocks, and
+        # there is no lstsq at all (a sketch below the floor makes one lstsq on
+        # its distinct rows: see test_diagnostics.py::TestGramFloor); the one
+        # SVD is of the 3x3 factor R.  Draws go through the guide table with
+        # no binary search (its fallback is for buckets spanning long
+        # zero-probability runs, and this leverage distribution has none), and
+        # the two cumsums are the cached CDF over n = 120 rows and the guide
+        # table over K + 1 = 129 buckets.
         monkeypatch.setattr(experiment_mod, "CHUNK_DRAWS", 24 * per_chunk)
         report = run_experiment(small_config(n_trials=n_trials))
         assert all(r.error == "" for r in report.records)
         chunks = [min(per_chunk, n_trials - first) for first in range(0, n_trials, per_chunk)]
         assert count_numpy_calls(None, names=("lstsq",)) == 0
         assert count_numpy_calls(None, names=("eigvalsh",)) == len(chunks)
-        assert count_numpy_calls(None, names=("searchsorted",)) == len(chunks)
+        assert count_numpy_calls(None, names=("searchsorted",)) == 0
         for size in set(chunks):
             assert count_numpy_calls(3, names=("eigvalsh",), stack=size) == chunks.count(size)
         assert count_numpy_calls(None, names=("svd",)) == count_numpy_calls(3, names=("svd",)) == 1
-        assert count_numpy_calls(None, names=("cumsum",)) == 1
+        assert count_numpy_calls(None, names=("cumsum",)) == 2
+        assert count_numpy_calls(120, names=("cumsum",)) == 1
+        assert count_numpy_calls(129, names=("cumsum",)) == 1
 
     def test_uniform_beta_is_measured(self):
         # on a coherent instance uniform sampling misestimates leverage badly

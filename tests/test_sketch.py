@@ -28,6 +28,8 @@ from levsketch import (
     sketched_norm_sq,
     uniform_distribution,
 )
+from levsketch import sketch as sketch_mod
+from levsketch.sketch import _search, draw_chunk
 
 
 def dense_operator(plan):
@@ -123,18 +125,30 @@ class TestMultinomialDraws:
         np.testing.assert_array_equal(multinomial_draws(p, 3, top), [1, 1, 1])
 
     def test_cdf_is_read_only_and_computed_once(self, monkeypatch):
+        # One running sum over the n = 5 probabilities builds the CDF and one
+        # over the K + 1 = 9 histogram counts builds the guide table, for all
+        # draws from the distribution together.
         p = SamplingDistribution(probs=np.array([0.5, 0.0, 0.25, 0.0, 0.25]))
         calls = []
         cumsum = np.cumsum
-        monkeypatch.setattr(np, "cumsum", lambda *a, **k: calls.append(1) or cumsum(*a, **k))
+        monkeypatch.setattr(
+            np, "cumsum", lambda a, *args, **k: calls.append(np.size(a)) or cumsum(a, *args, **k))
         for stream in range(3):
             multinomial_draws(p, 10, RngStream(1, stream))
-        assert len(calls) == 1
-        assert p.cdf is p.cdf
+        draw_chunk(p, 10, [RngStream(2, t) for t in range(3)])
+        assert sorted(calls) == [5, 9]
+        assert p.cdf is p.cdf and p.guide is p.guide
         np.testing.assert_array_equal(p.cdf, [0.5, 0.5, 0.75, 0.75, 1.0])
+        # guide[k] counts the rows with cdf <= k/8
+        np.testing.assert_array_equal(p.guide, [0, 0, 0, 0, 2, 2, 4, 4, 5])
+        assert p.guide.dtype == np.int32
+        # cdf is a view of the sentinel table: no second n-sized copy
+        assert p.cdf.base is p.sentinel_cdf
+        np.testing.assert_array_equal(p.sentinel_cdf, [*p.cdf, np.inf])
         assert p.last_positive == 4
-        with pytest.raises(ValueError):
-            p.cdf[0] = 0.0
+        for table in (p.cdf, p.sentinel_cdf, p.guide):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestSketchPlan:
@@ -343,3 +357,117 @@ class TestApproxMatmul:
             approx_matmul(np.ones((2, 1)), np.ones((3, 1)), p, 2, RngStream(0))
         with pytest.raises(DimensionError):
             approx_matmul(np.ones((3, 1)), np.ones((3, 1)), p, 2, RngStream(0))
+
+
+def oracle_rows(p, u):
+    """The binary-search draw the guide table must reproduce: a fresh CDF,
+    ``np.searchsorted`` and the last-positive-row guard."""
+    return np.minimum(np.searchsorted(np.cumsum(p.probs), u, side="right"), p.last_positive)
+
+
+def oracle_chunk(p, s, streams):
+    rows, sums, offsets = [], [], [0]
+    for stream in streams:
+        unique, counts = np.unique(oracle_rows(p, stream.generator.random(s)),
+                                   return_counts=True)
+        rows.append(unique)
+        sums.append(counts / (s * p.probs[unique]))
+        offsets.append(offsets[-1] + unique.size)
+    return np.concatenate(rows), np.concatenate(sums), np.array(offsets)
+
+
+@st.composite
+def guide_cases(draw):
+    """A distribution and uniforms that probe the guide table's edges: n = 1,
+    powers of two and one past them; zero runs longer than the pass cap, a
+    zero tail, nearly all mass on one row; cdf[-1] just below or above 1;
+    uniforms on bucket edges, on CDF entries, at 0 and just below 1."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 256, 257]),
+                       st.integers(min_value=1, max_value=400)))
+    shape = draw(st.sampled_from(["random", "long-zero-run", "zero-tail", "one-heavy",
+                                  "mostly-zero"]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    raw = rng.random(n)
+    raw[rng.random(n) < 0.3] = 0.0
+    if shape == "long-zero-run":
+        start = int(rng.integers(0, n))
+        raw[start:start + int(rng.integers(sketch_mod._WALK_PASSES + 1, 60))] = 0.0
+    elif shape == "zero-tail":
+        raw[n - int(rng.integers(0, n)):] = 0.0
+    elif shape == "one-heavy":
+        raw *= 1e-6
+    elif shape == "mostly-zero":
+        raw[rng.random(n) < 0.99] = 0.0
+    raw[int(rng.integers(0, n))] = 1.0 + rng.random()
+    scale = draw(st.sampled_from([1.0, 1.0 - 5e-13, 1.0 + 5e-13]))
+    p = SamplingDistribution(probs=raw / raw.sum() * scale)
+    k = p.guide.size - 1
+    edges = np.concatenate([
+        np.arange(k) / k, p.cdf, np.nextafter(p.cdf, 0.0), np.nextafter(p.cdf, 2.0),
+        [0.0, np.nextafter(1.0, 0.0)], rng.random(int(rng.integers(1, 3 * n + 2)))])
+    u = rng.permutation(edges[(edges >= 0.0) & (edges < 1.0)])
+    return p, u
+
+
+class TestGuideTable:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(guide_cases(), st.integers(min_value=1, max_value=4), st.booleans())
+    def test_search_equals_binary_search(self, case, n_keys_rows, sort):
+        p, u = case
+        u = np.stack([np.roll(u, i) for i in range(n_keys_rows)])
+        if sort:
+            u.sort(axis=1)
+        want = oracle_rows(p, u)
+        got = _search(p, u)
+        assert got.dtype == np.intp and got.shape == u.shape
+        np.testing.assert_array_equal(got, want)
+        assert np.all(p.probs[got] > 0.0)
+        # the table's defining property
+        k = p.guide.size - 1
+        np.testing.assert_array_equal(
+            p.guide, [np.count_nonzero(np.cumsum(p.probs) <= j / k) for j in range(k + 1)])
+        assert p.n_rows <= k < 2 * p.n_rows
+        assert p.guide.nbytes <= p.cdf.nbytes + 4
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(guide_cases(), st.integers(min_value=1, max_value=5),
+           st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3))
+    def test_draw_chunk_equals_binary_search(self, case, n_streams, seed, s_per_row):
+        p, _ = case
+        s = s_per_row * p.n_rows
+        streams = [RngStream(seed, t) for t in range(n_streams)]
+        chunk = draw_chunk(p, s, streams)
+        want = oracle_chunk(p, s, [RngStream(seed, t) for t in range(n_streams)])
+        for got, expected in zip((chunk.unique_rows, chunk.weight_sq_sums, chunk.offsets), want):
+            np.testing.assert_array_equal(got, expected)
+        plan = build_sketch(p, s, RngStream(seed, 0))
+        u = RngStream(seed, 0).generator.random(s)
+        np.testing.assert_array_equal(plan.draws, oracle_rows(p, u))
+
+    @pytest.mark.parametrize("passes", [0, 1, 2, 8])
+    def test_long_zero_runs_finish_by_binary_search(self, monkeypatch, passes):
+        # 99% of the rows have zero probability, so some buckets span runs of
+        # ~100 rows; keys still moving after the pass cap fall back to
+        # np.searchsorted, which must give the same rows whatever the cap.
+        probs = np.zeros(1000)
+        probs[::100] = np.arange(1, 11)
+        p = SamplingDistribution(probs=probs / probs.sum())
+        u = RngStream(5).generator.random(5000)
+        u.sort()
+        want = oracle_rows(p, u)
+        monkeypatch.setattr(sketch_mod, "_WALK_PASSES", passes)
+        calls = []
+        searchsorted = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda a, v, **k: calls.append(np.size(v)) or searchsorted(a, v, **k))
+        np.testing.assert_array_equal(_search(p, u), want)
+        assert len(calls) == 1 and 0 < calls[0] < u.size
+
+    def test_incoherent_draws_need_no_binary_search(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        q, _ = np.linalg.qr(rng.standard_normal((5000, 5)))
+        p = SamplingDistribution(probs=np.einsum("ij,ij->i", q, q) / 5)
+        u = np.sort(RngStream(6).generator.random(20000))
+        want = oracle_rows(p, u)
+        monkeypatch.setattr(np, "searchsorted", None)
+        np.testing.assert_array_equal(_search(p, u), want)

@@ -10,6 +10,7 @@ from levsketch import (
     AccuracyTarget,
     DimensionError,
     InvalidParameterError,
+    InvalidSampleCountError,
     RngStream,
     SamplingDistribution,
     SketchRankDeficientError,
@@ -77,6 +78,14 @@ class TestRequiredSamples:
             required_samples(5, 0.0, t)
         with pytest.raises(InvalidParameterError):
             required_samples(5, 1.5, t)
+
+    @pytest.mark.parametrize("eps, delta, beta", [
+        (5e-324, 0.1, 1.0), (1e-310, 0.1, 1.0), (0.1, 1e-320, 1.0), (1e-300, 1e-8, 1e-300)])
+    def test_count_past_the_float_range_raises(self, eps, delta, beta):
+        # eps * delta underflows to 0, or the count overflows a float
+        with pytest.raises(InvalidSampleCountError, match="float"):
+            required_samples(5, beta, AccuracyTarget(eps, delta))
+        assert required_samples(5, 1.0, AccuracyTarget(1e-300, 0.1)) > 10**300
 
 
 class TestSketchedLstsq:
