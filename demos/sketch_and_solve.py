@@ -21,7 +21,7 @@ from levsketch import (
 a, b, meta = generate_problem(
     ProblemSpec("gaussian-incoherent", n_rows=20000, n_cols=6, rhs_cols=2, seed=7)
 )
-print(f"problem: {a.rows} x {a.cols}, rhs {b.cols}, coherence {meta['coherence']:.4f}")
+print(f"problem: {a.shape[0]} x {a.shape[1]}, rhs {b.shape[1]}, coherence {meta['coherence']:.4f}")
 
 exact = meta["exact"]  # generation already solved the problem exactly
 print(f"exact residual^2 = {exact.residual_sq:.6f}")
@@ -44,4 +44,4 @@ for s in (60, 300, 1500):
 # 20000 x 6
 sol = sketched_lstsq(a, b, dist, 300, RngStream(2024, stream_index=1))
 rows_touched = sol.plan.unique_rows.size
-print(f"rows touched at s = 300: {rows_touched} of {a.rows}")
+print(f"rows touched at s = 300: {rows_touched} of {a.shape[0]}")

@@ -91,10 +91,12 @@ def read_config(path: str) -> dict[str, str]:
 
 def _check_out_path(path: str | None) -> None:
     """Fail before any work when ``path`` cannot be written: its directory
-    must exist and be writable, and ``path`` must not be a directory.  The
-    file itself is not created here."""
+    must exist and be writable, and ``path`` must be neither empty nor a
+    directory.  The file itself is not created here."""
     if path is None:
         return
+    if not path:
+        raise FileNotFoundError("cannot write to an empty path")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"cannot write {path}: no directory {directory}")
@@ -135,6 +137,7 @@ def _cmd_solve(args) -> int:
     parse_distribution_spec(args.dist)
     parse_sample_rule(args.samples)
     target = AccuracyTarget(args.epsilon, args.delta)
+    stream = RngStream(args.seed, stream_index=1)
     _check_out_path(args.out)
     a = read_matrix(args.a)
     b = read_matrix(args.b)
@@ -142,10 +145,10 @@ def _cmd_solve(args) -> int:
     profile = profile_from_basis(exact.basis)
     dist, beta = build_distribution(args.dist, profile)
     s = sample_count(args.samples, profile.rank, beta, target)
-    plan = build_sketch(dist, s, RngStream(args.seed, stream_index=1))
+    plan = build_sketch(dist, s, stream)
     sol = solve_with_plan(a, b, plan)
     print(
-        f"rows={a.rows} cols={a.cols} rhs={b.cols} dist={args.dist} "
+        f"rows={a.shape[0]} cols={a.shape[1]} rhs={b.shape[1]} dist={args.dist} "
         f"beta={beta:.6g} s={s} sketched_residual_sq={sol.sketched_residual_sq:.17g}"
     )
     if args.exact:
@@ -154,7 +157,7 @@ def _cmd_solve(args) -> int:
             f"exact_residual_sq={exact.residual_sq:.17g} "
             f"accuracy_ratio={ratio:.17g}"
         )
-    if args.out:
+    if args.out is not None:
         write_matrix(args.out, sol.x_tilde)
     return 0
 
@@ -164,7 +167,7 @@ def _cmd_leverage(args) -> int:
     a = read_matrix(args.a)
     profile = leverage_scores(a)
     print(f"rows={profile.n_rows} rank={profile.rank} coherence={profile.coherence:.17g}")
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             write_lines(fh, profile.scores, "{:.17g}\n")
     else:

@@ -100,7 +100,7 @@ def check_structural(
     plan : SketchPlan
     basis : OrthonormalBasis
         Orthonormal basis of the design matrix's column space.
-    b_perp : DenseMatrix or array-like
+    b_perp : array-like
         Residual component of the right-hand side (from the exact solve).
     epsilon : float
         Target accuracy in (0, 1).
@@ -114,16 +114,16 @@ def check_structural(
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     if residual_sq < 0.0:
         raise InvalidParameterError(f"residual_sq must be >= 0, got {residual_sq}")
-    q = basis.q.array
+    q = basis.q
     r = q.shape[1]
-    sq = apply_sketch(plan, q).array
+    sq = np.asarray(apply_sketch(plan, q))
     if plan.n_samples < r:
         # Fewer samples than rank: the sketched basis has a kernel.
         sc1_value = 0.0
     else:
         sv = np.linalg.svd(sq, compute_uv=False)
         sc1_value = float(sv[-1]) ** 2
-    sbp = apply_sketch(plan, b_perp).array
+    sbp = np.asarray(apply_sketch(plan, b_perp))
     return _structural_report(
         sc1_value, fro_norm_sq(sq.T @ sbp), epsilon, residual_sq, scale_sq
     )
@@ -172,8 +172,7 @@ def check_bounds(
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     arr = as_array(a)
     barr = as_array(b)
-    xt = as_array(sol.x_tilde)
-    xo = as_array(exact.x_opt)
+    xt, xo = sol.x_tilde, exact.x_opt
     if spectral is None:
         spectral = spectral_extremes(arr)
 
@@ -309,14 +308,13 @@ class TrialScorer:
     def __init__(self, exact: LstsqSolution, epsilon: float) -> None:
         if not (0.0 < epsilon < 1.0):
             raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-        q, bp = exact.basis.q.array, exact.b_perp.array
+        q, bp = exact.basis.q, exact.b_perp
         block = np.empty((q.shape[0], q.shape[1] + bp.shape[1]))
         np.concatenate((q, bp), axis=1, out=block)
-        r_fac = exact.r_factor.array
-        xo = exact.x_opt.array
+        xo = exact.x_opt
         self._block = block
         self._rank = q.shape[1]
-        self._r = r_fac
+        self._r = exact.r_factor
         self._epsilon = epsilon
         self._residual_sq = exact.residual_sq
         self._scale_sq = exact.b_norm_sq
@@ -327,7 +325,7 @@ class TrialScorer:
             exact.residual_sq,
             exact.b_norm_sq,
             exact.spectral,
-            float(np.linalg.norm(r_fac @ xo)),
+            float(np.linalg.norm(exact.r_factor @ xo)),
             fro_norm_sq(xo),
         )
 

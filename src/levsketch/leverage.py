@@ -118,7 +118,7 @@ class SamplingDistribution:
 
 def profile_from_basis(basis: OrthonormalBasis) -> LeverageProfile:
     """Leverage profile from an already-computed orthonormal basis."""
-    q = basis.q.array
+    q = basis.q
     scores = np.einsum("ij,ij->i", q, q)
     # Rounding can push a score a hair past 1; the profile tolerates 1e-12.
     return LeverageProfile(

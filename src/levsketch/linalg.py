@@ -1,16 +1,17 @@
-"""Dense linear-algebra core: validated matrices, orthonormal bases, the
+"""Dense linear-algebra core: the boundary check, orthonormal bases, the
 exact least-squares reference solve, and spectral summaries.
 
-All matrices are real float64.  The canonical layout is column-major so that
-in-memory data vectors and matrix files agree entry for entry.  Rank
-decisions everywhere use the relative threshold :data:`RANK_TOL`.  QRs are
-``dgeqrf``/``dorgqr`` from :mod:`numpy.linalg.lapack_lite` in place on a
-column-major copy, so ``q`` keeps LAPACK's layout; ``np.linalg.qr`` gives the
-same bits and is the tests' oracle.
+Matrices are float64 numpy arrays.  Public functions check each 2-D
+array-like they take once, with :func:`as_array`, and return read-only
+arrays.  Rank decisions everywhere use the relative threshold :data:`RANK_TOL`.
+QRs are ``dgeqrf``/``dorgqr`` from :mod:`numpy.linalg.lapack_lite` in place on
+a column-major copy, so ``q`` keeps LAPACK's layout; ``np.linalg.qr`` gives
+the same bits and is the tests' oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,28 @@ RANK_TOL = 1e-10
 _ORTHONORMALITY_TOL = 1e-10
 
 
-class DenseMatrix:
-    """Immutable real matrix with explicit shape and column-major storage.
+def as_array(m) -> np.ndarray:
+    """The boundary check: ``m`` as a 2-D float64 array with a positive shape
+    and finite entries, without a copy when it already is one."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise DimensionError(f"matrix shape must be positive, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameterError("matrix entries must be finite")
+    return a
 
-    Entries must be finite; NaN and Inf are rejected at construction.
-    Instances interoperate with numpy (``np.asarray(m)`` returns a read-only
-    2-D view), and are safe to share across threads.
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark an array the library built and hands out as read-only."""
+    a.setflags(write=False)
+    return a
+
+
+class DenseMatrix:
+    """Immutable checked column-major matrix, as ``read_matrix`` and
+    ``apply_sketch`` return it; ``np.asarray(m)`` is its read-only array.
     """
 
     __slots__ = ("_a",)
@@ -38,36 +55,21 @@ class DenseMatrix:
     def __init__(self, rows: int, cols: int, data) -> None:
         if rows < 1 or cols < 1:
             raise DimensionError(f"matrix shape must be positive, got {rows}x{cols}")
-        flat = np.array(data, dtype=np.float64).reshape(-1)
+        flat = np.array(data, dtype=np.float64, order="C").reshape(-1)
         if flat.size != rows * cols:
             raise DimensionError(
                 f"data length {flat.size} does not match shape {rows}x{cols}"
             )
-        self._adopt(flat.reshape((rows, cols), order="F"))
-
-    def _adopt(self, a: np.ndarray, scan: bool = True) -> None:
-        a = np.asfortranarray(a, dtype=np.float64)
-        if scan and not np.all(np.isfinite(a)):
-            raise InvalidParameterError("matrix entries must be finite")
-        a.setflags(write=False)
-        self._a = a
-
-    @classmethod
-    def _wrap(cls, a: np.ndarray, scan: bool = True) -> "DenseMatrix":
-        """Adopt an array built here; ``scan=False`` skips the finiteness scan."""
-        obj = cls.__new__(cls)
-        obj._adopt(a, scan)
-        return obj
+        self._a = read_only(as_array(flat.reshape((rows, cols), order="F")))
 
     @classmethod
     def from_array(cls, arr) -> "DenseMatrix":
         """Build from any 2-D array-like, copying into column-major storage."""
-        a = np.array(arr, dtype=np.float64, order="F", copy=True)
+        a = np.asarray(arr, dtype=np.float64)
         if a.ndim != 2:
             raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise DimensionError(f"matrix shape must be positive, got {a.shape}")
-        return cls._wrap(a)
+        # The row-major order of a.T is the column-major order of a.
+        return cls(*a.shape, a.T)
 
     @property
     def rows(self) -> int:
@@ -92,28 +94,10 @@ class DenseMatrix:
         return self._a.reshape(-1, order="F")
 
     def __array__(self, dtype=None, copy=None):
-        if copy:
-            return np.array(self._a, dtype=dtype if dtype is not None else np.float64)
-        if dtype is None or np.dtype(dtype) == np.float64:
-            return self._a
-        return self._a.astype(dtype)
+        return np.array(self._a, dtype=dtype, copy=copy)
 
     def __repr__(self) -> str:
         return f"DenseMatrix(rows={self.rows}, cols={self.cols})"
-
-
-def as_array(m) -> np.ndarray:
-    """Validated 2-D float64 view of a DenseMatrix or array-like."""
-    if isinstance(m, DenseMatrix):
-        return m.array
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionError(f"matrix shape must be positive, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParameterError("matrix entries must be finite")
-    return a
 
 
 def fro_norm_sq(m) -> float:
@@ -129,21 +113,23 @@ class OrthonormalBasis:
     """Orthonormal basis ``q`` for the column space of a full-rank matrix.
 
     ``source_rank`` is the rank of the source matrix, which equals the
-    number of basis columns.  Orthonormality is checked at construction.
+    number of basis columns.  Construction checks orthonormality and keeps
+    a read-only copy of ``q``.
     """
 
-    q: DenseMatrix
+    q: np.ndarray
     source_rank: int
 
     @classmethod
-    def _of_qr(cls, q: DenseMatrix) -> "OrthonormalBasis":
+    def _of_qr(cls, q: np.ndarray) -> "OrthonormalBasis":
         """A QR's ``q``, orthonormal by construction: no n x r^2 check."""
         obj = cls.__new__(cls)
-        obj.__dict__.update(q=q, source_rank=q.cols)
+        obj.__dict__.update(q=read_only(q), source_rank=q.shape[1])
         return obj
 
     def __post_init__(self) -> None:
-        qa = self.q.array
+        qa = read_only(np.array(as_array(self.q)))
+        object.__setattr__(self, "q", qa)
         n, r = qa.shape
         if self.source_rank != r:
             raise InvalidParameterError(
@@ -175,12 +161,12 @@ class LstsqSolution:
     and noise-floor policies are relative to.
     """
 
-    x_opt: DenseMatrix
+    x_opt: np.ndarray
     residual_sq: float
-    b_perp: DenseMatrix
+    b_perp: np.ndarray
     basis: OrthonormalBasis
     spectral: SpectralSummary
-    r_factor: DenseMatrix
+    r_factor: np.ndarray
     b_norm_sq: float
 
 
@@ -245,7 +231,7 @@ def orthonormal_basis(a) -> OrthonormalBasis:
 
     Parameters
     ----------
-    a : DenseMatrix or array-like, shape (n, r)
+    a : array-like, shape (n, r)
         Tall matrix with ``n >= r``.
 
     Returns
@@ -263,7 +249,7 @@ def orthonormal_basis(a) -> OrthonormalBasis:
         If ``sigma_min(a) <= RANK_TOL * sigma_max(a)``.
     """
     q_fac, _, _ = _qr_full_rank(as_array(a))
-    return OrthonormalBasis._of_qr(DenseMatrix._wrap(q_fac, scan=False))
+    return OrthonormalBasis._of_qr(q_fac)
 
 
 def exact_lstsq(a, b) -> LstsqSolution:
@@ -279,9 +265,9 @@ def exact_lstsq(a, b) -> LstsqSolution:
 
     Parameters
     ----------
-    a : DenseMatrix or array-like, shape (n, r)
+    a : array-like, shape (n, r)
         Tall full-column-rank design matrix.
-    b : DenseMatrix or array-like, shape (n, m)
+    b : array-like, shape (n, m)
         One or more right-hand-side columns.
 
     Raises
@@ -290,6 +276,8 @@ def exact_lstsq(a, b) -> LstsqSolution:
         If row counts differ or ``a`` is wide.
     RankDeficientError
         If ``a`` is rank deficient at :data:`RANK_TOL`.
+    InvalidParameterError
+        If ``||b||_F^2``, the residual or ``x_opt`` overflows float64.
     """
     arr = as_array(a)
     barr = as_array(b)
@@ -299,6 +287,8 @@ def exact_lstsq(a, b) -> LstsqSolution:
         )
     # Before the QR: on column-major b the norm makes row-major copies.
     b_norm_sq = fro_norm_sq(barr)
+    if not math.isfinite(b_norm_sq):
+        raise InvalidParameterError("b is too large: ||b||_F^2 overflows float64")
     q_fac, r_fac, sv = _qr_full_rank(arr)
     # Multiply by a row-major copy of q, as np.linalg.qr returns it: matmul's
     # summation order follows q's layout, and on consistent systems b_perp is
@@ -306,14 +296,19 @@ def exact_lstsq(a, b) -> LstsqSolution:
     q_rows = np.ascontiguousarray(q_fac)
     qtb = q_rows.T @ barr
     bp = barr - q_rows @ qtb
-    # x_opt and b_perp can overflow when b nears the float64 limit: scanned.
+    residual_sq = fro_norm_sq(bp)
+    x_opt = np.linalg.solve(r_fac, qtb)
+    if not (math.isfinite(residual_sq) and np.isfinite(x_opt).all()):
+        raise InvalidParameterError("x_opt or the residual overflows float64")
+    # r_factor and x_opt stay column-major: the bits of r_factor @ x_opt in
+    # the bound checks follow their layouts.
     return LstsqSolution(
-        x_opt=DenseMatrix._wrap(np.linalg.solve(r_fac, qtb)),
-        residual_sq=fro_norm_sq(bp),
-        b_perp=DenseMatrix._wrap(bp),
-        basis=OrthonormalBasis._of_qr(DenseMatrix._wrap(q_fac, scan=False)),
+        x_opt=read_only(np.asfortranarray(x_opt)),
+        residual_sq=residual_sq,
+        b_perp=read_only(bp),
+        basis=OrthonormalBasis._of_qr(q_fac),
         spectral=_spectral_summary(sv),
-        r_factor=DenseMatrix._wrap(r_fac, scan=False),
+        r_factor=read_only(np.asfortranarray(r_fac)),
         b_norm_sq=b_norm_sq,
     )
 

@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from .exceptions import LevSketchError, MatrixMarketParseError
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, as_array
 
 _HEADER_FIELDS = ("%%matrixmarket", "matrix", "array", "real", "general")
 
@@ -42,13 +42,12 @@ def write_lines(fh, values: np.ndarray, line_format: str) -> None:
         fh.write("".join(map(fmt, values[start:start + WRITE_CHUNK].tolist())))
 
 
-def write_matrix(path: str | os.PathLike, m: DenseMatrix) -> None:
-    """Write a matrix in Matrix Market array format."""
-    if not isinstance(m, DenseMatrix):
-        m = DenseMatrix.from_array(m)
+def write_matrix(path: str | os.PathLike, m) -> None:
+    """Write any 2-D array-like in Matrix Market array format."""
+    a = as_array(m)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"%%MatrixMarket matrix array real general\n{m.rows} {m.cols}\n")
-        write_lines(fh, m.data, "{:.16e}\n")
+        fh.write(f"%%MatrixMarket matrix array real general\n{a.shape[0]} {a.shape[1]}\n")
+        write_lines(fh, a.ravel(order="F"), "{:.16e}\n")
 
 
 def read_text(path: str | os.PathLike, error: type[LevSketchError]) -> str:

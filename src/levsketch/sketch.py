@@ -24,7 +24,7 @@ from .exceptions import (
     UnsupportedRowError,
 )
 from .leverage import SamplingDistribution
-from .linalg import DenseMatrix, as_array
+from .linalg import DenseMatrix, as_array, read_only
 
 
 class RngStream:
@@ -232,15 +232,15 @@ def apply_sketch(plan: SketchPlan, m) -> DenseMatrix:
     """Apply the plan to a matrix: gather sampled rows, scaled by weights.
 
     Equivalent to multiplying by the dense ``s x n`` selection-and-rescale
-    operator, at ``O(s * cols)`` cost.
+    operator, at ``O(s * cols)`` cost.  ``np.asarray`` of the result is its
+    read-only array.
     """
     arr = as_array(m)
     if arr.shape[0] != plan.n_source_rows:
         raise DimensionError(
             f"matrix has {arr.shape[0]} rows, plan expects {plan.n_source_rows}"
         )
-    out = arr[plan.draws, :] * plan.weights[:, None]
-    return DenseMatrix.from_array(out)
+    return DenseMatrix.from_array(arr[plan.draws, :] * plan.weights[:, None])
 
 
 def sketched_norm_sq(plan: SketchPlan, x, probs: SamplingDistribution | None = None) -> float:
@@ -274,14 +274,14 @@ def sketched_norm_sq(plan: SketchPlan, x, probs: SamplingDistribution | None = N
     return float(np.dot(v, v))
 
 
-def materialize_sketch(plan: SketchPlan) -> DenseMatrix:
+def materialize_sketch(plan: SketchPlan) -> np.ndarray:
     """Dense ``s x n`` sketching operator; for small cases and checks only."""
     s_mat = np.zeros((plan.n_samples, plan.n_source_rows))
     s_mat[np.arange(plan.n_samples), plan.draws] = plan.weights
-    return DenseMatrix.from_array(s_mat)
+    return read_only(s_mat)
 
 
-def approx_matmul(a, b, p: SamplingDistribution, s: int, rng: RngStream) -> DenseMatrix:
+def approx_matmul(a, b, p: SamplingDistribution, s: int, rng: RngStream) -> np.ndarray:
     """Unbiased sampled estimate of ``a.T @ b``.
 
     Draws ``s`` rows from ``p`` and returns ``(S a)^T (S b)``, which in
@@ -312,6 +312,6 @@ def approx_matmul(a, b, p: SamplingDistribution, s: int, rng: RngStream) -> Dens
                 "a row with nonzero entries has zero sampling probability"
             )
     plan = build_sketch(p, s, rng)
-    sa = apply_sketch(plan, aarr).array
-    sb = apply_sketch(plan, barr).array
-    return DenseMatrix.from_array(sa.T @ sb)
+    sa = np.asarray(apply_sketch(plan, aarr))
+    sb = np.asarray(apply_sketch(plan, barr))
+    return read_only(sa.T @ sb)

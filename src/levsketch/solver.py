@@ -20,7 +20,7 @@ from .exceptions import (
     SketchRankDeficientError,
 )
 from .leverage import SamplingDistribution
-from .linalg import RANK_TOL, DenseMatrix, LstsqSolution, as_array, fro_norm_sq
+from .linalg import RANK_TOL, LstsqSolution, as_array, fro_norm_sq, read_only
 from .sketch import RngStream, SketchPlan, apply_sketch, build_sketch
 
 #: Constant in the log branch of the sample-size rule: 144 / (1 - 1/sqrt(2))^2.
@@ -50,7 +50,7 @@ class AccuracyTarget:
 class SketchSolution:
     """Minimizer of the sketched objective, with the plan that produced it."""
 
-    x_tilde: DenseMatrix
+    x_tilde: np.ndarray
     plan: SketchPlan
     sketched_residual_sq: float
 
@@ -91,15 +91,15 @@ def solve_with_plan(a, b, plan: SketchPlan) -> SketchSolution:
         raise SketchRankDeficientError(
             f"{plan.n_samples} samples cannot cover rank {r}"
         )
-    sa = apply_sketch(plan, arr).array
-    sb = apply_sketch(plan, barr).array
+    sa = np.asarray(apply_sketch(plan, arr))
+    sb = np.asarray(apply_sketch(plan, barr))
     x, _, rank, _ = np.linalg.lstsq(sa, sb, rcond=RANK_TOL)
     if rank < r:
         raise SketchRankDeficientError(
             f"sketch lost rank ({rank} < {r}); caller decides whether to resample"
         )
     return SketchSolution(
-        x_tilde=DenseMatrix.from_array(x),
+        x_tilde=read_only(x),
         plan=plan,
         sketched_residual_sq=fro_norm_sq(sa @ x - sb),
     )
@@ -112,9 +112,9 @@ def sketched_lstsq(
 
     Parameters
     ----------
-    a : DenseMatrix or array-like, shape (n, r)
+    a : array-like, shape (n, r)
         Full-column-rank design matrix with ``n > r``.
-    b : DenseMatrix or array-like, shape (n, m)
+    b : array-like, shape (n, m)
     p : SamplingDistribution
         Row-sampling distribution, typically the leverage distribution or a
         blend of it with uniform.

@@ -324,9 +324,9 @@ def test_c8_oracle_equivalence():
         rep = check_structural(
             plan, basis, exact.b_perp, 0.3, exact.residual_sq, exact.b_norm_sq
         )
-        sq = s_dense @ basis.q.array
+        sq = s_dense @ basis.q
         sc1_dense = float(np.linalg.svd(sq, compute_uv=False)[-1]) ** 2
-        sc2_dense = float(np.sum((sq.T @ (s_dense @ exact.b_perp.array)) ** 2))
+        sc2_dense = float(np.sum((sq.T @ (s_dense @ exact.b_perp)) ** 2))
         sc1_gap = abs(sc1_dense - rep.sc1_value) / max(1.0, sc1_dense)
         sc2_gap = abs(sc2_dense - rep.sc2_value) / max(1.0, sc2_dense)
 
@@ -342,7 +342,7 @@ def test_c8_oracle_equivalence():
         r = int(rng.integers(1, 9))
         a = rng.standard_normal((n, r))
         b = rng.standard_normal((n, 3))
-        x_lib = exact_lstsq(a, b).x_opt.array
+        x_lib = exact_lstsq(a, b).x_opt
         x_ne = np.linalg.solve(a.T @ a, a.T @ b)
         rel = np.max(np.abs(x_lib - x_ne)) / max(1.0, np.max(np.abs(x_ne)))
         assert rel <= 1e-8, f"instance {i}: solve gap {rel:.2e}"

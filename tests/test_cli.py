@@ -111,7 +111,8 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--dist", "psychic"], ["--samples", "later"], ["--epsilon", "2"], ["--delta", "0"]],
+        [["--dist", "psychic"], ["--samples", "later"], ["--epsilon", "2"], ["--delta", "0"],
+         ["--seed", "-1"], ["--seed", str(2**64)]],
     )
     def test_bad_flag_rejected_before_reading_files(self, tmp_path, capsys, monkeypatch, flags):
         import levsketch.cli as cli_mod
@@ -136,6 +137,28 @@ class TestSolve:
         assert "Traceback" not in err
         assert re.search(r"\d{17}", err) is None
         assert not out.exists()
+
+    def test_overflowing_b_is_exit_1(self, problem_files, tmp_path, capsys):
+        # Every entry is finite, but ||B||_F^2 is past the float64 range.
+        a_path, _ = problem_files
+        h_path = tmp_path / "h.mtx"
+        write_matrix(h_path, 1e307 * np.random.default_rng(78).standard_normal((120, 3)))
+        out = tmp_path / "x.mtx"
+        assert main(["solve", str(a_path), str(h_path), "--exact", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: b is too large: ||b||_F^2 overflows float64"]
+        assert not out.exists()
+
+    def test_huge_a_solves(self, problem_files, tmp_path, capsys):
+        a_path, b_path = problem_files
+        big = tmp_path / "big.mtx"
+        write_matrix(big, 1e307 * np.asarray(read_matrix(a_path)))
+        assert main(["solve", str(big), str(b_path), "--exact"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        ratio = float(re.search(r"accuracy_ratio=(\S+)", captured.out).group(1))
+        assert 1.0 - 1e-12 <= ratio <= 1.1
 
     def test_one_factorization(self, problem_files, count_numpy_calls, capsys):
         a_path, b_path = problem_files
@@ -290,6 +313,22 @@ class TestBench:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_b_file_is_exit_1(self, problem_files, tmp_path, capsys):
+        # Every entry is finite, but ||B||_F^2 is past the float64 range: an
+        # error, not a report of perfect solves.
+        a_path, _ = problem_files
+        h_path = tmp_path / "h.mtx"
+        write_matrix(h_path, 1e307 * np.random.default_rng(79).standard_normal((120, 3)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kind = custom-file\na_file = {a_path}\nb_file = {h_path}\n"
+                       "samples = 12\ntrials = 3\n")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: b is too large: ||b||_F^2 overflows float64"]
+        assert not out.exists()
+
     def test_sample_budget_is_exit_1_before_allocating(self, tmp_path, capsys, monkeypatch):
         # The auto rule asks for ~5e12 rows here; the budget check must stop
         # the run before any sketch is drawn or the report is opened.
@@ -364,7 +403,7 @@ class TestUnwritableOut:
         return ["leverage", "a.mtx", "--out", out]
 
     @pytest.mark.parametrize("command", ["bench", "solve", "leverage"])
-    @pytest.mark.parametrize("where", ["missing directory", "a directory"])
+    @pytest.mark.parametrize("where", ["missing directory", "a directory", "an empty path"])
     def test_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, command, where):
         import levsketch.cli as cli_mod
         import levsketch.experiment as experiment_mod
@@ -374,7 +413,8 @@ class TestUnwritableOut:
 
         monkeypatch.setattr(experiment_mod, "generate_problem", never)
         monkeypatch.setattr(cli_mod, "read_matrix", never)
-        out = tmp_path / "missing" / "out.txt" if where == "missing directory" else tmp_path
+        out = {"missing directory": tmp_path / "missing" / "out.txt", "a directory": tmp_path,
+               "an empty path": ""}[where]
         assert main(self.argv(command, str(out))) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]

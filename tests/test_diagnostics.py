@@ -163,7 +163,7 @@ class TestCheckBounds:
     def test_far_candidate_fails(self):
         a, b = make_problem(6)
         exact = exact_lstsq(a, b)
-        bad = DenseMatrix.from_array(exact.x_opt.array + 100.0)
+        bad = DenseMatrix.from_array(exact.x_opt + 100.0)
         sol = SketchSolution(x_tilde=bad, plan=identity_plan(40), sketched_residual_sq=0.0)
         rep = check_bounds(a, b, exact, sol, 0.2)
         assert not rep.residual_bound_holds
@@ -185,7 +185,7 @@ class TestCheckBounds:
     def test_gamma_matches_projection_oracle(self):
         a, b = make_problem(8)
         exact = exact_lstsq(a, b)
-        q = orthonormal_basis(a).q.array
+        q = orthonormal_basis(a).q
         gamma_oracle = np.linalg.norm(q @ (q.T @ b)) / np.linalg.norm(b)
         sol = SketchSolution(
             x_tilde=exact.x_opt, plan=identity_plan(40), sketched_residual_sq=exact.residual_sq
@@ -331,10 +331,10 @@ class TestTrialScorerAgainstOracle:
         exact = exact_lstsq(a, b)
         dist, _ = build_distribution(dist_spec, profile_from_basis(exact.basis))
         scorer = TrialScorer(exact, self.EPS)
-        zero_residual = exact.residual_sq <= 1e-18 * fro_norm_sq(b.array)
+        zero_residual = exact.residual_sq <= 1e-18 * fro_norm_sq(b)
         assert zero_residual == (kind == "consistent")
         errors = {}
-        for name, plan in self.plans(dist, a.cols, seed=6200).items():
+        for name, plan in self.plans(dist, a.shape[1], seed=6200).items():
             want = self.oracle(a, b, exact, plan)
             got = self.kernel(scorer, plan)
             assert got.keys() == want.keys(), name
@@ -357,7 +357,7 @@ class TestTrialScorerAgainstOracle:
     def test_non_finite_gather_rejected_like_the_oracle(self):
         a, b = make_problem(12)
         exact = exact_lstsq(a, b)
-        k = int(np.argmax(np.abs(exact.b_perp.array[:, 0])))
+        k = int(np.argmax(np.abs(exact.b_perp[:, 0])))
         plan = SketchPlan(40, 3, np.array([k, 0, 1]), np.array([1e308, 1.0, 1.0]), "hand-built")
         with np.errstate(over="ignore"):
             with pytest.raises(InvalidParameterError, match="finite"):
@@ -439,7 +439,7 @@ class TestGramFloor:
                                                       count_numpy_calls):
         a, b = make_problem(14, n=self.N, r=self.RANK)
         exact = exact_lstsq(a, b)
-        q = exact.basis.q.array
+        q = exact.basis.q
         plan = self.plan(side * self.floor_weight(q))
         assert (self.eig_ratio(q, plan) > GRAM_FLOOR) == (lstsq_calls == 0)
         scorer = TrialScorer(exact, TestTrialScorerAgainstOracle.EPS)

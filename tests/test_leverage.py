@@ -66,7 +66,7 @@ def test_scores_invariant_to_basis_choice():
     a = rng.standard_normal((20, 3))
     basis = orthonormal_basis(a)
     rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    rotated = basis.q.array @ rot
+    rotated = basis.q @ rot
     from levsketch import DenseMatrix, OrthonormalBasis
 
     other = OrthonormalBasis(q=DenseMatrix.from_array(rotated), source_rank=3)

@@ -1,4 +1,5 @@
-"""Core dense linear algebra: DenseMatrix, bases, exact solves, spectra.
+"""Core dense linear algebra: the boundary check, DenseMatrix, bases, exact solves,
+spectra.
 
 The exact solver is checked against a normal-equations oracle built from
 scratch here, and spectral extremes against a closed-form 2x2 eigenvalue
@@ -116,7 +117,7 @@ class TestOrthonormalBasis:
         rng = np.random.default_rng(42)
         a = rng.standard_normal((30, 4))
         basis = orthonormal_basis(a)
-        q = basis.q.array
+        q = basis.q
         assert q.shape == (30, 4)
         np.testing.assert_allclose(q.T @ q, np.eye(4), atol=1e-12)
         # projection onto col(q) must reproduce a exactly
@@ -151,18 +152,18 @@ class TestExactLstsq:
             b = rng.standard_normal((40, 2))
             sol = exact_lstsq(a, b)
             x_ne = normal_equations_solve(a, b)
-            np.testing.assert_allclose(sol.x_opt.array, x_ne, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(sol.x_opt, x_ne, rtol=1e-8, atol=1e-10)
 
     def test_residual_decomposition(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((25, 3))
         b = rng.standard_normal((25, 2))
         sol = exact_lstsq(a, b)
-        bp = sol.b_perp.array
+        bp = sol.b_perp
         # b_perp is orthogonal to every column of a
         np.testing.assert_allclose(a.T @ bp, 0.0, atol=1e-10)
         assert sol.residual_sq == pytest.approx(fro_norm_sq(bp), rel=1e-14)
-        np.testing.assert_allclose(a @ sol.x_opt.array + bp, b, atol=1e-12)
+        np.testing.assert_allclose(a @ sol.x_opt + bp, b, atol=1e-12)
 
     def test_consistent_system_zero_residual(self):
         rng = np.random.default_rng(9)
@@ -170,7 +171,7 @@ class TestExactLstsq:
         x = rng.standard_normal((4, 1))
         sol = exact_lstsq(a, a @ x)
         assert sol.residual_sq <= 1e-18 * fro_norm_sq(a @ x)
-        np.testing.assert_allclose(sol.x_opt.array, x, atol=1e-10)
+        np.testing.assert_allclose(sol.x_opt, x, atol=1e-10)
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(DimensionError):
@@ -185,6 +186,30 @@ class TestExactLstsq:
         with pytest.raises(DimensionError):
             exact_lstsq(np.ones((2, 5)), np.ones((2, 1)))
 
+    def test_overflowing_b_is_rejected(self):
+        # Finite entries near 1e307, but ||b||_F^2 is past the float64 range.
+        rng = np.random.default_rng(33)
+        a = rng.standard_normal((40, 3))
+        with pytest.raises(InvalidParameterError, match=r"\|\|b\|\|_F\^2 overflows"):
+            exact_lstsq(a, 1e307 * rng.standard_normal((40, 3)))
+
+    def test_overflowing_solution_is_rejected(self):
+        rng = np.random.default_rng(34)
+        a = 1e-300 * rng.standard_normal((40, 3))
+        with pytest.raises(InvalidParameterError, match="x_opt or the residual overflows"):
+            exact_lstsq(a, 1e10 * rng.standard_normal((40, 2)))
+
+    def test_huge_a_still_solves(self):
+        # The QR does not depend on scale: A near 1e307 solves like A.
+        rng = np.random.default_rng(35)
+        a = rng.standard_normal((40, 3))
+        b = rng.standard_normal((40, 2))
+        ref = exact_lstsq(a, b)
+        sol = exact_lstsq(1e307 * a, b)
+        assert sol.residual_sq == pytest.approx(ref.residual_sq, rel=1e-12)
+        np.testing.assert_allclose(1e307 * sol.x_opt, ref.x_opt, rtol=1e-10)
+        np.testing.assert_allclose(sol.basis.q, ref.basis.q, atol=1e-12)
+
     def test_basis_and_spectrum_match_independent_paths(self):
         # The basis and spectrum come from the solve's own QR; the leverage
         # scores of a separate factorization and the full SVD of a must agree.
@@ -192,7 +217,7 @@ class TestExactLstsq:
         for scale in (1.0, 1e-3, 1e4):
             a = rng.standard_normal((60, 4)) * np.array([1.0, 10.0, 0.1, scale])
             sol = exact_lstsq(a, rng.standard_normal((60, 2)))
-            q = sol.basis.q.array
+            q = sol.basis.q
             np.testing.assert_allclose(
                 np.einsum("ij,ij->i", q, q), leverage_scores(a).scores, rtol=1e-12
             )
@@ -237,9 +262,9 @@ class TestInPlaceQrOracle:
             sol = exact_lstsq(a, b)
             for got, want in ((sol.basis.q, q), (sol.r_factor, r), (sol.x_opt, x),
                               (sol.b_perp, bp)):
-                np.testing.assert_array_equal(got.array, want, strict=True)
+                np.testing.assert_array_equal(got, want, strict=True)
             assert sol.residual_sq == resid
-            np.testing.assert_array_equal(orthonormal_basis(a).q.array, q, strict=True)
+            np.testing.assert_array_equal(orthonormal_basis(a).q, q, strict=True)
 
     def test_inputs_are_not_modified(self):
         rng = np.random.default_rng(31)
@@ -260,8 +285,11 @@ class TestInPlaceQrOracle:
         a = rng.standard_normal((60, 3))
         sol = exact_lstsq(a, rng.standard_normal((60, 2)))
         for m in (sol.basis.q, orthonormal_basis(a).q, sol.r_factor, sol.x_opt, sol.b_perp):
-            assert m.array.flags.f_contiguous
-            assert not m.array.flags.writeable
+            assert not m.flags.writeable
+        # q keeps LAPACK's layout; r_factor and x_opt keep theirs because the
+        # bits of r_factor @ x_opt follow them.  b_perp has no promised layout.
+        for m in (sol.basis.q, orthonormal_basis(a).q, sol.r_factor, sol.x_opt):
+            assert m.flags.f_contiguous
 
     @pytest.mark.parametrize("a", [
         np.ones((5, 2)),
@@ -289,7 +317,7 @@ def test_exact_solve_is_optimal(seed):
     except RankDeficientError:
         return  # random Gaussian being singular is measure zero but allowed
     for _ in range(3):
-        x_other = sol.x_opt.array + 0.1 * rng.standard_normal((r, 1))
+        x_other = sol.x_opt + 0.1 * rng.standard_normal((r, 1))
         assert fro_norm_sq(a @ x_other - b) >= sol.residual_sq - 1e-9
 
 

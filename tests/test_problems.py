@@ -43,13 +43,13 @@ class TestGaussianIncoherent:
         spec = ProblemSpec("gaussian-incoherent", n_rows=50, n_cols=3, seed=12)
         a1, b1, _ = generate_problem(spec)
         a2, b2, _ = generate_problem(spec)
-        np.testing.assert_array_equal(a1.array, a2.array)
-        np.testing.assert_array_equal(b1.array, b2.array)
+        np.testing.assert_array_equal(a1, a2)
+        np.testing.assert_array_equal(b1, b2)
 
     def test_different_seeds_differ(self):
         a1, _, _ = generate_problem(ProblemSpec("gaussian-incoherent", 50, 3, seed=1))
         a2, _, _ = generate_problem(ProblemSpec("gaussian-incoherent", 50, 3, seed=2))
-        assert not np.array_equal(a1.array, a2.array)
+        assert not np.array_equal(a1, a2)
 
     def test_coherence_stays_low(self):
         # Gaussian designs are incoherent: coherence well under 10 * r/N
@@ -86,7 +86,7 @@ class TestConsistent:
     def test_rhs_exactly_in_column_space(self):
         spec = ProblemSpec("consistent", n_rows=80, n_cols=4, rhs_cols=2, seed=5)
         a, b, meta = generate_problem(spec)
-        np.testing.assert_array_equal(b.array, a.array @ meta["x_true"].array)
+        np.testing.assert_array_equal(b, a @ meta["x_true"])
         sol = exact_lstsq(a, b)
         assert sol.residual_sq <= 1e-18 * fro_norm_sq(b)
 
@@ -96,7 +96,7 @@ class TestConsistent:
         s2 = ProblemSpec("consistent", n_rows=40, n_cols=3, seed=6, noise_scale=0.0)
         b1 = generate_problem(s1)[1]
         b2 = generate_problem(s2)[1]
-        np.testing.assert_array_equal(b1.array, b2.array)
+        np.testing.assert_array_equal(b1, b2)
 
 
 @pytest.mark.parametrize("kind", ["gaussian-incoherent", "spiked-coherent", "consistent"])
@@ -113,8 +113,8 @@ def test_meta_carries_the_exact_solve(kind):
 def assert_same_solve(got, want):
     """Bit-for-bit equality of two LstsqSolution results."""
     for name in ("x_opt", "b_perp", "r_factor"):
-        np.testing.assert_array_equal(getattr(got, name).array, getattr(want, name).array)
-    np.testing.assert_array_equal(got.basis.q.array, want.basis.q.array)
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    np.testing.assert_array_equal(got.basis.q, want.basis.q)
     assert got.basis.source_rank == want.basis.source_rank
     assert got.spectral == want.spectral
     assert got.residual_sq == want.residual_sq
@@ -129,7 +129,7 @@ class TestRetry:
         real = problems_mod.exact_lstsq
 
         def deficient_once(a, b):
-            calls.append(a.array.copy())
+            calls.append(a.copy())
             if len(calls) == 1:
                 raise RankDeficientError("pretend the first draw lost rank")
             return real(a, b)
@@ -138,7 +138,7 @@ class TestRetry:
         a, _, meta = generate_problem(self.spec)
         assert meta["attempts"] == 2
         # the retry uses the next design drawn from the same stream
-        np.testing.assert_array_equal(a.array, calls[1])
+        np.testing.assert_array_equal(a, calls[1])
         assert not np.array_equal(calls[0], calls[1])
         assert meta["coherence"] == leverage_scores(a).coherence
 
@@ -166,8 +166,8 @@ class TestCustomFile:
         write_matrix(b_path, DenseMatrix.from_array(b_src))
         spec = ProblemSpec("custom-file", a_path=str(a_path), b_path=str(b_path))
         a, b, meta = generate_problem(spec)
-        np.testing.assert_array_equal(a.array, a_src)
-        np.testing.assert_array_equal(b.array, b_src)
+        np.testing.assert_array_equal(a, a_src)
+        np.testing.assert_array_equal(b, b_src)
         assert meta["x_true"] is None
         assert meta["attempts"] == 1
         assert_same_solve(meta["exact"], exact_lstsq(a, b))

@@ -210,7 +210,7 @@ class TestApplyAgainstDenseOracle:
     def test_materialize_matches_hand_built(self):
         p = uniform_distribution(6)
         plan = build_sketch(p, 9, RngStream(2))
-        np.testing.assert_array_equal(materialize_sketch(plan).array, dense_operator(plan))
+        np.testing.assert_array_equal(materialize_sketch(plan), dense_operator(plan))
 
     def test_sketched_norm_matches(self):
         rng = np.random.default_rng(55)
@@ -300,7 +300,7 @@ def test_plan_multiset_is_the_draws_aggregated(raw, r, s_rule, seed):
     summed = np.bincount(inverse, weights=plan.weights**2, minlength=rows.size)
     np.testing.assert_allclose(plan.weight_sq_sums, summed, rtol=1e-13)
     np.testing.assert_allclose(plan.weight_sq_sums, counts / (s * probs[rows]), rtol=1e-15)
-    dense = materialize_sketch(plan).array
+    dense = materialize_sketch(plan)
     sts = np.zeros((p.n_rows, p.n_rows))
     sts[plan.unique_rows, plan.unique_rows] = plan.weight_sq_sums
     np.testing.assert_allclose(sts, dense.T @ dense, rtol=1e-13, atol=0.0)
@@ -314,7 +314,7 @@ class TestApproxMatmul:
     def test_single_row_is_exact(self):
         p = SamplingDistribution(probs=np.array([1.0]))
         out = approx_matmul([[2.0]], [[3.0]], p, 7, RngStream(0))
-        assert out.array[0, 0] == pytest.approx(6.0, rel=1e-15)
+        assert out[0, 0] == pytest.approx(6.0, rel=1e-15)
 
     def test_two_row_outcomes(self):
         # a = [[1],[1]], b = [[1],[-1]], uniform p, s = 1: the estimate is
@@ -325,7 +325,7 @@ class TestApproxMatmul:
         seen = set()
         for seed in range(40):
             est = approx_matmul(a, b, p, 1, RngStream(seed))
-            seen.add(round(float(est.array[0, 0]), 12))
+            seen.add(round(float(est[0, 0]), 12))
         assert seen == {2.0, -2.0}
 
     def test_unbiased_on_identity(self):
@@ -334,7 +334,7 @@ class TestApproxMatmul:
         acc = np.zeros((3, 3))
         trials = 400
         for _ in range(trials):
-            acc += approx_matmul(np.eye(3), np.eye(3), p, 300, stream).array
+            acc += approx_matmul(np.eye(3), np.eye(3), p, 300, stream)
         mean = acc / trials
         # each entry estimate has variance <= (harsh bound) 9/(s*trials)
         np.testing.assert_allclose(mean, np.eye(3), atol=0.05)
@@ -349,7 +349,7 @@ class TestApproxMatmul:
         p = SamplingDistribution(probs=np.array([1.0, 0.0]))
         a = np.array([[1.0], [0.0]])
         out = approx_matmul(a, a, p, 3, RngStream(0))
-        assert out.array[0, 0] == pytest.approx(1.0, rel=1e-15)
+        assert out[0, 0] == pytest.approx(1.0, rel=1e-15)
 
     def test_row_mismatch_rejected(self):
         p = uniform_distribution(2)

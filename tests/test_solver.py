@@ -96,12 +96,12 @@ class TestSketchedLstsq:
         b = np.array([[1.0], [2.0], [3.0]])
         p = SamplingDistribution(probs=np.array([0.5, 0.5, 0.0]))
         sol = sketched_lstsq(a, b, p, 64, RngStream(1))
-        np.testing.assert_allclose(sol.x_tilde.array, [[1.0], [2.0]], atol=1e-12)
+        np.testing.assert_allclose(sol.x_tilde, [[1.0], [2.0]], atol=1e-12)
 
     def test_one_row_system_is_exact(self):
         p = SamplingDistribution(probs=np.array([1.0]))
         sol = sketched_lstsq([[2.0]], [[6.0]], p, 5, RngStream(0))
-        assert sol.x_tilde.array[0, 0] == pytest.approx(3.0, rel=1e-15)
+        assert sol.x_tilde[0, 0] == pytest.approx(3.0, rel=1e-15)
         assert sol.sketched_residual_sq == pytest.approx(0.0, abs=1e-24)
 
     def test_matches_subsample_normal_equations(self):
@@ -115,7 +115,7 @@ class TestSketchedLstsq:
         sa = a[plan.draws, :] * plan.weights[:, None]
         sb = b[plan.draws, :] * plan.weights[:, None]
         x_ne = np.linalg.solve(sa.T @ sa, sa.T @ sb)
-        np.testing.assert_allclose(sol.x_tilde.array, x_ne, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(sol.x_tilde, x_ne, rtol=1e-8, atol=1e-10)
         assert sol.sketched_residual_sq == pytest.approx(
             fro_norm_sq(sa @ x_ne - sb), rel=1e-10
         )
@@ -149,7 +149,7 @@ class TestSketchedLstsq:
         p = leverage_distribution(leverage_scores(a))
         s1 = sketched_lstsq(a, b, p, 24, RngStream(77, 4))
         s2 = sketched_lstsq(a, b, p, 24, RngStream(77, 4))
-        np.testing.assert_array_equal(s1.x_tilde.array, s2.x_tilde.array)
+        np.testing.assert_array_equal(s1.x_tilde, s2.x_tilde)
         np.testing.assert_array_equal(s1.plan.draws, s2.plan.draws)
 
 
@@ -183,7 +183,7 @@ class TestAccuracyRatio:
         a = rng.standard_normal((30, 3))
         b = rng.standard_normal((30, 1))
         exact = exact_lstsq(a, b)
-        worse = exact.x_opt.array + 0.5
+        worse = exact.x_opt + 0.5
         assert accuracy_ratio(a, b, worse, exact) > 1.0
 
     def test_consistent_system_good_candidate(self):
