@@ -170,9 +170,8 @@ def check_bounds(
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-    arr = as_array(a)
-    barr = as_array(b)
-    xt, xo = sol.x_tilde, exact.x_opt
+    arr, barr = as_array(a), as_array(b)
+    xt, xo = as_array(sol.x_tilde), as_array(exact.x_opt)
     if spectral is None:
         spectral = spectral_extremes(arr)
 
@@ -311,7 +310,6 @@ class TrialScorer:
         q, bp = exact.basis.q, exact.b_perp
         block = np.empty((q.shape[0], q.shape[1] + bp.shape[1]))
         np.concatenate((q, bp), axis=1, out=block)
-        xo = exact.x_opt
         self._block = block
         self._rank = q.shape[1]
         self._r = exact.r_factor
@@ -325,8 +323,8 @@ class TrialScorer:
             exact.residual_sq,
             exact.b_norm_sq,
             exact.spectral,
-            float(np.linalg.norm(exact.r_factor @ xo)),
-            fro_norm_sq(xo),
+            float(np.linalg.norm(exact.r_factor @ exact.x_opt)),
+            fro_norm_sq(exact.x_opt),
         )
 
     def score(self, plan: SketchPlan) -> TrialScore:

@@ -11,7 +11,6 @@ the same bits and is the tests' oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +93,10 @@ class DenseMatrix:
         return self._a.reshape(-1, order="F")
 
     def __array__(self, dtype=None, copy=None):
-        return np.array(self._a, dtype=dtype, copy=copy)
-
-    def __repr__(self) -> str:
-        return f"DenseMatrix(rows={self.rows}, cols={self.cols})"
+        # numpy 1.x passes no ``copy`` and rejects ``np.array(copy=None)``.
+        if copy or (dtype is not None and np.dtype(dtype) != np.float64):
+            return np.array(self._a, dtype=dtype)
+        return self._a
 
 
 def fro_norm_sq(m) -> float:
@@ -287,7 +286,7 @@ def exact_lstsq(a, b) -> LstsqSolution:
         )
     # Before the QR: on column-major b the norm makes row-major copies.
     b_norm_sq = fro_norm_sq(barr)
-    if not math.isfinite(b_norm_sq):
+    if not np.isfinite(b_norm_sq):
         raise InvalidParameterError("b is too large: ||b||_F^2 overflows float64")
     q_fac, r_fac, sv = _qr_full_rank(arr)
     # Multiply by a row-major copy of q, as np.linalg.qr returns it: matmul's
@@ -298,7 +297,7 @@ def exact_lstsq(a, b) -> LstsqSolution:
     bp = barr - q_rows @ qtb
     residual_sq = fro_norm_sq(bp)
     x_opt = np.linalg.solve(r_fac, qtb)
-    if not (math.isfinite(residual_sq) and np.isfinite(x_opt).all()):
+    if not (np.isfinite(residual_sq) and np.isfinite(x_opt).all()):
         raise InvalidParameterError("x_opt or the residual overflows float64")
     # r_factor and x_opt stay column-major: the bits of r_factor @ x_opt in
     # the bound checks follow their layouts.

@@ -142,9 +142,8 @@ def generate_problem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, dict]:
         a = read_only(np.asfortranarray(arr))
         b = read_only(np.asfortranarray(barr))
         # The QR needs only the column-major copies: dropping the draws keeps
-        # one n x r array fewer alive at its peak.  Returning the row-major
-        # draws instead raised the peak RSS of three 100000 x 40 problems in a
-        # row by ~20% (glibc kept freed heap); the traced peaks were equal.
+        # one n x r array fewer alive at its peak (returning the row-major
+        # draws raised the peak RSS of 100000 x 40 problems by ~20%).
         del arr, barr
         try:
             exact = exact_lstsq(a, b)

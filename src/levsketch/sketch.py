@@ -232,8 +232,7 @@ def apply_sketch(plan: SketchPlan, m) -> DenseMatrix:
     """Apply the plan to a matrix: gather sampled rows, scaled by weights.
 
     Equivalent to multiplying by the dense ``s x n`` selection-and-rescale
-    operator, at ``O(s * cols)`` cost.  ``np.asarray`` of the result is its
-    read-only array.
+    operator, at ``O(s * cols)`` cost.  ``np.asarray`` of it is read-only.
     """
     arr = as_array(m)
     if arr.shape[0] != plan.n_source_rows:
@@ -294,8 +293,7 @@ def approx_matmul(a, b, p: SamplingDistribution, s: int, rng: RngStream) -> np.n
     UnsupportedRowError
         If a row where ``a`` or ``b`` is nonzero has zero probability.
     """
-    aarr = as_array(a)
-    barr = as_array(b)
+    aarr, barr = as_array(a), as_array(b)
     if aarr.shape[0] != barr.shape[0]:
         raise DimensionError(
             f"row counts differ: a has {aarr.shape[0]}, b has {barr.shape[0]}"
@@ -314,4 +312,8 @@ def approx_matmul(a, b, p: SamplingDistribution, s: int, rng: RngStream) -> np.n
     plan = build_sketch(p, s, rng)
     sa = np.asarray(apply_sketch(plan, aarr))
     sb = np.asarray(apply_sketch(plan, barr))
-    return read_only(sa.T @ sb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = sa.T @ sb
+    if not np.isfinite(product).all():
+        raise InvalidParameterError("the sampled product overflows float64")
+    return read_only(product)

@@ -80,8 +80,7 @@ def required_samples(r: int, beta: float, target: AccuracyTarget) -> int:
 
 def solve_with_plan(a, b, plan: SketchPlan) -> SketchSolution:
     """Minimize the sketched objective for an already-realized plan."""
-    arr = as_array(a)
-    barr = as_array(b)
+    arr, barr = as_array(a), as_array(b)
     n, r = arr.shape
     if barr.shape[0] != n:
         raise DimensionError(f"row counts differ: a has {n}, b has {barr.shape[0]}")
@@ -98,6 +97,8 @@ def solve_with_plan(a, b, plan: SketchPlan) -> SketchSolution:
         raise SketchRankDeficientError(
             f"sketch lost rank ({rank} < {r}); caller decides whether to resample"
         )
+    if not np.isfinite(x).all():
+        raise InvalidParameterError("x_tilde overflows float64")
     return SketchSolution(
         x_tilde=read_only(x),
         plan=plan,
@@ -147,8 +148,7 @@ def accuracy_ratio(a, b, x_tilde, exact: LstsqSolution) -> float:
     ``||b||_F^2``, returns ``1.0`` if the candidate also solves the system
     to working precision and ``inf`` otherwise.
     """
-    arr = as_array(a)
-    barr = as_array(b)
+    arr, barr = as_array(a), as_array(b)
     xt = as_array(x_tilde)
     resid_sq = fro_norm_sq(arr @ xt - barr)
     scale_sq = fro_norm_sq(barr)

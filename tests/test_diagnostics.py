@@ -169,6 +169,15 @@ class TestCheckBounds:
         assert not rep.residual_bound_holds
         assert not rep.solution_bound_holds
 
+    def test_nonfinite_candidate_rejected(self):
+        a, b = make_problem(6)
+        exact = exact_lstsq(a, b)
+        bad = np.array(exact.x_opt)
+        bad[0, 0] = np.inf
+        sol = SketchSolution(x_tilde=bad, plan=identity_plan(40), sketched_residual_sq=0.0)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            check_bounds(a, b, exact, sol, 0.2)
+
     def test_solution_limit_formula(self):
         a, b = make_problem(7)
         exact = exact_lstsq(a, b)

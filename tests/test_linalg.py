@@ -65,6 +65,28 @@ class TestDenseMatrix:
         with pytest.raises(InvalidParameterError):
             DenseMatrix.from_array([[np.inf, 0.0]])
 
+    def test_array_protocol_without_copy_keyword(self, monkeypatch):
+        # numpy 1.x calls __array__() or __array__(dtype) and rejects
+        # np.array(..., copy=None); mimic that numpy here.
+        real_array = np.array
+
+        def numpy1_array(obj, *args, copy=True, **kwargs):
+            if copy is None:
+                raise ValueError("NoneType copy mode not allowed")
+            return real_array(obj, *args, copy=copy, **kwargs)
+
+        m = DenseMatrix(2, 2, [1.0, 2.0, 3.0, 4.0])
+        monkeypatch.setattr(np, "array", numpy1_array)
+        assert m.__array__() is m.array
+        assert m.__array__(np.float64) is m.array
+        as32 = m.__array__(np.float32)
+        assert as32.dtype == np.float32
+        monkeypatch.undo()
+        np.testing.assert_array_equal(as32, m.array)
+        copied = m.__array__(None, copy=True)
+        assert copied is not m.array and copied.flags.writeable
+        np.testing.assert_array_equal(copied, m.array)
+
     def test_from_array_copies(self):
         src = np.ones((2, 2))
         m = DenseMatrix.from_array(src)

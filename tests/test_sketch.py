@@ -351,6 +351,12 @@ class TestApproxMatmul:
         out = approx_matmul(a, a, p, 3, RngStream(0))
         assert out[0, 0] == pytest.approx(1.0, rel=1e-15)
 
+    def test_overflowing_product_is_rejected(self):
+        p = uniform_distribution(2)
+        a = np.full((2, 1), 1e200)
+        with pytest.raises(InvalidParameterError, match="product overflows"):
+            approx_matmul(a, a, p, 3, RngStream(0))
+
     def test_row_mismatch_rejected(self):
         p = uniform_distribution(2)
         with pytest.raises(DimensionError):

@@ -136,6 +136,14 @@ class TestSketchedLstsq:
         with pytest.raises(SketchRankDeficientError):
             sketched_lstsq(a, b, p, 8, RngStream(5))
 
+    def test_overflowing_solution_is_rejected(self):
+        # Finite inputs whose least-squares solution is past the float64 range.
+        rng = np.random.default_rng(16)
+        a = 1e-300 * rng.standard_normal((40, 3))
+        b = 1e10 * rng.standard_normal((40, 2))
+        with pytest.raises(InvalidParameterError, match="x_tilde overflows"):
+            sketched_lstsq(a, b, uniform_distribution(40), 20, RngStream(0))
+
     def test_row_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             sketched_lstsq(
