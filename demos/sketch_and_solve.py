@@ -6,6 +6,8 @@ Build a tall least-squares problem, sample a few hundred of its rows by
 leverage, solve the small problem, and compare against the exact answer.
 """
 
+import numpy as np
+
 from levsketch import (
     AccuracyTarget,
     ProblemSpec,
@@ -43,5 +45,5 @@ for s in (60, 300, 1500):
 # the sketch touches s rows out of 20000; the solve is s x 6 instead of
 # 20000 x 6
 sol = sketched_lstsq(a, b, dist, 300, RngStream(2024, stream_index=1))
-rows_touched = sol.plan.unique_rows.size
+rows_touched = np.unique(sol.plan.draws).size
 print(f"rows touched at s = 300: {rows_touched} of {a.shape[0]}")

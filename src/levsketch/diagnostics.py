@@ -329,10 +329,15 @@ class TrialScorer:
 
     def score(self, plan: SketchPlan) -> TrialScore:
         """Measure one realized plan: :meth:`score_chunk` of a chunk that
-        holds only its multiset."""
-        offsets = np.array([0, plan.unique_rows.size])
-        return self.score_chunk(SketchChunk(plan.n_source_rows, plan.n_samples,
-                                            plan.unique_rows, plan.weight_sq_sums, offsets))[0]
+        holds only its multiset, the distinct rows drawn (ascending) with the
+        sums of their squared weights."""
+        rows, inverse = np.unique(plan.draws, return_inverse=True)
+        # A weight past ~1e154 squares to inf; score_chunk rejects that.
+        with np.errstate(over="ignore"):
+            weight_sq_sums = np.bincount(inverse, weights=plan.weights * plan.weights,
+                                         minlength=rows.size)
+        return self.score_chunk(SketchChunk(plan.n_source_rows, plan.n_samples, rows,
+                                            weight_sq_sums, np.array([0, rows.size])))[0]
 
     def score_chunk(self, chunk: SketchChunk) -> list[TrialScore]:
         """Measure every sketch of a chunk, in order.

@@ -33,7 +33,8 @@ from .leverage import (
     uniform_distribution,
 )
 from .problems import ProblemSpec, generate_problem
-from .sketch import RngStream, build_sketch, draw_chunk  # noqa: F401 - re-exports build_sketch
+# build_sketch is unused here; perfbench's tracer test checks that it wraps this binding.
+from .sketch import RngStream, build_sketch, draw_chunk  # noqa: F401
 from .solver import AccuracyTarget, required_samples
 
 #: Most rows one sketch may draw; a sketch of s rows is gathered into

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DimensionError, InvalidParameterError, UnsupportedRowError
-from .linalg import OrthonormalBasis, orthonormal_basis
+from .linalg import OrthonormalBasis, orthonormal_basis, read_only
 
 _SCORE_SUM_TOL = 1e-8
 _UNIT_TOL = 1e-12
@@ -26,15 +26,15 @@ class LeverageProfile:
     """Per-row leverage scores of a full-column-rank matrix."""
 
     scores: np.ndarray
-    coherence: float
     rank: int
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=np.float64)
-        scores.setflags(write=False)
+        scores = read_only(np.asarray(self.scores, dtype=np.float64))
         object.__setattr__(self, "scores", scores)
         if scores.ndim != 1 or scores.size < 1:
             raise DimensionError("scores must be a nonempty 1-D array")
+        if not np.all(np.isfinite(scores)):
+            raise InvalidParameterError("scores must be finite")
         if self.rank < 1 or self.rank > scores.size:
             raise InvalidParameterError(f"rank {self.rank} out of range")
         if scores.min() < 0.0 or scores.max() > 1.0 + _UNIT_TOL:
@@ -43,10 +43,11 @@ class LeverageProfile:
             raise InvalidParameterError(
                 f"scores sum to {scores.sum()!r}, expected rank {self.rank}"
             )
-        if abs(self.coherence - float(scores.max())) > _UNIT_TOL:
-            raise InvalidParameterError("coherence must equal max(scores)")
-        if self.coherence < self.rank / scores.size - _UNIT_TOL:
-            raise InvalidParameterError("coherence below rank/n is impossible")
+
+    @property
+    def coherence(self) -> float:
+        """The largest score, in ``[rank/n, 1]``."""
+        return float(self.scores.max())
 
     @property
     def n_rows(self) -> int:
@@ -56,17 +57,19 @@ class LeverageProfile:
 @dataclass(frozen=True)
 class SamplingDistribution:
     """Probability vector over rows, optionally annotated with the exact
-    misestimation factor ``beta`` relative to the profile it was built from."""
+    misestimation factor ``beta`` relative to the profile it was built from.
+    The distribution keeps a read-only copy of ``probs``."""
 
     probs: np.ndarray
     beta: float | None = field(default=None)
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        probs.setflags(write=False)
+        probs = read_only(np.array(self.probs, dtype=np.float64))
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size < 1:
             raise DimensionError("probs must be a nonempty 1-D array")
+        if not np.all(np.isfinite(probs)):
+            raise InvalidParameterError("probabilities must be finite")
         if probs.min() < 0.0:
             raise InvalidParameterError("probabilities must be nonnegative")
         total = float(probs.sum())
@@ -121,9 +124,7 @@ def profile_from_basis(basis: OrthonormalBasis) -> LeverageProfile:
     q = basis.q
     scores = np.einsum("ij,ij->i", q, q)
     # Rounding can push a score a hair past 1; the profile tolerates 1e-12.
-    return LeverageProfile(
-        scores=scores, coherence=float(scores.max()), rank=basis.source_rank
-    )
+    return LeverageProfile(scores=scores, rank=basis.source_rank)
 
 
 def leverage_scores(a) -> LeverageProfile:

@@ -111,29 +111,27 @@ def fro_norm_sq(m) -> float:
 class OrthonormalBasis:
     """Orthonormal basis ``q`` for the column space of a full-rank matrix.
 
-    ``source_rank`` is the rank of the source matrix, which equals the
-    number of basis columns.  Construction checks orthonormality and keeps
-    a read-only copy of ``q``.
+    Construction checks orthonormality and keeps a read-only copy of ``q``.
     """
 
     q: np.ndarray
-    source_rank: int
 
     @classmethod
     def _of_qr(cls, q: np.ndarray) -> "OrthonormalBasis":
         """A QR's ``q``, orthonormal by construction: no n x r^2 check."""
         obj = cls.__new__(cls)
-        obj.__dict__.update(q=read_only(q), source_rank=q.shape[1])
+        obj.__dict__.update(q=read_only(q))
         return obj
+
+    @property
+    def source_rank(self) -> int:
+        """The rank of the source matrix: the number of basis columns."""
+        return self.q.shape[1]
 
     def __post_init__(self) -> None:
         qa = read_only(np.array(as_array(self.q)))
         object.__setattr__(self, "q", qa)
         n, r = qa.shape
-        if self.source_rank != r:
-            raise InvalidParameterError(
-                f"source_rank {self.source_rank} does not match basis width {r}"
-            )
         if n < r:
             raise DimensionError(f"basis cannot be wider than tall, got {n}x{r}")
         gram = qa.T @ qa
@@ -175,17 +173,17 @@ class SpectralSummary:
 
     sigma_min: float
     sigma_max: float
-    kappa: float
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.sigma_min <= self.sigma_max):
             raise InvalidParameterError(
                 f"need 0 <= sigma_min <= sigma_max, got {self.sigma_min}, {self.sigma_max}"
             )
-        if self.sigma_min > 0:
-            expected = self.sigma_max / self.sigma_min
-            if abs(self.kappa - expected) > 1e-12 * max(1.0, expected):
-                raise InvalidParameterError("kappa does not equal sigma_max/sigma_min")
+
+    @property
+    def kappa(self) -> float:
+        """``sigma_max / sigma_min``, or ``inf`` when ``sigma_min`` is 0."""
+        return self.sigma_max / self.sigma_min if self.sigma_min > 0.0 else float("inf")
 
 
 def _lapack(routine, *args) -> None:
@@ -219,10 +217,7 @@ def _qr_full_rank(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _spectral_summary(sv: np.ndarray) -> SpectralSummary:
-    smax = float(sv[0])
-    smin = float(sv[-1])
-    kappa = smax / smin if smin > 0.0 else float("inf")
-    return SpectralSummary(sigma_min=smin, sigma_max=smax, kappa=kappa)
+    return SpectralSummary(sigma_min=float(sv[-1]), sigma_max=float(sv[0]))
 
 
 def orthonormal_basis(a) -> OrthonormalBasis:

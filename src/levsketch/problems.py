@@ -7,6 +7,7 @@ loaded from matrix files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,9 @@ class ProblemSpec:
                 f"a {self.n_rows}x{self.n_cols} problem with {self.rhs_cols} right-hand "
                 f"side(s) has {entries} entries, over the budget of {MAX_ENTRIES}"
             )
-        if self.noise_scale < 0.0:
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
             raise InvalidParameterError(
-                f"noise_scale must be >= 0, got {self.noise_scale}"
+                f"noise_scale must be finite and >= 0, got {self.noise_scale}"
             )
         if self.kind == "spiked-coherent":
             lo = self.n_cols / self.n_rows

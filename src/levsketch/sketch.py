@@ -2,17 +2,16 @@
 
 A sketch plan records ``s`` independent row draws from a sampling
 distribution plus the rescaling weight ``1/sqrt(s * p[draw])`` for each.
-It also records the multiset of its draws: the distinct rows drawn and, for
-each, the sum of its squared weights.  That is all of ``S^T S``, which is
-all a least-squares trial depends on; :func:`draw_chunk` draws only the
-multisets of a chunk of sketches.  Applying a plan to a matrix keeps the
-sampled, rescaled rows; the implied sketching operator is never materialized
-densely outside of tests.
+The multiset of its draws (the distinct rows drawn and, for each, the sum of
+its squared weights) is all of ``S^T S``, which is all a least-squares trial
+depends on; :func:`draw_chunk` draws only the multisets of a chunk of
+sketches.  Applying a plan to a matrix keeps the sampled, rescaled rows; the
+implied sketching operator is never materialized densely outside of tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -73,14 +72,8 @@ class SketchPlan:
 
     ``weights[t] * sqrt(n_samples * p[draws[t]]) == 1`` for the source
     distribution ``p``, whose checksum is kept in ``source_probs_digest``.
-    ``draws`` and ``weights`` are in draw order.
-
-    ``unique_rows`` lists the distinct rows drawn, ascending, and
-    ``weight_sq_sums[k]`` is the sum of ``weights[t]**2`` over the draws of
-    ``unique_rows[k]``, so ``S^T S`` is the diagonal matrix with
-    ``weight_sq_sums`` at ``unique_rows``.  Both are derived from ``draws``
-    and ``weights``; :func:`build_sketch` takes them from its sorted search
-    instead.
+    ``draws`` and ``weights`` are in draw order; the plan keeps read-only
+    copies of them.
     """
 
     n_source_rows: int
@@ -88,12 +81,10 @@ class SketchPlan:
     draws: np.ndarray
     weights: np.ndarray
     source_probs_digest: str
-    unique_rows: np.ndarray = field(init=False)
-    weight_sq_sums: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        draws = np.asarray(self.draws, dtype=np.int64)
-        weights = np.asarray(self.weights, dtype=np.float64)
+        draws = read_only(np.array(self.draws, dtype=np.int64))
+        weights = read_only(np.array(self.weights, dtype=np.float64))
         if self.n_samples < 1:
             raise InvalidSampleCountError(f"need n_samples >= 1, got {self.n_samples}")
         if draws.shape != (self.n_samples,) or weights.shape != (self.n_samples,):
@@ -102,25 +93,8 @@ class SketchPlan:
             raise DimensionError("draw indices out of range")
         if not np.all(np.isfinite(weights)) or weights.min() <= 0.0:
             raise InvalidParameterError("weights must be finite and positive")
-        rows, inverse = np.unique(draws, return_inverse=True)
-        # A weight past ~1e154 squares to inf; the scorer rejects that.
-        with np.errstate(over="ignore"):
-            weight_sq_sums = np.bincount(inverse, weights=weights * weights, minlength=rows.size)
-        for name, arr in (("draws", draws), ("weights", weights), ("unique_rows", rows),
-                          ("weight_sq_sums", weight_sq_sums)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def _trusted(cls, **fields) -> "SketchPlan":
-        """A plan from the arrays :func:`build_sketch` has just made, valid by
-        construction: a trial's plan is not checked again."""
-        plan = object.__new__(cls)
-        for name, value in fields.items():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-            object.__setattr__(plan, name, value)
-        return plan
+        object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "weights", weights)
 
 
 def _uniforms(s: int, streams: Sequence[RngStream]) -> np.ndarray:
@@ -170,38 +144,24 @@ def _multisets(p: SamplingDistribution, sorted_rows: np.ndarray):
 
 
 def multinomial_draws(p: SamplingDistribution, s: int, rng: RngStream) -> np.ndarray:
-    """Draw ``s`` independent row indices distributed according to ``p``:
-    the draws of :func:`build_sketch`, in draw order.  Rows with zero
+    """Draw ``s`` independent row indices distributed according to ``p``, in
+    draw order: inverse-CDF lookups of ``s`` uniforms from ``rng`` in
+    ``p.cdf`` through its guide table (Chen & Asau 1974).  Rows with zero
     probability are never drawn."""
-    return build_sketch(p, s, rng).draws
+    return _search(p, _uniforms(s, [rng])[0])
 
 
 def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
     """Draw a sketch plan of ``s`` rows from ``p`` with rescaling weights.
 
-    The weight ``1/sqrt(s * p[i])`` makes sketched squared norms unbiased:
+    The draws are :func:`multinomial_draws`, and the weight
+    ``1/sqrt(s * p[i])`` makes sketched squared norms unbiased:
     ``E ||S x||^2 = ||x||^2`` for any fixed vector ``x`` supported on rows
-    with positive probability.  Draws are inverse-CDF lookups of ``s`` uniforms
-    from ``rng`` in ``p.cdf`` through its guide table (Chen & Asau 1974), in
-    sorted order, so runs of equal rows give the plan's multiset, and the
-    draws and weights are scattered back to draw order.
+    with positive probability.
     """
-    u = _uniforms(s, [rng])[0]
-    order = np.argsort(u)
-    rows = _search(p, u[order])
-    unique_rows, weight_sq_sums, _ = _multisets(p, rows[None])
-    draws, weights = np.empty_like(rows), np.empty(rows.size)
-    draws[order] = rows
-    weights[order] = 1.0 / np.sqrt(rows.size * p.probs[rows])
-    return SketchPlan._trusted(
-        n_source_rows=p.n_rows,
-        n_samples=rows.size,
-        draws=draws,
-        weights=weights,
-        source_probs_digest=p.digest,
-        unique_rows=unique_rows,
-        weight_sq_sums=weight_sq_sums,
-    )
+    draws = multinomial_draws(p, s, rng)
+    weights = 1.0 / np.sqrt(draws.size * p.probs[draws])
+    return SketchPlan(p.n_rows, draws.size, draws, weights, p.digest)
 
 
 class SketchChunk(NamedTuple):
@@ -219,7 +179,7 @@ class SketchChunk(NamedTuple):
 def draw_chunk(p: SamplingDistribution, s: int, streams: Sequence[RngStream]) -> SketchChunk:
     """One sketch of ``s`` rows from ``p`` per stream, as multisets only.
 
-    Sketch ``t`` is the multiset of ``build_sketch(p, s, streams[t])`` bit
+    Sketch ``t`` is the multiset of ``multinomial_draws(p, s, streams[t])`` bit
     for bit, from one sort of the ``(T, s)`` uniforms along their rows, one
     guide-table lookup (:func:`_search`) and one run-length pass.
     """

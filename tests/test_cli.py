@@ -313,6 +313,20 @@ class TestBench:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_scale_is_exit_1(self, tmp_path, capsys, noise):
+        # NaN fails every comparison: a range check alone lets it through,
+        # and the problem is built without noise.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n_rows = 200\nnoise_scale = {noise}\ntrials = 2\n")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: noise_scale must be finite and >= 0, got {noise}"]
+        assert not out.exists()
+
     def test_overflowing_b_file_is_exit_1(self, problem_files, tmp_path, capsys):
         # Every entry is finite, but ||B||_F^2 is past the float64 range: an
         # error, not a report of perfect solves.

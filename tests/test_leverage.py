@@ -12,12 +12,14 @@ from levsketch import (
     DimensionError,
     InvalidParameterError,
     LeverageProfile,
+    RngStream,
     SamplingDistribution,
     UnsupportedRowError,
     blended_distribution,
     leverage_distribution,
     leverage_scores,
     misestimation_beta,
+    multinomial_draws,
     orthonormal_basis,
     profile_from_basis,
     uniform_distribution,
@@ -69,7 +71,7 @@ def test_scores_invariant_to_basis_choice():
     rotated = basis.q @ rot
     from levsketch import DenseMatrix, OrthonormalBasis
 
-    other = OrthonormalBasis(q=DenseMatrix.from_array(rotated), source_rank=3)
+    other = OrthonormalBasis(q=DenseMatrix.from_array(rotated))
     np.testing.assert_allclose(
         profile_from_basis(other).scores, profile_from_basis(basis).scores, atol=1e-12
     )
@@ -93,15 +95,18 @@ def test_axioms_property(seed):
 class TestLeverageProfileValidation:
     def test_sum_must_equal_rank(self):
         with pytest.raises(InvalidParameterError):
-            LeverageProfile(scores=np.array([0.5, 0.4]), coherence=0.5, rank=2)
+            LeverageProfile(scores=np.array([0.5, 0.4]), rank=2)
 
     def test_coherence_must_be_max(self):
-        with pytest.raises(InvalidParameterError):
-            LeverageProfile(scores=np.array([0.7, 0.3]), coherence=0.3, rank=1)
+        assert LeverageProfile(scores=np.array([0.3, 0.7]), rank=1).coherence == 0.7
 
     def test_scores_bounded_by_one(self):
         with pytest.raises(InvalidParameterError):
-            LeverageProfile(scores=np.array([1.5, 0.5]), coherence=1.5, rank=2)
+            LeverageProfile(scores=np.array([1.5, 0.5]), rank=2)
+
+    def test_scores_must_be_finite(self):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            LeverageProfile(scores=np.array([np.nan, 0.5]), rank=1)
 
 
 class TestDistributions:
@@ -125,6 +130,23 @@ class TestDistributions:
     def test_negative_probs_rejected(self):
         with pytest.raises(InvalidParameterError):
             SamplingDistribution(probs=np.array([1.5, -0.5]))
+
+    def test_probs_must_be_finite(self):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            SamplingDistribution(probs=np.array([np.nan, 1.0]))
+
+    def test_keeps_a_read_only_copy(self):
+        # A later write to the caller's array must not reach the distribution,
+        # whose cached CDF, guide table and digest describe the old values.
+        base = np.array([0.25, 0.25, 0.25, 0.25])
+        d = SamplingDistribution(probs=base[:])
+        assert base.flags.writeable and not d.probs.flags.writeable
+        digest = d.digest
+        base[:] = [0.0, 0.0, 0.5, 0.5]
+        np.testing.assert_array_equal(d.probs, [0.25] * 4)
+        assert d.digest == digest
+        draws = multinomial_draws(d, 64, RngStream(1))
+        np.testing.assert_array_equal(np.unique(draws), [0, 1, 2, 3])
 
     def test_digest_distinguishes_vectors(self):
         d1 = SamplingDistribution(probs=np.array([0.5, 0.5]))

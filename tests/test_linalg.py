@@ -158,12 +158,13 @@ class TestOrthonormalBasis:
     def test_constructor_rejects_skewed_basis(self):
         bad = np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(InvalidParameterError):
-            OrthonormalBasis(q=DenseMatrix.from_array(bad), source_rank=2)
+            OrthonormalBasis(q=DenseMatrix.from_array(bad))
 
     def test_constructor_rejects_wrong_rank(self):
-        q = np.eye(3)[:, :2]
-        with pytest.raises(InvalidParameterError):
-            OrthonormalBasis(q=DenseMatrix.from_array(q), source_rank=3)
+        # The rank is the basis width, and a basis wider than tall cannot have it.
+        assert OrthonormalBasis(q=DenseMatrix.from_array(np.eye(3)[:, :2])).source_rank == 2
+        with pytest.raises(DimensionError):
+            OrthonormalBasis(q=DenseMatrix.from_array(np.eye(3)[:2]))
 
 
 class TestExactLstsq:
@@ -374,7 +375,7 @@ class TestSpectralExtremes:
         assert summary.kappa == np.inf
 
     def test_summary_validates_kappa(self):
+        assert SpectralSummary(sigma_min=0.5, sigma_max=2.0).kappa == 4.0
+        assert SpectralSummary(sigma_min=0.0, sigma_max=2.0).kappa == np.inf
         with pytest.raises(InvalidParameterError):
-            SpectralSummary(sigma_min=1.0, sigma_max=2.0, kappa=7.0)
-        with pytest.raises(InvalidParameterError):
-            SpectralSummary(sigma_min=3.0, sigma_max=2.0, kappa=1.0)
+            SpectralSummary(sigma_min=3.0, sigma_max=2.0)

@@ -212,6 +212,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameterError):
             ProblemSpec("gaussian-incoherent", n_rows=10, n_cols=2, noise_scale=-1.0)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_noise_finite(self, noise):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ProblemSpec("gaussian-incoherent", n_rows=10, n_cols=2, noise_scale=noise)
+
     def test_entry_budget(self):
         # Shapes are checked before anything is allocated, so neither spec
         # below allocates; the budget counts the entries of A and b together.

@@ -194,6 +194,23 @@ class TestSketchPlan:
                 source_probs_digest="x",
             )
 
+    def test_keeps_read_only_copies(self):
+        draws, weights = np.array([2, 0], dtype=np.int64), np.array([1.0, 2.0])
+        plan = SketchPlan(3, 2, draws, weights, "x")
+        assert draws.flags.writeable and weights.flags.writeable
+        draws[0], weights[0] = 1, 5.0
+        np.testing.assert_array_equal(plan.draws, [2, 0])
+        np.testing.assert_array_equal(plan.weights, [1.0, 2.0])
+        for arr in (plan.draws, plan.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_build_goes_through_the_checked_constructor(self, monkeypatch):
+        search = sketch_mod._search
+        monkeypatch.setattr(sketch_mod, "_search", lambda p, u: search(p, u) - 1)
+        with pytest.raises(DimensionError, match="out of range"):
+            build_sketch(uniform_distribution(3), 50, RngStream(0))
+
 
 class TestApplyAgainstDenseOracle:
     def test_apply_sketch_matches(self):
@@ -285,29 +302,32 @@ def test_norm_preserved_exactly_for_constant_leverage(seed, s):
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_plan_multiset_is_the_draws_aggregated(raw, r, s_rule, seed):
-    """The plan's distinct rows and summed squared weights are the draws'
-    multiset, and they give the same S^T S as the dense operator."""
+    """The multiset of a plan's draws (distinct rows, summed squared weights)
+    is draw_chunk's for the same stream, and it gives the same S^T S as the
+    dense operator."""
     s = {"1": 1, "r-1": r - 1, "r": r, "6r": 6 * r}[s_rule]
     assume(s >= 1)
     probs = np.array(raw) / sum(raw)
     p = SamplingDistribution(probs=probs)
     plan = build_sketch(p, s, RngStream(seed, 3))
     np.testing.assert_array_equal(plan.draws, multinomial_draws(p, s, RngStream(seed, 3)))
+    assert plan.draws.dtype == np.int64
     rows, inverse, counts = np.unique(plan.draws, return_inverse=True, return_counts=True)
-    np.testing.assert_array_equal(plan.unique_rows, rows)
-    assert plan.unique_rows.dtype == np.int64
-    assert np.all(probs[plan.unique_rows] > 0.0)
+    chunk = draw_chunk(p, s, [RngStream(seed, 3)])
+    np.testing.assert_array_equal(chunk.unique_rows, rows)
+    np.testing.assert_array_equal(chunk.offsets, [0, rows.size])
+    assert np.all(probs[rows] > 0.0)
     summed = np.bincount(inverse, weights=plan.weights**2, minlength=rows.size)
-    np.testing.assert_allclose(plan.weight_sq_sums, summed, rtol=1e-13)
-    np.testing.assert_allclose(plan.weight_sq_sums, counts / (s * probs[rows]), rtol=1e-15)
+    np.testing.assert_allclose(chunk.weight_sq_sums, summed, rtol=1e-13)
+    np.testing.assert_array_equal(chunk.weight_sq_sums, counts / (s * probs[rows]))
     dense = materialize_sketch(plan)
     sts = np.zeros((p.n_rows, p.n_rows))
-    sts[plan.unique_rows, plan.unique_rows] = plan.weight_sq_sums
+    sts[rows, rows] = summed
     np.testing.assert_allclose(sts, dense.T @ dense, rtol=1e-13, atol=0.0)
-    # A hand-built copy of the plan derives the same multiset.
+    # A hand-built copy of the plan holds the same draws and weights.
     copy = SketchPlan(p.n_rows, s, plan.draws, plan.weights, plan.source_probs_digest)
-    np.testing.assert_array_equal(copy.unique_rows, plan.unique_rows)
-    np.testing.assert_allclose(copy.weight_sq_sums, plan.weight_sq_sums, rtol=1e-13)
+    np.testing.assert_array_equal(copy.draws, plan.draws)
+    np.testing.assert_array_equal(copy.weights, plan.weights)
 
 
 class TestApproxMatmul:
