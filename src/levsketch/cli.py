@@ -250,7 +250,7 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("--dist", default="leverage",
                          help="leverage | uniform | blended:ALPHA")
     p_solve.add_argument("--samples", default="auto",
-                         help="auto | INT | xR:INT")
+                         help="auto | INT | xr:K")
     p_solve.add_argument("--epsilon", type=float, default=0.1)
     p_solve.add_argument("--delta", type=float, default=0.1)
     p_solve.add_argument("--seed", type=int, default=0)
@@ -272,7 +272,7 @@ def _build_parser() -> _Parser:
     p_bench.add_argument("--delta", type=float, default=None)
     p_bench.add_argument("--dist", default=None,
                          help="leverage | uniform | blended:ALPHA")
-    p_bench.add_argument("--samples", default=None, help="auto | INT | xR:INT")
+    p_bench.add_argument("--samples", default=None, help="auto | INT | xr:K")
     p_bench.add_argument("--cap-samples", dest="cap_samples", type=int, default=None,
                          help="cap the sample count (0 = no cap)")
     p_bench.add_argument("--out", default="report.csv", help="CSV report path")

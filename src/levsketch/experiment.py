@@ -32,6 +32,7 @@ from .leverage import (
     misestimation_beta,
     uniform_distribution,
 )
+from .linalg import as_int
 from .problems import ProblemSpec, generate_problem
 # build_sketch is unused here; perfbench's tracer test checks that it wraps this binding.
 from .sketch import RngStream, build_sketch, draw_chunk  # noqa: F401
@@ -110,6 +111,8 @@ class TrialConfig:
         parse_distribution_spec(self.distribution)
         parse_sample_rule(self.sample_rule)
         RngStream(self.master_seed)  # the trial streams' seed check, before any work
+        for name in ("n_trials", "cap_samples"):
+            as_int(getattr(self, name), name)
         if self.n_trials < 1:
             raise InvalidParameterError(f"need n_trials >= 1, got {self.n_trials}")
         if self.cap_samples < 0:

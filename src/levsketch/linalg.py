@@ -11,6 +11,7 @@ the same bits and is the tests' oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,15 @@ def as_array(m) -> np.ndarray:
     return a
 
 
+def as_int(value, name: str) -> int:
+    """The boundary check for an integer parameter: ``value`` as an int; a
+    non-integral value such as ``2.5`` raises instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 def read_only(a: np.ndarray) -> np.ndarray:
     """Mark an array the library built and hands out as read-only."""
     a.setflags(write=False)
@@ -45,58 +55,32 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 class DenseMatrix:
-    """Immutable checked column-major matrix, as ``read_matrix`` and
-    ``apply_sketch`` return it; ``np.asarray(m)`` is its read-only array.
-    """
+    """Checked read-only view of a matrix, as ``read_matrix`` and ``apply_sketch``
+    return it: ``array`` is ``as_array`` of the given array, marked read-only in
+    place without a copy, and ``np.asarray(m)`` is ``m.array``."""
 
-    __slots__ = ("_a",)
+    __slots__ = ("array",)
 
-    def __init__(self, rows: int, cols: int, data) -> None:
-        if rows < 1 or cols < 1:
-            raise DimensionError(f"matrix shape must be positive, got {rows}x{cols}")
-        flat = np.array(data, dtype=np.float64, order="C").reshape(-1)
-        if flat.size != rows * cols:
-            raise DimensionError(
-                f"data length {flat.size} does not match shape {rows}x{cols}"
-            )
-        self._a = read_only(as_array(flat.reshape((rows, cols), order="F")))
-
-    @classmethod
-    def from_array(cls, arr) -> "DenseMatrix":
-        """Build from any 2-D array-like, copying into column-major storage."""
-        a = np.asarray(arr, dtype=np.float64)
-        if a.ndim != 2:
-            raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
-        # The row-major order of a.T is the column-major order of a.
-        return cls(*a.shape, a.T)
+    def __init__(self, array) -> None:
+        self.array = read_only(as_array(array))
 
     @property
     def rows(self) -> int:
-        return self._a.shape[0]
+        return self.array.shape[0]
 
     @property
     def cols(self) -> int:
-        return self._a.shape[1]
+        return self.array.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only 2-D float64 view."""
-        return self._a
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only flat view of the entries in column-major order."""
-        return self._a.reshape(-1, order="F")
+        return self.array.shape
 
     def __array__(self, dtype=None, copy=None):
         # numpy 1.x passes no ``copy`` and rejects ``np.array(copy=None)``.
         if copy or (dtype is not None and np.dtype(dtype) != np.float64):
-            return np.array(self._a, dtype=dtype)
-        return self._a
+            return np.array(self.array, dtype=dtype)
+        return self.array
 
 
 def fro_norm_sq(m) -> float:

@@ -67,7 +67,8 @@ def read_text(path: str | os.PathLike, error: type[LevSketchError]) -> str:
 
 
 def read_matrix(path: str | os.PathLike) -> DenseMatrix:
-    """Read a Matrix Market array-format file.
+    """Read a Matrix Market array-format file into a column-major
+    :class:`DenseMatrix` whose array is a read-only view of the parsed entries.
 
     Raises
     ------
@@ -119,8 +120,10 @@ def _parse_body_at_once(text: str) -> DenseMatrix | None:
         return None
     try:
         # float() decides every value, exactly as in _parse_lines; DenseMatrix
-        # rejects a non-finite entry.
-        return DenseMatrix(rows, cols, np.fromiter(map(float, tokens), np.float64, len(tokens)))
+        # rejects a non-finite entry.  The transpose of the (cols, rows)
+        # reshape is a column-major view of the entries in file order.
+        flat = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        return DenseMatrix(flat.reshape(cols, rows).T)
     except ValueError:
         return None
 
@@ -186,4 +189,4 @@ def _parse_lines(raw: str) -> DenseMatrix:
         raise MatrixMarketParseError(
             f"expected {rows * cols} entries, found {len(values)}", line=lineno
         )
-    return DenseMatrix(rows, cols, values)
+    return DenseMatrix(np.array(values).reshape(cols, rows).T)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import GenerationFailedError, InvalidParameterError, RankDeficientError
 from .leverage import profile_from_basis
-from .linalg import LstsqSolution, exact_lstsq, read_only
+from .linalg import LstsqSolution, as_int, exact_lstsq, read_only
 from .mmio import read_matrix
 from .sketch import RngStream
 
@@ -51,6 +51,8 @@ class ProblemSpec:
             raise InvalidParameterError(
                 f"unknown problem kind {self.kind!r}; choose from {PROBLEM_KINDS}"
             )
+        for name in ("n_rows", "n_cols", "rhs_cols", "seed"):
+            as_int(getattr(self, name), name)
         if self.kind == "custom-file":
             if not self.a_path or not self.b_path:
                 raise InvalidParameterError(

@@ -23,7 +23,7 @@ from .exceptions import (
     UnsupportedRowError,
 )
 from .leverage import SamplingDistribution
-from .linalg import DenseMatrix, as_array, read_only
+from .linalg import DenseMatrix, as_array, as_int, read_only
 
 
 class RngStream:
@@ -42,14 +42,12 @@ class RngStream:
     __slots__ = ("seed", "stream_index", "_generator")
 
     def __init__(self, seed: int, stream_index: int = 0) -> None:
-        if not (0 <= int(seed) < 2**64):
+        self.seed = as_int(seed, "seed")
+        self.stream_index = as_int(stream_index, "stream_index")
+        if not (0 <= self.seed < 2**64):
             raise InvalidParameterError(f"seed must be a 64-bit integer, got {seed}")
-        if int(stream_index) < 0:
-            raise InvalidParameterError(
-                f"stream_index must be nonnegative, got {stream_index}"
-            )
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
+        if self.stream_index < 0:
+            raise InvalidParameterError(f"stream_index must be nonnegative, got {stream_index}")
         self._generator: np.random.Generator | None = None
 
     @property
@@ -192,14 +190,15 @@ def apply_sketch(plan: SketchPlan, m) -> DenseMatrix:
     """Apply the plan to a matrix: gather sampled rows, scaled by weights.
 
     Equivalent to multiplying by the dense ``s x n`` selection-and-rescale
-    operator, at ``O(s * cols)`` cost.  ``np.asarray`` of it is read-only.
+    operator, at ``O(s * cols)`` cost.  The product is written once, column-major,
+    and ``np.asarray`` of the result is that read-only array.
     """
     arr = as_array(m)
     if arr.shape[0] != plan.n_source_rows:
         raise DimensionError(
             f"matrix has {arr.shape[0]} rows, plan expects {plan.n_source_rows}"
         )
-    return DenseMatrix.from_array(arr[plan.draws, :] * plan.weights[:, None])
+    return DenseMatrix(np.multiply(arr[plan.draws, :], plan.weights[:, None], order="F"))
 
 
 def sketched_norm_sq(plan: SketchPlan, x, probs: SamplingDistribution | None = None) -> float:
@@ -209,17 +208,19 @@ def sketched_norm_sq(plan: SketchPlan, x, probs: SamplingDistribution | None = N
     ----------
     plan : SketchPlan
     x : array-like, shape (n,)
-        Vector over the source rows.
+        Finite vector over the source rows.
     probs : SamplingDistribution, optional
         When given, it is checked against the plan's digest and used to
         verify that every nonzero coordinate of ``x`` was drawable;
         otherwise that contract is the caller's responsibility.
     """
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    if xv.size != plan.n_source_rows:
+    xv = np.asarray(x, dtype=np.float64)
+    if xv.shape != (plan.n_source_rows,):
         raise DimensionError(
-            f"vector has {xv.size} entries, plan expects {plan.n_source_rows}"
+            f"x has shape {xv.shape}, plan expects ({plan.n_source_rows},)"
         )
+    if not np.all(np.isfinite(xv)):
+        raise InvalidParameterError("x must have finite entries")
     if probs is not None:
         if probs.digest != plan.source_probs_digest:
             raise InvalidParameterError(

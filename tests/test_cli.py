@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levsketch import ConfigParseError, DenseMatrix, leverage_scores, read_matrix, write_matrix
+from levsketch import ConfigParseError, leverage_scores, read_matrix, write_matrix
 from levsketch.cli import main, read_config
 
 
@@ -34,8 +34,8 @@ def problem_files(tmp_path):
     b = a @ rng.standard_normal((3, 1)) + 0.5 * rng.standard_normal((120, 1))
     a_path = tmp_path / "a.mtx"
     b_path = tmp_path / "b.mtx"
-    write_matrix(a_path, DenseMatrix.from_array(a))
-    write_matrix(b_path, DenseMatrix.from_array(b))
+    write_matrix(a_path, a)
+    write_matrix(b_path, b)
     return a_path, b_path
 
 
@@ -226,7 +226,7 @@ class TestLeverage:
     def test_rank_deficient_input_is_exit_1(self, tmp_path, capsys):
         a = np.column_stack([np.ones(5), np.ones(5)])
         path = tmp_path / "flat.mtx"
-        write_matrix(path, DenseMatrix.from_array(a))
+        write_matrix(path, a)
         assert main(["leverage", str(path)]) == 1
 
 

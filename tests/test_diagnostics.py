@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from levsketch import (
     SC1_THRESHOLD,
-    DenseMatrix,
     DimensionError,
     InvalidParameterError,
     OrthonormalBasis,
@@ -96,7 +95,7 @@ class TestCheckStructural:
 
     def test_sc2_threshold_edges(self):
         # synthetic basis and residual with a closed-form cross term
-        q = DenseMatrix.from_array(np.eye(5)[:, :2])
+        q = np.eye(5)[:, :2]
         basis = OrthonormalBasis(q=q)
         plan = identity_plan(5)
         eps, r2 = 0.5, 4.0  # threshold eps*r2/2 = 1.0; b is all residual, ||b||^2 = r2
@@ -111,7 +110,7 @@ class TestCheckStructural:
         # A residual of 1e-20 against ||b||^2 = 1 is rounding noise: the
         # cross term (also 1e-20, four times eps*r2/2) is under the noise
         # floor 1e-18 * ||b||^2, so SC2 holds; at ||b||^2 = r2 it does not.
-        q = DenseMatrix.from_array(np.eye(5)[:, :2])
+        q = np.eye(5)[:, :2]
         basis = OrthonormalBasis(q=q)
         bp = np.zeros((5, 1))
         bp[0, 0] = 1e-10
@@ -163,7 +162,7 @@ class TestCheckBounds:
     def test_far_candidate_fails(self):
         a, b = make_problem(6)
         exact = exact_lstsq(a, b)
-        bad = DenseMatrix.from_array(exact.x_opt + 100.0)
+        bad = exact.x_opt + 100.0
         sol = SketchSolution(x_tilde=bad, plan=identity_plan(40), sketched_residual_sq=0.0)
         rep = check_bounds(a, b, exact, sol, 0.2)
         assert not rep.residual_bound_holds

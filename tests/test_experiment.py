@@ -79,6 +79,13 @@ class TestTrialConfigValidation:
         with pytest.raises(InvalidParameterError):
             small_config(cap_samples=-1)
 
+    @pytest.mark.parametrize("field", ["master_seed", "n_trials", "cap_samples"])
+    def test_integer_fields_reject_non_integral_values(self, field):
+        # A float seed was truncated: master_seed=1.9 ran seed 1's trials.
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            small_config(**{field: 2.5})
+        small_config(**{field: np.int64(3)})
+
 
 class TestRunExperiment:
     def test_record_bookkeeping(self):

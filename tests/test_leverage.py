@@ -69,9 +69,9 @@ def test_scores_invariant_to_basis_choice():
     basis = orthonormal_basis(a)
     rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     rotated = basis.q @ rot
-    from levsketch import DenseMatrix, OrthonormalBasis
+    from levsketch import OrthonormalBasis
 
-    other = OrthonormalBasis(q=DenseMatrix.from_array(rotated))
+    other = OrthonormalBasis(q=rotated)
     np.testing.assert_allclose(
         profile_from_basis(other).scores, profile_from_basis(basis).scores, atol=1e-12
     )

@@ -18,13 +18,20 @@ from levsketch import (
     InvalidParameterError,
     OrthonormalBasis,
     RankDeficientError,
+    RngStream,
     SpectralSummary,
+    apply_sketch,
+    build_sketch,
     exact_lstsq,
     fro_norm_sq,
     leverage_scores,
     orthonormal_basis,
+    read_matrix,
     spectral_extremes,
+    uniform_distribution,
+    write_matrix,
 )
+from levsketch.linalg import as_array
 
 
 def normal_equations_solve(a, b):
@@ -35,35 +42,34 @@ def normal_equations_solve(a, b):
 
 
 class TestDenseMatrix:
-    def test_data_is_column_major(self):
-        m = DenseMatrix(2, 2, [1.0, 2.0, 3.0, 4.0])
-        # first column [1, 2], second column [3, 4]
-        assert m.array[0, 0] == 1.0
-        assert m.array[1, 0] == 2.0
-        assert m.array[0, 1] == 3.0
-        assert m.array[1, 1] == 4.0
-        np.testing.assert_array_equal(m.data, [1.0, 2.0, 3.0, 4.0])
+    """The view ``read_matrix`` and ``apply_sketch`` return; its checks are
+    :func:`as_array`'s."""
 
     def test_shape_properties(self):
-        m = DenseMatrix(3, 2, np.arange(6.0))
+        m = DenseMatrix(np.arange(6.0).reshape(3, 2))
         assert (m.rows, m.cols) == (3, 2)
         assert m.shape == (3, 2)
 
-    def test_wrong_data_length_rejected(self):
-        with pytest.raises(DimensionError):
-            DenseMatrix(2, 2, [1.0, 2.0, 3.0])
+    def test_wrong_ndim_rejected(self):
+        for check in (DenseMatrix, as_array):
+            with pytest.raises(DimensionError):
+                check([1.0, 2.0])
+            with pytest.raises(DimensionError):
+                check(np.ones((2, 2, 2)))
 
     def test_nonpositive_shape_rejected(self):
-        with pytest.raises(DimensionError):
-            DenseMatrix(0, 2, [])
-        with pytest.raises(DimensionError):
-            DenseMatrix(2, 0, [])
+        for check in (DenseMatrix, as_array):
+            with pytest.raises(DimensionError):
+                check(np.empty((0, 2)))
+            with pytest.raises(DimensionError):
+                check(np.empty((2, 0)))
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            DenseMatrix(1, 2, [1.0, np.nan])
-        with pytest.raises(InvalidParameterError):
-            DenseMatrix.from_array([[np.inf, 0.0]])
+        for check in (DenseMatrix, as_array):
+            with pytest.raises(InvalidParameterError):
+                check([[1.0, np.nan]])
+            with pytest.raises(InvalidParameterError):
+                check([[np.inf, 0.0]])
 
     def test_array_protocol_without_copy_keyword(self, monkeypatch):
         # numpy 1.x calls __array__() or __array__(dtype) and rejects
@@ -75,7 +81,7 @@ class TestDenseMatrix:
                 raise ValueError("NoneType copy mode not allowed")
             return real_array(obj, *args, copy=copy, **kwargs)
 
-        m = DenseMatrix(2, 2, [1.0, 2.0, 3.0, 4.0])
+        m = DenseMatrix([[1.0, 3.0], [2.0, 4.0]])
         monkeypatch.setattr(np, "array", numpy1_array)
         assert m.__array__() is m.array
         assert m.__array__(np.float64) is m.array
@@ -87,27 +93,28 @@ class TestDenseMatrix:
         assert copied is not m.array and copied.flags.writeable
         np.testing.assert_array_equal(copied, m.array)
 
-    def test_from_array_copies(self):
-        src = np.ones((2, 2))
-        m = DenseMatrix.from_array(src)
-        src[0, 0] = 99.0
-        assert m.array[0, 0] == 1.0
-
     def test_array_is_read_only(self):
-        m = DenseMatrix.from_array(np.ones((2, 2)))
+        m = DenseMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             m.array[0, 0] = 5.0
 
     def test_numpy_interop(self):
-        m = DenseMatrix.from_array([[1.0, 2.0], [3.0, 4.0]])
+        m = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
         out = np.asarray(m)
         np.testing.assert_array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
         assert (m.array + 1.0)[0, 0] == 2.0
         assert np.asarray(m, dtype=np.float32).dtype == np.float32
 
-    def test_from_array_rejects_1d(self):
-        with pytest.raises(DimensionError):
-            DenseMatrix.from_array([1.0, 2.0])
+    def test_library_results_are_column_major_read_only_views(self, tmp_path):
+        # The bits of check_structural's sq.T @ sbp, the kernel's oracle, follow this layout.
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((40, 3))
+        path = tmp_path / "a.mtx"
+        write_matrix(path, a)
+        plan = build_sketch(uniform_distribution(40), 17, RngStream(3))
+        for m in (read_matrix(path), apply_sketch(plan, a), apply_sketch(plan, np.asfortranarray(a))):
+            assert m.array.flags.f_contiguous and not m.array.flags.writeable
+            assert np.asarray(m) is m.array
 
 
 def test_fro_norm_sq_matches_manual_sum():
@@ -158,13 +165,13 @@ class TestOrthonormalBasis:
     def test_constructor_rejects_skewed_basis(self):
         bad = np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(InvalidParameterError):
-            OrthonormalBasis(q=DenseMatrix.from_array(bad))
+            OrthonormalBasis(q=bad)
 
     def test_constructor_rejects_wrong_rank(self):
         # The rank is the basis width, and a basis wider than tall cannot have it.
-        assert OrthonormalBasis(q=DenseMatrix.from_array(np.eye(3)[:, :2])).source_rank == 2
+        assert OrthonormalBasis(q=np.eye(3)[:, :2]).source_rank == 2
         with pytest.raises(DimensionError):
-            OrthonormalBasis(q=DenseMatrix.from_array(np.eye(3)[:2]))
+            OrthonormalBasis(q=np.eye(3)[:2])
 
 
 class TestExactLstsq:
@@ -299,7 +306,7 @@ class TestInPlaceQrOracle:
             orthonormal_basis(a)
             np.testing.assert_array_equal(a, a0, strict=True)
             np.testing.assert_array_equal(b, b0, strict=True)
-        m = DenseMatrix.from_array(a0)
+        m = DenseMatrix(a0.copy())
         exact_lstsq(m, b0)
         np.testing.assert_array_equal(m.array, a0, strict=True)
 

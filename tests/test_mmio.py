@@ -14,20 +14,20 @@ import pytest
 import scipy.io
 from hypothesis import example, given, settings, strategies as st
 
-from levsketch import DenseMatrix, MatrixMarketParseError, mmio, read_matrix, write_matrix
+from levsketch import MatrixMarketParseError, mmio, read_matrix, write_matrix
 
 
 def test_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(123)
     src = rng.standard_normal((7, 3)) * np.exp(rng.uniform(-30, 30, (7, 3)))
     path = tmp_path / "m.mtx"
-    write_matrix(path, DenseMatrix.from_array(src))
+    write_matrix(path, src)
     out = read_matrix(path)
     np.testing.assert_array_equal(out.array, src)  # every bit must survive
 
 
 def test_file_layout_is_column_major(tmp_path):
-    m = DenseMatrix(2, 2, [1.0, 2.0, 3.0, 4.0])  # columns [1,2] and [3,4]
+    m = np.array([[1.0, 3.0], [2.0, 4.0]])  # columns [1,2] and [3,4]
     path = tmp_path / "m.mtx"
     write_matrix(path, m)
     lines = path.read_text().splitlines()
@@ -37,11 +37,21 @@ def test_file_layout_is_column_major(tmp_path):
     assert values == [1.0, 2.0, 3.0, 4.0]
 
 
+def test_entries_fill_columns_in_file_order(tmp_path):
+    text = "%%MatrixMarket matrix array real general\n3 2\n1\n2\n3\n4\n5\n6\n"
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    for m in (read_matrix(path), mmio._parse_lines(text)):
+        assert (m.rows, m.cols) == (3, 2)
+        np.testing.assert_array_equal(m.array, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+        np.testing.assert_array_equal(m.array.ravel(order="F"), np.arange(1.0, 7.0))
+
+
 def test_scipy_reads_our_files(tmp_path):
     rng = np.random.default_rng(7)
     src = rng.standard_normal((5, 4))
     path = tmp_path / "m.mtx"
-    write_matrix(path, DenseMatrix.from_array(src))
+    write_matrix(path, src)
     via_scipy = np.asarray(scipy.io.mmread(str(path)))
     np.testing.assert_array_equal(via_scipy, src)
 

@@ -5,7 +5,6 @@ import pytest
 
 import levsketch.problems as problems_mod
 from levsketch import (
-    DenseMatrix,
     DimensionError,
     GenerationFailedError,
     InvalidParameterError,
@@ -162,8 +161,8 @@ class TestCustomFile:
         b_src = rng.standard_normal((12, 2))
         a_path = tmp_path / "a.mtx"
         b_path = tmp_path / "b.mtx"
-        write_matrix(a_path, DenseMatrix.from_array(a_src))
-        write_matrix(b_path, DenseMatrix.from_array(b_src))
+        write_matrix(a_path, a_src)
+        write_matrix(b_path, b_src)
         spec = ProblemSpec("custom-file", a_path=str(a_path), b_path=str(b_path))
         a, b, meta = generate_problem(spec)
         np.testing.assert_array_equal(a, a_src)
@@ -185,8 +184,8 @@ class TestCustomFile:
     @staticmethod
     def write_spec(tmp_path, a_rows, b_rows):
         rng = np.random.default_rng(10)
-        write_matrix(tmp_path / "a.mtx", DenseMatrix.from_array(rng.standard_normal((a_rows, 3))))
-        write_matrix(tmp_path / "b.mtx", DenseMatrix.from_array(rng.standard_normal((b_rows, 2))))
+        write_matrix(tmp_path / "a.mtx", rng.standard_normal((a_rows, 3)))
+        write_matrix(tmp_path / "b.mtx", rng.standard_normal((b_rows, 2)))
         return ProblemSpec("custom-file", a_path=str(tmp_path / "a.mtx"),
                            b_path=str(tmp_path / "b.mtx"))
 
@@ -207,6 +206,13 @@ class TestSpecValidation:
     def test_rhs_cols_positive(self):
         with pytest.raises(InvalidParameterError):
             ProblemSpec("gaussian-incoherent", n_rows=10, n_cols=2, rhs_cols=0)
+
+    @pytest.mark.parametrize("field", ["n_rows", "n_cols", "rhs_cols", "seed"])
+    def test_integer_fields_reject_non_integral_values(self, field):
+        spec = {"n_rows": 10, "n_cols": 2, "rhs_cols": 1, "seed": 7}
+        with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
+            ProblemSpec("gaussian-incoherent", **{**spec, field: spec[field] + 0.5})
+        ProblemSpec("gaussian-incoherent", **{**spec, field: np.int64(spec[field])})
 
     def test_noise_nonnegative(self):
         with pytest.raises(InvalidParameterError):

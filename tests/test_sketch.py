@@ -59,6 +59,16 @@ class TestRngStream:
         with pytest.raises(InvalidParameterError):
             RngStream(0, stream_index=-2)
 
+    def test_non_integral_seed_rejected_not_truncated(self):
+        for kwargs in ({"seed": 1.9}, {"seed": 1, "stream_index": 2.5}):
+            with pytest.raises(InvalidParameterError, match="integer"):
+                RngStream(**kwargs)
+        stream = RngStream(np.uint64(7), np.int32(2))
+        assert (type(stream.seed), type(stream.stream_index)) == (int, int)
+        np.testing.assert_array_equal(
+            stream.generator.random(4), RngStream(7, 2).generator.random(4)
+        )
+
     def test_repr_mentions_identity(self):
         text = repr(RngStream(7, 2))
         assert "7" in text and "2" in text and "philox4x64" in text
@@ -247,6 +257,20 @@ class TestApplyAgainstDenseOracle:
 
 
 class TestSketchedNormContract:
+    def test_x_must_be_an_n_vector(self):
+        plan = build_sketch(uniform_distribution(6), 4, RngStream(0))
+        for x in (np.ones((2, 3)), np.ones((6, 1)), np.ones(5)):
+            with pytest.raises(DimensionError):
+                sketched_norm_sq(plan, x)
+
+    def test_nonfinite_x_rejected(self):
+        plan = build_sketch(uniform_distribution(6), 4, RngStream(0))
+        for bad in (np.nan, np.inf):
+            x = np.ones(6)
+            x[plan.draws[0]] = bad
+            with pytest.raises(InvalidParameterError, match="finite"):
+                sketched_norm_sq(plan, x)
+
     def test_digest_mismatch_rejected(self):
         p = uniform_distribution(4)
         other = SamplingDistribution(probs=np.array([0.7, 0.1, 0.1, 0.1]))
