@@ -34,7 +34,6 @@ a, b, meta = generate_problem(
 exact = meta["exact"]
 basis = exact.basis
 dist = leverage_distribution(meta["profile"])
-spectral = exact.spectral
 eps = 0.25
 trials = 200
 
@@ -52,7 +51,7 @@ for s in (20, 40, 80, 160, 320):
             both += 1
             # conditions hold, so the accuracy bounds must too
             sol = solve_with_plan(a, b, plan)
-            bounds = check_bounds(a, b, exact, sol, eps, spectral=spectral)
+            bounds = check_bounds(a, b, exact, sol, eps)
             if not (bounds.residual_bound_holds and bounds.solution_bound_holds):
                 violations += 1
     print(f"{s:>6} {sc1_hits / trials:>9.2f} {sc2_hits / trials:>9.2f} "

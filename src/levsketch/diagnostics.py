@@ -34,7 +34,6 @@ from .linalg import (
     SpectralSummary,
     as_array,
     fro_norm_sq,
-    spectral_extremes,
 )
 from .sketch import SketchChunk, SketchPlan, apply_sketch
 from .solver import SketchSolution, _is_zero_residual, _residual_ratio
@@ -54,7 +53,11 @@ _NOISE_FLOOR_REL = 1e-18
 #: ``lambda_min > GRAM_FLOOR * lambda_max`` for the Gram matrix of the
 #: sketched basis, i.e. ``kappa(S q) < 100``.  Normal equations square the
 #: condition number, so this keeps their rounding near 1e-12 relative, well
-#: inside the oracle's 1e-10; every sketch with SC1 holding clears it.
+#: inside the oracle's 1e-10.  SC1 alone does not clear it: a heavy weight on
+#: one row lifts ``lambda_max`` without bound.  But a sketch drawn from ``p``
+#: with misestimation factor ``beta`` has ``lambda_max <= tr G_qq <= r / beta``,
+#: so with SC1 holding it clears the floor whenever ``r / beta < SC1_THRESHOLD
+#: / GRAM_FLOOR`` (about 7071).
 GRAM_FLOOR = 1e-4
 
 
@@ -145,15 +148,7 @@ def _structural_report(
     )
 
 
-def check_bounds(
-    a,
-    b,
-    exact: LstsqSolution,
-    sol: SketchSolution,
-    epsilon: float,
-    *,
-    spectral: SpectralSummary | None = None,
-) -> BoundReport:
+def check_bounds(a, b, exact: LstsqSolution, sol: SketchSolution, epsilon: float) -> BoundReport:
     """Compare a sketched solution against the accuracy bounds.
 
     Checks three things: the true residual against ``(1 + epsilon)`` times
@@ -161,30 +156,15 @@ def check_bounds(
     sigma_min(a)^2``, and the solution error against the
     right-hand-side-alignment form ``epsilon * kappa^2 * (1/gamma^2 - 1) *
     ||x_opt||_F^2`` where ``gamma = ||a @ x_opt||_F / ||b||_F``.
-
-    Parameters
-    ----------
-    spectral : SpectralSummary, optional
-        Precomputed extremes of ``a``, to avoid one SVD per call in batch
-        loops.
+    ``sigma_min(a)`` and ``kappa`` are ``exact.spectral``, from the QR of the
+    exact solve of ``(a, b)``.
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     arr, barr = as_array(a), as_array(b)
     xt, xo = as_array(sol.x_tilde), as_array(exact.x_opt)
-    if spectral is None:
-        spectral = spectral_extremes(arr)
-
-    scale_sq = fro_norm_sq(barr)
-    fit_norm = float(np.linalg.norm(arr @ xo))
-    limits = _BoundLimits.of(
-        epsilon,
-        exact.residual_sq,
-        scale_sq,
-        spectral,
-        fit_norm,
-        fro_norm_sq(xo),
-    )
+    limits = _BoundLimits.of(epsilon, exact.residual_sq, fro_norm_sq(barr), exact.spectral,
+                             float(np.linalg.norm(arr @ xo)), fro_norm_sq(xo))
     return limits.report(fro_norm_sq(arr @ xt - barr), fro_norm_sq(xo - xt))
 
 

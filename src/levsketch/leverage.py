@@ -8,7 +8,6 @@ influences the least-squares fit.  Scores sum to the rank, each lies in
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -112,11 +111,6 @@ class SamplingDistribution:
     def last_positive(self) -> int:
         """Index of the last row with positive probability."""
         return int(np.flatnonzero(self.probs > 0.0)[-1])
-
-    @cached_property
-    def digest(self) -> str:
-        """Stable checksum of the probability vector (for plan provenance)."""
-        return hashlib.sha256(np.ascontiguousarray(self.probs).tobytes()).hexdigest()[:16]
 
 
 def profile_from_basis(basis: OrthonormalBasis) -> LeverageProfile:

@@ -1,16 +1,17 @@
 """Row-sampling sketches: seeded streams, plans, and their application.
 
-A sketch plan records ``s`` independent row draws from a sampling
-distribution plus the rescaling weight ``1/sqrt(s * p[draw])`` for each.
-The multiset of its draws (the distinct rows drawn and, for each, the sum of
-its squared weights) is all of ``S^T S``, which is all a least-squares trial
-depends on; :func:`draw_chunk` draws only the multisets of a chunk of
-sketches.  Applying a plan to a matrix keeps the sampled, rescaled rows; the
+A sketch plan holds the sampling distribution ``p`` it was drawn from, its
+``s`` independent row draws and the rescaling weight ``1/sqrt(s * p[draw])``
+of each.  The multiset of its draws (the distinct rows drawn and, for each,
+the sum of its squared weights) is all of ``S^T S``, which is all a
+least-squares trial depends on; :func:`draw_chunk` draws only the multisets
+of a chunk of sketches.  Applying a plan to a matrix keeps the sampled, rescaled rows; the
 implied sketching operator is never materialized densely outside of tests.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -66,40 +67,52 @@ class RngStream:
 
 @dataclass(frozen=True)
 class SketchPlan:
-    """Realized row-sampling sketch: draws plus rescaling weights.
+    """Realized row-sampling sketch: the distribution ``source`` it was drawn
+    from, the draws, and their rescaling weights.
 
-    ``weights[t] * sqrt(n_samples * p[draws[t]]) == 1`` for the source
-    distribution ``p``, whose checksum is kept in ``source_probs_digest``.
-    ``draws`` and ``weights`` are in draw order; the plan keeps read-only
-    copies of them.
+    A drawn plan has ``weights[t] * sqrt(n_samples * source.probs[draws[t]]) == 1``;
+    a hand-built one may carry any finite positive weights.  ``draws`` and
+    ``weights`` are in draw order; the plan keeps read-only copies of them.
     """
 
-    n_source_rows: int
-    n_samples: int
+    source: SamplingDistribution
     draws: np.ndarray
     weights: np.ndarray
-    source_probs_digest: str
 
     def __post_init__(self) -> None:
         draws = read_only(np.array(self.draws, dtype=np.int64))
         weights = read_only(np.array(self.weights, dtype=np.float64))
-        if self.n_samples < 1:
-            raise InvalidSampleCountError(f"need n_samples >= 1, got {self.n_samples}")
-        if draws.shape != (self.n_samples,) or weights.shape != (self.n_samples,):
-            raise DimensionError("draws and weights must both have length n_samples")
-        if draws.size and (draws.min() < 0 or draws.max() >= self.n_source_rows):
+        if draws.size < 1:
+            raise InvalidSampleCountError("a plan needs at least one draw")
+        if draws.ndim != 1 or weights.shape != draws.shape:
+            raise DimensionError("draws and weights must be 1-D and of equal length")
+        if draws.min() < 0 or draws.max() >= self.source.n_rows:
             raise DimensionError("draw indices out of range")
         if not np.all(np.isfinite(weights)) or weights.min() <= 0.0:
             raise InvalidParameterError("weights must be finite and positive")
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "weights", weights)
 
+    @property
+    def n_source_rows(self) -> int:
+        return self.source.n_rows
+
+    @property
+    def n_samples(self) -> int:
+        return self.draws.size
+
 
 def _uniforms(s: int, streams: Sequence[RngStream]) -> np.ndarray:
-    """One row of ``s`` uniforms from each stream, in draw order."""
-    if int(s) < 1:
-        raise InvalidSampleCountError(f"need s >= 1, got {s}")
-    return np.stack([rng.generator.random(int(s)) for rng in streams])
+    """One row of ``s`` uniforms from each stream, in draw order; every draw
+    goes through here, so a count that is not a positive integer (``2.5``
+    included) raises instead of being truncated."""
+    try:
+        count = operator.index(s)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise InvalidSampleCountError(f"s must be a positive integer, got {s!r}")
+    return np.stack([rng.generator.random(count) for rng in streams])
 
 
 #: Guide-table passes before keys still moving (in long zero runs) finish by bisection.
@@ -150,7 +163,7 @@ def multinomial_draws(p: SamplingDistribution, s: int, rng: RngStream) -> np.nda
 
 
 def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
-    """Draw a sketch plan of ``s`` rows from ``p`` with rescaling weights.
+    """Draw a sketch plan of ``s`` rows from ``p``: ``SketchPlan(p, draws, weights)``.
 
     The draws are :func:`multinomial_draws`, and the weight
     ``1/sqrt(s * p[i])`` makes sketched squared norms unbiased:
@@ -159,7 +172,7 @@ def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
     """
     draws = multinomial_draws(p, s, rng)
     weights = 1.0 / np.sqrt(draws.size * p.probs[draws])
-    return SketchPlan(p.n_rows, draws.size, draws, weights, p.digest)
+    return SketchPlan(p, draws, weights)
 
 
 class SketchChunk(NamedTuple):
@@ -201,18 +214,13 @@ def apply_sketch(plan: SketchPlan, m) -> DenseMatrix:
     return DenseMatrix(np.multiply(arr[plan.draws, :], plan.weights[:, None], order="F"))
 
 
-def sketched_norm_sq(plan: SketchPlan, x, probs: SamplingDistribution | None = None) -> float:
-    """Squared norm of the sketched vector ``S x``.
+def sketched_norm_sq(plan: SketchPlan, x) -> float:
+    """Squared norm of the sketched vector ``S x`` for a finite ``n``-vector ``x``.
 
-    Parameters
-    ----------
-    plan : SketchPlan
-    x : array-like, shape (n,)
-        Finite vector over the source rows.
-    probs : SamplingDistribution, optional
-        When given, it is checked against the plan's digest and used to
-        verify that every nonzero coordinate of ``x`` was drawable;
-        otherwise that contract is the caller's responsibility.
+    Raises
+    ------
+    UnsupportedRowError
+        If ``x`` is nonzero on a row that ``plan.source`` never draws.
     """
     xv = np.asarray(x, dtype=np.float64)
     if xv.shape != (plan.n_source_rows,):
@@ -221,15 +229,8 @@ def sketched_norm_sq(plan: SketchPlan, x, probs: SamplingDistribution | None = N
         )
     if not np.all(np.isfinite(xv)):
         raise InvalidParameterError("x must have finite entries")
-    if probs is not None:
-        if probs.digest != plan.source_probs_digest:
-            raise InvalidParameterError(
-                "supplied distribution does not match the plan's digest"
-            )
-        if np.any((xv != 0.0) & (probs.probs == 0.0)):
-            raise UnsupportedRowError(
-                "a nonzero coordinate of x had zero sampling probability"
-            )
+    if np.any((xv != 0.0) & (plan.source.probs == 0.0)):
+        raise UnsupportedRowError("a nonzero coordinate of x had zero sampling probability")
     v = xv[plan.draws] * plan.weights
     return float(np.dot(v, v))
 

@@ -20,7 +20,7 @@ from .exceptions import (
     SketchRankDeficientError,
 )
 from .leverage import SamplingDistribution
-from .linalg import RANK_TOL, LstsqSolution, as_array, fro_norm_sq, read_only
+from .linalg import RANK_TOL, LstsqSolution, as_array, as_int, fro_norm_sq, read_only
 from .sketch import RngStream, SketchPlan, apply_sketch, build_sketch
 
 #: Constant in the log branch of the sample-size rule: 144 / (1 - 1/sqrt(2))^2.
@@ -66,14 +66,15 @@ def required_samples(r: int, beta: float, target: AccuracyTarget) -> int:
     the problem's row count (sampling is with replacement); one past the float
     range raises :class:`InvalidSampleCountError`.
     """
-    if int(r) < 1:
+    r = as_int(r, "rank")
+    if r < 1:
         raise InvalidParameterError(f"rank must be >= 1, got {r}")
     if not (0.0 < beta <= 1.0):
         raise InvalidParameterError(f"beta must lie in (0, 1], got {beta}")
-    log_branch = SAMPLE_SIZE_CONSTANT * math.log(int(r) / target.delta)
+    log_branch = SAMPLE_SIZE_CONSTANT * math.log(r / target.delta)
     try:
         tail_branch = 1.0 / (target.delta * target.epsilon)
-        return math.ceil((int(r) / beta) * max(log_branch, tail_branch))
+        return math.ceil((r / beta) * max(log_branch, tail_branch))
     except (ZeroDivisionError, OverflowError):
         raise InvalidSampleCountError(f"{target} needs more rows than a float holds") from None
 

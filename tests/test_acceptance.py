@@ -57,11 +57,9 @@ def dense_operator(plan):
 def plan_from_draws(draws, s, p):
     """Plan with the canonical weights for given draws; bypasses the RNG."""
     return SketchPlan(
-        n_source_rows=p.n_rows,
-        n_samples=s,
+        source=p,
         draws=np.asarray(draws, dtype=np.int64),
         weights=1.0 / np.sqrt(s * p.probs[np.asarray(draws)]),
-        source_probs_digest=p.digest,
     )
 
 

@@ -34,6 +34,7 @@ from levsketch import (
     sketched_lstsq,
     solve_with_plan,
     spectral_extremes,
+    uniform_distribution,
     write_matrix,
 )
 from levsketch.diagnostics import GRAM_FLOOR, TrialScorer
@@ -45,11 +46,9 @@ from levsketch.sketch import draw_chunk
 def identity_plan(n, weight=1.0):
     """Plan that keeps every row once, scaled by a constant weight."""
     return SketchPlan(
-        n_source_rows=n,
-        n_samples=n,
+        source=uniform_distribution(n),
         draws=np.arange(n),
         weights=np.full(n, weight),
-        source_probs_digest="hand-built",
     )
 
 
@@ -123,11 +122,9 @@ class TestCheckStructural:
         basis = orthonormal_basis(a)
         exact = exact_lstsq(a, b)
         plan = SketchPlan(
-            n_source_rows=20,
-            n_samples=2,
+            source=uniform_distribution(20),
             draws=np.array([0, 1]),
             weights=np.ones(2),
-            source_probs_digest="hand-built",
         )
         rep = check_structural(
             plan, basis, exact.b_perp, 0.25, exact.residual_sq, exact.b_norm_sq
@@ -245,7 +242,6 @@ def test_structural_conditions_imply_bounds_small_sweep():
     exact = exact_lstsq(a, b)
     basis = orthonormal_basis(a)
     p = leverage_distribution(leverage_scores(a))
-    spectral = spectral_extremes(a)
     eps = 0.3
     checked = 0
     for t in range(300):
@@ -256,7 +252,7 @@ def test_structural_conditions_imply_bounds_small_sweep():
         if not (srep.sc1_holds and srep.sc2_holds):
             continue
         sol = solve_with_plan(a, b, plan)
-        brep = check_bounds(a, b, exact, sol, eps, spectral=spectral)
+        brep = check_bounds(a, b, exact, sol, eps)
         assert brep.residual_bound_holds, f"trial {t}: residual bound broke"
         assert brep.solution_bound_holds, f"trial {t}: solution bound broke"
         checked += 1
@@ -300,7 +296,7 @@ class TestTrialScorerAgainstOracle:
         def plan(draws):
             draws = np.asarray(draws)
             weights = 1.0 / np.sqrt(draws.size * dist.probs[draws])
-            return SketchPlan(n, draws.size, draws, weights, dist.digest)
+            return SketchPlan(dist, draws, weights)
 
         some = rng.choice(n, size=3 * rank, replace=False)
         return {
@@ -324,7 +320,7 @@ class TestTrialScorerAgainstOracle:
             out["error"] = f"sketch rank deficient: {exc}"
             return out
         out["accuracy_ratio"] = accuracy_ratio(a, b, sol.x_tilde, exact)
-        out.update(asdict(check_bounds(a, b, exact, sol, cls.EPS, spectral=exact.spectral)))
+        out.update(asdict(check_bounds(a, b, exact, sol, cls.EPS)))
         return out
 
     @staticmethod
@@ -366,7 +362,8 @@ class TestTrialScorerAgainstOracle:
         a, b = make_problem(12)
         exact = exact_lstsq(a, b)
         k = int(np.argmax(np.abs(exact.b_perp[:, 0])))
-        plan = SketchPlan(40, 3, np.array([k, 0, 1]), np.array([1e308, 1.0, 1.0]), "hand-built")
+        plan = SketchPlan(uniform_distribution(40), np.array([k, 0, 1]),
+                          np.array([1e308, 1.0, 1.0]))
         with np.errstate(over="ignore"):
             with pytest.raises(InvalidParameterError, match="finite"):
                 check_structural(
@@ -422,7 +419,7 @@ class TestGramFloor:
         to rank r - 1 and its Gram condition number grows without bound."""
         draws = np.concatenate([np.arange(cls.N), [0, 1]])
         weights = np.where(draws < cls.RANK - 1, 1.0, t)
-        return SketchPlan(cls.N, draws.size, draws, weights, "hand-built")
+        return SketchPlan(uniform_distribution(cls.N), draws, weights)
 
     @staticmethod
     def eig_ratio(q, plan):
@@ -462,12 +459,30 @@ class TestGramFloor:
         assert got["error"] == "" and not got["sc1_holds"]
         assert_kernel_matches_oracle(got, want)
 
+    def test_sc1_holding_does_not_clear_the_floor(self, count_numpy_calls):
+        # Every row once, row 0 weighted 1e3: lambda_min of the Gram matrix
+        # stays 1, so SC1 holds, but lambda_max ~ 1.2e5 puts the eigenvalue
+        # ratio below the floor, and the scorer falls back to one lstsq.
+        a, b = make_problem(14, n=self.N, r=self.RANK)
+        exact = exact_lstsq(a, b)
+        weights = np.ones(self.N)
+        weights[0] = 1e3
+        plan = SketchPlan(uniform_distribution(self.N), np.arange(self.N), weights)
+        assert self.eig_ratio(exact.basis.q, plan) < GRAM_FLOOR
+        scorer = TrialScorer(exact, TestTrialScorerAgainstOracle.EPS)
+        got = TestTrialScorerAgainstOracle.kernel(scorer, plan)
+        assert count_numpy_calls(self.N, names=("lstsq",)) == 1
+        want = TestTrialScorerAgainstOracle.oracle(a, b, exact, plan)
+        assert got["error"] == "" and got["sc1_holds"]
+        assert_kernel_matches_oracle(got, want)
+
     def test_squared_weights_that_overflow_are_rejected(self):
         # Each weight is finite, but the scorer works with squared weights,
         # and 1e160 squared overflows: the gathered rows are not finite.
         a, b = make_problem(12)
         exact = exact_lstsq(a, b)
-        plan = SketchPlan(40, 3, np.array([5, 0, 1]), np.array([1e160, 1.0, 1.0]), "hand-built")
+        plan = SketchPlan(uniform_distribution(40), np.array([5, 0, 1]),
+                          np.array([1e160, 1.0, 1.0]))
         with np.errstate(over="ignore"):
             assert np.isinf(plan.weights[0] ** 2)
         with pytest.raises(InvalidParameterError, match="finite"):
@@ -479,7 +494,7 @@ class TestGramFloor:
         a, b = make_problem(12)
         b = b * 1e6
         exact = exact_lstsq(a, b)
-        plan = SketchPlan(40, 6, np.arange(6), np.full(6, 1e150), "hand-built")
+        plan = SketchPlan(uniform_distribution(40), np.arange(6), np.full(6, 1e150))
         scorer = TrialScorer(exact, TestTrialScorerAgainstOracle.EPS)
         got = TestTrialScorerAgainstOracle.kernel(scorer, plan)
         assert count_numpy_calls(6, names=("lstsq",)) == 1

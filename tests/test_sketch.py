@@ -5,6 +5,7 @@ operator assembled by hand: an s x n matrix with weight w_t in column
 draws[t] of row t and zeros elsewhere.
 """
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -106,6 +107,21 @@ class TestMultinomialDraws:
         with pytest.raises(InvalidSampleCountError):
             multinomial_draws(uniform_distribution(3), 0, RngStream(0))
 
+    def test_non_integral_sample_count_rejected_not_truncated(self):
+        # Every draw goes through one check: 2.5 rows is not 2 rows.
+        p = uniform_distribution(10)
+        for s in (2.5, 3.7, np.float64(3.0), "3"):
+            with pytest.raises(InvalidSampleCountError, match="positive integer"):
+                multinomial_draws(p, s, RngStream(1))
+            with pytest.raises(InvalidSampleCountError, match="positive integer"):
+                build_sketch(p, s, RngStream(1))
+            with pytest.raises(InvalidSampleCountError, match="positive integer"):
+                draw_chunk(p, s, [RngStream(1)])
+        for s in (np.int64(3), np.int32(3)):
+            np.testing.assert_array_equal(build_sketch(p, s, RngStream(1)).draws,
+                                          build_sketch(p, 3, RngStream(1)).draws)
+            assert draw_chunk(p, s, [RngStream(1)]).n_samples == 3
+
     def test_sorted_search_equals_direct_search(self):
         # The draws search the uniforms in sorted order; indices must be
         # exactly those of a direct search of the same uniforms.
@@ -171,42 +187,43 @@ class TestSketchPlan:
         np.testing.assert_allclose(
             plan.weights * np.sqrt(40 * probs[plan.draws]), 1.0, atol=1e-12
         )
-        assert plan.source_probs_digest == p.digest
-        assert plan.n_source_rows == 12
+        assert plan.source is p
+        assert (plan.n_source_rows, plan.n_samples) == (12, 40)
+
+    def test_fields_are_the_distribution_draws_and_weights(self):
+        assert [f.name for f in fields(SketchPlan)] == ["source", "draws", "weights"]
 
     def test_draw_range_validated(self):
         with pytest.raises(DimensionError):
             SketchPlan(
-                n_source_rows=3,
-                n_samples=2,
+                source=uniform_distribution(3),
                 draws=np.array([0, 5]),
                 weights=np.ones(2),
-                source_probs_digest="x",
             )
 
     def test_weights_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             SketchPlan(
-                n_source_rows=3,
-                n_samples=2,
+                source=uniform_distribution(3),
                 draws=np.array([0, 1]),
                 weights=np.array([1.0, 0.0]),
-                source_probs_digest="x",
             )
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             SketchPlan(
-                n_source_rows=3,
-                n_samples=3,
+                source=uniform_distribution(3),
                 draws=np.array([0, 1]),
-                weights=np.ones(2),
-                source_probs_digest="x",
+                weights=np.ones(3),
             )
+
+    def test_empty_draws_rejected(self):
+        with pytest.raises(InvalidSampleCountError):
+            SketchPlan(uniform_distribution(3), np.array([], dtype=np.int64), np.array([]))
 
     def test_keeps_read_only_copies(self):
         draws, weights = np.array([2, 0], dtype=np.int64), np.array([1.0, 2.0])
-        plan = SketchPlan(3, 2, draws, weights, "x")
+        plan = SketchPlan(uniform_distribution(3), draws, weights)
         assert draws.flags.writeable and weights.flags.writeable
         draws[0], weights[0] = 1, 5.0
         np.testing.assert_array_equal(plan.draws, [2, 0])
@@ -271,19 +288,12 @@ class TestSketchedNormContract:
             with pytest.raises(InvalidParameterError, match="finite"):
                 sketched_norm_sq(plan, x)
 
-    def test_digest_mismatch_rejected(self):
-        p = uniform_distribution(4)
-        other = SamplingDistribution(probs=np.array([0.7, 0.1, 0.1, 0.1]))
-        plan = build_sketch(p, 5, RngStream(0))
-        with pytest.raises(InvalidParameterError):
-            sketched_norm_sq(plan, np.ones(4), probs=other)
-
     def test_unsupported_coordinate_rejected(self):
         p = SamplingDistribution(probs=np.array([0.5, 0.5, 0.0]))
         plan = build_sketch(p, 5, RngStream(0))
         x = np.array([1.0, 1.0, 2.0])  # nonzero in the dead row
         with pytest.raises(UnsupportedRowError):
-            sketched_norm_sq(plan, x, probs=p)
+            sketched_norm_sq(plan, x)
 
     def test_unbiased_in_expectation(self):
         # smaller version of the acceptance run: one (x, p) pair, 20000 plans
@@ -349,7 +359,7 @@ def test_plan_multiset_is_the_draws_aggregated(raw, r, s_rule, seed):
     sts[rows, rows] = summed
     np.testing.assert_allclose(sts, dense.T @ dense, rtol=1e-13, atol=0.0)
     # A hand-built copy of the plan holds the same draws and weights.
-    copy = SketchPlan(p.n_rows, s, plan.draws, plan.weights, plan.source_probs_digest)
+    copy = SketchPlan(p, plan.draws, plan.weights)
     np.testing.assert_array_equal(copy.draws, plan.draws)
     np.testing.assert_array_equal(copy.weights, plan.weights)
 

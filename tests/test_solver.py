@@ -79,6 +79,14 @@ class TestRequiredSamples:
         with pytest.raises(InvalidParameterError):
             required_samples(5, 1.5, t)
 
+    def test_non_integral_rank_rejected_not_truncated(self):
+        # Rank 2.7 is not rank 2 (whose count is 10058).
+        t = AccuracyTarget(0.1, 0.1)
+        for r in (2.7, 2.0, np.float64(2.0)):
+            with pytest.raises(InvalidParameterError, match="integer"):
+                required_samples(r, 1.0, t)
+        assert required_samples(np.int64(2), 1.0, t) == required_samples(2, 1.0, t) == 10058
+
     @pytest.mark.parametrize("eps, delta, beta", [
         (5e-324, 0.1, 1.0), (1e-310, 0.1, 1.0), (0.1, 1e-320, 1.0), (1e-300, 1e-8, 1e-300)])
     def test_count_past_the_float_range_raises(self, eps, delta, beta):
@@ -143,6 +151,15 @@ class TestSketchedLstsq:
         b = 1e10 * rng.standard_normal((40, 2))
         with pytest.raises(InvalidParameterError, match="x_tilde overflows"):
             sketched_lstsq(a, b, uniform_distribution(40), 20, RngStream(0))
+
+    def test_non_integral_sample_count_rejected_not_truncated(self):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((20, 3))
+        b = rng.standard_normal((20, 1))
+        with pytest.raises(InvalidSampleCountError, match="positive integer"):
+            sketched_lstsq(a, b, uniform_distribution(20), 7.9, RngStream(0))
+        sol = sketched_lstsq(a, b, uniform_distribution(20), np.int64(7), RngStream(0))
+        assert sol.plan.n_samples == 7
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(DimensionError):
