@@ -1,9 +1,11 @@
 """Monte Carlo bench harness: repeated sketched solves with diagnostics.
 
 A trial config fixes one problem instance, a sampling distribution, a
-sample-count rule, and an accuracy target.  Each trial derives its own
-random stream from the master seed, so reports are bit-reproducible for a
-fixed seed.  Trials run serially, a chunk at a time: one sort and one
+sample-count rule, and an accuracy target.  Trial ``t`` draws from its own
+random stream ``(master_seed, t + 1)``, so reports are bit-reproducible for a
+fixed seed.  Trials run serially, a chunk at a time: the chunk's stream keys
+come from one vectorized pass (:class:`~levsketch.sketch.TrialStreams`, equal
+to :class:`~levsketch.sketch.RngStream` bit for bit), one sort and one
 guide-table lookup draw a chunk's sketches, one gather of their distinct
 rows and stacked small solves score them, and BLAS already spreads the work
 over the available cores.  Reports are byte-identical whatever the chunk size.
@@ -35,13 +37,20 @@ from .leverage import (
 from .linalg import as_int
 from .problems import ProblemSpec, generate_problem
 # build_sketch is unused here; perfbench's tracer test checks that it wraps this binding.
-from .sketch import RngStream, build_sketch, draw_chunk  # noqa: F401
+from .sketch import RngStream, TrialStreams, build_sketch, draw_chunk  # noqa: F401
 from .solver import AccuracyTarget, required_samples
 
 #: Most rows one sketch may draw; a sketch of s rows is gathered into
 #: s x (r + m) float64 arrays.  Larger requests (the auto rule asks for 5e12
 #: rows at epsilon = delta = 1e-6) fail before anything is allocated.
 MAX_SAMPLES = 10_000_000
+
+#: Most trials one run may make.  A run keeps every trial's record (about
+#: 1 kB of Python objects) until the report is written, so this many take
+#: ~10 GB; larger requests fail before the problem is generated.  It also
+#: keeps every trial stream index ``t + 1`` within one 32-bit word, which
+#: :class:`~levsketch.sketch.TrialStreams` needs.
+MAX_TRIALS = 10_000_000
 
 #: A chunk of trials holds ``max(1, CHUNK_DRAWS // s)`` sketches: at most this
 #: many draws, or one sketch of more.  Reports do not depend on it.
@@ -113,8 +122,10 @@ class TrialConfig:
         RngStream(self.master_seed)  # the trial streams' seed check, before any work
         for name in ("n_trials", "cap_samples"):
             as_int(getattr(self, name), name)
-        if self.n_trials < 1:
-            raise InvalidParameterError(f"need n_trials >= 1, got {self.n_trials}")
+        if not (1 <= self.n_trials <= MAX_TRIALS):
+            raise InvalidParameterError(
+                f"need 1 <= n_trials <= {MAX_TRIALS}, got {self.n_trials}"
+            )
         if self.cap_samples < 0:
             raise InvalidParameterError(
                 f"cap_samples must be >= 0 (0 = no cap), got {self.cap_samples}"
@@ -249,8 +260,10 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     """Run ``cfg.n_trials`` independent sketched solves and score them.
 
     Trial ``t`` uses the stream ``(master_seed, t + 1)``; stream 0 is
-    reserved for problem generation.  The problem is factored once, and the
-    leverage profile of that factorization sets the distribution.  Trials
+    reserved for problem generation.  One :class:`TrialStreams` serves every
+    trial, so no stream object is built per trial.  The problem is factored
+    once, and the leverage profile of that factorization sets the
+    distribution.  Trials
     then run in chunks of ``max(1, CHUNK_DRAWS // s)``: :func:`draw_chunk`
     draws the multisets of a chunk's sketches and a :class:`TrialScorer`
     scores each from the Gram matrix of its distinct rows in the coordinates
@@ -280,11 +293,11 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
         scorer = TrialScorer(meta["exact"], cfg.target.epsilon)
         del meta, profile
         chunk = max(1, CHUNK_DRAWS // s)
+        streams = TrialStreams(cfg.master_seed)
         scores = []
         for first in range(0, cfg.n_trials, chunk):
-            trials = range(first, min(first + chunk, cfg.n_trials))
-            streams = [RngStream(cfg.master_seed, stream_index=t + 1) for t in trials]
-            scores += scorer.score_chunk(draw_chunk(dist, s, streams))
+            stream_indices = range(first + 1, min(first + chunk, cfg.n_trials) + 1)
+            scores += scorer.score_chunk(draw_chunk(dist, s, streams, stream_indices))
     records = tuple(_record(cfg, t, s, beta, score) for t, score in enumerate(scores))
 
     n = cfg.n_trials

@@ -20,9 +20,10 @@ _SCORE_SUM_TOL = 1e-8
 _UNIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeverageProfile:
-    """Per-row leverage scores of a full-column-rank matrix."""
+    """Per-row leverage scores of a full-column-rank matrix; profiles compare
+    and hash by identity."""
 
     scores: np.ndarray
     rank: int
@@ -53,11 +54,12 @@ class LeverageProfile:
         return self.scores.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplingDistribution:
     """Probability vector over rows, optionally annotated with the exact
     misestimation factor ``beta`` relative to the profile it was built from.
-    The distribution keeps a read-only copy of ``probs``."""
+    The distribution keeps a read-only copy of ``probs``; distributions
+    compare and hash by identity."""
 
     probs: np.ndarray
     beta: float | None = field(default=None)

@@ -7,13 +7,18 @@ the sum of its squared weights) is all of ``S^T S``, which is all a
 least-squares trial depends on; :func:`draw_chunk` draws only the multisets
 of a chunk of sketches.  Applying a plan to a matrix keeps the sampled, rescaled rows; the
 implied sketching operator is never materialized densely outside of tests.
+
+Every draw comes from a Philox stream ``(seed, stream_index)``.
+:class:`RngStream` is the general stream, built through numpy's
+``SeedSequence``; :class:`TrialStreams` gives a run's trial streams a chunk
+at a time, bit for bit the same, with no stream object built per trial.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +41,8 @@ class RngStream:
     counter-based Philox 4x64, named by :attr:`algorithm_id`.
 
     Streams are stateful: each draw consumes from the stream.  Use one
-    stream per task.
+    stream per task.  This is the general path (any stream index) and the
+    oracle that :class:`TrialStreams` is tested against.
     """
 
     algorithm_id = "philox4x64"
@@ -65,7 +71,104 @@ class RngStream:
         )
 
 
-@dataclass(frozen=True)
+# numpy's SeedSequence constants (bit_generator.pyx); all arithmetic wraps at 32 bits.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+
+
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hash of ``value`` (an int or a uint32 array) under the
+    running constant ``const``; returns the hash and the next constant."""
+    nxt = const * mult & _MASK32
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ (value >> _XSHIFT), nxt
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words (ints or uint32 arrays)."""
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+class TrialStreams:
+    """The streams ``RngStream(seed, i)`` of one seed, for stream indices
+    ``0 <= i < 2**32``, drawn a block at a time with no SeedSequence or Philox
+    built per stream.
+
+    Philox is counter-based, so a stream is a pure function of its 128-bit
+    key, ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.
+    The seed's words fill SeedSequence's whole entropy pool, so its pool mix
+    is the same for every ``i`` and is done once, here; :meth:`keys` does the
+    rest (the mix of the one index word, then ``generate_state``) for a block
+    of indices in one vectorized pass, and :meth:`uniforms` draws each stream's
+    uniforms from one reused Philox set to the stream's key at counter 0.
+    Both equal the :class:`RngStream` path bit for bit.
+
+    The Philox is shared state: use one instance per task.
+    """
+
+    __slots__ = ("seed", "_pool", "_const", "_bitgen", "_state", "_generator")
+
+    def __init__(self, seed: int) -> None:
+        self.seed = RngStream(seed).seed  # the same seed check
+        words = [self.seed & _MASK32, self.seed >> 32] if self.seed >> 32 else [self.seed]
+        # With a spawn key, the seed's words are zero-padded to the pool size.
+        words += [0] * (_POOL_SIZE - len(words))
+        pool, const = [], _INIT_A
+        for word in words:
+            value, const = _hashmix(word, const, _MULT_A)
+            pool.append(value)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    value, const = _hashmix(pool[src], const, _MULT_A)
+                    pool[dst] = _mix(pool[dst], value)
+        self._pool, self._const = pool, const
+        self._bitgen = np.random.Philox(0)
+        self._state = self._bitgen.state  # counter 0 and an empty buffer
+        self._generator = np.random.Generator(self._bitgen)
+
+    def keys(self, stream_indices: range) -> np.ndarray:
+        """The ``(len(stream_indices), 2)`` uint64 Philox keys of the streams,
+        ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``
+        bit for bit."""
+        if len(stream_indices) and not (
+            0 <= min(stream_indices) and max(stream_indices) <= _MASK32
+        ):
+            raise InvalidParameterError(
+                f"stream indices must lie in [0, 2**32), got {stream_indices!r}"
+            )
+        index = np.arange(stream_indices.start, stream_indices.stop, stream_indices.step,
+                          dtype=np.int64).astype(np.uint32)
+        # The index word is the entropy left over past the pool: it is mixed
+        # into every pool word.
+        pool, const = list(self._pool), self._const
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(index, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+        words = np.empty((index.size, _POOL_SIZE), dtype="<u4")
+        const = _INIT_B
+        for dst in range(_POOL_SIZE):
+            words[:, dst], const = _hashmix(pool[dst], const, _MULT_B)
+        return words.view("<u8").astype(np.uint64)
+
+    def uniforms(self, count: int, stream_indices: range) -> np.ndarray:
+        """A ``(len(stream_indices), count)`` array whose row ``t`` is the first
+        ``count`` uniforms of stream ``(seed, stream_indices[t])``."""
+        u = np.empty((len(stream_indices), count))
+        state = self._state
+        for row, key in zip(u, self.keys(stream_indices)):
+            state["state"]["key"] = key
+            self._bitgen.state = state
+            self._generator.random(out=row)
+        return u
+
+
+@dataclass(frozen=True, eq=False)
 class SketchPlan:
     """Realized row-sampling sketch: the distribution ``source`` it was drawn
     from, the draws, and their rescaling weights.
@@ -73,6 +176,7 @@ class SketchPlan:
     A drawn plan has ``weights[t] * sqrt(n_samples * source.probs[draws[t]]) == 1``;
     a hand-built one may carry any finite positive weights.  ``draws`` and
     ``weights`` are in draw order; the plan keeps read-only copies of them.
+    Plans compare and hash by identity.
     """
 
     source: SamplingDistribution
@@ -102,17 +206,16 @@ class SketchPlan:
         return self.draws.size
 
 
-def _uniforms(s: int, streams: Sequence[RngStream]) -> np.ndarray:
-    """One row of ``s`` uniforms from each stream, in draw order; every draw
-    goes through here, so a count that is not a positive integer (``2.5``
-    included) raises instead of being truncated."""
+def _sample_count(s) -> int:
+    """``s`` as a row count; every draw goes through here, so a count that is
+    not a positive integer (``2.5`` included) raises instead of being truncated."""
     try:
         count = operator.index(s)
     except TypeError:
         count = 0
     if count < 1:
         raise InvalidSampleCountError(f"s must be a positive integer, got {s!r}")
-    return np.stack([rng.generator.random(count) for rng in streams])
+    return count
 
 
 #: Guide-table passes before keys still moving (in long zero runs) finish by bisection.
@@ -159,7 +262,7 @@ def multinomial_draws(p: SamplingDistribution, s: int, rng: RngStream) -> np.nda
     draw order: inverse-CDF lookups of ``s`` uniforms from ``rng`` in
     ``p.cdf`` through its guide table (Chen & Asau 1974).  Rows with zero
     probability are never drawn."""
-    return _search(p, _uniforms(s, [rng])[0])
+    return _search(p, rng.generator.random(_sample_count(s)))
 
 
 def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
@@ -187,14 +290,17 @@ class SketchChunk(NamedTuple):
     offsets: np.ndarray
 
 
-def draw_chunk(p: SamplingDistribution, s: int, streams: Sequence[RngStream]) -> SketchChunk:
-    """One sketch of ``s`` rows from ``p`` per stream, as multisets only.
+def draw_chunk(
+    p: SamplingDistribution, s: int, streams: TrialStreams, stream_indices: range
+) -> SketchChunk:
+    """One sketch of ``s`` rows from ``p`` per stream index, as multisets only.
 
-    Sketch ``t`` is the multiset of ``multinomial_draws(p, s, streams[t])`` bit
-    for bit, from one sort of the ``(T, s)`` uniforms along their rows, one
-    guide-table lookup (:func:`_search`) and one run-length pass.
+    Sketch ``t`` is the multiset of ``multinomial_draws(p, s,
+    RngStream(streams.seed, stream_indices[t]))`` bit for bit, from one sort of
+    the ``(T, s)`` uniforms (:meth:`TrialStreams.uniforms`) along their rows,
+    one guide-table lookup (:func:`_search`) and one run-length pass.
     """
-    u = _uniforms(s, streams)
+    u = streams.uniforms(_sample_count(s), stream_indices)
     u.sort(axis=1)
     return SketchChunk(p.n_rows, u.shape[1], *_multisets(p, _search(p, u)))
 

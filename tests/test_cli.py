@@ -403,6 +403,24 @@ class TestBench:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials", ["10000001", "4294967296"])
+    def test_trial_budget_is_exit_1_before_generation(self, tmp_path, capsys, monkeypatch,
+                                                      trials):
+        # Every trial's record stays in memory until the report is written, so
+        # 4.3e9 trials could never finish: one error line, nothing generated.
+        import levsketch.experiment as experiment_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the problem was generated")
+
+        monkeypatch.setattr(experiment_mod, "generate_problem", never)
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--trials", trials, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_trials" in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestUnwritableOut:
     """An --out that cannot be written fails with exit 2 before any input is

@@ -40,7 +40,7 @@ from levsketch import (
 from levsketch.diagnostics import GRAM_FLOOR, TrialScorer
 from levsketch.experiment import build_distribution
 from levsketch.leverage import SamplingDistribution, profile_from_basis
-from levsketch.sketch import draw_chunk
+from levsketch.sketch import TrialStreams, draw_chunk
 
 
 def identity_plan(n, weight=1.0):
@@ -534,10 +534,10 @@ def test_chunks_match_plans_and_the_oracle(kind, r, extra_rows, m, dist_spec, ze
     probs[rng.integers(n)] = dist.probs.max()
     p = SamplingDistribution(probs / probs.sum())
     scorer = TrialScorer(exact, TestTrialScorerAgainstOracle.EPS)
-    streams = [RngStream(seed, t + 1) for t in range(n_trials)]
+    streams = TrialStreams(seed)
     per_chunk = per_chunk or n_trials
     for first in range(0, n_trials, per_chunk):
-        chunk = draw_chunk(p, s, streams[first:first + per_chunk])
+        chunk = draw_chunk(p, s, streams, range(first + 1, min(first + per_chunk, n_trials) + 1))
         for k, score in enumerate(scorer.score_chunk(chunk)):
             plan = build_sketch(p, s, RngStream(seed, first + k + 1))
             lo, hi = chunk.offsets[k], chunk.offsets[k + 1]

@@ -231,6 +231,9 @@ class TestChunkInvariance:
         "consistent-blended": SWEEP[8],
         # s < r; rank-lost and below-floor sketches; s = r + 1
         **{f"120x3-s{s}": small_config(sample_rule=str(s), n_trials=120) for s in (2, 3, 4)},
+        # seed 0, and a seed of two 32-bit words (no preset seed reaches 2**32)
+        "seed-0": small_config(master_seed=0, n_trials=30),
+        "seed-2**63+5": small_config(master_seed=2**63 + 5, n_trials=30),
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from levsketch import RngStream, SamplingDistribution, multinomial_draws, uniform_distribution
-from levsketch.sketch import draw_chunk
+from levsketch.sketch import TrialStreams, draw_chunk
 
 
 def _dyadic(weights) -> SamplingDistribution:
@@ -72,7 +72,7 @@ def chunk_digest(p: SamplingDistribution) -> str:
     for seed, first in SEEDS:
         for n_streams in (1, 4):
             for s in _sample_counts(p.n_rows):
-                chunk = draw_chunk(p, s, [RngStream(seed, first + t) for t in range(n_streams)])
+                chunk = draw_chunk(p, s, TrialStreams(seed), range(first, first + n_streams))
                 _update(h, chunk.unique_rows.astype(np.int64),
                         chunk.weight_sq_sums.astype(np.float64), chunk.offsets.astype(np.int64))
     return h.hexdigest()

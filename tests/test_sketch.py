@@ -16,6 +16,7 @@ from levsketch import (
     DimensionError,
     InvalidParameterError,
     InvalidSampleCountError,
+    LeverageProfile,
     RngStream,
     SamplingDistribution,
     SketchPlan,
@@ -30,7 +31,7 @@ from levsketch import (
     uniform_distribution,
 )
 from levsketch import sketch as sketch_mod
-from levsketch.sketch import _search, draw_chunk
+from levsketch.sketch import TrialStreams, _search, draw_chunk
 
 
 def dense_operator(plan):
@@ -116,11 +117,11 @@ class TestMultinomialDraws:
             with pytest.raises(InvalidSampleCountError, match="positive integer"):
                 build_sketch(p, s, RngStream(1))
             with pytest.raises(InvalidSampleCountError, match="positive integer"):
-                draw_chunk(p, s, [RngStream(1)])
+                draw_chunk(p, s, TrialStreams(1), range(1))
         for s in (np.int64(3), np.int32(3)):
             np.testing.assert_array_equal(build_sketch(p, s, RngStream(1)).draws,
                                           build_sketch(p, 3, RngStream(1)).draws)
-            assert draw_chunk(p, s, [RngStream(1)]).n_samples == 3
+            assert draw_chunk(p, s, TrialStreams(1), range(1)).n_samples == 3
 
     def test_sorted_search_equals_direct_search(self):
         # The draws search the uniforms in sorted order; indices must be
@@ -161,7 +162,7 @@ class TestMultinomialDraws:
             np, "cumsum", lambda a, *args, **k: calls.append(np.size(a)) or cumsum(a, *args, **k))
         for stream in range(3):
             multinomial_draws(p, 10, RngStream(1, stream))
-        draw_chunk(p, 10, [RngStream(2, t) for t in range(3)])
+        draw_chunk(p, 10, TrialStreams(2), range(3))
         assert sorted(calls) == [5, 9]
         assert p.cdf is p.cdf and p.guide is p.guide
         np.testing.assert_array_equal(p.cdf, [0.5, 0.5, 0.75, 0.75, 1.0])
@@ -175,6 +176,19 @@ class TestMultinomialDraws:
         for table in (p.cdf, p.sentinel_cdf, p.guide):
             with pytest.raises(ValueError):
                 table[0] = 0
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: uniform_distribution(5), id="SamplingDistribution"),
+    pytest.param(lambda: LeverageProfile(scores=np.full(4, 0.5), rank=2), id="LeverageProfile"),
+    pytest.param(lambda: build_sketch(uniform_distribution(5), 3, RngStream(1)), id="SketchPlan"),
+])
+def test_array_holding_value_types_compare_by_identity(make):
+    # Field-wise == would compare arrays and raise on their truth value.
+    a, b = make(), make()
+    assert a == a and not (a != a)
+    assert a != b and not (a == b)
+    assert {a, b, a} == {a, b} and len({a, b}) == 2
 
 
 class TestSketchPlan:
@@ -347,7 +361,7 @@ def test_plan_multiset_is_the_draws_aggregated(raw, r, s_rule, seed):
     np.testing.assert_array_equal(plan.draws, multinomial_draws(p, s, RngStream(seed, 3)))
     assert plan.draws.dtype == np.int64
     rows, inverse, counts = np.unique(plan.draws, return_inverse=True, return_counts=True)
-    chunk = draw_chunk(p, s, [RngStream(seed, 3)])
+    chunk = draw_chunk(p, s, TrialStreams(seed), range(3, 4))
     np.testing.assert_array_equal(chunk.unique_rows, rows)
     np.testing.assert_array_equal(chunk.offsets, [0, rows.size])
     assert np.all(probs[rows] > 0.0)
@@ -495,8 +509,7 @@ class TestGuideTable:
     def test_draw_chunk_equals_binary_search(self, case, n_streams, seed, s_per_row):
         p, _ = case
         s = s_per_row * p.n_rows
-        streams = [RngStream(seed, t) for t in range(n_streams)]
-        chunk = draw_chunk(p, s, streams)
+        chunk = draw_chunk(p, s, TrialStreams(seed), range(n_streams))
         want = oracle_chunk(p, s, [RngStream(seed, t) for t in range(n_streams)])
         for got, expected in zip((chunk.unique_rows, chunk.weight_sq_sums, chunk.offsets), want):
             np.testing.assert_array_equal(got, expected)
