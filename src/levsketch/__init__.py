@@ -11,8 +11,8 @@ families and sampling distributions.
 from .diagnostics import (
     SC1_THRESHOLD,
     BoundReport,
+    ChunkScores,
     StructuralReport,
-    TrialScore,
     TrialScorer,
     check_bounds,
     check_structural,
@@ -89,6 +89,7 @@ __all__ = [
     "AccuracyTarget",
     "BoundReport",
     "CSV_COLUMNS",
+    "ChunkScores",
     "ConfigParseError",
     "DenseMatrix",
     "DimensionError",
@@ -116,7 +117,6 @@ __all__ = [
     "StructuralReport",
     "TrialConfig",
     "TrialRecord",
-    "TrialScore",
     "TrialScorer",
     "UnsupportedRowError",
     "accuracy_ratio",

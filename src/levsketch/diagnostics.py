@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .linalg import (
     SpectralSummary,
     as_array,
     fro_norm_sq,
+    fro_norm_sq_each,
 )
 from .sketch import SketchChunk, SketchPlan, apply_sketch
 from .solver import SketchSolution, _is_zero_residual, _residual_ratio
@@ -83,10 +85,6 @@ class BoundReport:
     gamma_bound_limit: float
     gamma_bound_holds: bool
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.gamma <= 1.0 + 1e-12):
-            raise InvalidParameterError(f"gamma must lie in (0, 1], got {self.gamma}")
-
 
 def check_structural(
     plan: SketchPlan,
@@ -127,25 +125,20 @@ def check_structural(
         sv = np.linalg.svd(sq, compute_uv=False)
         sc1_value = float(sv[-1]) ** 2
     sbp = np.asarray(apply_sketch(plan, b_perp))
-    return _structural_report(
-        sc1_value, fro_norm_sq(sq.T @ sbp), epsilon, residual_sq, scale_sq
-    )
+    sc2_value = fro_norm_sq(sq.T @ sbp)
+    sc1_holds, sc2_holds = _structural_verdicts(sc1_value, sc2_value, epsilon, residual_sq,
+                                                scale_sq)
+    return StructuralReport(sc1_value, sc1_holds, sc2_value, sc2_holds)
 
 
-def _structural_report(
-    sc1_value: float, sc2_value: float, epsilon: float, residual_sq: float, scale_sq: float
-) -> StructuralReport:
+def _structural_verdicts(sc1_value, sc2_value, epsilon, residual_sq, scale_sq):
+    """``(sc1_holds, sc2_holds)`` for scalar values or arrays of them."""
     sc2_limit = (
         epsilon * residual_sq / 2.0
         + _STRUCTURAL_SLACK * residual_sq
         + _NOISE_FLOOR_REL * scale_sq
     )
-    return StructuralReport(
-        sc1_value=sc1_value,
-        sc1_holds=sc1_value >= SC1_THRESHOLD - _STRUCTURAL_SLACK,
-        sc2_value=sc2_value,
-        sc2_holds=sc2_value <= sc2_limit,
-    )
+    return sc1_value >= SC1_THRESHOLD - _STRUCTURAL_SLACK, sc2_value <= sc2_limit
 
 
 def check_bounds(a, b, exact: LstsqSolution, sol: SketchSolution, epsilon: float) -> BoundReport:
@@ -165,21 +158,24 @@ def check_bounds(a, b, exact: LstsqSolution, sol: SketchSolution, epsilon: float
     xt, xo = as_array(sol.x_tilde), as_array(exact.x_opt)
     limits = _BoundLimits.of(epsilon, exact.residual_sq, fro_norm_sq(barr), exact.spectral,
                              float(np.linalg.norm(arr @ xo)), fro_norm_sq(xo))
-    return limits.report(fro_norm_sq(arr @ xt - barr), fro_norm_sq(xo - xt))
+    sol_value = fro_norm_sq(xo - xt)
+    resid_holds, sol_holds, gamma_holds = limits.verdicts(fro_norm_sq(arr @ xt - barr), sol_value)
+    return BoundReport(resid_holds, sol_value, limits.solution_limit, sol_holds,
+                       limits.gamma, limits.gamma_limit, gamma_holds)
 
 
 @dataclass(frozen=True)
 class _BoundLimits:
-    """The per-problem half of the bound checks: limits, slacks and the
-    noise floor, so a trial supplies only its residual and solution error."""
+    """The per-problem half of the bound checks: the reported limits and
+    ``gamma``, and the ceilings (limits plus slack and noise floor) that a
+    trial's residual and solution error are compared against."""
 
-    epsilon: float
-    residual_sq: float
-    noise_floor: float
+    residual_ceiling: float
     solution_limit: float
-    solution_floor: float
+    solution_ceiling: float
     gamma: float
     gamma_limit: float
+    gamma_ceiling: float
 
     @classmethod
     def of(
@@ -204,42 +200,53 @@ class _BoundLimits:
             gamma_limit = max(gamma_limit, 0.0)  # gamma can round a hair past 1
         else:
             # b has no component in the column space: the alignment bound is
-            # vacuous, and gamma is floored to keep the report constructible.
+            # vacuous, and gamma is floored to stay in (0, 1].
             gamma_limit = float("inf")
             gamma = math.ulp(0.0)
-        return cls(epsilon, residual_sq, noise_floor, sol_limit, sol_floor, gamma, gamma_limit)
-
-    def report(self, resid_sq: float, sol_value: float) -> BoundReport:
-        """Verdicts for a candidate with true residual ``resid_sq`` and
-        solution error ``sol_value = ||x_opt - x||_F^2``."""
-        r2 = self.residual_sq
-        return BoundReport(
-            residual_bound_holds=bool(
-                resid_sq <= (1.0 + self.epsilon) * r2 + _BOUND_SLACK_REL * r2 + self.noise_floor
-            ),
-            solution_bound_value=sol_value,
-            solution_bound_limit=self.solution_limit,
-            solution_bound_holds=bool(
-                sol_value <= self.solution_limit * (1.0 + _BOUND_SLACK_REL) + self.solution_floor
-            ),
-            gamma=min(self.gamma, 1.0 + 1e-13),
-            gamma_bound_limit=self.gamma_limit,
-            gamma_bound_holds=bool(
-                sol_value <= self.gamma_limit * (1.0 + _BOUND_SLACK_REL) + self.solution_floor
-            ),
+        return cls(
+            residual_ceiling=(1.0 + epsilon) * residual_sq + _BOUND_SLACK_REL * residual_sq
+            + noise_floor,
+            solution_limit=sol_limit,
+            solution_ceiling=sol_limit * (1.0 + _BOUND_SLACK_REL) + sol_floor,
+            gamma=min(gamma, 1.0 + 1e-13),
+            gamma_limit=gamma_limit,
+            gamma_ceiling=gamma_limit * (1.0 + _BOUND_SLACK_REL) + sol_floor,
         )
 
+    def verdicts(self, resid_sq, sol_value):
+        """``(residual_bound_holds, solution_bound_holds, gamma_bound_holds)``
+        for a candidate with true residual ``resid_sq`` and solution error
+        ``sol_value = ||x_opt - x||_F^2``, scalars or arrays of them."""
+        return (resid_sq <= self.residual_ceiling, sol_value <= self.solution_ceiling,
+                sol_value <= self.gamma_ceiling)
 
-@dataclass(frozen=True)
-class TrialScore:
-    """Everything one trial measures: the structural report, the accuracy
-    ratio, and the bound verdicts (``None``, with ``error`` set, when the
-    sketch cannot support a solve)."""
 
-    structural: StructuralReport
-    accuracy_ratio: float
-    bounds: BoundReport | None
-    error: str
+class ChunkScores(NamedTuple):
+    """What :class:`TrialScorer` measures for a chunk of sketches: one array
+    per :class:`~levsketch.experiment.TrialRecord` column from ``sc1_value``
+    to ``error``, in CSV order, with one entry per sketch.
+
+    A sketch that cannot support a solve (fewer samples than the rank, or a
+    sketched basis that loses rank) keeps its structural values and
+    verdicts, and gets an ``inf`` accuracy ratio, ``nan`` solution error,
+    limits and ``gamma``, false bound verdicts, and an ``error`` naming the
+    cause.  Every other sketch has an empty ``error``.
+    """
+
+    sc1_value: np.ndarray
+    sc1_holds: np.ndarray
+    sc2_value: np.ndarray
+    sc2_holds: np.ndarray
+    accuracy_ratio: np.ndarray
+    eps_accurate: np.ndarray
+    solution_err_sq: np.ndarray
+    solution_bound_limit: np.ndarray
+    solution_bound_holds: np.ndarray
+    residual_bound_holds: np.ndarray
+    gamma: np.ndarray
+    gamma_bound_limit: np.ndarray
+    gamma_bound_holds: np.ndarray
+    error: np.ndarray
 
 
 class TrialScorer:
@@ -261,9 +268,10 @@ class TrialScorer:
       bound verdicts,
 
     with no work on the ``n`` rows of the problem.  The eigenvalues, the
-    normal equations and the back substitution with ``r`` are one stacked
-    call per chunk that solves each sketch on its own, so scores do not
-    depend on the chunk.  The normal equations are used only while ``G_qq``
+    normal equations, the back substitution with ``r`` and the squared norms
+    are one stacked call per chunk that treats each sketch on its own, so
+    scores do not depend on the chunk, and every verdict is one comparison
+    of a whole column.  The normal equations are used only while ``G_qq``
     is well conditioned (:data:`GRAM_FLOOR`).  Otherwise, or when ``G``
     overflows, a sketch's gathered rows go through the same rank-revealing
     ``lstsq`` as the oracle: they have the singular values of ``S q``, so
@@ -274,7 +282,7 @@ class TrialScorer:
     and ratio policies; the caller may drop ``a``, ``b`` and ``exact``
     afterwards.  :func:`check_structural`, :func:`solve_with_plan`,
     :func:`accuracy_ratio` and :func:`check_bounds` on ``(a, b)`` remain the
-    oracle it is tested against.
+    oracle it is tested against; they share its verdict comparisons.
 
     Parameters
     ----------
@@ -307,25 +315,26 @@ class TrialScorer:
             fro_norm_sq(exact.x_opt),
         )
 
-    def score(self, plan: SketchPlan) -> TrialScore:
-        """Measure one realized plan: :meth:`score_chunk` of a chunk that
-        holds only its multiset, the distinct rows drawn (ascending) with the
-        sums of their squared weights."""
+    def score(self, plan: SketchPlan) -> ChunkScores:
+        """Measure one realized plan: :meth:`score_chunk` of a one-sketch
+        chunk that holds only its multiset, the distinct rows drawn
+        (ascending) with the sums of their squared weights."""
         rows, inverse = np.unique(plan.draws, return_inverse=True)
         # A weight past ~1e154 squares to inf; score_chunk rejects that.
         with np.errstate(over="ignore"):
             weight_sq_sums = np.bincount(inverse, weights=plan.weights * plan.weights,
                                          minlength=rows.size)
         return self.score_chunk(SketchChunk(plan.n_source_rows, plan.n_samples, rows,
-                                            weight_sq_sums, np.array([0, rows.size])))[0]
+                                            weight_sq_sums, np.array([0, rows.size])))
 
-    def score_chunk(self, chunk: SketchChunk) -> list[TrialScore]:
-        """Measure every sketch of a chunk, in order.
+    def score_chunk(self, chunk: SketchChunk) -> ChunkScores:
+        """Measure every sketch of a chunk: one entry per sketch, in order,
+        in each column.
 
         A sketch with fewer samples than the rank, or whose sketched basis
-        loses rank, gets its structural report and an ``error`` naming the
-        cause instead of bound verdicts.  A sketch whose scaled rows are not
-        finite (including squared weights that overflow) is rejected.
+        loses rank, gets the failure entries described in
+        :class:`ChunkScores`.  A sketch whose scaled rows are not finite
+        (including squared weights that overflow) is rejected.
         """
         n = self._block.shape[0]
         if chunk.n_source_rows != n:
@@ -346,7 +355,7 @@ class TrialScorer:
         sc1, z = np.zeros(len(rows)), np.zeros(g_qb.shape)
         # Fewer samples than rank: the sketched basis has a kernel.
         short = f"sketch rank deficient: {s} samples cannot cover rank {r}" if s < r else ""
-        errors = [short] * len(rows)
+        error = np.full(len(rows), short, dtype=object)
         if s >= r:
             eigs = np.linalg.eigvalsh(g_qq[finite])
             sc1[finite] = eigs[:, 0]
@@ -359,21 +368,26 @@ class TrialScorer:
                 # Fewer distinct rows than the rank leave S q a kernel.
                 sc1[t] = float(sv[-1]) ** 2 if x.shape[0] >= r else 0.0
                 if rank < r:
-                    errors[t] = (f"sketch rank deficient: sketch lost rank ({rank} < {r}); "
-                                 "caller decides whether to resample")
+                    error[t] = (f"sketch rank deficient: sketch lost rank ({rank} < {r}); "
+                                "caller decides whether to resample")
         # r is upper triangular: LU with partial pivoting leaves it as is, so
         # this is a back substitution for r^{-1} z.
         x_err = np.linalg.solve(self._r, z)
-        scores = []
-        for t, error in enumerate(errors):
-            structural = _structural_report(float(sc1[t]), fro_norm_sq(g_qb[t]), self._epsilon,
-                                            self._residual_sq, self._scale_sq)
-            if error:
-                scores.append(TrialScore(structural, float("inf"), None, error))
-                continue
-            resid_sq = self._residual_sq + fro_norm_sq(z[t])
-            ratio = _residual_ratio(resid_sq, self._residual_sq, self._scale_sq,
-                                    self._zero_residual)
-            bounds = self._limits.report(resid_sq, fro_norm_sq(x_err[t]))
-            scores.append(TrialScore(structural, ratio, bounds, ""))
-        return scores
+        z_sq, x_err_sq, sc2 = fro_norm_sq_each(np.concatenate((z, x_err, g_qb))).reshape(3, -1)
+        # A sketch with an error has nan residual and solution error, so each
+        # of its bound verdicts is false.
+        ok = error == ""
+        resid_sq = np.where(ok, self._residual_sq + z_sq, np.nan)
+        sol_value = np.where(ok, x_err_sq, np.nan)
+        ratio = np.where(ok, _residual_ratio(resid_sq, self._residual_sq, self._scale_sq,
+                                             self._zero_residual), np.inf)
+        sc1_holds, sc2_holds = _structural_verdicts(sc1, sc2, self._epsilon, self._residual_sq,
+                                                    self._scale_sq)
+        limits = self._limits
+        residual_holds, solution_holds, gamma_holds = limits.verdicts(resid_sq, sol_value)
+        return ChunkScores(
+            sc1, sc1_holds, sc2, sc2_holds, ratio, ratio <= 1.0 + self._epsilon, sol_value,
+            np.where(ok, limits.solution_limit, np.nan), solution_holds, residual_holds,
+            np.where(ok, limits.gamma, np.nan), np.where(ok, limits.gamma_limit, np.nan),
+            gamma_holds, error,
+        )

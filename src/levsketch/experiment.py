@@ -18,10 +18,12 @@ import operator
 import time
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
-from types import SimpleNamespace
+from itertools import chain
 from typing import Callable
 
-from .diagnostics import StructuralReport, TrialScore, TrialScorer
+import numpy as np
+
+from .diagnostics import ChunkScores, TrialScorer
 from .exceptions import (
     GenerationFailedError,
     InvalidParameterError,
@@ -217,45 +219,6 @@ def sample_count(
     return s
 
 
-#: Stands in for the bound verdicts of a trial that has none.
-_NO_BOUNDS = SimpleNamespace(
-    residual_bound_holds=False,
-    solution_bound_value=float("nan"),
-    solution_bound_limit=float("nan"),
-    solution_bound_holds=False,
-    gamma=float("nan"),
-    gamma_bound_limit=float("nan"),
-    gamma_bound_holds=False,
-)
-
-
-def _record(cfg: TrialConfig, t: int, s: int, beta: float, score: TrialScore) -> TrialRecord:
-    sr = score.structural
-    br = score.bounds or _NO_BOUNDS
-    return TrialRecord(
-        trial_id=t,
-        s=s,
-        beta=beta,
-        sc1_value=sr.sc1_value,
-        sc1_holds=sr.sc1_holds,
-        sc2_value=sr.sc2_value,
-        sc2_holds=sr.sc2_holds,
-        accuracy_ratio=score.accuracy_ratio,
-        eps_accurate=score.accuracy_ratio <= 1.0 + cfg.target.epsilon,
-        solution_err_sq=br.solution_bound_value,
-        solution_bound_limit=br.solution_bound_limit,
-        solution_bound_holds=br.solution_bound_holds,
-        residual_bound_holds=br.residual_bound_holds,
-        gamma=br.gamma,
-        gamma_bound_limit=br.gamma_bound_limit,
-        gamma_bound_holds=br.gamma_bound_holds,
-        error=score.error,
-        rng_algorithm=RngStream.algorithm_id,
-        rng_seed=cfg.master_seed,
-        rng_stream_index=t + 1,
-    )
-
-
 def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     """Run ``cfg.n_trials`` independent sketched solves and score them.
 
@@ -263,11 +226,12 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     reserved for problem generation.  One :class:`TrialStreams` serves every
     trial, so no stream object is built per trial.  The problem is factored
     once, and the leverage profile of that factorization sets the
-    distribution.  Trials
-    then run in chunks of ``max(1, CHUNK_DRAWS // s)``: :func:`draw_chunk`
-    draws the multisets of a chunk's sketches and a :class:`TrialScorer`
-    scores each from the Gram matrix of its distinct rows in the coordinates
-    of the orthonormal basis.  No per-trial plan or draw order is built.
+    distribution.  Trials then run in chunks of ``max(1, CHUNK_DRAWS // s)``:
+    :func:`draw_chunk` draws the multisets of a chunk's sketches, a
+    :class:`TrialScorer` scores each from the Gram matrix of its distinct
+    rows in the coordinates of the orthonormal basis, and the chunk's
+    :class:`ChunkScores` columns, zipped, are the middle of its trials'
+    records.  No per-trial plan, draw order or score object is built.
     Per-trial failures (a sketch losing rank) become failure records, never
     batch aborts; so does every trial of a problem that cannot be generated.
     """
@@ -277,15 +241,11 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
         # itself is dropped here, so peak memory stays at generation's.
         meta = generate_problem(cfg.problem)[2]
     except GenerationFailedError as exc:
-        nan = float("nan")
-        s, beta = 0, nan
-        failed = TrialScore(
-            structural=StructuralReport(nan, False, nan, False),
-            accuracy_ratio=float("inf"),
-            bounds=None,
-            error=f"generation failed: {exc}",
-        )
-        scores = [failed] * cfg.n_trials
+        s, beta = 0, float("nan")
+        nan, false = np.full(cfg.n_trials, np.nan), np.zeros(cfg.n_trials, dtype=bool)
+        error = np.full(cfg.n_trials, f"generation failed: {exc}", dtype=object)
+        scores = [ChunkScores(nan, false, nan, false, np.full(cfg.n_trials, np.inf), false, nan,
+                              nan, false, false, nan, nan, false, error)]
     else:
         profile = meta["profile"]
         dist, beta = build_distribution(cfg.distribution, profile)
@@ -294,11 +254,15 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
         del meta, profile
         chunk = max(1, CHUNK_DRAWS // s)
         streams = TrialStreams(cfg.master_seed)
-        scores = []
-        for first in range(0, cfg.n_trials, chunk):
-            stream_indices = range(first + 1, min(first + chunk, cfg.n_trials) + 1)
-            scores += scorer.score_chunk(draw_chunk(dist, s, streams, stream_indices))
-    records = tuple(_record(cfg, t, s, beta, score) for t, score in enumerate(scores))
+        scores = [
+            scorer.score_chunk(draw_chunk(
+                dist, s, streams, range(first + 1, min(first + chunk, cfg.n_trials) + 1)))
+            for first in range(0, cfg.n_trials, chunk)
+        ]
+    # .tolist() keeps record fields Python bool, float and str.
+    rows = chain.from_iterable(zip(*[column.tolist() for column in cs]) for cs in scores)
+    records = tuple(TrialRecord(t, s, beta, *row, RngStream.algorithm_id, cfg.master_seed, t + 1)
+                    for t, row in enumerate(rows))
 
     n = cfg.n_trials
     violations = sum(

@@ -16,6 +16,7 @@ at a time, bit for bit the same, with no stream object built per trial.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -317,7 +318,10 @@ def apply_sketch(plan: SketchPlan, m) -> DenseMatrix:
         raise DimensionError(
             f"matrix has {arr.shape[0]} rows, plan expects {plan.n_source_rows}"
         )
-    return DenseMatrix(np.multiply(arr[plan.draws, :], plan.weights[:, None], order="F"))
+    # An overflowing product is not finite, which DenseMatrix rejects.
+    with np.errstate(over="ignore"):
+        product = np.multiply(arr[plan.draws, :], plan.weights[:, None], order="F")
+    return DenseMatrix(product)
 
 
 def sketched_norm_sq(plan: SketchPlan, x) -> float:
@@ -337,8 +341,12 @@ def sketched_norm_sq(plan: SketchPlan, x) -> float:
         raise InvalidParameterError("x must have finite entries")
     if np.any((xv != 0.0) & (plan.source.probs == 0.0)):
         raise UnsupportedRowError("a nonzero coordinate of x had zero sampling probability")
-    v = xv[plan.draws] * plan.weights
-    return float(np.dot(v, v))
+    with np.errstate(over="ignore"):
+        v = xv[plan.draws] * plan.weights
+        norm_sq = float(np.dot(v, v))
+    if not math.isfinite(norm_sq):
+        raise InvalidParameterError("the sketched norm overflows float64")
+    return norm_sq
 
 
 def materialize_sketch(plan: SketchPlan) -> np.ndarray:

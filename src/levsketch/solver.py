@@ -154,7 +154,7 @@ def accuracy_ratio(a, b, x_tilde, exact: LstsqSolution) -> float:
     resid_sq = fro_norm_sq(arr @ xt - barr)
     scale_sq = fro_norm_sq(barr)
     zero = _is_zero_residual(exact.residual_sq, scale_sq)
-    return _residual_ratio(resid_sq, exact.residual_sq, scale_sq, zero)
+    return float(_residual_ratio(resid_sq, exact.residual_sq, scale_sq, zero))
 
 
 def _is_zero_residual(residual_sq: float, scale_sq: float) -> bool:
@@ -163,11 +163,9 @@ def _is_zero_residual(residual_sq: float, scale_sq: float) -> bool:
     return residual_sq <= _ZERO_RESIDUAL_REL * scale_sq
 
 
-def _residual_ratio(
-    resid_sq: float, residual_sq: float, scale_sq: float, zero_residual: bool
-) -> float:
+def _residual_ratio(resid_sq, residual_sq: float, scale_sq: float, zero_residual: bool):
     """``resid_sq / residual_sq`` under the zero-residual policy of
-    :func:`accuracy_ratio`."""
+    :func:`accuracy_ratio`, for a scalar ``resid_sq`` or an array of them."""
     if zero_residual:
-        return 1.0 if resid_sq <= _ZERO_RESIDUAL_PASS_REL * scale_sq else float("inf")
+        return np.where(resid_sq <= _ZERO_RESIDUAL_PASS_REL * scale_sq, 1.0, np.inf)
     return resid_sq / residual_sq

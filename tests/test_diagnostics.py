@@ -37,7 +37,7 @@ from levsketch import (
     uniform_distribution,
     write_matrix,
 )
-from levsketch.diagnostics import GRAM_FLOOR, TrialScorer
+from levsketch.diagnostics import GRAM_FLOOR, ChunkScores, TrialScorer
 from levsketch.experiment import build_distribution
 from levsketch.leverage import SamplingDistribution, profile_from_basis
 from levsketch.sketch import TrialStreams, draw_chunk
@@ -313,13 +313,14 @@ class TestTrialScorerAgainstOracle:
         sr = check_structural(
             plan, exact.basis, exact.b_perp, cls.EPS, exact.residual_sq, exact.b_norm_sq
         )
-        out = {**asdict(sr), "accuracy_ratio": float("inf"), "error": ""}
+        out = {**asdict(sr), "accuracy_ratio": float("inf"), "eps_accurate": False, "error": ""}
         try:
             sol = solve_with_plan(a, b, plan)
         except SketchRankDeficientError as exc:
             out["error"] = f"sketch rank deficient: {exc}"
             return out
         out["accuracy_ratio"] = accuracy_ratio(a, b, sol.x_tilde, exact)
+        out["eps_accurate"] = out["accuracy_ratio"] <= 1.0 + cls.EPS
         out.update(asdict(check_bounds(a, b, exact, sol, cls.EPS)))
         return out
 
@@ -381,12 +382,25 @@ class TestTrialScorerAgainstOracle:
             TrialScorer(exact, 0.3).score(identity_plan(39))
 
 
-def score_fields(score):
-    """A TrialScore as the oracle's dict of fields."""
-    out = {**asdict(score.structural), "accuracy_ratio": score.accuracy_ratio,
-           "error": score.error}
-    if score.bounds is not None:
-        out.update(asdict(score.bounds))
+#: The oracle's name of each ChunkScores bound column.
+BOUND_FIELDS = {"solution_err_sq": "solution_bound_value",
+                **{name: name for name in ("solution_bound_limit", "solution_bound_holds",
+                                           "residual_bound_holds", "gamma",
+                                           "gamma_bound_limit", "gamma_bound_holds")}}
+
+
+def score_fields(scores, k=0):
+    """Sketch ``k`` of a ChunkScores as the oracle's dict of fields: the
+    bound columns only when it has no error, and otherwise after checking
+    that they hold the failure entries (nan values, false verdicts)."""
+    row = {name: column.tolist()[k] for name, column in zip(ChunkScores._fields, scores)}
+    out = {name: row[name] for name in ChunkScores._fields if name not in BOUND_FIELDS}
+    if not row["error"]:
+        out.update({BOUND_FIELDS[name]: row[name] for name in BOUND_FIELDS})
+    else:
+        for name in BOUND_FIELDS:
+            assert (math.isnan(row[name]) if isinstance(row[name], float)
+                    else row[name] is False), f"{name} of a failed sketch: {row[name]!r}"
     return out
 
 
@@ -538,7 +552,8 @@ def test_chunks_match_plans_and_the_oracle(kind, r, extra_rows, m, dist_spec, ze
     per_chunk = per_chunk or n_trials
     for first in range(0, n_trials, per_chunk):
         chunk = draw_chunk(p, s, streams, range(first + 1, min(first + per_chunk, n_trials) + 1))
-        for k, score in enumerate(scorer.score_chunk(chunk)):
+        scores = scorer.score_chunk(chunk)
+        for k in range(len(chunk.offsets) - 1):
             plan = build_sketch(p, s, RngStream(seed, first + k + 1))
             lo, hi = chunk.offsets[k], chunk.offsets[k + 1]
             rows, counts = np.unique(plan.draws, return_counts=True)
@@ -546,4 +561,4 @@ def test_chunks_match_plans_and_the_oracle(kind, r, extra_rows, m, dist_spec, ze
             np.testing.assert_array_equal(chunk.weight_sq_sums[lo:hi],
                                           counts / (s * p.probs[rows]))
             want = TestTrialScorerAgainstOracle.oracle(a, b, exact, plan)
-            assert_kernel_matches_oracle(score_fields(score), want, kind == "consistent")
+            assert_kernel_matches_oracle(score_fields(scores, k), want, kind == "consistent")

@@ -12,6 +12,7 @@ import levsketch.problems as problems_mod
 from levsketch import (
     CSV_COLUMNS,
     AccuracyTarget,
+    ChunkScores,
     GenerationFailedError,
     InvalidParameterError,
     InvalidSampleCountError,
@@ -129,14 +130,37 @@ class TestRunExperiment:
         report = run_experiment(small_config(sample_rule="37"))
         assert report.s == 37
 
+    @staticmethod
+    def assert_failure_records(records, error, sc1_value, sc2_finite):
+        """Every record carries the failure entries: an inf ratio, nan
+        solution error, limits and gamma, false bound verdicts, ``error``,
+        and fields of Python types, not numpy scalars."""
+        types = {"bool": bool, "int": int, "float": float, "str": str}
+        for t, r in enumerate(records):
+            for f in dataclasses.fields(r):
+                assert type(getattr(r, f.name)) is types[f.type], (t, f.name)
+            assert r.error == error
+            assert r.accuracy_ratio == math.inf
+            for name in ("solution_err_sq", "solution_bound_limit", "gamma",
+                         "gamma_bound_limit"):
+                assert math.isnan(getattr(r, name)), (t, name)
+            assert not (r.eps_accurate or r.solution_bound_holds or r.residual_bound_holds
+                        or r.gamma_bound_holds or r.sc1_holds)
+            assert r.sc1_value == sc1_value or (math.isnan(sc1_value) and math.isnan(r.sc1_value))
+            assert math.isfinite(r.sc2_value) == sc2_finite
+            assert (r.rng_algorithm, r.rng_seed, r.rng_stream_index) == (
+                "philox4x64", 400, t + 1)
+
     def test_undersampled_trials_become_failure_records(self):
         # s = 2 < rank 3: every trial fails, nothing raises
         report = run_experiment(small_config(sample_rule="2"))
         assert report.success_rate == 0.0
-        assert all("rank" in r.error for r in report.records)
         assert all(not r.eps_accurate for r in report.records)
-        assert all(r.sc1_value == 0.0 for r in report.records)
         assert report.implication_violations == 0
+        assert [(r.trial_id, r.s, r.beta) for r in report.records] == [
+            (t, 2, 1.0) for t in range(12)]
+        self.assert_failure_records(
+            report.records, "sketch rank deficient: 2 samples cannot cover rank 3", 0.0, True)
 
     def test_generation_failure_becomes_failure_records(self, monkeypatch):
         def boom(spec):
@@ -145,8 +169,16 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment_mod, "generate_problem", boom)
         report = run_experiment(small_config(n_trials=5))
         assert len(report.records) == 5
-        assert all("generation failed" in r.error for r in report.records)
         assert report.success_rate == 0.0
+        assert report.s == 0 and math.isnan(report.beta)
+        assert [r.trial_id for r in report.records] == list(range(5))
+        assert all(r.s == 0 and math.isnan(r.beta) and not r.sc2_holds for r in report.records)
+        self.assert_failure_records(
+            report.records, "generation failed: nothing full rank today", math.nan, False)
+
+    def test_score_columns_are_the_record_columns(self):
+        # A chunk's scores are the TrialRecord columns from sc1_value to error.
+        assert ChunkScores._fields == CSV_COLUMNS[3:17]
 
     def test_one_factorization_per_problem(self, count_numpy_calls):
         # generation's exact solve is the set-up's: A is factored once

@@ -6,6 +6,7 @@ scratch here, and spectral extremes against a closed-form 2x2 eigenvalue
 computation, so none of these tests trust the code paths they exercise.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -31,7 +32,7 @@ from levsketch import (
     uniform_distribution,
     write_matrix,
 )
-from levsketch.linalg import as_array
+from levsketch.linalg import as_array, fro_norm_sq_each
 
 
 def normal_equations_solve(a, b):
@@ -139,6 +140,28 @@ def test_fro_norm_sq_bits_and_one_copy(order, shape):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * a.nbytes + 4096
+
+
+@pytest.mark.parametrize("n_items", [1, 7])
+@pytest.mark.parametrize("r, m", [(1, 1), (3, 1), (3, 2), (5, 2)])
+def test_fro_norm_sq_each_equals_fro_norm_sq_bit_for_bit(n_items, r, m):
+    # Stacks of whole contiguous items and, as the scorer passes them, the
+    # strided off-diagonal blocks gram[:, :r, r:] of stacked Gram matrices.
+    rng = np.random.default_rng(13)
+    scale = rng.lognormal(0.0, 4.0, (n_items, 1, 1))
+    gram = rng.standard_normal((n_items, r + m, r + m)) * scale
+    for stack in (gram[:, :r, :m].copy(), gram[:, :r, r:], gram):
+        want = [fro_norm_sq(item) for item in stack]
+        got = fro_norm_sq_each(stack)
+        assert got.shape == (n_items,)
+        assert got.tolist() == want
+
+
+def test_fro_norm_sq_each_overflow_is_inf_without_a_warning():
+    stack = np.full((3, 2, 2), 1e200)
+    stack[1] = 1.0
+    got = fro_norm_sq_each(stack)  # the suite turns warnings into errors
+    assert got.tolist() == [math.inf, 4.0, math.inf] == [fro_norm_sq(x) for x in stack]
 
 
 class TestOrthonormalBasis:

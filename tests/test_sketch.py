@@ -279,6 +279,11 @@ class TestApplyAgainstDenseOracle:
         expected = float(np.sum((dense_operator(plan) @ x) ** 2))
         assert sketched_norm_sq(plan, x) == pytest.approx(expected, rel=1e-12)
 
+    def test_overflowing_product_rejected_without_a_warning(self):
+        plan = SketchPlan(uniform_distribution(4), np.array([0, 1]), np.array([1e300, 1.0]))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            apply_sketch(plan, np.full((4, 2), 1e10))
+
     def test_row_count_mismatch_rejected(self):
         plan = build_sketch(uniform_distribution(5), 3, RngStream(1))
         with pytest.raises(DimensionError):
@@ -308,6 +313,13 @@ class TestSketchedNormContract:
         x = np.array([1.0, 1.0, 2.0])  # nonzero in the dead row
         with pytest.raises(UnsupportedRowError):
             sketched_norm_sq(plan, x)
+
+    def test_overflow_raises_without_a_warning(self):
+        # Each sketched entry is finite, but their squares overflow; the
+        # suite turns a RuntimeWarning into an error.
+        plan = build_sketch(uniform_distribution(4), 3, RngStream(1))
+        with pytest.raises(InvalidParameterError, match="overflows float64"):
+            sketched_norm_sq(plan, np.full(4, 1e200))
 
     def test_unbiased_in_expectation(self):
         # smaller version of the acceptance run: one (x, p) pair, 20000 plans
