@@ -9,15 +9,17 @@ to :class:`~levsketch.sketch.RngStream` bit for bit), one sort and one
 guide-table lookup draw a chunk's sketches, one gather of their distinct
 rows and stacked small solves score them, and BLAS already spreads the work
 over the available cores.  Reports are byte-identical whatever the chunk size.
+A report keeps its trials as the scorer's columns, and its CSV rows are
+formatted from them through one template per report.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
+from functools import cached_property
 from itertools import chain
 from typing import Callable
 
@@ -47,9 +49,10 @@ from .solver import AccuracyTarget, required_samples
 #: rows at epsilon = delta = 1e-6) fail before anything is allocated.
 MAX_SAMPLES = 10_000_000
 
-#: Most trials one run may make.  A run keeps every trial's record (about
-#: 1 kB of Python objects) until the report is written, so this many take
-#: ~10 GB; larger requests fail before the problem is generated.  It also
+#: Most trials one run may make.  A run keeps its trials as report columns,
+#: about 70 bytes per trial (7.0 MB held after a 100000-trial run, by
+#: tracemalloc), so this many hold ~0.7 GB and twice that while the chunks
+#: are joined; larger requests fail before the problem is generated.  It also
 #: keeps every trial stream index ``t + 1`` within one 32-bit word, which
 #: :class:`~levsketch.sketch.TrialStreams` needs.
 MAX_TRIALS = 10_000_000
@@ -164,12 +167,19 @@ class TrialRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """All trial records plus aggregate rates for one config."""
+    """One config's trials plus aggregate rates.
+
+    ``scores`` holds the trials as columns: entry ``t`` of each
+    :class:`ChunkScores` array is trial ``t``'s value of that
+    :class:`TrialRecord` field.  The other record fields are the run's
+    constants (``s``, ``beta``, the seed) or follow from ``t``.  Equality is
+    identity, as the generated ``==`` over array fields would raise.
+    """
 
     config: TrialConfig
-    records: tuple[TrialRecord, ...]
+    scores: ChunkScores
     s: int
     beta: float
     success_rate: float
@@ -177,6 +187,15 @@ class ExperimentReport:
     sc2_rate: float
     implication_violations: int
     wall_time_s: float
+
+    @cached_property
+    def records(self) -> tuple[TrialRecord, ...]:
+        """The trials as :class:`TrialRecord`s, built on first use; fields are
+        Python ``bool``, ``int``, ``float`` and ``str``, not numpy scalars."""
+        seed = self.config.master_seed
+        rows = zip(*[column.tolist() for column in self.scores])
+        return tuple(TrialRecord(t, self.s, self.beta, *row, RngStream.algorithm_id, seed, t + 1)
+                     for t, row in enumerate(rows))
 
 
 def build_distribution(spec_text: str, profile) -> tuple[SamplingDistribution, float]:
@@ -227,25 +246,27 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     trial, so no stream object is built per trial.  The problem is factored
     once, and the leverage profile of that factorization sets the
     distribution.  Trials then run in chunks of ``max(1, CHUNK_DRAWS // s)``:
-    :func:`draw_chunk` draws the multisets of a chunk's sketches, a
+    :func:`draw_chunk` draws the multisets of a chunk's sketches, and a
     :class:`TrialScorer` scores each from the Gram matrix of its distinct
-    rows in the coordinates of the orthonormal basis, and the chunk's
-    :class:`ChunkScores` columns, zipped, are the middle of its trials'
-    records.  No per-trial plan, draw order or score object is built.
-    Per-trial failures (a sketch losing rank) become failure records, never
-    batch aborts; so does every trial of a problem that cannot be generated.
+    rows in the coordinates of the orthonormal basis.  The chunks'
+    :class:`ChunkScores`, joined, are the report's ``scores``, and each rate
+    is a count over one of their boolean columns.  No per-trial plan, draw
+    order, score object or :class:`TrialRecord` is built.  Per-trial
+    failures (a sketch losing rank) become failure entries, never batch
+    aborts; so does every trial of a problem that cannot be generated.
     """
     t_start = time.perf_counter()
+    n = cfg.n_trials
     try:
         # Trials read only the factors of the exact solve; the problem
         # itself is dropped here, so peak memory stays at generation's.
         meta = generate_problem(cfg.problem)[2]
     except GenerationFailedError as exc:
         s, beta = 0, float("nan")
-        nan, false = np.full(cfg.n_trials, np.nan), np.zeros(cfg.n_trials, dtype=bool)
-        error = np.full(cfg.n_trials, f"generation failed: {exc}", dtype=object)
-        scores = [ChunkScores(nan, false, nan, false, np.full(cfg.n_trials, np.inf), false, nan,
-                              nan, false, false, nan, nan, false, error)]
+        nan, false = np.full(n, np.nan), np.zeros(n, dtype=bool)
+        error = np.full(n, f"generation failed: {exc}", dtype=object)
+        scores = ChunkScores(nan, false, nan, false, np.full(n, np.inf), false, nan,
+                             nan, false, false, nan, nan, false, error)
     else:
         profile = meta["profile"]
         dist, beta = build_distribution(cfg.distribution, profile)
@@ -254,35 +275,34 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
         del meta, profile
         chunk = max(1, CHUNK_DRAWS // s)
         streams = TrialStreams(cfg.master_seed)
-        scores = [
+        chunks = [
             scorer.score_chunk(draw_chunk(
-                dist, s, streams, range(first + 1, min(first + chunk, cfg.n_trials) + 1)))
-            for first in range(0, cfg.n_trials, chunk)
+                dist, s, streams, range(first + 1, min(first + chunk, n) + 1)))
+            for first in range(0, n, chunk)
         ]
-    # .tolist() keeps record fields Python bool, float and str.
-    rows = chain.from_iterable(zip(*[column.tolist() for column in cs]) for cs in scores)
-    records = tuple(TrialRecord(t, s, beta, *row, RngStream.algorithm_id, cfg.master_seed, t + 1)
-                    for t, row in enumerate(rows))
+        scores = ChunkScores(*(np.concatenate(column) for column in zip(*chunks)))
 
-    n = cfg.n_trials
-    violations = sum(
-        1
-        for r in records
-        if r.sc1_holds
-        and r.sc2_holds
-        and not (r.residual_bound_holds and r.solution_bound_holds)
-    )
+    def rate(holds: np.ndarray) -> float:
+        return int(np.count_nonzero(holds)) / n
+
+    # The structural conditions must imply both accuracy bounds.
+    violations = (scores.sc1_holds & scores.sc2_holds
+                  & ~(scores.residual_bound_holds & scores.solution_bound_holds))
     return ExperimentReport(
         config=cfg,
-        records=records,
+        scores=scores,
         s=s,
         beta=beta,
-        success_rate=sum(r.eps_accurate for r in records) / n,
-        sc1_rate=sum(r.sc1_holds for r in records) / n,
-        sc2_rate=sum(r.sc2_holds for r in records) / n,
-        implication_violations=violations,
+        success_rate=rate(scores.eps_accurate),
+        sc1_rate=rate(scores.sc1_holds),
+        sc2_rate=rate(scores.sc2_holds),
+        implication_violations=int(np.count_nonzero(violations)),
         wall_time_s=time.perf_counter() - t_start,
     )
+
+
+#: Trials formatted at a time; bounds the row text :func:`write_report` holds.
+REPORT_BLOCK = 16384
 
 
 def _fmt_float(v) -> str:
@@ -290,39 +310,81 @@ def _fmt_float(v) -> str:
     return format(float(v), ".17g")
 
 
-_FORMATS = {"bool": lambda v: "true" if v else "false", "int": str, "float": _fmt_float,
-            "str": lambda v: str(v).replace(",", ";").replace("\n", " ")}
-#: One formatter per CSV column, picked from :class:`TrialRecord`'s field types.
-_COLUMN_FORMATS = tuple(_FORMATS[f.type] for f in fields(TrialRecord))
-_column_values = operator.attrgetter(*CSV_COLUMNS)
+def _text(value) -> str:
+    # A comma or newline inside a text field would break the CSV row.
+    return str(value).replace(",", ";").replace("\n", " ")
+
+
+#: Per :class:`TrialRecord` field type: the ``%`` conversion of a score
+#: column in the row template and the Python values it formats.  ``%.17g``
+#: of a Python float is ``_fmt_float``'s text, nan, +-inf and -0 included.
+_CONVERSIONS = {
+    "float": ("%.17g", np.ndarray.tolist),
+    "bool": ("%s", lambda column: np.where(column, "true", "false").tolist()),
+    "str": ("%s", lambda column: [_text(v) for v in column.tolist()]),
+}
+_SCORE_CONVERSIONS = tuple(_CONVERSIONS[f.type] for f in fields(TrialRecord)[3:17])
+
+
+def _row_blocks(report: ExperimentReport):
+    """Yield the report's CSV rows, :data:`REPORT_BLOCK` trials per list.
+
+    Every row is one ``%`` of a template in which ``s``, ``beta``, the
+    algorithm id and the seed are already formatted; its arguments are the
+    trial id, the trial's score columns and its stream index.
+    """
+    def const(text: str) -> str:
+        return text.replace("%", "%%")
+
+    template = ",".join([
+        "%d", const(str(report.s)), const(_fmt_float(report.beta)),
+        *(conversion for conversion, _ in _SCORE_CONVERSIONS),
+        const(_text(RngStream.algorithm_id)), const(str(report.config.master_seed)), "%d",
+    ])
+    n = len(report.scores.error)
+    for start in range(0, n, REPORT_BLOCK):
+        stop = min(start + REPORT_BLOCK, n)
+        columns = [values(column[start:stop])
+                   for (_, values), column in zip(_SCORE_CONVERSIONS, report.scores)]
+        yield [template % row
+               for row in zip(range(start, stop), *columns, range(start + 1, stop + 1))]
+
+
+def _trailer(report: ExperimentReport) -> list[str]:
+    return [
+        f"# n_trials={report.config.n_trials}",
+        f"# s={report.s}",
+        f"# beta={_fmt_float(report.beta)}",
+        f"# success_rate={_fmt_float(report.success_rate)}",
+        f"# sc1_rate={_fmt_float(report.sc1_rate)}",
+        f"# sc2_rate={_fmt_float(report.sc2_rate)}",
+        f"# implication_violations={report.implication_violations}",
+        f"# master_seed={report.config.master_seed}",
+        f"# wall_time_s={_fmt_float(report.wall_time_s)}",
+    ]
 
 
 def report_lines(report: ExperimentReport) -> list[str]:
     """CSV lines for a report: header, one row per trial, aggregate trailer.
 
-    The trailer lines start with ``#``; the wall-time line is always last
-    so byte-level comparisons can drop it.
+    Rows are formatted from ``report.scores``; no :class:`TrialRecord` is
+    built.  The trailer lines start with ``#``; the wall-time line is always
+    last so byte-level comparisons can drop it.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in report.records:
-        lines.append(",".join([f(v) for f, v in zip(_COLUMN_FORMATS, _column_values(rec))]))
-    lines.append(f"# n_trials={report.config.n_trials}")
-    lines.append(f"# s={report.s}")
-    lines.append(f"# beta={_fmt_float(report.beta)}")
-    lines.append(f"# success_rate={_fmt_float(report.success_rate)}")
-    lines.append(f"# sc1_rate={_fmt_float(report.sc1_rate)}")
-    lines.append(f"# sc2_rate={_fmt_float(report.sc2_rate)}")
-    lines.append(f"# implication_violations={report.implication_violations}")
-    lines.append(f"# master_seed={report.config.master_seed}")
-    lines.append(f"# wall_time_s={_fmt_float(report.wall_time_s)}")
-    return lines
+    return [",".join(CSV_COLUMNS), *chain.from_iterable(_row_blocks(report)), *_trailer(report)]
 
 
 def write_report(report: ExperimentReport, path) -> None:
-    """Write the CSV report; bytes are identical for identical records."""
+    """Write the CSV report, ``"\\n".join(report_lines(report)) + "\\n"``.
+
+    Rows are formatted and written :data:`REPORT_BLOCK` trials at a time, so
+    the file's text is never held whole.
+    """
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(report_lines(report)))
-        fh.write("\n")
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for rows in _row_blocks(report):
+            fh.write("\n".join(rows) + "\n")
+        fh.write("\n".join(_trailer(report)) + "\n")
 
 
 @dataclass(frozen=True)

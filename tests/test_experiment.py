@@ -18,6 +18,7 @@ from levsketch import (
     InvalidSampleCountError,
     PRESETS,
     ProblemSpec,
+    RngStream,
     TrialConfig,
     parse_distribution_spec,
     parse_sample_rule,
@@ -38,6 +39,28 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return TrialConfig(**base)
+
+
+def per_value(v):
+    """A CSV field by the type of one value: the formatting oracle."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        x = float(v)
+        if math.isnan(x):
+            return "nan"
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return format(x, ".17g")
+    return str(v).replace(",", ";").replace("\n", " ")
+
+
+def oracle_lines(report):
+    """The header and one row per record, each field through ``per_value``."""
+    return [",".join(CSV_COLUMNS)] + [
+        ",".join(per_value(getattr(rec, c)) for c in CSV_COLUMNS) for rec in report.records]
 
 
 class TestParsers:
@@ -175,6 +198,37 @@ class TestRunExperiment:
         assert all(r.s == 0 and math.isnan(r.beta) and not r.sc2_holds for r in report.records)
         self.assert_failure_records(
             report.records, "generation failed: nothing full rank today", math.nan, False)
+
+    def test_no_records_are_built_to_run_and_write(self, monkeypatch, tmp_path):
+        # A run keeps its trials as columns; records are built only when
+        # report.records is read, once, with Python-typed fields.
+        built = []
+        original = experiment_mod.TrialRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["trial_id"])
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(experiment_mod.TrialRecord, "__init__", counting)
+        report = run_experiment(small_config(sample_rule="3", n_trials=30))
+        write_report(report, tmp_path / "report.csv")
+        report_lines(report)
+        assert built == []
+        records = report.records
+        assert built == list(range(30)) and report.records is records
+        types = {"bool": bool, "int": int, "float": float, "str": str}
+        for r in records:
+            for f in dataclasses.fields(r):
+                assert type(getattr(r, f.name)) is types[f.type], f.name
+        assert [r.sc1_value for r in records] == report.scores.sc1_value.tolist()
+        assert [r.error for r in records] == report.scores.error.tolist()
+
+    def test_report_equality_is_identity(self):
+        cfg = small_config(n_trials=3)
+        report, again = run_experiment(cfg), run_experiment(cfg)
+        assert report == report and not (report != report)
+        assert report != again and report in [again, report]
+        assert hash(report) == hash(report)
 
     def test_score_columns_are_the_record_columns(self):
         # A chunk's scores are the TrialRecord columns from sc1_value to error.
@@ -352,41 +406,68 @@ class TestReportFormat:
         assert cols["eps_accurate"] == "false"
         assert cols["sc1_holds"] == "false"
 
-    def test_column_formatters_match_per_value_format(self):
-        # Each column's formatter is picked once from TrialRecord's field
-        # types; the bytes must equal those of the per-value type dispatch.
-        def per_value(v):
-            if isinstance(v, bool):
-                return "true" if v else "false"
-            if isinstance(v, (int, np.integer)):
-                return str(int(v))
-            if isinstance(v, (float, np.floating)):
-                x = float(v)
-                if math.isnan(x):
-                    return "nan"
-                if math.isinf(x):
-                    return "inf" if x > 0 else "-inf"
-                return format(x, ".17g")
-            return str(v).replace(",", ";").replace("\n", " ")
-
-        report = run_experiment(small_config(n_trials=4))
+    def test_column_formatters_match_per_value_format(self, monkeypatch):
+        # Rows come from one % template over the score columns, with the
+        # run's constants baked in; the bytes must equal those of the
+        # per-value type dispatch applied to the records.
+        monkeypatch.setattr(RngStream, "algorithm_id", "x\ny,%d")
+        report = run_experiment(small_config(n_trials=4, master_seed=0))
+        columns = {name: column.copy() for name, column in report.scores._asdict().items()}
         specials = [
-            dict(sc1_value=float("nan"), gamma=float("-inf"), accuracy_ratio=float("inf"),
+            dict(sc1_value=math.nan, gamma=-math.inf, accuracy_ratio=math.inf,
                  sc2_holds=True, eps_accurate=False, error="lost rank, see\nbelow, twice"),
-            dict(beta=-0.0, sc2_value=5e-324, solution_err_sq=1.7976931348623157e308,
-                 solution_bound_limit=0.1, trial_id=2**40, rng_seed=0),
-            dict(gamma_bound_limit=-1e-300, error="a,b\n,c", rng_algorithm="x\ny"),
+            dict(sc2_value=5e-324, solution_err_sq=1.7976931348623157e308,
+                 solution_bound_limit=0.1),
+            dict(gamma_bound_limit=-1e-300, error="a,b\n,c"),
         ]
-        records = tuple(dataclasses.replace(rec, **fields)
-                        for rec, fields in zip(report.records, specials)) + report.records[3:]
-        report = dataclasses.replace(report, records=records, beta=float("nan"),
-                                     success_rate=float("inf"), sc1_rate=0.25)
-        want = [",".join(CSV_COLUMNS)]
-        want += [",".join(per_value(getattr(rec, c)) for c in CSV_COLUMNS) for rec in records]
+        for t, values in enumerate(specials):
+            for name, value in values.items():
+                columns[name][t] = value
+        report = dataclasses.replace(report, scores=ChunkScores(**columns), beta=-0.0,
+                                     success_rate=math.inf, sc1_rate=0.25)
         got = report_lines(report)
-        assert got[:5] == want
-        assert got[7:10] == ["# beta=nan", "# success_rate=inf", "# sc1_rate=0.25"]
-        assert ",a;b ;c," in got[3] and ",x y," in got[3]
+        assert got[:5] == oracle_lines(report)
+        assert got[7:10] == ["# beta=-0", "# success_rate=inf", "# sc1_rate=0.25"]
+        assert got[1].startswith("0,24,-0,nan,")
+        assert ",a;b ;c," in got[3] and got[3].endswith(",x y;%d,0,3")
+        assert "1.7976931348623157e+308" in got[2] and "4.9406564584124654e-324" in got[2]
+
+    @pytest.mark.parametrize("case", [
+        *(pytest.param(cfg, id=f"{name}-{i}")
+          for name, preset in PRESETS.items() for i, cfg in enumerate(preset.configs)),
+        pytest.param(small_config(sample_rule="2"), id="s<r"),
+        pytest.param("generation-failure", id="generation-failure"),
+    ])
+    def test_report_lines_equal_the_per_value_oracle(self, case, monkeypatch):
+        if case == "generation-failure":
+            def boom(spec):
+                raise GenerationFailedError("nothing, full\nrank today")
+
+            monkeypatch.setattr(experiment_mod, "generate_problem", boom)
+            case = small_config(n_trials=5)
+        report = run_experiment(case)
+        got = report_lines(report)
+        assert got[:-9] == oracle_lines(report)
+        assert got[-9:-1] == [
+            f"# n_trials={case.n_trials}", f"# s={report.s}",
+            f"# beta={format(report.beta, '.17g')}",
+            *(f"# {k}={format(getattr(report, k), '.17g')}"
+              for k in ("success_rate", "sc1_rate", "sc2_rate")),
+            f"# implication_violations={report.implication_violations}",
+            f"# master_seed={case.master_seed}",
+        ]
+
+    @pytest.mark.parametrize("block", [1, 5, 12, 13])
+    def test_write_report_streams_the_report_lines(self, block, tmp_path, monkeypatch):
+        # Rows are written REPORT_BLOCK trials at a time; the bytes are the
+        # joined report_lines whatever the block size.
+        report = run_experiment(small_config(sample_rule="3", n_trials=12))
+        want = "\n".join(report_lines(report)) + "\n"
+        monkeypatch.setattr(experiment_mod, "REPORT_BLOCK", block)
+        path = tmp_path / "report.csv"
+        write_report(report, path)
+        assert path.read_bytes() == want.encode()
+        assert "\n".join(report_lines(report)) + "\n" == want
 
     def test_written_bytes_stable_modulo_wall_time(self, tmp_path):
         cfg = small_config()
