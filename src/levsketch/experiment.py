@@ -323,7 +323,26 @@ _CONVERSIONS = {
     "bool": ("%s", lambda column: np.where(column, "true", "false").tolist()),
     "str": ("%s", lambda column: [_text(v) for v in column.tolist()]),
 }
-_SCORE_CONVERSIONS = tuple(_CONVERSIONS[f.type] for f in fields(TrialRecord)[3:17])
+
+
+def _distinct_texts(column: np.ndarray) -> list[str]:
+    """``%.17g`` texts of a float column, each distinct value formatted once.
+
+    Equal bits give equal text, nan and -0 included; for a column that
+    holds one value per problem (nan on error rows) that is one or two
+    conversions instead of one per row.
+    """
+    distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    texts = ["%.17g" % v for v in distinct.view(np.float64).tolist()]
+    return [texts[i] for i in inverse.tolist()]
+
+
+#: Score columns that hold one value per problem, nan on error rows.
+_PER_PROBLEM = ("solution_bound_limit", "gamma", "gamma_bound_limit")
+_SCORE_CONVERSIONS = tuple(
+    ("%s", _distinct_texts) if f.name in _PER_PROBLEM else _CONVERSIONS[f.type]
+    for f in fields(TrialRecord)[3:17]
+)
 
 
 def _row_blocks(report: ExperimentReport):
@@ -331,7 +350,8 @@ def _row_blocks(report: ExperimentReport):
 
     Every row is one ``%`` of a template in which ``s``, ``beta``, the
     algorithm id and the seed are already formatted; its arguments are the
-    trial id, the trial's score columns and its stream index.
+    trial id, the trial's score columns and its stream index.  The
+    per-problem columns arrive as text, each distinct value formatted once.
     """
     def const(text: str) -> str:
         return text.replace("%", "%%")

@@ -6,40 +6,59 @@ column-major order.  Writes put one entry per line in scientific notation
 with 17 significant digits, so a write/read round trip reproduces every
 float64 bit for bit.
 
-Files are read as UTF-8.  A read walks only the prefix (header, leading
-comments and blank lines, size line) line by line, then splits the whole
-body at once and casts it with ``float`` in one pass.  Anything unusual --
-a ``%`` after the size line, a wrong entry count, a token ``float``
-rejects, a non-finite entry, or a line break other than ``\\n``/``\\r\\n``
-in the prefix -- sends the file to the line-by-line parser instead.  That
-parser is the only source of the line-numbered error texts, and the tests
-use it as the oracle for the one-pass path.
+A read walks only the prefix (header, leading comments and blank lines,
+size line) line by line.  A body in the writer's own format -- every token
+``[-+]?d.<16 digits>[eE][-+]dd[d]`` between ASCII whitespace, as
+``{:.16e}`` and C's ``%.16e`` print it -- is read from the file's bytes by a
+vectorized decimal reader, :data:`READ_BLOCK` bytes at a time, into one
+preallocated array.  It decides almost every token with the Eisel-Lemire
+algorithm (Lemire 2021, "Number parsing at a gigabyte per second"): one
+64x128-bit product against a table of powers of five, rounded to nearest
+even.  ``float`` decides every token it cannot decide, on the token's own
+bytes: a nonzero significand below 2**53 (a leading digit 0), a subnormal,
+an overflow, an exponent outside [-342, 308], and the rare product that is
+too close to call.  The results are the bits ``float`` gives.
+
+Any other body is decoded as UTF-8, split at once and cast with ``float``
+in one pass.  Anything unusual -- a ``%`` after the size line, a wrong entry
+count, a token ``float`` rejects, a non-finite entry, or a line break other
+than ``\\n``/``\\r\\n`` in the prefix -- sends the file to the line-by-line
+parser instead.  That parser is the only source of the line-numbered error
+texts, and the tests use it as the oracle for both faster paths.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import LevSketchError, MatrixMarketParseError
-from .linalg import DenseMatrix, as_array
+from .linalg import DenseMatrix, as_array, read_only
 
 _HEADER_FIELDS = ("%%matrixmarket", "matrix", "array", "real", "general")
 
 #: Values formatted per ``write``; bounds the formatted text held at once.
 WRITE_CHUNK = 65536
 
+#: Body bytes the decimal reader parses per step.  A block is cut at
+#: whitespace, so no token is split, and its temporaries stay a few MB
+#: whatever the size of the file.
+READ_BLOCK = 1 << 18
+
 
 def write_lines(fh, values: np.ndarray, line_format: str) -> None:
-    """Write each entry of the 1-D ``values`` as ``line_format.format(v)``.
+    """Write each entry of the 1-D ``values`` as ``line_format % v``.
 
-    Entries are formatted as Python floats, ``WRITE_CHUNK`` at a time, which
-    gives the same text as formatting each numpy scalar in turn.
+    Entries are formatted as Python floats, ``WRITE_CHUNK`` at a time with
+    one ``%`` of a repeated template, which gives the same text as
+    formatting each numpy scalar in turn.
     """
-    fmt = line_format.format
     for start in range(0, len(values), WRITE_CHUNK):
-        fh.write("".join(map(fmt, values[start:start + WRITE_CHUNK].tolist())))
+        chunk = values[start:start + WRITE_CHUNK].tolist()
+        fh.write((line_format * len(chunk)) % tuple(chunk))
 
 
 def write_matrix(path: str | os.PathLike, m) -> None:
@@ -47,23 +66,27 @@ def write_matrix(path: str | os.PathLike, m) -> None:
     a = as_array(m)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"%%MatrixMarket matrix array real general\n{a.shape[0]} {a.shape[1]}\n")
-        write_lines(fh, a.ravel(order="F"), "{:.16e}\n")
+        write_lines(fh, a.ravel(order="F"), "%.16e\n")
 
 
-def read_text(path: str | os.PathLike, error: type[LevSketchError]) -> str:
-    """Read a whole file as UTF-8 text.
+def decode_text(data: bytes, error: type[LevSketchError]) -> str:
+    """Decode a file's bytes as UTF-8 text.
 
     Bytes that are not UTF-8 raise ``error(message, line)``, where ``line``
     is the 1-based line of the first bad byte, counting ``\\n``, ``\\r\\n``
     and ``\\r`` as line ends.  Line ends are returned untranslated.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((data[: exc.start] + b"x").splitlines())
         raise error(f"not UTF-8: byte 0x{data[exc.start]:02x}", line) from None
+
+
+def read_text(path: str | os.PathLike, error: type[LevSketchError]) -> str:
+    """Read a whole file as UTF-8 text, as :func:`decode_text` decodes it."""
+    with open(path, "rb") as fh:
+        return decode_text(fh.read(), error)
 
 
 def read_matrix(path: str | os.PathLike) -> DenseMatrix:
@@ -78,23 +101,37 @@ def read_matrix(path: str | os.PathLike) -> DenseMatrix:
     OSError
         If the file cannot be opened.
     """
-    text = read_text(path, MatrixMarketParseError)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    m = _read_canonical(data)
+    if m is not None:
+        return m
+    text = decode_text(data, MatrixMarketParseError)
     m = _parse_body_at_once(text)
     return m if m is not None else _parse_lines(text)
 
 
-def _parse_body_at_once(text: str) -> DenseMatrix | None:
-    """Parse a well-formed file with one split and one cast of its body.
+def _size_line(buf: str | bytes) -> tuple[int, int, int] | None:
+    """``(rows, cols, offset of the body)`` of a file's text or bytes.
 
-    Returns None, having raised nothing, wherever ``_parse_lines`` might
-    reject the file or split its prefix into other lines.
+    Returns None wherever ``_parse_lines`` might reject the prefix or split
+    it into other lines, or the size is not positive.  Bytes are decoded a
+    line at a time; a ``\\n`` byte is never part of a longer UTF-8
+    sequence, so that is the whole-file decoding cut at line ends.
     """
+    newline = "\n" if isinstance(buf, str) else b"\n"
     pos = 0
     while True:
-        end = text.find("\n", pos)
+        end = buf.find(newline, pos)
         if end < 0:
             return None
-        line = text[pos:end].removesuffix("\r")
+        line = buf[pos:end]
+        if not isinstance(line, str):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+        line = line.removesuffix("\r")
         if line and line.splitlines() != [line]:
             return None  # _parse_lines would split this line further
         if pos == 0:
@@ -110,10 +147,22 @@ def _parse_body_at_once(text: str) -> DenseMatrix | None:
         rows, cols = int(parts[0]), int(parts[1])
     except ValueError:
         return None
+    return (rows, cols, end + 1) if rows >= 1 and cols >= 1 else None
+
+
+def _parse_body_at_once(text: str) -> DenseMatrix | None:
+    """Parse a well-formed file with one split and one cast of its body.
+
+    Returns None, having raised nothing, wherever ``_parse_lines`` might
+    reject the file or split its prefix into other lines.
+    """
+    found = _size_line(text)
+    if found is None:
+        return None
+    rows, cols, body = found
     # A late comment or a wrong count would also fail the cast below;
     # checking first spares the cast on such files.
-    body = end + 1
-    if rows < 1 or cols < 1 or text.find("%", body) >= 0:
+    if text.find("%", body) >= 0:
         return None
     tokens = text[body:].split()
     if len(tokens) != rows * cols:
@@ -126,6 +175,202 @@ def _parse_body_at_once(text: str) -> DenseMatrix | None:
         return DenseMatrix(flat.reshape(cols, rows).T)
     except ValueError:
         return None
+
+
+# -- the decimal reader -------------------------------------------------------
+
+#: A canonical token after its optional sign, one byte a column: column j
+#: holds a byte b with ``((b | _BYTE_CASE[j]) - _BYTE_LOW[j]) % 256 <
+#: _BYTE_SPAN[j]``.  The exponent's sign column admits "+,-" here and "," is
+#: rejected apart; a third exponent digit may follow.
+_CANONICAL = b"0.0000000000000000e+00"
+_E, _E_SIGN = _CANONICAL.index(b"e"), _CANONICAL.index(b"+")
+_BYTE_LOW = np.frombuffer(_CANONICAL, np.uint8).copy()
+_BYTE_LOW[[_E, _E_SIGN]] = [ord("e"), ord("+")]
+_BYTE_SPAN = np.where(_BYTE_LOW == ord("0"), 10, 1).astype(np.uint8)
+_BYTE_SPAN[_E_SIGN] = 3
+_BYTE_CASE = np.zeros(len(_CANONICAL), np.uint8)
+_BYTE_CASE[_E] = 0x20  # "E" | 0x20 == "e"
+_TOKEN_MAX = 1 + len(_CANONICAL) + 1
+
+#: Decimal exponents q of w * 10**q that the power table covers; w * 10**q
+#: is below the least subnormal under it and overflows above it.
+_Q_MIN, _Q_MAX = -342, 308
+
+_U64 = np.uint64
+_LOW32, _32 = _U64(0xFFFFFFFF), _U64(32)
+_ALL_ONES = _U64(2**64 - 1)
+
+
+@functools.cache
+def _powers_of_five() -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit powers of five, q in
+    [``_Q_MIN``, ``_Q_MAX``]: 5**q truncated to its top 128 bits for
+    q >= 0, and a reciprocal 2**b // 5**-q + 1 cut to 128 bits for q < 0.
+
+    This is the table of Lemire's fast_float, built on first use (importing
+    the package builds nothing) and shared read-only.
+    """
+    words = []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        if q >= 0:
+            t = 5**q
+        else:
+            p = 5**-q
+            # For q >= -27 the reciprocal is exact enough at 128 bits.
+            t = (1 << (p.bit_length() + 127 if q >= -27 else 2 * p.bit_length() + 128)) // p + 1
+        shift = t.bit_length() - 128
+        words.append(t >> shift if shift >= 0 else t << -shift)
+    return (read_only(np.array([t >> 64 for t in words], np.uint64)),
+            read_only(np.array([t & (2**64 - 1) for t in words], np.uint64)))
+
+
+def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products of two uint64 arrays."""
+    a_lo, a_hi = a & _LOW32, a >> _32
+    b_lo, b_hi = b & _LOW32, b >> _32
+    cross_1, cross_2 = a_hi * b_lo, a_lo * b_hi
+    carry = ((a_lo * b_lo) >> _32) + (cross_1 & _LOW32) + (cross_2 & _LOW32)
+    return a_hi * b_hi + (cross_1 >> _32) + (cross_2 >> _32) + (carry >> _32), a * b
+
+
+def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bits of the doubles nearest ``w * 10**q``, ties to even, for uint64
+    ``w`` below 10**17 and int64 ``q``, and the mask of the entries left
+    undecided.
+
+    This is fast_float's ``compute_float`` for float64, one array operation
+    per step.  A zero ``w`` gives +0.  Left undecided: a nonzero ``w``
+    below 2**53, ``q`` outside the table, subnormal or infinite results, and a
+    low product word of all ones outside q in [-27, 55], where a truncated
+    power of five might not decide the rounding.
+    """
+    hi5, lo5 = _powers_of_five()
+    row = np.clip(q, _Q_MIN, _Q_MAX) - _Q_MIN
+    # lz shifts the top bit of a w of 54 to 57 bits to bit 63.
+    lz = 7 + sum((w < _U64(2**k)).view(np.int8) for k in (54, 55, 56))
+    short = w < _U64(2**53)
+    zero = w == _U64(0)
+    w = w << lz.astype(np.uint64)
+    hi, lo = _mul128(w, hi5[row])
+    retry = np.flatnonzero((hi & _U64(0x1FF)) == _U64(0x1FF))
+    if retry.size:
+        # The truncated power's low word may carry into the top 55 bits.
+        extra = _mul128(w[retry], lo5[row[retry]])[0]
+        low = lo[retry] + extra
+        lo[retry] = low
+        hi[retry] += low < extra
+    upper = hi >> _U64(63)
+    shift = upper + _U64(9)
+    mantissa = hi >> shift
+    power2 = ((q * 217706) >> 16) + 63 + upper.view(np.int64) - lz + 1023
+    # An exact tie shifts out only zeros; round it down to even.
+    tie = ((lo <= _U64(1)) & (q >= -4) & (q <= 23) & ((mantissa & _U64(3)) == _U64(1))
+           & ((mantissa << shift) == hi))
+    mantissa -= tie
+    mantissa += mantissa & _U64(1)
+    mantissa >>= _U64(1)
+    carry = mantissa >> _U64(53)
+    mantissa >>= carry
+    power2 += carry.view(np.int64)
+    bits = (power2.view(np.uint64) << _U64(52)) | (mantissa & _U64(2**52 - 1))
+    undecided = ~zero & (
+        short | (q < _Q_MIN) | (q > _Q_MAX) | (power2 <= 0) | (power2 >= 2047)
+        | ((lo == _ALL_ONES) & ((q < -27) | (q > 55)))
+    )
+    bits[zero] = 0
+    return bits, undecided
+
+
+def _float_each(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[float]:
+    """``float`` of each token ``data[start:end]``: the decimal reader's
+    fallback for the tokens it leaves undecided."""
+    return [float(data[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
+
+
+def _is_space(b: np.ndarray) -> np.ndarray:
+    """Where the bytes ``b`` are ASCII whitespace (space, \\t\\n\\v\\f\\r),
+    which ``bytes.split`` splits at.  ``str.split`` also splits at
+    \\x1c-\\x1f and non-ASCII spaces; those bytes are in no canonical body."""
+    return (b == ord(" ")) | ((b - np.uint8(9)) < np.uint8(5))
+
+
+def _read_block(data: bytes, buf: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
+    """The values of the tokens in ``buf[lo:hi]``, which starts and ends at
+    whitespace or the end of the data, or None if a token is not canonical
+    or not finite."""
+    edges = np.flatnonzero(np.diff(_is_space(buf[lo:hi]), prepend=True, append=True)) + lo
+    starts, ends = edges[0::2], edges[1::2]
+    lead = buf[starts]
+    first = starts + ((lead == ord("-")) | (lead == ord("+")))  # the leading digit
+    length = ends - first
+    long = length == len(_CANONICAL) + 1
+    if not np.all(long | (length == len(_CANONICAL))):
+        return None
+    if not len(starts):
+        return np.empty(0)
+    token = sliding_window_view(buf, len(_CANONICAL))[first]
+    third = buf[first[long] + len(_CANONICAL)] - np.uint8(48)
+    negative_e = token[:, _E_SIGN] == ord("-")
+    if not (np.all(((token | _BYTE_CASE) - _BYTE_LOW) < _BYTE_SPAN) and np.all(third < 10)
+            and np.all(negative_e | (token[:, _E_SIGN] == ord("+")))):
+        return None
+    # The 16 fraction digits as two little-endian 8-byte words, each turned
+    # into its 8-digit value by three multiply-shift-mask steps.
+    digits = np.ascontiguousarray(token[:, 2:_E]).view("<u8") - _U64(0x3030303030303030)
+    digits = (digits * _U64(10) + (digits >> _U64(8))) & _U64(0x00FF00FF00FF00FF)
+    digits = (digits * _U64(100) + (digits >> _U64(16))) & _U64(0x0000FFFF0000FFFF)
+    digits = (digits * _U64(10000) + (digits >> _U64(32))) & _LOW32
+    w = ((token[:, 0] - np.uint8(48)).astype(np.uint64) * _U64(10**16)
+         + digits[:, 0] * _U64(10**8) + digits[:, 1])
+    e = ((token[:, _E_SIGN + 1] - np.uint8(48)).astype(np.int64) * 10
+         + (token[:, _E_SIGN + 2] - np.uint8(48)))
+    e[long] = e[long] * 10 + third
+    bits, undecided = _eisel_lemire(w, np.where(negative_e, -e, e) - 16)
+    bits |= (lead == ord("-")).astype(np.uint64) << _U64(63)
+    values = bits.view(np.float64)
+    if undecided.any():
+        at = np.flatnonzero(undecided)
+        values[at] = _float_each(data, starts[at], ends[at])
+        if not np.all(np.isfinite(values[at])):
+            return None
+    return values
+
+
+def _read_canonical(data: bytes) -> DenseMatrix | None:
+    """Read a file whose body is all canonical tokens with the decimal reader.
+
+    Returns None, having raised nothing, on any other file, and wherever
+    ``_parse_body_at_once`` would return None.
+    """
+    found = _size_line(data)
+    if found is None:
+        return None
+    rows, cols, pos = found
+    if rows * cols > (len(data) - pos + 1) // (len(_CANONICAL) + 1):
+        return None  # more entries than canonical tokens fit in the body
+    buf = np.frombuffer(data, np.uint8)
+    flat = np.empty(rows * cols)
+    filled = 0
+    while pos < len(data):
+        stop = min(pos + READ_BLOCK, len(data))
+        # Move the cut to the whitespace after the token it falls in, if any.
+        tail = _is_space(buf[stop:stop + _TOKEN_MAX + 1])
+        if tail.any():
+            stop += int(tail.argmax())
+        elif stop + len(tail) < len(data):
+            return None  # a token too long to be canonical
+        else:
+            stop = len(data)
+        values = _read_block(data, buf, pos, stop)
+        if values is None or filled + len(values) > len(flat):
+            return None
+        flat[filled:filled + len(values)] = values
+        filled += len(values)
+        pos = stop
+    if filled != len(flat):
+        return None
+    return DenseMatrix(flat.reshape(cols, rows).T)
 
 
 def _parse_lines(raw: str) -> DenseMatrix:
