@@ -7,30 +7,34 @@ with 17 significant digits, so a write/read round trip reproduces every
 float64 bit for bit.
 
 A read walks only the prefix (header, leading comments and blank lines,
-size line) line by line.  A body in the writer's own format -- every token
-``[-+]?d.<16 digits>[eE][-+]dd[d]`` between ASCII whitespace, as
-``{:.16e}`` and C's ``%.16e`` print it -- is read from the file's bytes by a
-vectorized decimal reader, :data:`READ_BLOCK` bytes at a time, into one
-preallocated array.  It decides almost every token with the Eisel-Lemire
-algorithm (Lemire 2021, "Number parsing at a gigabyte per second"): one
-64x128-bit product against a table of powers of five, rounded to nearest
-even.  ``float`` decides every token it cannot decide, on the token's own
-bytes: a nonzero significand below 2**53 (a leading digit 0), a subnormal,
-an overflow, an exponent outside [-342, 308], and the rare product that is
-too close to call.  The results are the bits ``float`` gives.
+size line) line by line, then reads the body from the file's bytes,
+:data:`READ_BLOCK` bytes at a time (each block cut at ASCII whitespace), into
+one preallocated array.  A block whose every token is in the writer's own
+format -- ``[-+]?d.<16 digits>[eE][-+]dd[d]``, as ``{:.16e}`` and C's
+``%.16e`` print it -- is read by a vectorized decimal reader.  It decides
+almost every token with the Eisel-Lemire algorithm (Lemire 2021, "Number
+parsing at a gigabyte per second"): one 64x128-bit product against a table
+of powers of five, rounded to nearest even.  ``float`` decides every other
+block, token by token on the block's ``bytes.split()``, and every token the
+decimal reader cannot decide: a nonzero significand below 2**53 (a leading
+digit 0), a subnormal, an overflow, an exponent outside [-342, 308], and the
+rare product that is too close to call.  The results are the bits ``float``
+gives.
 
-Any other body is decoded as UTF-8, split at once and cast with ``float``
-in one pass.  Anything unusual -- a ``%`` after the size line, a wrong entry
-count, a token ``float`` rejects, a non-finite entry, or a line break other
-than ``\\n``/``\\r\\n`` in the prefix -- sends the file to the line-by-line
-parser instead.  That parser is the only source of the line-numbered error
-texts, and the tests use it as the oracle for both faster paths.
+Anything else -- a token ``float`` rejects (a ``%`` after the size line,
+any non-ASCII byte), a non-finite entry, a wrong entry count, or a line
+break other than ``\\n``/``\\r\\n`` in the prefix -- sends the file to the
+line-by-line parser instead.  That parser is the only source of the
+line-numbered error texts, and the tests use it as the oracle for the
+reader.  A well-formed body with non-ASCII separators (U+00A0, say) takes
+it too and gets the same values, only more slowly.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import re
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -103,35 +107,27 @@ def read_matrix(path: str | os.PathLike) -> DenseMatrix:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    m = _read_canonical(data)
-    if m is not None:
-        return m
-    text = decode_text(data, MatrixMarketParseError)
-    m = _parse_body_at_once(text)
-    return m if m is not None else _parse_lines(text)
+    m = _read_body(data)
+    return m if m is not None else _parse_lines(decode_text(data, MatrixMarketParseError))
 
 
-def _size_line(buf: str | bytes) -> tuple[int, int, int] | None:
-    """``(rows, cols, offset of the body)`` of a file's text or bytes.
+def _size_line(data: bytes) -> tuple[int, int, int] | None:
+    """``(rows, cols, offset of the body)`` of a file's bytes.
 
     Returns None wherever ``_parse_lines`` might reject the prefix or split
-    it into other lines, or the size is not positive.  Bytes are decoded a
-    line at a time; a ``\\n`` byte is never part of a longer UTF-8
+    it into other lines, or the size is not positive.  The bytes are decoded
+    a line at a time; a ``\\n`` byte is never part of a longer UTF-8
     sequence, so that is the whole-file decoding cut at line ends.
     """
-    newline = "\n" if isinstance(buf, str) else b"\n"
     pos = 0
     while True:
-        end = buf.find(newline, pos)
+        end = data.find(b"\n", pos)
         if end < 0:
             return None
-        line = buf[pos:end]
-        if not isinstance(line, str):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-        line = line.removesuffix("\r")
+        try:
+            line = data[pos:end].decode("utf-8").removesuffix("\r")
+        except UnicodeDecodeError:
+            return None
         if line and line.splitlines() != [line]:
             return None  # _parse_lines would split this line further
         if pos == 0:
@@ -150,33 +146,6 @@ def _size_line(buf: str | bytes) -> tuple[int, int, int] | None:
     return (rows, cols, end + 1) if rows >= 1 and cols >= 1 else None
 
 
-def _parse_body_at_once(text: str) -> DenseMatrix | None:
-    """Parse a well-formed file with one split and one cast of its body.
-
-    Returns None, having raised nothing, wherever ``_parse_lines`` might
-    reject the file or split its prefix into other lines.
-    """
-    found = _size_line(text)
-    if found is None:
-        return None
-    rows, cols, body = found
-    # A late comment or a wrong count would also fail the cast below;
-    # checking first spares the cast on such files.
-    if text.find("%", body) >= 0:
-        return None
-    tokens = text[body:].split()
-    if len(tokens) != rows * cols:
-        return None
-    try:
-        # float() decides every value, exactly as in _parse_lines; DenseMatrix
-        # rejects a non-finite entry.  The transpose of the (cols, rows)
-        # reshape is a column-major view of the entries in file order.
-        flat = np.fromiter(map(float, tokens), np.float64, len(tokens))
-        return DenseMatrix(flat.reshape(cols, rows).T)
-    except ValueError:
-        return None
-
-
 # -- the decimal reader -------------------------------------------------------
 
 #: A canonical token after its optional sign, one byte a column: column j
@@ -191,7 +160,8 @@ _BYTE_SPAN = np.where(_BYTE_LOW == ord("0"), 10, 1).astype(np.uint8)
 _BYTE_SPAN[_E_SIGN] = 3
 _BYTE_CASE = np.zeros(len(_CANONICAL), np.uint8)
 _BYTE_CASE[_E] = 0x20  # "E" | 0x20 == "e"
-_TOKEN_MAX = 1 + len(_CANONICAL) + 1
+
+_SPACE = re.compile(rb"\s")
 
 #: Decimal exponents q of w * 10**q that the power table covers; w * 10**q
 #: is below the least subnormal under it and overflows above it.
@@ -282,23 +252,28 @@ def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return bits, undecided
 
 
-def _float_each(data: bytes, starts: np.ndarray, ends: np.ndarray) -> list[float]:
-    """``float`` of each token ``data[start:end]``: the decimal reader's
-    fallback for the tokens it leaves undecided."""
-    return [float(data[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
+def _float_each(tokens: list[bytes]) -> np.ndarray | None:
+    """``float`` of each token, or None if ``float`` rejects one (any token
+    with a non-ASCII byte, too) or a value is not finite."""
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        return None
+    return values if np.all(np.isfinite(values)) else None
 
 
 def _is_space(b: np.ndarray) -> np.ndarray:
     """Where the bytes ``b`` are ASCII whitespace (space, \\t\\n\\v\\f\\r),
-    which ``bytes.split`` splits at.  ``str.split`` also splits at
-    \\x1c-\\x1f and non-ASCII spaces; those bytes are in no canonical body."""
+    which ``bytes.split`` and ``_SPACE`` split at.  ``str.split`` also splits
+    at \\x1c-\\x1f and non-ASCII spaces; ``float`` rejects a token holding
+    one of those bytes."""
     return (b == ord(" ")) | ((b - np.uint8(9)) < np.uint8(5))
 
 
 def _read_block(data: bytes, buf: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
     """The values of the tokens in ``buf[lo:hi]``, which starts and ends at
-    whitespace or the end of the data, or None if a token is not canonical
-    or not finite."""
+    whitespace or the end of the data, or None if ``float`` rejects a token
+    or a value is not finite."""
     edges = np.flatnonzero(np.diff(_is_space(buf[lo:hi]), prepend=True, append=True)) + lo
     starts, ends = edges[0::2], edges[1::2]
     lead = buf[starts]
@@ -306,7 +281,7 @@ def _read_block(data: bytes, buf: np.ndarray, lo: int, hi: int) -> np.ndarray | 
     length = ends - first
     long = length == len(_CANONICAL) + 1
     if not np.all(long | (length == len(_CANONICAL))):
-        return None
+        return _float_each(data[lo:hi].split())
     if not len(starts):
         return np.empty(0)
     token = sliding_window_view(buf, len(_CANONICAL))[first]
@@ -314,7 +289,7 @@ def _read_block(data: bytes, buf: np.ndarray, lo: int, hi: int) -> np.ndarray | 
     negative_e = token[:, _E_SIGN] == ord("-")
     if not (np.all(((token | _BYTE_CASE) - _BYTE_LOW) < _BYTE_SPAN) and np.all(third < 10)
             and np.all(negative_e | (token[:, _E_SIGN] == ord("+")))):
-        return None
+        return _float_each(data[lo:hi].split())
     # The 16 fraction digits as two little-endian 8-byte words, each turned
     # into its 8-digit value by three multiply-shift-mask steps.
     digits = np.ascontiguousarray(token[:, 2:_E]).view("<u8") - _U64(0x3030303030303030)
@@ -331,37 +306,34 @@ def _read_block(data: bytes, buf: np.ndarray, lo: int, hi: int) -> np.ndarray | 
     values = bits.view(np.float64)
     if undecided.any():
         at = np.flatnonzero(undecided)
-        values[at] = _float_each(data, starts[at], ends[at])
-        if not np.all(np.isfinite(values[at])):
+        tokens = [data[a:b] for a, b in zip(starts[at].tolist(), ends[at].tolist())]
+        decided = _float_each(tokens)
+        if decided is None:
             return None
+        values[at] = decided
     return values
 
 
-def _read_canonical(data: bytes) -> DenseMatrix | None:
-    """Read a file whose body is all canonical tokens with the decimal reader.
+def _read_body(data: bytes) -> DenseMatrix | None:
+    """Read a file with the decimal reader, ``float`` deciding every block
+    it cannot read.
 
-    Returns None, having raised nothing, on any other file, and wherever
-    ``_parse_body_at_once`` would return None.
+    Returns None, having raised nothing, wherever ``_parse_lines`` might
+    reject the file or read it otherwise: then the line parser decides.
     """
     found = _size_line(data)
     if found is None:
         return None
     rows, cols, pos = found
-    if rows * cols > (len(data) - pos + 1) // (len(_CANONICAL) + 1):
-        return None  # more entries than canonical tokens fit in the body
+    if rows * cols > (len(data) - pos + 1) // 2:
+        return None  # more entries than tokens of a byte and a separator fit
     buf = np.frombuffer(data, np.uint8)
     flat = np.empty(rows * cols)
     filled = 0
     while pos < len(data):
-        stop = min(pos + READ_BLOCK, len(data))
-        # Move the cut to the whitespace after the token it falls in, if any.
-        tail = _is_space(buf[stop:stop + _TOKEN_MAX + 1])
-        if tail.any():
-            stop += int(tail.argmax())
-        elif stop + len(tail) < len(data):
-            return None  # a token too long to be canonical
-        else:
-            stop = len(data)
+        # Cut at the first whitespace at or after the block's end, if any.
+        cut = _SPACE.search(data, min(pos + READ_BLOCK, len(data)))
+        stop = cut.start() if cut else len(data)
         values = _read_block(data, buf, pos, stop)
         if values is None or filled + len(values) > len(flat):
             return None

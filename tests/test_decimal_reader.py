@@ -1,15 +1,18 @@
-"""The vectorized decimal reader of ``levsketch.mmio`` against ``float``.
+"""The body reader of ``levsketch.mmio`` against ``float``.
 
 Bodies in the writer's own format (``[-+]?d.<16 digits>[eE][-+]dd[d]``
-tokens) are read without a per-token ``float``; every value must still be
-the double ``float`` gives for that token, bit for bit, and every file must
-read as the line parser ``mmio._parse_lines`` reads it, error text and line
-included.  Needs numpy, pytest and hypothesis only.
+tokens) are read without a per-token ``float``, and blocks of any other
+tokens with one; every value must be the double ``float`` gives for that
+token, bit for bit, and every file must read as the line parser
+``mmio._parse_lines`` reads it, error text and line included.  Needs numpy,
+pytest and hypothesis only.
 """
 
+import math
 import random
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -38,12 +41,12 @@ def _read(data: bytes) -> tuple[bytes, int]:
     left = []
     fallback = mmio._float_each
 
-    def counting(buf, starts, ends):
-        left.append(len(starts))
-        return fallback(buf, starts, ends)
+    def counting(tokens):
+        left.append(len(tokens))
+        return fallback(tokens)
 
     with mock.patch.object(mmio, "_float_each", counting):
-        m = mmio._read_canonical(data)
+        m = mmio._read_body(data)
     assert m is not None, "the body was not read as canonical"
     return m.array.tobytes(order="F"), sum(left)
 
@@ -147,7 +150,7 @@ def test_edge_tokens_match_float(token, tmp_path):
     "9.9999999999999999e+999",
 ])
 def test_overflow_reaches_the_line_parsers_non_finite_error(token, tmp_path):
-    assert mmio._read_canonical(_file(["1.0000000000000000e+00", token])) is None
+    assert mmio._read_body(_file(["1.0000000000000000e+00", token])) is None
     got = _same_as_line_parser(_file(["1.0000000000000000e+00", token]), tmp_path)
     assert got == ("error", f"line 4: non-finite entry {token!r}", 4)
 
@@ -179,8 +182,8 @@ def test_tokens_straddling_block_boundaries(monkeypatch):
     data = f"{_HEADER}{len(tokens)} 1\n{text}".encode()
     for block in (1, 7, 22, 23, 24, 25, 26, 50, 1000):
         monkeypatch.setattr(mmio, "READ_BLOCK", block)
-        assert mmio._read_canonical(data).array.tobytes() == _float_bits(tokens)
-        assert mmio._read_canonical(data[:-1]).array.tobytes() == _float_bits(tokens)
+        assert mmio._read_body(data).array.tobytes() == _float_bits(tokens)
+        assert mmio._read_body(data[:-1]).array.tobytes() == _float_bits(tokens)
 
 
 def test_canonical_file_sends_no_token_to_float(tmp_path, monkeypatch):
@@ -192,7 +195,7 @@ def test_canonical_file_sends_no_token_to_float(tmp_path, monkeypatch):
     path = tmp_path / "m.mtx"
     mmio.write_matrix(path, src)
     monkeypatch.setattr(mmio, "_float_each", _never)
-    monkeypatch.setattr(mmio, "_parse_body_at_once", _never)
+    monkeypatch.setattr(mmio, "_parse_lines", _never)
     assert read_matrix(path).array.tobytes() == src.tobytes()
 
 
@@ -215,19 +218,26 @@ def test_canonical_file_sends_no_token_to_float(tmp_path, monkeypatch):
 ])
 def test_other_bodies_read_as_the_line_parser_reads_them(body, tmp_path):
     data = f"{_HEADER}2 1\n".encode() + body
-    assert mmio._read_canonical(data) is None
+    m = mmio._read_body(data)
     path = tmp_path / "m.mtx"
     path.write_bytes(data)
     got = _outcome(lambda: read_matrix(path))
     if body.endswith(b"\xff\n"):
-        assert got == ("error", "line 4: not UTF-8: byte 0xff", 4)
+        assert m is None and got == ("error", "line 4: not UTF-8: byte 0xff", 4)
+        return
+    assert got == _outcome(lambda: mmio._parse_lines(data.decode()))
+    if got[0] == "error" or b"\x1c" in body or not body.isascii():
+        # Besides where the line parser raises: float rejects a token holding
+        # a separator only str.split splits at, so the line parser reads
+        # those two bodies.
+        assert m is None
     else:
-        assert got == _outcome(lambda: mmio._parse_lines(data.decode()))
+        assert ("ok", m.shape, m.array.tobytes()) == got
 
 
 def test_a_size_larger_than_the_body_allocates_nothing(tmp_path):
     data = _file(["1.0000000000000000e+00"] * 3).replace(b"3 1", b"1000000000 1000000000")
-    assert mmio._read_canonical(data) is None
+    assert mmio._read_body(data) is None
     assert _same_as_line_parser(data, tmp_path) == (
         "error", "line 5: expected 1000000000000000000 entries, found 3", 5)
 
@@ -251,13 +261,77 @@ _canonical_tokens = st.builds(
 def test_canonical_bodies_read_as_the_line_parser_reads_them(tokens, seps, block):
     text = _HEADER + f"{len(tokens)} 1\n" + "".join(map(str.__add__, tokens, seps))
     with mock.patch.object(mmio, "READ_BLOCK", block):
-        m = mmio._read_canonical(text.encode())
+        m = mmio._read_body(text.encode())
     expected = _outcome(lambda: mmio._parse_lines(text))
     if expected[0] == "ok":
         assert m is not None and ("ok", m.shape, m.array.tobytes()) == expected
     else:
         assert m is None and expected[1].endswith("non-finite entry " + repr(
             next(t for t in tokens if not np.isfinite(float(t)))))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+#: Well-formed tokens, canonical or not; a ("long", digit) pair stands for
+#: a token longer than the read block.
+_other_tokens = st.one_of(
+    _finite.map(repr),
+    _finite.map("%.17g".__mod__),
+    _finite.map("%.18e".__mod__),
+    _finite.map("%+.17E".__mod__),
+    st.integers(-10**25, 10**25).map(str),
+    st.sampled_from(["1_0", "+1_000.2_5e-0_1", "-0_0.5", "7E3", "+.5", "5."]),
+    _canonical_tokens.filter(lambda t: math.isfinite(float(t))),
+    st.tuples(st.just("long"), st.integers(0, 9)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_other_tokens, min_size=1, max_size=12),
+       st.lists(st.sampled_from([" ", "\n", "\r\n", "\t", "\x0b\n", "\x0c", "  "]),
+                min_size=12, max_size=12),
+       st.sampled_from([1, 23, 60, mmio.READ_BLOCK]),
+       st.booleans())
+def test_other_well_formed_bodies_read_as_float_reads_them(tokens, seps, block, final_newline):
+    tokens = [f"{t[1]}." + "0" * block + "1e-3" if isinstance(t, tuple) else t
+              for t in tokens]
+    body = "".join(map(str.__add__, tokens, seps))
+    text = _HEADER + f"{len(tokens)} 1\n" + (body if final_newline else body.rstrip())
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "m.mtx"
+        path.write_bytes(text.encode())
+        with mock.patch.object(mmio, "READ_BLOCK", block), \
+                mock.patch.object(mmio, "_parse_lines", _never):
+            m = read_matrix(path)
+    assert m.array.tobytes() == _float_bits(tokens)
+
+
+@pytest.mark.parametrize("body, error", [
+    (b"1.0000000000000000e+00\n1.7976931348623159e+308\n",
+     ("line 4: non-finite entry '1.7976931348623159e+308'", 4)),
+    (b"1.0000000000000000e+00\n", ("line 3: expected 2 entries, found 1", 3)),
+    (b"1.0000000000000000e+00\n% late\n2.0000000000000000e+00\n",
+     ("line 4: comment after size line", 4)),
+    (b"1.0000000000000000e+00 nan\n", ("line 3: non-finite entry 'nan'", 3)),
+])
+def test_a_malformed_body_is_read_once_before_the_line_parser(body, error, tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(f"{_HEADER}2 1\n".encode() + body)
+    calls = []
+
+    def counted(name):
+        original = getattr(mmio, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    with mock.patch.multiple(mmio, **{name: counted(name) for name in
+                                      ("_read_body", "decode_text", "_parse_lines")}):
+        with pytest.raises(MatrixMarketParseError) as exc_info:
+            read_matrix(path)
+    assert (str(exc_info.value), exc_info.value.line) == error
+    assert calls == ["_read_body", "decode_text", "_parse_lines"]
 
 
 def test_importing_the_cli_builds_no_power_table():

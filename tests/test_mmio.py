@@ -283,7 +283,7 @@ def test_read_matches_the_line_parser(case):
     if not malformed:
         assert got[0] == "ok"
         if plain_prefix:
-            m = mmio._parse_body_at_once(text)
+            m = mmio._read_body(text.encode())
             assert m is not None and ("ok", m.shape, m.array.tobytes()) == got
 
 
