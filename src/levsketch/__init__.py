@@ -34,7 +34,6 @@ from .experiment import (
     PRESETS,
     ExperimentReport,
     TrialConfig,
-    TrialRecord,
     parse_distribution_spec,
     parse_sample_rule,
     report_lines,
@@ -116,7 +115,6 @@ __all__ = [
     "SpectralSummary",
     "StructuralReport",
     "TrialConfig",
-    "TrialRecord",
     "TrialScorer",
     "UnsupportedRowError",
     "accuracy_ratio",

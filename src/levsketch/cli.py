@@ -108,15 +108,21 @@ def _check_out_path(path: str | None) -> None:
 
 
 def _trial_config(values: dict[str, str]) -> TrialConfig:
-    kind = values["kind"]
+    def number(key: str, kind: type):
+        try:
+            return kind(values[key])
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{key} must be {what}, got {values[key]!r}") from None
+
     spec = ProblemSpec(
-        kind=kind,
-        n_rows=int(values["n_rows"]),
-        n_cols=int(values["n_cols"]),
-        rhs_cols=int(values["rhs_cols"]),
-        noise_scale=float(values["noise_scale"]),
-        coherence_target=float(values["coherence_target"]),
-        seed=int(values["problem_seed"]),
+        kind=values["kind"],
+        n_rows=number("n_rows", int),
+        n_cols=number("n_cols", int),
+        rhs_cols=number("rhs_cols", int),
+        noise_scale=number("noise_scale", float),
+        coherence_target=number("coherence_target", float),
+        seed=number("problem_seed", int),
         a_path=values["a_file"] or None,
         b_path=values["b_file"] or None,
     )
@@ -124,10 +130,10 @@ def _trial_config(values: dict[str, str]) -> TrialConfig:
         problem=spec,
         distribution=values["dist"],
         sample_rule=values["samples"],
-        target=AccuracyTarget(float(values["epsilon"]), float(values["delta"])),
-        n_trials=int(values["trials"]),
-        master_seed=int(values["seed"]),
-        cap_samples=int(values["cap_samples"]),
+        target=AccuracyTarget(number("epsilon", float), number("delta", float)),
+        n_trials=number("trials", int),
+        master_seed=number("seed", int),
+        cap_samples=number("cap_samples", int),
     )
 
 
@@ -179,17 +185,9 @@ def _cmd_bench(args) -> int:
     values = dict(_DEFAULTS)
     if args.config:
         values.update(read_config(args.config))
-    for key, flag in (
-        ("seed", args.seed),
-        ("trials", args.trials),
-        ("epsilon", args.epsilon),
-        ("delta", args.delta),
-        ("dist", args.dist),
-        ("samples", args.samples),
-        ("cap_samples", args.cap_samples),
-    ):
-        if flag is not None:
-            values[key] = str(flag)
+    # A flag given on the command line beats the config file's value.
+    values.update((key, str(flag)) for key, flag in vars(args).items()
+                  if key in _DEFAULTS and flag is not None)
     try:
         cfg = _trial_config(values)
     except ValueError as exc:

@@ -223,8 +223,9 @@ class _BoundLimits:
 
 class ChunkScores(NamedTuple):
     """What :class:`TrialScorer` measures for a chunk of sketches: one array
-    per :class:`~levsketch.experiment.TrialRecord` column from ``sc1_value``
-    to ``error``, in CSV order, with one entry per sketch.
+    per per-trial column of :data:`~levsketch.experiment.CSV_COLUMNS`, from
+    ``sc1_value`` to ``error``, with one entry per sketch.  These fields are
+    the report's schema: their names and order are its CSV columns.
 
     A sketch that cannot support a solve (fewer samples than the rank, or a
     sketched basis that loses rank) keeps its structural values and

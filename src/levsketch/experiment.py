@@ -9,17 +9,18 @@ to :class:`~levsketch.sketch.RngStream` bit for bit), one sort and one
 guide-table lookup draw a chunk's sketches, one gather of their distinct
 rows and stacked small solves score them, and BLAS already spreads the work
 over the available cores.  Reports are byte-identical whatever the chunk size.
-A report keeps its trials as the scorer's columns, and its CSV rows are
-formatted from them through one template per report.
+A report keeps its trials as the scorer's
+:class:`~levsketch.diagnostics.ChunkScores` columns, the one per-trial
+schema: they are the report's per-trial CSV columns, and each column's dtype
+picks its formatting in the report's one row template.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from functools import cached_property
 from itertools import chain
 from typing import Callable
 
@@ -137,34 +138,11 @@ class TrialConfig:
             )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of a single sketched solve."""
-
-    trial_id: int
-    s: int
-    beta: float
-    sc1_value: float
-    sc1_holds: bool
-    sc2_value: float
-    sc2_holds: bool
-    accuracy_ratio: float
-    eps_accurate: bool
-    solution_err_sq: float
-    solution_bound_limit: float
-    solution_bound_holds: bool
-    residual_bound_holds: bool
-    gamma: float
-    gamma_bound_limit: float
-    gamma_bound_holds: bool
-    error: str
-    rng_algorithm: str
-    rng_seed: int
-    rng_stream_index: int
-
-
-#: Column order of CSV reports, fixed so reports are byte-comparable.
-CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+#: Column order of CSV reports, fixed so reports are byte-comparable: the
+#: trial id, the run's sample count and beta, the scorer's columns, and the
+#: trial's random stream.
+CSV_COLUMNS = ("trial_id", "s", "beta", *ChunkScores._fields,
+               "rng_algorithm", "rng_seed", "rng_stream_index")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,8 +150,8 @@ class ExperimentReport:
     """One config's trials plus aggregate rates.
 
     ``scores`` holds the trials as columns: entry ``t`` of each
-    :class:`ChunkScores` array is trial ``t``'s value of that
-    :class:`TrialRecord` field.  The other record fields are the run's
+    :class:`ChunkScores` array is trial ``t``'s value in the CSV column of
+    that name.  The other columns of :data:`CSV_COLUMNS` are the run's
     constants (``s``, ``beta``, the seed) or follow from ``t``.  Equality is
     identity, as the generated ``==`` over array fields would raise.
     """
@@ -187,15 +165,6 @@ class ExperimentReport:
     sc2_rate: float
     implication_violations: int
     wall_time_s: float
-
-    @cached_property
-    def records(self) -> tuple[TrialRecord, ...]:
-        """The trials as :class:`TrialRecord`s, built on first use; fields are
-        Python ``bool``, ``int``, ``float`` and ``str``, not numpy scalars."""
-        seed = self.config.master_seed
-        rows = zip(*[column.tolist() for column in self.scores])
-        return tuple(TrialRecord(t, self.s, self.beta, *row, RngStream.algorithm_id, seed, t + 1)
-                     for t, row in enumerate(rows))
 
 
 def build_distribution(spec_text: str, profile) -> tuple[SamplingDistribution, float]:
@@ -251,7 +220,7 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     rows in the coordinates of the orthonormal basis.  The chunks'
     :class:`ChunkScores`, joined, are the report's ``scores``, and each rate
     is a count over one of their boolean columns.  No per-trial plan, draw
-    order, score object or :class:`TrialRecord` is built.  Per-trial
+    order, score object or record is built.  Per-trial
     failures (a sketch losing rank) become failure entries, never batch
     aborts; so does every trial of a problem that cannot be generated.
     """
@@ -315,13 +284,14 @@ def _text(value) -> str:
     return str(value).replace(",", ";").replace("\n", " ")
 
 
-#: Per :class:`TrialRecord` field type: the ``%`` conversion of a score
-#: column in the row template and the Python values it formats.  ``%.17g``
-#: of a Python float is ``_fmt_float``'s text, nan, +-inf and -0 included.
+#: Per score column ``dtype.kind`` (float, bool, object text): the ``%``
+#: conversion of the column in the row template and the Python values it
+#: formats.  ``%.17g`` of a Python float is ``_fmt_float``'s text, nan,
+#: +-inf and -0 included.
 _CONVERSIONS = {
-    "float": ("%.17g", np.ndarray.tolist),
-    "bool": ("%s", lambda column: np.where(column, "true", "false").tolist()),
-    "str": ("%s", lambda column: [_text(v) for v in column.tolist()]),
+    "f": ("%.17g", np.ndarray.tolist),
+    "b": ("%s", lambda column: np.where(column, "true", "false").tolist()),
+    "O": ("%s", lambda column: [_text(v) for v in column.tolist()]),
 }
 
 
@@ -339,10 +309,6 @@ def _distinct_texts(column: np.ndarray) -> list[str]:
 
 #: Score columns that hold one value per problem, nan on error rows.
 _PER_PROBLEM = ("solution_bound_limit", "gamma", "gamma_bound_limit")
-_SCORE_CONVERSIONS = tuple(
-    ("%s", _distinct_texts) if f.name in _PER_PROBLEM else _CONVERSIONS[f.type]
-    for f in fields(TrialRecord)[3:17]
-)
 
 
 def _row_blocks(report: ExperimentReport):
@@ -350,22 +316,27 @@ def _row_blocks(report: ExperimentReport):
 
     Every row is one ``%`` of a template in which ``s``, ``beta``, the
     algorithm id and the seed are already formatted; its arguments are the
-    trial id, the trial's score columns and its stream index.  The
-    per-problem columns arrive as text, each distinct value formatted once.
+    trial id, the trial's score columns and its stream index.  Each score
+    column's conversion follows its dtype (:data:`_CONVERSIONS`), except
+    that the per-problem columns arrive as text, each distinct value
+    formatted once.
     """
     def const(text: str) -> str:
         return text.replace("%", "%%")
 
+    conversions = [("%s", _distinct_texts) if name in _PER_PROBLEM
+                   else _CONVERSIONS[column.dtype.kind]
+                   for name, column in zip(ChunkScores._fields, report.scores)]
     template = ",".join([
         "%d", const(str(report.s)), const(_fmt_float(report.beta)),
-        *(conversion for conversion, _ in _SCORE_CONVERSIONS),
+        *(conversion for conversion, _ in conversions),
         const(_text(RngStream.algorithm_id)), const(str(report.config.master_seed)), "%d",
     ])
     n = len(report.scores.error)
     for start in range(0, n, REPORT_BLOCK):
         stop = min(start + REPORT_BLOCK, n)
         columns = [values(column[start:stop])
-                   for (_, values), column in zip(_SCORE_CONVERSIONS, report.scores)]
+                   for (_, values), column in zip(conversions, report.scores)]
         yield [template % row
                for row in zip(range(start, stop), *columns, range(start + 1, stop + 1))]
 
@@ -387,7 +358,7 @@ def _trailer(report: ExperimentReport) -> list[str]:
 def report_lines(report: ExperimentReport) -> list[str]:
     """CSV lines for a report: header, one row per trial, aggregate trailer.
 
-    Rows are formatted from ``report.scores``; no :class:`TrialRecord` is
+    Rows are formatted from ``report.scores``, with no per-trial object
     built.  The trailer lines start with ``#``; the wall-time line is always
     last so byte-level comparisons can drop it.
     """

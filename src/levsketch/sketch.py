@@ -79,6 +79,9 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _POOL_SIZE = 4
+#: The running hash constant after the pool mix: 4 hashes fill the pool and
+#: 12 mix it, whatever the seed.
+_POOL_CONST = _INIT_A * pow(_MULT_A, 16, 2**32) & _MASK32
 
 
 def _hashmix(value, const: int, mult: int):
@@ -102,33 +105,23 @@ class TrialStreams:
 
     Philox is counter-based, so a stream is a pure function of its 128-bit
     key, ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.
-    The seed's words fill SeedSequence's whole entropy pool, so its pool mix
-    is the same for every ``i`` and is done once, here; :meth:`keys` does the
-    rest (the mix of the one index word, then ``generate_state``) for a block
-    of indices in one vectorized pass, and :meth:`uniforms` draws each stream's
+    The seed's words fill SeedSequence's whole entropy pool (zero-padded with
+    a spawn key; without one, the missing words are hashed as zeros all the
+    same), so its pool mix is the same for every ``i`` and is
+    ``SeedSequence(seed).pool``.  :meth:`keys` does the rest (the mix of the
+    one index word, then ``generate_state``) for a block of indices in one
+    vectorized pass, and :meth:`uniforms` draws each stream's
     uniforms from one reused Philox set to the stream's key at counter 0.
     Both equal the :class:`RngStream` path bit for bit.
 
     The Philox is shared state: use one instance per task.
     """
 
-    __slots__ = ("seed", "_pool", "_const", "_bitgen", "_state", "_generator")
+    __slots__ = ("seed", "_pool", "_bitgen", "_state", "_generator")
 
     def __init__(self, seed: int) -> None:
         self.seed = RngStream(seed).seed  # the same seed check
-        words = [self.seed & _MASK32, self.seed >> 32] if self.seed >> 32 else [self.seed]
-        # With a spawn key, the seed's words are zero-padded to the pool size.
-        words += [0] * (_POOL_SIZE - len(words))
-        pool, const = [], _INIT_A
-        for word in words:
-            value, const = _hashmix(word, const, _MULT_A)
-            pool.append(value)
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    value, const = _hashmix(pool[src], const, _MULT_A)
-                    pool[dst] = _mix(pool[dst], value)
-        self._pool, self._const = pool, const
+        self._pool = np.random.SeedSequence(self.seed).pool.tolist()
         self._bitgen = np.random.Philox(0)
         self._state = self._bitgen.state  # counter 0 and an empty buffer
         self._generator = np.random.Generator(self._bitgen)
@@ -147,7 +140,7 @@ class TrialStreams:
                           dtype=np.int64).astype(np.uint32)
         # The index word is the entropy left over past the pool: it is mixed
         # into every pool word.
-        pool, const = list(self._pool), self._const
+        pool, const = list(self._pool), _POOL_CONST
         for dst in range(_POOL_SIZE):
             value, const = _hashmix(index, const, _MULT_A)
             pool[dst] = _mix(pool[dst], value)

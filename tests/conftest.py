@@ -1,9 +1,12 @@
-"""Shared fixtures."""
+"""Shared fixtures and helpers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from levsketch import CSV_COLUMNS, RngStream
 
 FACTORIZATIONS = ("qr", "svd", "lstsq")
 
@@ -54,3 +57,15 @@ def count_numpy_calls(monkeypatch):
                    if name in names and rows in (None, n) and stack in (None, k))
 
     return counts
+
+
+def trial_rows(report):
+    """A report's trials, one namespace per trial with an attribute per CSV
+    column: the run's constants and stream keys around ``report.scores``
+    transposed through ``.tolist()``, so values are Python ``bool``, ``int``,
+    ``float`` and ``str``, not numpy scalars."""
+    seed = report.config.master_seed
+    rows = zip(*[column.tolist() for column in report.scores])
+    return [SimpleNamespace(**dict(zip(CSV_COLUMNS, (
+                t, report.s, report.beta, *row, RngStream.algorithm_id, seed, t + 1))))
+            for t, row in enumerate(rows)]

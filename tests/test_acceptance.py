@@ -16,6 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from conftest import trial_rows
 from levsketch import (
     PRESETS,
     AccuracyTarget,
@@ -189,7 +190,7 @@ def test_c4_structural_implication(tmp_path):
     """>= 1000 trials over every problem kind and distribution family: no
     trial where both structural conditions hold but an accuracy bound fails."""
     reports = PRESETS["implication-sweep"].run()
-    trials = sum(len(r.records) for r in reports)
+    trials = sum(len(trial_rows(r)) for r in reports)
     violations = sum(r.implication_violations for r in reports)
 
     # the sweep covers the three synthetic kinds; add the file-backed one
@@ -214,7 +215,7 @@ def test_c4_structural_implication(tmp_path):
                 master_seed=44100 + i,
             )
         )
-        trials += len(rep.records)
+        trials += len(trial_rows(rep))
         violations += rep.implication_violations
 
     ok = trials >= 1000 and violations == 0

@@ -5,6 +5,7 @@ error, 3 validation failure.  Most tests drive cli.main() in process; a
 couple run the real interpreter entry point.
 """
 
+import dataclasses
 import re
 import subprocess
 import sys
@@ -13,7 +14,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levsketch import ConfigParseError, leverage_scores, read_matrix, write_matrix
+import levsketch.cli as cli_mod
+from levsketch import (
+    AccuracyTarget,
+    ConfigParseError,
+    leverage_scores,
+    read_matrix,
+    run_experiment,
+    write_matrix,
+)
 from levsketch.cli import main, read_config
 
 
@@ -297,6 +306,50 @@ class TestBench:
         out = tmp_path / "r.csv"
         code = main(["bench", "--epsilon", "2.0", "--out", str(out)])
         assert code == 1
+
+    @pytest.mark.parametrize("flag, text, field, value", [
+        ("--seed", "9", "master_seed", 9),
+        ("--trials", "4", "n_trials", 4),
+        ("--epsilon", "0.25", "target", AccuracyTarget(0.25, 0.3)),
+        ("--delta", "0.2", "target", AccuracyTarget(0.3, 0.2)),
+        ("--dist", "uniform", "distribution", "uniform"),
+        ("--samples", "17", "sample_rule", "17"),
+        ("--cap-samples", "11", "cap_samples", 11),
+    ])
+    def test_each_flag_beats_the_config_file(self, tmp_path, capsys, monkeypatch, flag, text,
+                                             field, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_rows = 120\nn_cols = 3\nseed = 3\ntrials = 2\nepsilon = 0.3\n"
+                       "delta = 0.3\ndist = leverage\nsamples = xr:6\ncap_samples = 13\n")
+        seen = []
+
+        def recording(config):
+            seen.append(config)
+            return run_experiment(config)
+
+        monkeypatch.setattr(cli_mod, "run_experiment", recording)
+        out = str(tmp_path / "r.csv")
+        assert main(["bench", "--config", str(cfg), "--out", out]) == 0
+        assert main(["bench", "--config", str(cfg), flag, text, "--out", out]) == 0
+        from_file, from_flag = seen
+        assert getattr(from_file, field) != value
+        assert from_flag == dataclasses.replace(from_file, **{field: value})
+
+    @pytest.mark.parametrize("key, text, what", [
+        *((key, "1e3", "an integer") for key in (
+            "n_rows", "n_cols", "rhs_cols", "problem_seed", "cap_samples", "trials", "seed")),
+        *((key, "abc", "a number") for key in (
+            "noise_scale", "coherence_target", "epsilon", "delta")),
+    ])
+    def test_unparsable_config_value_names_its_key(self, tmp_path, capsys, key, text, what):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} must be {what}, got {text!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_bad_seed_rejected_before_generation(self, tmp_path, capsys, monkeypatch, seed):

@@ -1,4 +1,4 @@
-"""Monte Carlo bench harness: configs, trial records, CSV reports, presets."""
+"""Monte Carlo bench harness: configs, trial columns, CSV reports, presets."""
 
 import dataclasses
 import math
@@ -9,6 +9,7 @@ import pytest
 import levsketch.experiment as experiment_mod
 import levsketch.leverage as leverage_mod
 import levsketch.problems as problems_mod
+from conftest import trial_rows
 from levsketch import (
     CSV_COLUMNS,
     AccuracyTarget,
@@ -58,9 +59,9 @@ def per_value(v):
 
 
 def oracle_lines(report):
-    """The header and one row per record, each field through ``per_value``."""
+    """The header and one row per trial, each field through ``per_value``."""
     return [",".join(CSV_COLUMNS)] + [
-        ",".join(per_value(getattr(rec, c)) for c in CSV_COLUMNS) for rec in report.records]
+        ",".join(per_value(getattr(row, c)) for c in CSV_COLUMNS) for row in trial_rows(report)]
 
 
 class TestParsers:
@@ -115,11 +116,12 @@ class TestRunExperiment:
     def test_record_bookkeeping(self):
         cfg = small_config()
         report = run_experiment(cfg)
-        assert len(report.records) == 12
-        assert [r.trial_id for r in report.records] == list(range(12))
-        assert [r.rng_stream_index for r in report.records] == list(range(1, 13))
-        assert all(r.rng_seed == 400 for r in report.records)
-        assert all(r.rng_algorithm == "philox4x64" for r in report.records)
+        rows = trial_rows(report)
+        assert len(rows) == 12
+        assert [r.trial_id for r in rows] == list(range(12))
+        assert [r.rng_stream_index for r in rows] == list(range(1, 13))
+        assert all(r.rng_seed == 400 for r in rows)
+        assert all(r.rng_algorithm == "philox4x64" for r in rows)
         assert report.s == 24  # xr:8 with rank 3
         assert report.beta == 1.0  # exact leverage sampling
         for rate in (report.success_rate, report.sc1_rate, report.sc2_rate):
@@ -127,7 +129,7 @@ class TestRunExperiment:
 
     def test_rerun_is_identical(self):
         cfg = small_config()
-        assert run_experiment(cfg).records == run_experiment(cfg).records
+        assert trial_rows(run_experiment(cfg)) == trial_rows(run_experiment(cfg))
 
     def test_consistent_problem_oversampled_is_always_exact(self):
         # zero-residual path: ratio is exactly 1.0 on every trial
@@ -141,7 +143,7 @@ class TestRunExperiment:
         )
         report = run_experiment(cfg)
         assert report.success_rate == 1.0
-        assert all(r.accuracy_ratio == 1.0 for r in report.records)
+        assert all(r.accuracy_ratio == 1.0 for r in trial_rows(report))
         assert report.implication_violations == 0
 
     def test_cap_samples_limits_auto_rule(self):
@@ -154,14 +156,16 @@ class TestRunExperiment:
         assert report.s == 37
 
     @staticmethod
-    def assert_failure_records(records, error, sc1_value, sc2_finite):
-        """Every record carries the failure entries: an inf ratio, nan
+    def assert_failure_records(rows, error, sc1_value, sc2_finite):
+        """Every trial row carries the failure entries: an inf ratio, nan
         solution error, limits and gamma, false bound verdicts, ``error``,
         and fields of Python types, not numpy scalars."""
-        types = {"bool": bool, "int": int, "float": float, "str": str}
-        for t, r in enumerate(records):
-            for f in dataclasses.fields(r):
-                assert type(getattr(r, f.name)) is types[f.type], (t, f.name)
+        ints, texts = ("trial_id", "s", "rng_seed", "rng_stream_index"), ("error", "rng_algorithm")
+        for t, r in enumerate(rows):
+            for name, value in vars(r).items():
+                want = (int if name in ints else str if name in texts
+                        else bool if name.endswith("_holds") or name == "eps_accurate" else float)
+                assert type(value) is want, (t, name)
             assert r.error == error
             assert r.accuracy_ratio == math.inf
             for name in ("solution_err_sq", "solution_bound_limit", "gamma",
@@ -177,13 +181,13 @@ class TestRunExperiment:
     def test_undersampled_trials_become_failure_records(self):
         # s = 2 < rank 3: every trial fails, nothing raises
         report = run_experiment(small_config(sample_rule="2"))
+        rows = trial_rows(report)
         assert report.success_rate == 0.0
-        assert all(not r.eps_accurate for r in report.records)
+        assert all(not r.eps_accurate for r in rows)
         assert report.implication_violations == 0
-        assert [(r.trial_id, r.s, r.beta) for r in report.records] == [
-            (t, 2, 1.0) for t in range(12)]
+        assert [(r.trial_id, r.s, r.beta) for r in rows] == [(t, 2, 1.0) for t in range(12)]
         self.assert_failure_records(
-            report.records, "sketch rank deficient: 2 samples cannot cover rank 3", 0.0, True)
+            rows, "sketch rank deficient: 2 samples cannot cover rank 3", 0.0, True)
 
     def test_generation_failure_becomes_failure_records(self, monkeypatch):
         def boom(spec):
@@ -191,37 +195,14 @@ class TestRunExperiment:
 
         monkeypatch.setattr(experiment_mod, "generate_problem", boom)
         report = run_experiment(small_config(n_trials=5))
-        assert len(report.records) == 5
+        rows = trial_rows(report)
+        assert len(rows) == 5
         assert report.success_rate == 0.0
         assert report.s == 0 and math.isnan(report.beta)
-        assert [r.trial_id for r in report.records] == list(range(5))
-        assert all(r.s == 0 and math.isnan(r.beta) and not r.sc2_holds for r in report.records)
+        assert [r.trial_id for r in rows] == list(range(5))
+        assert all(r.s == 0 and math.isnan(r.beta) and not r.sc2_holds for r in rows)
         self.assert_failure_records(
-            report.records, "generation failed: nothing full rank today", math.nan, False)
-
-    def test_no_records_are_built_to_run_and_write(self, monkeypatch, tmp_path):
-        # A run keeps its trials as columns; records are built only when
-        # report.records is read, once, with Python-typed fields.
-        built = []
-        original = experiment_mod.TrialRecord.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(args[0] if args else kwargs["trial_id"])
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(experiment_mod.TrialRecord, "__init__", counting)
-        report = run_experiment(small_config(sample_rule="3", n_trials=30))
-        write_report(report, tmp_path / "report.csv")
-        report_lines(report)
-        assert built == []
-        records = report.records
-        assert built == list(range(30)) and report.records is records
-        types = {"bool": bool, "int": int, "float": float, "str": str}
-        for r in records:
-            for f in dataclasses.fields(r):
-                assert type(getattr(r, f.name)) is types[f.type], f.name
-        assert [r.sc1_value for r in records] == report.scores.sc1_value.tolist()
-        assert [r.error for r in records] == report.scores.error.tolist()
+            rows, "generation failed: nothing full rank today", math.nan, False)
 
     def test_report_equality_is_identity(self):
         cfg = small_config(n_trials=3)
@@ -229,10 +210,6 @@ class TestRunExperiment:
         assert report == report and not (report != report)
         assert report != again and report in [again, report]
         assert hash(report) == hash(report)
-
-    def test_score_columns_are_the_record_columns(self):
-        # A chunk's scores are the TrialRecord columns from sc1_value to error.
-        assert ChunkScores._fields == CSV_COLUMNS[3:17]
 
     def test_one_factorization_per_problem(self, count_numpy_calls):
         # generation's exact solve is the set-up's: A is factored once
@@ -274,7 +251,7 @@ class TestRunExperiment:
         # table over K + 1 = 129 buckets.
         monkeypatch.setattr(experiment_mod, "CHUNK_DRAWS", 24 * per_chunk)
         report = run_experiment(small_config(n_trials=n_trials))
-        assert all(r.error == "" for r in report.records)
+        assert all(r.error == "" for r in trial_rows(report))
         chunks = [min(per_chunk, n_trials - first) for first in range(0, n_trials, per_chunk)]
         assert count_numpy_calls(None, names=("lstsq",)) == 0
         assert count_numpy_calls(None, names=("eigvalsh",)) == len(chunks)
@@ -340,7 +317,7 @@ class TestChunkInvariance:
         if case == "120x3-s3":
             # Both of the scorer's lstsq uses occur: rank-lost sketches, and
             # sketches below the Gram floor that still have full rank.
-            lost = sum("lost rank" in r.error for r in report.records)
+            lost = sum("lost rank" in r.error for r in trial_rows(report))
             assert 0 < lost < lstsq_calls
 
 
@@ -364,7 +341,7 @@ class TestReportFormat:
         report = run_experiment(small_config(n_trials=3))
         lines = report_lines(report)
         assert lines[0] == ",".join(CSV_COLUMNS)
-        # The header is a file-format contract; CSV_COLUMNS follows TrialRecord.
+        # The header is a file-format contract; CSV_COLUMNS follows ChunkScores.
         assert lines[0] == (
             "trial_id,s,beta,sc1_value,sc1_holds,sc2_value,sc2_holds,accuracy_ratio,"
             "eps_accurate,solution_err_sq,solution_bound_limit,solution_bound_holds,"
@@ -409,7 +386,7 @@ class TestReportFormat:
     def test_column_formatters_match_per_value_format(self, monkeypatch):
         # Rows come from one % template over the score columns, with the
         # run's constants baked in; the bytes must equal those of the
-        # per-value type dispatch applied to the records.
+        # per-value type dispatch applied to the trial rows.
         monkeypatch.setattr(RngStream, "algorithm_id", "x\ny,%d")
         report = run_experiment(small_config(n_trials=4, master_seed=0))
         columns = {name: column.copy() for name, column in report.scores._asdict().items()}

@@ -122,7 +122,8 @@ def test_run_matches_a_run_drawn_through_rng_streams(master_seed, monkeypatch):
 
 def test_trial_loop_builds_no_stream_per_trial(monkeypatch):
     # Problem generation builds one RngStream (one SeedSequence and one
-    # Philox) and a run's TrialStreams one Philox, whatever the trial count.
+    # Philox) and a run's TrialStreams one SeedSequence (for its pool) and
+    # one Philox, whatever the trial count.
     counts = {}
     for name in ("SeedSequence", "Philox"):
         original = getattr(np.random, name)
@@ -140,7 +141,7 @@ def test_trial_loop_builds_no_stream_per_trial(monkeypatch):
                           sample_rule="xr:8", n_trials=n_trials, master_seed=400)
         assert run_experiment(cfg).s == 24
         built.append(dict(counts))
-    assert built == [{"SeedSequence": 1, "Philox": 2}] * 3
+    assert built == [{"SeedSequence": 2, "Philox": 2}] * 3
 
 
 def test_trial_count_bound():
