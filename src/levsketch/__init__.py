@@ -68,7 +68,6 @@ from .sketch import (
     approx_matmul,
     apply_sketch,
     build_sketch,
-    materialize_sketch,
     multinomial_draws,
     sketched_norm_sq,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "generate_problem",
     "leverage_distribution",
     "leverage_scores",
-    "materialize_sketch",
     "misestimation_beta",
     "multinomial_draws",
     "orthonormal_basis",

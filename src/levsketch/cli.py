@@ -245,13 +245,14 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="sketched solve on matrix files")
     p_solve.add_argument("a", help="design matrix file (Matrix Market array)")
     p_solve.add_argument("b", help="right-hand-side matrix file")
-    p_solve.add_argument("--dist", default="leverage",
+    # argparse runs a string default through the flag's type.
+    p_solve.add_argument("--dist", default=_DEFAULTS["dist"],
                          help="leverage | uniform | blended:ALPHA")
-    p_solve.add_argument("--samples", default="auto",
+    p_solve.add_argument("--samples", default=_DEFAULTS["samples"],
                          help="auto | INT | xr:K")
-    p_solve.add_argument("--epsilon", type=float, default=0.1)
-    p_solve.add_argument("--delta", type=float, default=0.1)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--epsilon", type=float, default=_DEFAULTS["epsilon"])
+    p_solve.add_argument("--delta", type=float, default=_DEFAULTS["delta"])
+    p_solve.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     p_solve.add_argument("--out", default=None, help="write the solution here")
     p_solve.add_argument("--exact", action="store_true",
                          help="also run the exact solve and print the ratio")

@@ -149,14 +149,14 @@ def check_bounds(a, b, exact: LstsqSolution, sol: SketchSolution, epsilon: float
     sigma_min(a)^2``, and the solution error against the
     right-hand-side-alignment form ``epsilon * kappa^2 * (1/gamma^2 - 1) *
     ||x_opt||_F^2`` where ``gamma = ||a @ x_opt||_F / ||b||_F``.
-    ``sigma_min(a)`` and ``kappa`` are ``exact.spectral``, from the QR of the
-    exact solve of ``(a, b)``.
+    ``sigma_min(a)``, ``kappa`` and ``||b||_F^2`` are ``exact.spectral`` and
+    ``exact.b_norm_sq``, from the exact solve of ``(a, b)``.
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     arr, barr = as_array(a), as_array(b)
     xt, xo = as_array(sol.x_tilde), as_array(exact.x_opt)
-    limits = _BoundLimits.of(epsilon, exact.residual_sq, fro_norm_sq(barr), exact.spectral,
+    limits = _BoundLimits.of(epsilon, exact.residual_sq, exact.b_norm_sq, exact.spectral,
                              float(np.linalg.norm(arr @ xo)), fro_norm_sq(xo))
     sol_value = fro_norm_sq(xo - xt)
     resid_holds, sol_holds, gamma_holds = limits.verdicts(fro_norm_sq(arr @ xt - barr), sol_value)
@@ -387,8 +387,12 @@ class TrialScorer:
         limits = self._limits
         residual_holds, solution_holds, gamma_holds = limits.verdicts(resid_sq, sol_value)
         return ChunkScores(
-            sc1, sc1_holds, sc2, sc2_holds, ratio, ratio <= 1.0 + self._epsilon, sol_value,
-            np.where(ok, limits.solution_limit, np.nan), solution_holds, residual_holds,
-            np.where(ok, limits.gamma, np.nan), np.where(ok, limits.gamma_limit, np.nan),
-            gamma_holds, error,
+            sc1_value=sc1, sc1_holds=sc1_holds, sc2_value=sc2, sc2_holds=sc2_holds,
+            accuracy_ratio=ratio, eps_accurate=ratio <= 1.0 + self._epsilon,
+            solution_err_sq=sol_value,
+            solution_bound_limit=np.where(ok, limits.solution_limit, np.nan),
+            solution_bound_holds=solution_holds, residual_bound_holds=residual_holds,
+            gamma=np.where(ok, limits.gamma, np.nan),
+            gamma_bound_limit=np.where(ok, limits.gamma_limit, np.nan),
+            gamma_bound_holds=gamma_holds, error=error,
         )

@@ -234,8 +234,12 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
         s, beta = 0, float("nan")
         nan, false = np.full(n, np.nan), np.zeros(n, dtype=bool)
         error = np.full(n, f"generation failed: {exc}", dtype=object)
-        scores = ChunkScores(nan, false, nan, false, np.full(n, np.inf), false, nan,
-                             nan, false, false, nan, nan, false, error)
+        scores = ChunkScores(
+            sc1_value=nan, sc1_holds=false, sc2_value=nan, sc2_holds=false,
+            accuracy_ratio=np.full(n, np.inf), eps_accurate=false, solution_err_sq=nan,
+            solution_bound_limit=nan, solution_bound_holds=false, residual_bound_holds=false,
+            gamma=nan, gamma_bound_limit=nan, gamma_bound_holds=false, error=error,
+        )
     else:
         profile = meta["profile"]
         dist, beta = build_distribution(cfg.distribution, profile)

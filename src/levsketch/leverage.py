@@ -22,14 +22,18 @@ _UNIT_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class LeverageProfile:
-    """Per-row leverage scores of a full-column-rank matrix; profiles compare
+    """Per-row leverage scores of a full-column-rank matrix, kept read-only:
+    a read-only array as it is, anything else as a copy; profiles compare
     and hash by identity."""
 
     scores: np.ndarray
     rank: int
 
     def __post_init__(self) -> None:
-        scores = read_only(np.asarray(self.scores, dtype=np.float64))
+        scores = self.scores
+        if not isinstance(scores, np.ndarray) or scores.flags.writeable:
+            scores = np.array(scores)  # the caller's array stays writeable and its own
+        scores = read_only(np.asarray(scores, dtype=np.float64))
         object.__setattr__(self, "scores", scores)
         if scores.ndim != 1 or scores.size < 1:
             raise DimensionError("scores must be a nonempty 1-D array")
@@ -118,7 +122,7 @@ class SamplingDistribution:
 def profile_from_basis(basis: OrthonormalBasis) -> LeverageProfile:
     """Leverage profile from an already-computed orthonormal basis."""
     q = basis.q
-    scores = np.einsum("ij,ij->i", q, q)
+    scores = read_only(np.einsum("ij,ij->i", q, q))  # kept without a copy
     # Rounding can push a score a hair past 1; the profile tolerates 1e-12.
     return LeverageProfile(scores=scores, rank=basis.source_rank)
 

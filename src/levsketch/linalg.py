@@ -84,20 +84,18 @@ class DenseMatrix:
 
 
 def fro_norm_sq(m) -> float:
-    """Squared Frobenius norm."""
-    # vdot ravels each argument on its own: one shared ravel makes at most
-    # one copy of a column-major matrix instead of two.
-    a = np.ravel(np.asarray(m, dtype=np.float64))
-    return float(np.vdot(a, a))
+    """Squared Frobenius norm: :func:`fro_norm_sq_each` of the one-item stack."""
+    return float(fro_norm_sq_each(np.asarray(m)[None])[0])
 
 
 def fro_norm_sq_each(stack: np.ndarray) -> np.ndarray:
-    """:func:`fro_norm_sq` of each ``stack[t]``, equal to it bit for bit.
+    """The squared Frobenius norm of each ``stack[t]``.
 
-    Each item is flattened in C order into one contiguous row, and the
-    ``(T, 1, k) @ (T, k, 1)`` product dots each row with itself by the same
-    BLAS dot as ``np.vdot``; a strided view would not take that path.  Like
-    ``np.vdot``, an overflow gives ``inf`` without a warning.
+    Each item is flattened in C order into one contiguous row (at most one
+    copy of the stack), and the ``(T, 1, k) @ (T, k, 1)`` product dots each
+    row with itself by the same BLAS dot as ``np.vdot``, with its bits; a
+    strided view would not take that path.  Like ``np.vdot``, an overflow
+    gives ``inf`` without a warning.
     """
     v = np.ascontiguousarray(stack, dtype=np.float64).reshape(len(stack), 1, -1)
     with np.errstate(over="ignore"):

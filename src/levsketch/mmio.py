@@ -6,28 +6,29 @@ column-major order.  Writes put one entry per line in scientific notation
 with 17 significant digits, so a write/read round trip reproduces every
 float64 bit for bit.
 
-A read walks only the prefix (header, leading comments and blank lines,
-size line) line by line, then reads the body from the file's bytes,
-:data:`READ_BLOCK` bytes at a time (each block cut at ASCII whitespace), into
-one preallocated array.  A block whose every token is in the writer's own
-format -- ``[-+]?d.<16 digits>[eE][-+]dd[d]``, as ``{:.16e}`` and C's
-``%.16e`` print it -- is read by a vectorized decimal reader.  It decides
-almost every token with the Eisel-Lemire algorithm (Lemire 2021, "Number
-parsing at a gigabyte per second"): one 64x128-bit product against a table
-of powers of five, rounded to nearest even.  ``float`` decides every other
-block, token by token on the block's ``bytes.split()``, and every token the
-decimal reader cannot decide: a nonzero significand below 2**53 (a leading
-digit 0), a subnormal, an overflow, an exponent outside [-342, 308], and the
-rare product that is too close to call.  The results are the bits ``float``
-gives.
+A read parses the prefix (header, leading comments and blank lines, size
+line) with the line parser's own :func:`_prefix`, then reads the body from
+the file's bytes, :data:`READ_BLOCK` bytes at a time (each block cut at
+ASCII whitespace), into one preallocated array.  A block whose every token
+is in the writer's own format -- ``[-+]?d.<16 digits>[eE][-+]dd[d]``, as
+``{:.16e}`` and C's ``%.16e`` print it -- is read by a vectorized decimal
+reader.  It decides almost every token with the Eisel-Lemire algorithm
+(Lemire 2021, "Number parsing at a gigabyte per second"): one 64x128-bit
+product against a table of powers of five, rounded to nearest even.
+``float`` decides every other block, token by token on the block's
+``bytes.split()``, and every token the decimal reader cannot decide: a
+nonzero significand below 2**53 (a leading digit 0), a subnormal, an
+overflow, an exponent outside [-342, 308], and the rare product that is too
+close to call.  The results are the bits ``float`` gives.
 
-Anything else -- a token ``float`` rejects (a ``%`` after the size line,
-any non-ASCII byte), a non-finite entry, a wrong entry count, or a line
-break other than ``\\n``/``\\r\\n`` in the prefix -- sends the file to the
-line-by-line parser instead.  That parser is the only source of the
-line-numbered error texts, and the tests use it as the oracle for the
-reader.  A well-formed body with non-ASCII separators (U+00A0, say) takes
-it too and gets the same values, only more slowly.
+Anything else -- a malformed prefix, a line break other than
+``\\n``/``\\r\\n`` in the prefix, a token ``float`` rejects (a ``%`` after
+the size line, any non-ASCII byte), a non-finite entry or a wrong entry
+count -- sends the file to the line-by-line parser instead.  That parser
+is the only source of the line-numbered error texts, and the tests use it
+as the oracle for the reader.  A well-formed body with non-ASCII
+separators (U+00A0, say) takes it too and gets the same values, only more
+slowly.
 """
 
 from __future__ import annotations
@@ -111,39 +112,58 @@ def read_matrix(path: str | os.PathLike) -> DenseMatrix:
     return m if m is not None else _parse_lines(decode_text(data, MatrixMarketParseError))
 
 
-def _size_line(data: bytes) -> tuple[int, int, int] | None:
-    """``(rows, cols, offset of the body)`` of a file's bytes.
+def _prefix(lines) -> tuple[int, int, int]:
+    """``(rows, cols, size line number)`` from an iterator of ``(line number,
+    text)`` pairs, read through the size line: the header, blank and ``%``
+    lines, the size line.  Raises on the first malformed line, or when the
+    lines run out first."""
+    lineno, header = next(lines, (1, None))
+    if header is None:
+        raise MatrixMarketParseError("empty file", line=1)
+    if [t.lower() for t in header.split()] != list(_HEADER_FIELDS):
+        raise MatrixMarketParseError(
+            "expected header '%%MatrixMarket matrix array real general'", line=1
+        )
+    for lineno, text in lines:
+        stripped = text.strip()
+        if not stripped or stripped.startswith("%"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise MatrixMarketParseError(
+                f"size line must be 'rows cols', got {stripped!r}", line=lineno
+            )
+        try:
+            rows, cols = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise MatrixMarketParseError(
+                f"non-integer dimensions {stripped!r}", line=lineno
+            ) from None
+        if rows < 1 or cols < 1:
+            raise MatrixMarketParseError(
+                f"dimensions must be positive, got {rows} {cols}", line=lineno
+            )
+        return rows, cols, lineno
+    raise MatrixMarketParseError("missing size line", line=lineno)
 
-    Returns None wherever ``_parse_lines`` might reject the prefix or split
-    it into other lines, or the size is not positive.  The bytes are decoded
-    a line at a time; a ``\\n`` byte is never part of a longer UTF-8
-    sequence, so that is the whole-file decoding cut at line ends.
-    """
+
+def _utf8_lines(data: bytes, ends: list[int]):
+    """``(line number, text)`` of each ``\\n``-terminated line of the bytes,
+    decoded as UTF-8 without ``\\n`` or ``\\r\\n``, appending the offset past
+    it to ``ends``.  A ``\\n`` byte is never part of a longer UTF-8 sequence,
+    so these are the whole file's ``splitlines``, up to a line without
+    ``\\n``, not UTF-8 or split further, where the lines stop."""
     pos = 0
-    while True:
-        end = data.find(b"\n", pos)
-        if end < 0:
-            return None
+    while (end := data.find(b"\n", pos)) >= 0:
         try:
             line = data[pos:end].decode("utf-8").removesuffix("\r")
         except UnicodeDecodeError:
-            return None
+            return
         if line and line.splitlines() != [line]:
-            return None  # _parse_lines would split this line further
-        if pos == 0:
-            if [t.lower() for t in line.split()] != list(_HEADER_FIELDS):
-                return None
-        elif line.strip() and not line.strip().startswith("%"):
-            break  # the size line
+            return
         pos = end + 1
-    parts = line.split()
-    if len(parts) != 2:
-        return None
-    try:
-        rows, cols = int(parts[0]), int(parts[1])
-    except ValueError:
-        return None
-    return (rows, cols, end + 1) if rows >= 1 and cols >= 1 else None
+        ends.append(pos)
+        yield len(ends), line
 
 
 # -- the decimal reader -------------------------------------------------------
@@ -321,10 +341,12 @@ def _read_body(data: bytes) -> DenseMatrix | None:
     Returns None, having raised nothing, wherever ``_parse_lines`` might
     reject the file or read it otherwise: then the line parser decides.
     """
-    found = _size_line(data)
-    if found is None:
+    ends: list[int] = []
+    try:
+        rows, cols, _ = _prefix(_utf8_lines(data, ends))
+    except MatrixMarketParseError:
         return None
-    rows, cols, pos = found
+    pos = ends[-1]
     if rows * cols > (len(data) - pos + 1) // 2:
         return None  # more entries than tokens of a byte and a separator fit
     buf = np.frombuffer(data, np.uint8)
@@ -347,43 +369,13 @@ def _read_body(data: bytes) -> DenseMatrix | None:
 
 def _parse_lines(raw: str) -> DenseMatrix:
     """Parse a file line by line, raising on the first malformed line."""
-    lines = raw.splitlines()
-    if not lines:
-        raise MatrixMarketParseError("empty file", line=1)
-
-    header = lines[0].split()
-    if [t.lower() for t in header] != list(_HEADER_FIELDS):
-        raise MatrixMarketParseError(
-            "expected header '%%MatrixMarket matrix array real general'", line=1
-        )
-
-    lineno = 1
-    size: tuple[int, int] | None = None
+    lines = enumerate(raw.splitlines(), 1)
+    rows, cols, lineno = _prefix(lines)
     values: list[float] = []
-    for lineno, text in enumerate(lines[1:], start=2):
+    for lineno, text in lines:
         stripped = text.strip()
-        if not stripped or stripped.startswith("%"):
-            if size is not None and stripped.startswith("%"):
-                raise MatrixMarketParseError("comment after size line", line=lineno)
-            continue
-        if size is None:
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise MatrixMarketParseError(
-                    f"size line must be 'rows cols', got {stripped!r}", line=lineno
-                )
-            try:
-                rows, cols = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MatrixMarketParseError(
-                    f"non-integer dimensions {stripped!r}", line=lineno
-                ) from None
-            if rows < 1 or cols < 1:
-                raise MatrixMarketParseError(
-                    f"dimensions must be positive, got {rows} {cols}", line=lineno
-                )
-            size = (rows, cols)
-            continue
+        if stripped.startswith("%"):
+            raise MatrixMarketParseError("comment after size line", line=lineno)
         for token in stripped.split():
             try:
                 v = float(token)
@@ -396,12 +388,9 @@ def _parse_lines(raw: str) -> DenseMatrix:
                     f"non-finite entry {token!r}", line=lineno
                 )
             values.append(v)
-            if size is not None and len(values) > size[0] * size[1]:
+            if len(values) > rows * cols:
                 raise MatrixMarketParseError("more entries than rows*cols", line=lineno)
 
-    if size is None:
-        raise MatrixMarketParseError("missing size line", line=lineno)
-    rows, cols = size
     if len(values) != rows * cols:
         raise MatrixMarketParseError(
             f"expected {rows * cols} entries, found {len(values)}", line=lineno

@@ -72,7 +72,8 @@ class RngStream:
         )
 
 
-# numpy's SeedSequence constants (bit_generator.pyx); all arithmetic wraps at 32 bits.
+# numpy's SeedSequence constants (bit_generator.pyx).  All arithmetic wraps at
+# 32 bits: uint32 arrays wrap by themselves, and products of ints are masked.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -84,17 +85,17 @@ _POOL_SIZE = 4
 _POOL_CONST = _INIT_A * pow(_MULT_A, 16, 2**32) & _MASK32
 
 
-def _hashmix(value, const: int, mult: int):
-    """SeedSequence's hash of ``value`` (an int or a uint32 array) under the
-    running constant ``const``; returns the hash and the next constant."""
+def _hashmix(value: np.ndarray, const: int, mult: int):
+    """SeedSequence's hash of the uint32 array ``value`` under the running
+    constant ``const``; returns the hash and the next constant."""
     nxt = const * mult & _MASK32
-    value = (value ^ const) * nxt & _MASK32
+    value = (value ^ const) * nxt
     return value ^ (value >> _XSHIFT), nxt
 
 
-def _mix(x, y):
-    """SeedSequence's ``mix`` of two words (ints or uint32 arrays)."""
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+def _mix(x: int, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of the pool word ``x`` and the uint32 array ``y``."""
+    result = (_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y
     return result ^ (result >> _XSHIFT)
 
 
@@ -340,13 +341,6 @@ def sketched_norm_sq(plan: SketchPlan, x) -> float:
     if not math.isfinite(norm_sq):
         raise InvalidParameterError("the sketched norm overflows float64")
     return norm_sq
-
-
-def materialize_sketch(plan: SketchPlan) -> np.ndarray:
-    """Dense ``s x n`` sketching operator; for small cases and checks only."""
-    s_mat = np.zeros((plan.n_samples, plan.n_source_rows))
-    s_mat[np.arange(plan.n_samples), plan.draws] = plan.weights
-    return read_only(s_mat)
 
 
 def approx_matmul(a, b, p: SamplingDistribution, s: int, rng: RngStream) -> np.ndarray:

@@ -146,15 +146,15 @@ def accuracy_ratio(a, b, x_tilde, exact: LstsqSolution) -> float:
 
     ``1`` means optimal; ``<= 1 + epsilon`` means epsilon-accurate.  When
     the exact residual is indistinguishable from zero relative to
-    ``||b||_F^2``, returns ``1.0`` if the candidate also solves the system
-    to working precision and ``inf`` otherwise.
+    ``||b||_F^2`` (``exact.b_norm_sq``, as ``exact`` is the exact solve of
+    ``(a, b)``), returns ``1.0`` if the candidate also solves the system to
+    working precision and ``inf`` otherwise.
     """
     arr, barr = as_array(a), as_array(b)
     xt = as_array(x_tilde)
     resid_sq = fro_norm_sq(arr @ xt - barr)
-    scale_sq = fro_norm_sq(barr)
-    zero = _is_zero_residual(exact.residual_sq, scale_sq)
-    return float(_residual_ratio(resid_sq, exact.residual_sq, scale_sq, zero))
+    zero = _is_zero_residual(exact.residual_sq, exact.b_norm_sq)
+    return float(_residual_ratio(resid_sq, exact.residual_sq, exact.b_norm_sq, zero))
 
 
 def _is_zero_residual(residual_sq: float, scale_sq: float) -> bool:

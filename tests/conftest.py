@@ -69,3 +69,13 @@ def trial_rows(report):
     return [SimpleNamespace(**dict(zip(CSV_COLUMNS, (
                 t, report.s, report.beta, *row, RngStream.algorithm_id, seed, t + 1))))
             for t, row in enumerate(rows)]
+
+
+def dense_operator(plan):
+    """The dense ``s x n`` sketching operator of a plan, built by hand and
+    independent of the library: weight ``weights[t]`` in column
+    ``draws[t]`` of row ``t``, zeros elsewhere."""
+    s_mat = np.zeros((plan.n_samples, plan.n_source_rows))
+    for t in range(plan.n_samples):
+        s_mat[t, plan.draws[t]] += plan.weights[t]
+    return s_mat

@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from conftest import trial_rows
+from conftest import dense_operator, trial_rows
 from levsketch import (
     PRESETS,
     AccuracyTarget,
@@ -46,13 +46,6 @@ from levsketch import (
 def announce(num, name, ok, detail=""):
     print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {num} ({name}): {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def dense_operator(plan):
-    s_mat = np.zeros((plan.n_samples, plan.n_source_rows))
-    for t in range(plan.n_samples):
-        s_mat[t, plan.draws[t]] += plan.weights[t]
-    return s_mat
 
 
 def plan_from_draws(draws, s, p):

@@ -23,7 +23,7 @@ from levsketch import (
     run_experiment,
     write_matrix,
 )
-from levsketch.cli import main, read_config
+from levsketch.cli import _DEFAULTS, _build_parser, _trial_config, main, read_config
 
 
 #: Accuracy targets whose auto sample count is past the float range or, for
@@ -194,6 +194,15 @@ class TestSolve:
 
         assert fields(solve_out) == fields(bench_out)
         assert set(fields(solve_out)) == {"s", "beta"}
+
+    def test_defaults_are_the_config_defaults(self):
+        # bench and config files read the same table, through _trial_config.
+        args = _build_parser().parse_args(["solve", "a.mtx", "b.mtx"])
+        cfg = _trial_config(dict(_DEFAULTS))
+        assert (args.dist, args.samples, args.epsilon, args.delta, args.seed) == (
+            cfg.distribution, cfg.sample_rule, cfg.target.epsilon, cfg.target.delta,
+            cfg.master_seed)
+        assert (type(args.epsilon), type(args.delta), type(args.seed)) == (float, float, int)
 
     def test_deterministic_output_file(self, problem_files, tmp_path, capsys):
         a_path, b_path = problem_files

@@ -4,6 +4,7 @@ Plans here are often built by hand (explicit draws and weights) so the
 sketched quantities have closed forms to compare against.
 """
 
+import importlib
 import math
 from dataclasses import asdict
 
@@ -231,6 +232,32 @@ class TestCheckBounds:
         )
         with pytest.raises(InvalidParameterError):
             check_bounds(a, b, exact, sol, 0.0)
+
+
+@pytest.mark.parametrize("module, check", [
+    pytest.param("solver", lambda a, b, exact, sol: accuracy_ratio(a, b, sol.x_tilde, exact),
+                 id="accuracy_ratio"),
+    pytest.param("diagnostics", lambda a, b, exact, sol: check_bounds(a, b, exact, sol, 0.2),
+                 id="check_bounds"),
+])
+def test_b_norm_comes_from_the_exact_solve(module, check, monkeypatch):
+    # ||b||^2 is computed once per problem, by exact_lstsq: the checks read
+    # exact.b_norm_sq and never pass b to fro_norm_sq again.
+    a, b = make_problem(8)
+    exact = exact_lstsq(a, b)
+    sol = sketched_lstsq(a, b, uniform_distribution(40), 20, RngStream(8))
+    want = check(a, b, exact, sol)
+    seen = []
+    mod = importlib.import_module(f"levsketch.{module}")
+    original = mod.fro_norm_sq
+
+    def recording(m):
+        seen.append(m)
+        return original(m)
+
+    monkeypatch.setattr(mod, "fro_norm_sq", recording)
+    assert check(a, b, exact, sol) == want
+    assert seen and not any(np.shares_memory(m, b) for m in seen)
 
 
 def test_structural_conditions_imply_bounds_small_sweep():

@@ -108,6 +108,25 @@ class TestLeverageProfileValidation:
         with pytest.raises(InvalidParameterError, match="finite"):
             LeverageProfile(scores=np.array([np.nan, 0.5]), rank=1)
 
+    def test_a_writeable_array_is_copied_not_frozen(self):
+        scores = np.array([0.25, 0.75])
+        profile = LeverageProfile(scores=scores, rank=1)
+        assert scores.flags.writeable and not profile.scores.flags.writeable
+        scores[:] = 0.5  # the caller's later writes stay its own
+        np.testing.assert_array_equal(profile.scores, [0.25, 0.75])
+
+    def test_profile_from_basis_keeps_its_scores_without_a_copy(self, monkeypatch):
+        made = []
+        einsum = np.einsum
+
+        def recording(*args, **kwargs):
+            made.append(einsum(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(np, "einsum", recording)
+        basis = orthonormal_basis(np.random.default_rng(3).standard_normal((20, 3)))
+        assert profile_from_basis(basis).scores is made[-1]
+
 
 class TestDistributions:
     def test_leverage_distribution_normalizes(self):

@@ -144,14 +144,15 @@ def test_fro_norm_sq_bits_and_one_copy(order, shape):
 
 @pytest.mark.parametrize("n_items", [1, 7])
 @pytest.mark.parametrize("r, m", [(1, 1), (3, 1), (3, 2), (5, 2)])
-def test_fro_norm_sq_each_equals_fro_norm_sq_bit_for_bit(n_items, r, m):
+def test_fro_norm_sq_each_equals_vdot_bit_for_bit(n_items, r, m):
     # Stacks of whole contiguous items and, as the scorer passes them, the
-    # strided off-diagonal blocks gram[:, :r, r:] of stacked Gram matrices.
+    # strided off-diagonal blocks gram[:, :r, r:] of stacked Gram matrices,
+    # against vdot of each item's C-order ravel.
     rng = np.random.default_rng(13)
     scale = rng.lognormal(0.0, 4.0, (n_items, 1, 1))
     gram = rng.standard_normal((n_items, r + m, r + m)) * scale
     for stack in (gram[:, :r, :m].copy(), gram[:, :r, r:], gram):
-        want = [fro_norm_sq(item) for item in stack]
+        want = [float(np.vdot(item.ravel(), item.ravel())) for item in stack]
         got = fro_norm_sq_each(stack)
         assert got.shape == (n_items,)
         assert got.tolist() == want

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import dense_operator
 from levsketch import (
     DimensionError,
     InvalidParameterError,
@@ -24,22 +25,12 @@ from levsketch import (
     apply_sketch,
     approx_matmul,
     build_sketch,
-    fro_norm_sq,
-    materialize_sketch,
     multinomial_draws,
     sketched_norm_sq,
     uniform_distribution,
 )
 from levsketch import sketch as sketch_mod
 from levsketch.sketch import TrialStreams, _search, draw_chunk
-
-
-def dense_operator(plan):
-    """Hand-built dense version of the sketch, independent of the library."""
-    s_mat = np.zeros((plan.n_samples, plan.n_source_rows))
-    for t in range(plan.n_samples):
-        s_mat[t, plan.draws[t]] += plan.weights[t]
-    return s_mat
 
 
 class TestRngStream:
@@ -265,11 +256,6 @@ class TestApplyAgainstDenseOracle:
             expected = dense_operator(plan) @ m
             np.testing.assert_allclose(apply_sketch(plan, m).array, expected, atol=1e-12)
 
-    def test_materialize_matches_hand_built(self):
-        p = uniform_distribution(6)
-        plan = build_sketch(p, 9, RngStream(2))
-        np.testing.assert_array_equal(materialize_sketch(plan), dense_operator(plan))
-
     def test_sketched_norm_matches(self):
         rng = np.random.default_rng(55)
         p_raw = rng.random(9) + 0.05
@@ -380,7 +366,7 @@ def test_plan_multiset_is_the_draws_aggregated(raw, r, s_rule, seed):
     summed = np.bincount(inverse, weights=plan.weights**2, minlength=rows.size)
     np.testing.assert_allclose(chunk.weight_sq_sums, summed, rtol=1e-13)
     np.testing.assert_array_equal(chunk.weight_sq_sums, counts / (s * probs[rows]))
-    dense = materialize_sketch(plan)
+    dense = dense_operator(plan)
     sts = np.zeros((p.n_rows, p.n_rows))
     sts[rows, rows] = summed
     np.testing.assert_allclose(sts, dense.T @ dense, rtol=1e-13, atol=0.0)
