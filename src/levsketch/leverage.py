@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DimensionError, InvalidParameterError, UnsupportedRowError
-from .linalg import OrthonormalBasis, orthonormal_basis, read_only
+from .linalg import OrthonormalBasis, kept, orthonormal_basis, read_only
 
 _SCORE_SUM_TOL = 1e-8
 _UNIT_TOL = 1e-12
@@ -30,10 +30,7 @@ class LeverageProfile:
     rank: int
 
     def __post_init__(self) -> None:
-        scores = self.scores
-        if not isinstance(scores, np.ndarray) or scores.flags.writeable:
-            scores = np.array(scores)  # the caller's array stays writeable and its own
-        scores = read_only(np.asarray(scores, dtype=np.float64))
+        scores = kept(self.scores, np.float64)
         object.__setattr__(self, "scores", scores)
         if scores.ndim != 1 or scores.size < 1:
             raise DimensionError("scores must be a nonempty 1-D array")

@@ -54,6 +54,15 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def kept(a, dtype) -> np.ndarray:
+    """``a`` as a read-only array of ``dtype`` for a value type to keep: a
+    read-only ndarray of that dtype as it is, anything else as a read-only
+    copy, so a caller's writeable array stays writeable and its own."""
+    if isinstance(a, np.ndarray) and not a.flags.writeable and a.dtype == dtype:
+        return a
+    return read_only(np.array(a, dtype=dtype))
+
+
 class DenseMatrix:
     """Checked read-only view of a matrix, as ``read_matrix`` and ``apply_sketch``
     return it: ``array`` is ``as_array`` of the given array, marked read-only in

@@ -6,6 +6,21 @@ column-major order.  Writes put one entry per line in scientific notation
 with 17 significant digits, so a write/read round trip reproduces every
 float64 bit for bit.
 
+A write (:func:`write_lines`, which also prints ``leverage``'s ``%.17g``
+scores) gives exactly the bytes of ``line_format % v`` for each value.  It
+takes :data:`WRITE_BLOCK` values at a time.  A digit kernel, the printing
+counterpart of the reader's Eisel-Lemire path (Adams 2019, "Ryu revisited:
+printf floating point conversion"), estimates each value's decimal exponent
+k from its binary exponent and rounds ``|x| * 10**(16 - k)`` to 17 digits
+from one 53x128-bit product against the reader's table of powers of five.
+The block's lines are laid out as bytes from a table of the 4-digit strings
+and compacted in one gather.  ``%`` formats only what the kernel leaves
+undecided: subnormals, values below about 1e-292 (outside the table), and
+products within a few units of a half in their last word, exact ties
+included; their texts are spliced in where their lines go.  The block size
+bounds the temporaries, a few MB, so a large write does not raise the peak
+RSS.
+
 A read parses the prefix (header, leading comments and blank lines, size
 line) with the line parser's own :func:`_prefix`, then reads the body from
 the file's bytes, :data:`READ_BLOCK` bytes at a time (each block cut at
@@ -45,8 +60,10 @@ from .linalg import DenseMatrix, as_array, read_only
 
 _HEADER_FIELDS = ("%%matrixmarket", "matrix", "array", "real", "general")
 
-#: Values formatted per ``write``; bounds the formatted text held at once.
-WRITE_CHUNK = 65536
+#: Values the digit kernel formats per write.  A block's temporaries (a byte
+#: row and a keep mask per value, the kept bytes' offsets) stay a few MB, so
+#: writing a large file does not raise the peak RSS.
+WRITE_BLOCK = 16384
 
 #: Body bytes the decimal reader parses per step.  A block is cut at
 #: whitespace, so no token is split, and its temporaries stay a few MB
@@ -55,15 +72,31 @@ READ_BLOCK = 1 << 18
 
 
 def write_lines(fh, values: np.ndarray, line_format: str) -> None:
-    """Write each entry of the 1-D ``values`` as ``line_format % v``.
+    """Write each entry of the 1-D float64 ``values`` to the text file ``fh``
+    as ``line_format % v``, for ``line_format`` ``"%.16e\\n"`` or
+    ``"%.17g\\n"``.
 
-    Entries are formatted as Python floats, ``WRITE_CHUNK`` at a time with
-    one ``%`` of a repeated template, which gives the same text as
-    formatting each numpy scalar in turn.
+    The digit kernel (:func:`_decimal_digits`) rounds ``WRITE_BLOCK`` values
+    at a time to 17 significant digits, and the format's layout turns them
+    into bytes.  ``%`` formats only the values the kernel leaves undecided;
+    their texts are spliced in where their lines go.
     """
-    for start in range(0, len(values), WRITE_CHUNK):
-        chunk = values[start:start + WRITE_CHUNK].tolist()
-        fh.write((line_format * len(chunk)) % tuple(chunk))
+    layout = _LAYOUTS[line_format]
+    values = np.asarray(values, dtype=np.float64)
+    for start in range(0, len(values), WRITE_BLOCK):
+        block = values[start:start + WRITE_BLOCK]
+        digits, exponents, undecided = _decimal_digits(block)
+        rows, keep = layout(np.signbit(block), _digit_bytes(digits), exponents)
+        at = np.flatnonzero(undecided)
+        keep[at] = False
+        text = rows.reshape(-1).take(np.flatnonzero(keep)).tobytes().decode("ascii")
+        if at.size:
+            # An undecided value's line is empty here: its text goes where
+            # the lines before it end.
+            cuts = [0, *np.cumsum(keep.sum(axis=1))[at].tolist(), len(text)]
+            exact = [line_format % v for v in block[at].tolist()] + [""]
+            text = "".join(text[a:b] + t for a, b, t in zip(cuts, cuts[1:], exact))
+        fh.write(text)
 
 
 def write_matrix(path: str | os.PathLike, m) -> None:
@@ -365,6 +398,171 @@ def _read_body(data: bytes) -> DenseMatrix | None:
     if filled != len(flat):
         return None
     return DenseMatrix(flat.reshape(cols, rows).T)
+
+
+# -- the digit kernel ---------------------------------------------------------
+
+_HALF = _U64(2**63)
+#: Fraction words this close to a half leave the rounding undecided; the
+#: estimate of the fraction is off by fewer than 3.
+_NEAR = _U64(16)
+
+
+@functools.cache
+def _four_digits() -> np.ndarray:
+    """The ASCII bytes of ``"0000"`` to ``"9999"``, one uint32 each, built on
+    first use (importing the package builds nothing) and shared read-only."""
+    text = "".join(f"{i:04d}" for i in range(10000)).encode()
+    return read_only(np.frombuffer(text, np.uint32).copy())
+
+
+def _round_scaled(m: np.ndarray, biased: np.ndarray, q: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``round(m * 2**(biased - 1075) * 10**q)`` for uint64 significands
+    ``m`` of 53 bits, and where the rounding is too close to call.
+
+    One 64x128-bit product against the power of five gives the scaled value
+    as a 128-bit fixed-point number, integer part below 2**58, whose
+    fraction word is off by fewer than ``_NEAR`` (the power is cut to 128
+    bits, the product to its top 128).  Exact ties are among the close calls.
+    Rows outside the table give garbage.
+    """
+    hi5, lo5 = _powers_of_five()
+    row = np.clip(q, _Q_MIN, _Q_MAX) - _Q_MIN
+    w = m << _U64(11)
+    hi, lo = _mul128(w, hi5[row])
+    extra = _mul128(w, lo5[row])[0]
+    lo += extra
+    hi += lo < extra
+    # The value is hi:lo * 2**-(64 + t), t in [6, 13] for the callers' q.
+    t = (1085 - biased - ((q * 217706) >> 16)).astype(np.uint64)
+    fraction = (hi << (_U64(64) - t)) | (lo >> t)
+    near = fraction + _NEAR - _HALF < _NEAR + _NEAR
+    return (hi >> t) + (fraction >> _U64(63)), near
+
+
+def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(d, k, undecided)`` for float64 ``x``: ``|x|`` rounded to 17
+    significant digits is ``d * 10**(k - 16)``, with uint64 ``d`` in
+    [10**16, 10**17) (``d`` and ``k`` are 0 for a zero), unless ``undecided``.
+
+    The estimate k = floor(log10(2**p)) for ``x`` in [2**p, 2**(p+1)) makes
+    ``|x| * 10**(16 - k)`` at least 10**16; where it rounds to 10**17 or more,
+    k is one more.  Left undecided: subnormals, infinities and nans, powers
+    of ten outside the table (``|x|`` below about 1e-292), and a fraction
+    within ``_NEAR`` of a half, exact ties included.
+    """
+    bits = x.view(np.uint64)
+    biased = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
+    m = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    k = ((biased - 1023) * 78913) >> 18
+    d, near = _round_scaled(m, biased, 16 - k)
+    over = np.flatnonzero(d >= _U64(10**17))
+    if over.size:
+        k[over] += 1
+        d[over], near[over] = _round_scaled(m[over], biased[over], 16 - k[over])
+    zero = (bits << _U64(1)) == _U64(0)
+    d[zero] = 0
+    k[zero] = 0
+    undecided = ~zero & (near | (biased == 0) | (biased == 2047) | (16 - k > _Q_MAX))
+    return d, k, undecided
+
+
+def _digit_bytes(d: np.ndarray) -> np.ndarray:
+    """The 17 ASCII digits of each uint64 ``d`` below 10**17, an (n, 17) view.
+
+    Remainders are taken as ``a - (a // c) * c``: numpy divides by a scalar
+    quickly, but ``divmod`` and ``%`` divide element by element.
+    """
+    table = _four_digits()
+    lead = d // _U64(10**16)
+    rest = d - lead * _U64(10**16)
+    high = rest // _U64(10**8)
+    groups = np.empty((len(d), 5), np.uint32)
+    groups[:, 0] = table.take(lead.astype(np.intp))
+    for j, half in enumerate((high, rest - high * _U64(10**8))):
+        half = half.astype(np.uint32)
+        top = half // np.uint32(10**4)
+        groups[:, 1 + 2 * j] = table.take(top)
+        groups[:, 2 + 2 * j] = table.take(half - top * np.uint32(10**4))
+    return groups.view(np.uint8)[:, 3:]
+
+
+def _rows(template: np.ndarray, k: np.ndarray, exponent_at: int) -> np.ndarray:
+    """One copy of the line ``template`` per value, with the sign and three
+    digits of ``k`` after the "e" at ``exponent_at``."""
+    rows = np.empty((len(k), template.size), np.uint8)
+    rows[:] = template
+    rows[:, exponent_at + 1] = np.where(k < 0, ord("-"), ord("+"))
+    exponent = _four_digits().take(np.abs(k)).view(np.uint8).reshape(-1, 4)
+    rows[:, exponent_at + 2:exponent_at + 5] = exponent[:, 1:]
+    return rows
+
+
+#: ``%.16e`` line: sign, lead digit, ".", 16 digits, "e", sign, 3 digits, "\n".
+_E_TEMPLATE = np.frombuffer(b"-0.0000000000000000e+000\n", np.uint8)
+_E_EXP = 19
+
+
+def _layout_e(negative: np.ndarray, digits: np.ndarray, k: np.ndarray):
+    """Byte rows and keep masks of ``%.16e`` lines."""
+    rows = _rows(_E_TEMPLATE, k, _E_EXP)
+    rows[:, 1] = digits[:, 0]
+    rows[:, 3:_E_EXP] = digits[:, 1:]
+    keep = np.ones(rows.shape, bool)
+    keep[:, 0] = negative
+    keep[:, _E_EXP + 2] = np.abs(k) >= 100
+    return rows, keep
+
+
+#: ``%.17g`` line: sign, "0.000" for fixed notation below 1, 17 digits each
+#: followed by a slot for the point, "e", sign, 3 digits, "\n", and two
+#: slots never kept, so a line's keep mask is 6 bytes of bits.
+_G_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000\n  ", np.uint8)
+_G_DIGIT = 6
+_G_EXP = _G_DIGIT + 34
+
+
+def _bits(*slots: int) -> int:
+    """The keep mask of the given slots of a line, as an integer."""
+    return sum(1 << s for s in slots)
+
+
+#: Keep bits of the digits up to digit j, of "0." and z more zeros, and of
+#: the exponent with 2 and with 3 digits.
+_G_DIGITS_TO = np.array([_bits(*range(_G_DIGIT, _G_DIGIT + 2 * j + 1, 2)) for j in range(17)],
+                        np.uint64)
+_G_ZEROS = np.array([_bits(*range(1, 3 + z)) for z in range(4)], np.uint64)
+_G_EXP2 = _U64(_bits(_G_EXP, _G_EXP + 1, _G_EXP + 3, _G_EXP + 4))
+_G_EXP3 = _G_EXP2 | _U64(_bits(_G_EXP + 2))
+
+
+def _layout_g(negative: np.ndarray, digits: np.ndarray, k: np.ndarray):
+    """Byte rows and keep masks of ``%.17g`` lines: scientific notation for
+    an exponent below -4 or above 16, fixed otherwise, trailing zeros and a
+    bare point dropped."""
+    rows = _rows(_G_TEMPLATE, k, _G_EXP)
+    rows[:, _G_DIGIT:_G_EXP:2] = digits
+    scientific = (k < -4) | (k > 16)
+    below_one = ~scientific & (k < 0)
+    # The point follows digit ``point`` (none for fixed notation below one);
+    # digits run to the last nonzero one (the lead digit is 0 only for a
+    # zero), or to the point if that is later.
+    point = np.where(scientific | below_one, 0, k)
+    nonzero = digits != ord("0")
+    last = 16 - np.argmax(nonzero[:, ::-1], axis=1)
+    last[~nonzero[:, 0]] = 0
+    np.maximum(last, point, out=last)
+    bits = _G_DIGITS_TO[last] | negative | _U64(_bits(_G_EXP + 5))
+    bits |= np.where(below_one, _G_ZEROS[np.clip(-1 - k, 0, 3)], _U64(0))
+    bits |= np.where(~below_one & (last > point),
+                     _U64(1) << (_G_DIGIT + 1 + 2 * point).astype(np.uint64), _U64(0))
+    bits |= np.where(scientific, np.where(np.abs(k) >= 100, _G_EXP3, _G_EXP2), _U64(0))
+    six = bits.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :6]
+    return rows, np.unpackbits(six, axis=1, bitorder="little").view(bool)
+
+
+_LAYOUTS = {"%.16e\n": _layout_e, "%.17g\n": _layout_g}
 
 
 def _parse_lines(raw: str) -> DenseMatrix:

@@ -30,7 +30,7 @@ from .exceptions import (
     UnsupportedRowError,
 )
 from .leverage import SamplingDistribution
-from .linalg import DenseMatrix, as_array, as_int, read_only
+from .linalg import DenseMatrix, as_array, as_int, kept, read_only
 
 
 class RngStream:
@@ -170,7 +170,8 @@ class SketchPlan:
 
     A drawn plan has ``weights[t] * sqrt(n_samples * source.probs[draws[t]]) == 1``;
     a hand-built one may carry any finite positive weights.  ``draws`` and
-    ``weights`` are in draw order; the plan keeps read-only copies of them.
+    ``weights`` are in draw order and kept read-only: read-only int64 and
+    float64 arrays as they are, anything else as a copy.
     Plans compare and hash by identity.
     """
 
@@ -179,8 +180,8 @@ class SketchPlan:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        draws = read_only(np.array(self.draws, dtype=np.int64))
-        weights = read_only(np.array(self.weights, dtype=np.float64))
+        draws = kept(self.draws, np.int64)
+        weights = kept(self.weights, np.float64)
         if draws.size < 1:
             raise InvalidSampleCountError("a plan needs at least one draw")
         if draws.ndim != 1 or weights.shape != draws.shape:
@@ -268,8 +269,8 @@ def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
     ``E ||S x||^2 = ||x||^2`` for any fixed vector ``x`` supported on rows
     with positive probability.
     """
-    draws = multinomial_draws(p, s, rng)
-    weights = 1.0 / np.sqrt(draws.size * p.probs[draws])
+    draws = read_only(multinomial_draws(p, s, rng))
+    weights = read_only(1.0 / np.sqrt(draws.size * p.probs[draws]))
     return SketchPlan(p, draws, weights)
 
 

@@ -19,6 +19,7 @@ from levsketch import (
     AccuracyTarget,
     ConfigParseError,
     leverage_scores,
+    mmio,
     read_matrix,
     run_experiment,
     write_matrix,
@@ -239,6 +240,24 @@ class TestLeverage:
         assert out.read_bytes() == lines.encode()
         header = capsys.readouterr().out
         assert main(["leverage", str(a_path)]) == 0
+        assert capsys.readouterr().out == header + lines
+
+    def test_scores_across_blocks_and_the_notation_switch_match_per_value_format(
+        self, tmp_path, capsys
+    ):
+        # More rows than one write block, and scores on both sides of 1e-4,
+        # where %.17g switches from fixed to scientific notation.
+        n = mmio.WRITE_BLOCK + 1
+        a = np.random.default_rng(231).standard_normal((n, 2))
+        path, out = tmp_path / "tall.mtx", tmp_path / "scores.txt"
+        write_matrix(path, a)
+        scores = leverage_scores(read_matrix(path)).scores
+        lines = "".join("%.17g\n" % v for v in scores.tolist())
+        assert "e-05\n" in lines and "\n0.000" in lines
+        assert main(["leverage", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == lines.encode()
+        header = capsys.readouterr().out
+        assert main(["leverage", str(path)]) == 0
         assert capsys.readouterr().out == header + lines
 
     def test_rank_deficient_input_is_exit_1(self, tmp_path, capsys):

@@ -3,18 +3,31 @@
 scipy.io is the independent format oracle: files we write must load in
 scipy with identical values, and scipy-written files must load here.  The
 line-by-line parser ``mmio._parse_lines`` is the oracle for the one-pass
-read: on any file both give bit-identical arrays or the same error.
+read: on any file both give bit-identical arrays or the same error.  ``%``
+is the oracle for every byte the writer's digit kernel lays out; the writer
+tests need numpy, pytest and hypothesis only (scipy is imported by the two
+tests that use it).
 """
 
+import io
+import subprocess
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.io
 from hypothesis import example, given, settings, strategies as st
 
-from levsketch import MatrixMarketParseError, mmio, read_matrix, write_matrix
+from levsketch import (
+    MatrixMarketParseError,
+    ProblemSpec,
+    generate_problem,
+    mmio,
+    read_matrix,
+    write_matrix,
+)
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -48,6 +61,8 @@ def test_entries_fill_columns_in_file_order(tmp_path):
 
 
 def test_scipy_reads_our_files(tmp_path):
+    import scipy.io
+
     rng = np.random.default_rng(7)
     src = rng.standard_normal((5, 4))
     path = tmp_path / "m.mtx"
@@ -57,6 +72,8 @@ def test_scipy_reads_our_files(tmp_path):
 
 
 def test_we_read_scipy_files(tmp_path):
+    import scipy.io
+
     rng = np.random.default_rng(8)
     src = rng.standard_normal((6, 2))
     path = tmp_path / "m.mtx"
@@ -298,7 +315,7 @@ def _old_writer_bytes(a: np.ndarray) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "n", [1, mmio.WRITE_CHUNK - 1, mmio.WRITE_CHUNK, mmio.WRITE_CHUNK + 1]
+    "n", [1, mmio.WRITE_BLOCK - 1, mmio.WRITE_BLOCK, mmio.WRITE_BLOCK + 1]
 )
 def test_write_bytes_match_per_value_format(tmp_path, n):
     rng = np.random.default_rng(n)
@@ -322,3 +339,110 @@ def test_write_read_round_trip_is_bit_exact(rows, cols, data):
         write_matrix(path, src)
         out = read_matrix(path)
     assert out.array.tobytes(order="C") == src.tobytes(order="C")
+
+
+# -- the writer's digit kernel against % --------------------------------------
+
+_LINE_FORMATS = pytest.mark.parametrize("line_format", ["%.16e\n", "%.17g\n"], ids=["16e", "17g"])
+
+
+def _written(values, line_format: str) -> str:
+    fh = io.StringIO()
+    mmio.write_lines(fh, np.asarray(values, dtype=np.float64), line_format)
+    return fh.getvalue()
+
+
+def _per_value(values, line_format: str) -> str:
+    return "".join(line_format % v for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+def _ties() -> list[float]:
+    """Doubles a * 2**-b (a odd) whose exact decimal has 18 significant
+    digits, the last a 5: halfway cases at the 17th digit."""
+    rng = np.random.default_rng(2301)
+    ties = []
+    for b in range(7, 25):
+        low, high = -(-10**17 // 5**b), min(10**18 // 5**b, 2**53)
+        for a in rng.integers(low, high, 8).tolist():
+            a |= 1
+            value = a / 2**b
+            digits = str(Fraction(value).numerator * 5**b)
+            assert Fraction(value) == Fraction(a, 2**b) and len(digits) == 18
+            ties.append(value)
+    return ties
+
+
+def _edge_values() -> np.ndarray:
+    decades = [float(f"1e{j}") for j in range(-323, 309)]
+    edges = [
+        0.0, 5e-324, 2.2250738585072009e-308,  # zero and subnormals
+        2.2250738585072014e-308, 1.7976931348623157e308,  # least and greatest normal
+        9.9999999999999999e22, 0.99999999999999999,
+        1e-4, 9.9999999999999991e-05, 1e16, 1e17, 1e-5, 1e15, 123456789.0, 0.5,
+        *decades, *np.nextafter(decades, 0).tolist(), *np.nextafter(decades, np.inf).tolist(),
+        *np.ldexp(1.0, np.arange(-1074, 1024)).tolist(),
+        *_ties(),
+    ]
+    return np.array(edges + [-v for v in edges])
+
+
+class TestWriter:
+    @_LINE_FORMATS
+    def test_edge_values_match_per_value_format(self, line_format):
+        values = _edge_values()
+        assert _written(values, line_format) == _per_value(values, line_format)
+
+    def test_edge_values_round_into_new_decades_and_tie(self):
+        # The edge set holds doubles below a power of ten that round up to it
+        # at 17 digits, and exact ties, so those paths are checked above.
+        values = _edge_values()
+        up = [v for v in values.tolist() if 0 < v < 1e300
+              and ("%.16e" % v).startswith("1.0000000000000000e")
+              and Fraction(v) < Fraction(10) ** int(("%.16e" % v).split("e")[1])]
+        assert len(up) >= 5
+        assert len(_ties()) > 100
+        assert mmio._decimal_digits(np.array(_ties()))[2].all()
+
+    @_LINE_FORMATS
+    def test_random_bit_patterns_match_per_value_format(self, line_format):
+        rng = np.random.default_rng(2302)
+        values = rng.integers(0, 2**64, 40000, dtype=np.uint64, endpoint=False).view(np.float64)
+        assert _written(values, line_format) == _per_value(values, line_format)
+
+    @_LINE_FORMATS
+    @pytest.mark.parametrize("n", [mmio.WRITE_BLOCK - 1, mmio.WRITE_BLOCK, mmio.WRITE_BLOCK + 1])
+    def test_block_sizes_match_per_value_format(self, line_format, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
+        values[::97] = _edge_values()[: len(values[::97])]
+        assert _written(values, line_format) == _per_value(values, line_format)
+
+    @_LINE_FORMATS
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+    def test_round_trip(self, line_format, values):
+        text = _written(values, line_format)
+        assert text == _per_value(values, line_format)
+        parsed = np.array([float(t) for t in text.split()], dtype=np.float64)
+        assert parsed.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+    def test_kernel_leaves_no_normal_or_leverage_score_to_percent(self):
+        # The other tests check the kernel where it decides, not only %.
+        normals = np.random.default_rng(2303).standard_normal(100_000)
+        _, _, meta = generate_problem(ProblemSpec("spiked-coherent", 50000, 5,
+                                                  coherence_target=0.9, seed=2304))
+        scores = meta["profile"].scores
+        for values in (normals, scores):
+            assert not mmio._decimal_digits(values)[2].any()
+        assert _written(scores, "%.17g\n") == _per_value(scores, "%.17g\n")
+
+    def test_other_line_formats_are_rejected(self):
+        with pytest.raises(KeyError):
+            mmio.write_lines(io.StringIO(), np.ones(3), "%.15g\n")
+
+    def test_importing_the_cli_builds_no_digit_table(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import levsketch.cli; "
+                "from levsketch import mmio; "
+                "assert mmio._four_digits.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code, str(src)], check=True)

@@ -237,6 +237,26 @@ class TestSketchPlan:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    def test_keeps_read_only_arrays_of_its_dtypes_without_a_copy(self):
+        draws, weights = np.array([2, 0], dtype=np.int64), np.array([1.0, 2.0])
+        draws.setflags(write=False)
+        weights.setflags(write=False)
+        plan = SketchPlan(uniform_distribution(3), draws, weights)
+        assert plan.draws is draws and plan.weights is weights
+        # Another dtype is converted, read-only or not.
+        narrow = np.array([2, 0], dtype=np.int32)
+        narrow.setflags(write=False)
+        assert SketchPlan(uniform_distribution(3), narrow, weights).draws.dtype == np.int64
+
+    def test_build_keeps_the_drawn_arrays_without_a_copy(self, monkeypatch):
+        handed = []
+        plan_type = sketch_mod.SketchPlan
+        monkeypatch.setattr(sketch_mod, "SketchPlan",
+                            lambda *args: handed.append(args) or plan_type(*args))
+        plan = build_sketch(uniform_distribution(5), 40, RngStream(3))
+        _, draws, weights = handed[0]
+        assert plan.draws is draws and plan.weights is weights
+
     def test_build_goes_through_the_checked_constructor(self, monkeypatch):
         search = sketch_mod._search
         monkeypatch.setattr(sketch_mod, "_search", lambda p, u: search(p, u) - 1)
