@@ -23,18 +23,8 @@ from .exceptions import (
     LevSketchError,
     MatrixMarketParseError,
 )
-from .experiment import (
-    PRESETS,
-    TrialConfig,
-    build_distribution,
-    parse_distribution_spec,
-    parse_sample_rule,
-    run_experiment,
-    sample_count,
-    write_report,
-)
-from .leverage import leverage_scores, profile_from_basis
-from .linalg import exact_lstsq
+from .experiment import PRESETS, TrialConfig, run_experiment, set_up_run, write_report
+from .leverage import leverage_scores
 from .mmio import read_matrix, read_text, write_lines, write_matrix
 from .problems import ProblemSpec
 from .sketch import RngStream, build_sketch
@@ -138,21 +128,15 @@ def _trial_config(values: dict[str, str]) -> TrialConfig:
 
 
 def _cmd_solve(args) -> int:
-    # Reject bad flags and an unwritable --out before the files are read and
-    # A is factored.
-    parse_distribution_spec(args.dist)
-    parse_sample_rule(args.samples)
-    target = AccuracyTarget(args.epsilon, args.delta)
-    stream = RngStream(args.seed, stream_index=1)
+    # The config checks every flag before --out is checked and the files read.
+    cfg = TrialConfig(
+        ProblemSpec("custom-file", a_path=args.a, b_path=args.b), distribution=args.dist,
+        sample_rule=args.samples, target=AccuracyTarget(args.epsilon, args.delta),
+        n_trials=1, master_seed=args.seed)
     _check_out_path(args.out)
-    a = read_matrix(args.a)
-    b = read_matrix(args.b)
-    exact = exact_lstsq(a, b)
-    profile = profile_from_basis(exact.basis)
-    dist, beta = build_distribution(args.dist, profile)
-    s = sample_count(args.samples, profile.rank, beta, target)
-    plan = build_sketch(dist, s, stream)
-    sol = solve_with_plan(a, b, plan)
+    a, b, exact, dist, beta, s = set_up_run(cfg)
+    # The sketch of bench's trial 0 on the same config.
+    sol = solve_with_plan(a, b, build_sketch(dist, s, RngStream(args.seed, 1)))
     print(
         f"rows={a.shape[0]} cols={a.shape[1]} rhs={b.shape[1]} dist={args.dist} "
         f"beta={beta:.6g} s={s} sketched_residual_sq={sol.sketched_residual_sq:.17g}"

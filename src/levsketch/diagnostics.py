@@ -33,9 +33,10 @@ from .linalg import (
     LstsqSolution,
     OrthonormalBasis,
     SpectralSummary,
-    as_array,
+    as_problem,
     fro_norm_sq,
     fro_norm_sq_each,
+    in_open_unit,
 )
 from .sketch import SketchChunk, SketchPlan, apply_sketch
 from .solver import SketchSolution, _is_zero_residual, _residual_ratio
@@ -111,8 +112,7 @@ def check_structural(
         ``||b||_F^2``; the SC2 limit includes the noise floor relative to it,
         so on a consistent system rounding noise does not decide the verdict.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
+    in_open_unit(epsilon, "epsilon")
     if residual_sq < 0.0:
         raise InvalidParameterError(f"residual_sq must be >= 0, got {residual_sq}")
     q = basis.q
@@ -152,10 +152,9 @@ def check_bounds(a, b, exact: LstsqSolution, sol: SketchSolution, epsilon: float
     ``sigma_min(a)``, ``kappa`` and ``||b||_F^2`` are ``exact.spectral`` and
     ``exact.b_norm_sq``, from the exact solve of ``(a, b)``.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
-    arr, barr = as_array(a), as_array(b)
-    xt, xo = as_array(sol.x_tilde), as_array(exact.x_opt)
+    in_open_unit(epsilon, "epsilon")
+    arr, barr, xt = as_problem(a, b, sol.x_tilde)
+    xo = exact.x_opt  # checked by exact_lstsq
     limits = _BoundLimits.of(epsilon, exact.residual_sq, exact.b_norm_sq, exact.spectral,
                              float(np.linalg.norm(arr @ xo)), fro_norm_sq(xo))
     sol_value = fro_norm_sq(xo - xt)
@@ -294,8 +293,7 @@ class TrialScorer:
     """
 
     def __init__(self, exact: LstsqSolution, epsilon: float) -> None:
-        if not (0.0 < epsilon < 1.0):
-            raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
+        in_open_unit(epsilon, "epsilon")
         q, bp = exact.basis.q, exact.b_perp
         block = np.empty((q.shape[0], q.shape[1] + bp.shape[1]))
         np.concatenate((q, bp), axis=1, out=block)

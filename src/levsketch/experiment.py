@@ -207,14 +207,25 @@ def sample_count(
     return s
 
 
+def set_up_run(cfg: TrialConfig):
+    """The run's ``(a, b, exact, dist, beta, s)``: :func:`generate_problem`,
+    then :func:`build_distribution` and :func:`sample_count`.  ``solve`` and
+    :func:`run_experiment` both set up here, so they derive ``beta`` and ``s`` alike."""
+    a, b, meta = generate_problem(cfg.problem)
+    profile = meta["profile"]
+    dist, beta = build_distribution(cfg.distribution, profile)
+    s = sample_count(cfg.sample_rule, profile.rank, beta, cfg.target, cfg.cap_samples)
+    return a, b, meta["exact"], dist, beta, s
+
+
 def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     """Run ``cfg.n_trials`` independent sketched solves and score them.
 
     Trial ``t`` uses the stream ``(master_seed, t + 1)``; stream 0 is
     reserved for problem generation.  One :class:`TrialStreams` serves every
-    trial, so no stream object is built per trial.  The problem is factored
-    once, and the leverage profile of that factorization sets the
-    distribution.  Trials then run in chunks of ``max(1, CHUNK_DRAWS // s)``:
+    trial, so no stream object is built per trial.  :func:`set_up_run`
+    factors the problem once and sets the distribution and ``s``.  Trials
+    then run in chunks of ``max(1, CHUNK_DRAWS // s)``:
     :func:`draw_chunk` draws the multisets of a chunk's sketches, and a
     :class:`TrialScorer` scores each from the Gram matrix of its distinct
     rows in the coordinates of the orthonormal basis.  The chunks'
@@ -229,7 +240,7 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     try:
         # Trials read only the factors of the exact solve; the problem
         # itself is dropped here, so peak memory stays at generation's.
-        meta = generate_problem(cfg.problem)[2]
+        exact, dist, beta, s = set_up_run(cfg)[2:]
     except GenerationFailedError as exc:
         s, beta = 0, float("nan")
         nan, false = np.full(n, np.nan), np.zeros(n, dtype=bool)
@@ -241,11 +252,8 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
             gamma=nan, gamma_bound_limit=nan, gamma_bound_holds=false, error=error,
         )
     else:
-        profile = meta["profile"]
-        dist, beta = build_distribution(cfg.distribution, profile)
-        s = sample_count(cfg.sample_rule, profile.rank, beta, cfg.target, cfg.cap_samples)
-        scorer = TrialScorer(meta["exact"], cfg.target.epsilon)
-        del meta, profile
+        scorer = TrialScorer(exact, cfg.target.epsilon)
+        del exact
         chunk = max(1, CHUNK_DRAWS // s)
         streams = TrialStreams(cfg.master_seed)
         chunks = [

@@ -22,9 +22,9 @@ _UNIT_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class LeverageProfile:
-    """Per-row leverage scores of a full-column-rank matrix, kept read-only:
-    a read-only array as it is, anything else as a copy; profiles compare
-    and hash by identity."""
+    """Per-row leverage scores of a full-column-rank matrix, kept read-only
+    as :func:`~levsketch.linalg.kept` keeps them; profiles compare and hash
+    by identity."""
 
     scores: np.ndarray
     rank: int
@@ -59,14 +59,14 @@ class LeverageProfile:
 class SamplingDistribution:
     """Probability vector over rows, optionally annotated with the exact
     misestimation factor ``beta`` relative to the profile it was built from.
-    The distribution keeps a read-only copy of ``probs``; distributions
-    compare and hash by identity."""
+    ``probs`` is kept read-only as :func:`~levsketch.linalg.kept` keeps it;
+    distributions compare and hash by identity."""
 
     probs: np.ndarray
     beta: float | None = field(default=None)
 
     def __post_init__(self) -> None:
-        probs = read_only(np.array(self.probs, dtype=np.float64))
+        probs = kept(self.probs, np.float64)
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size < 1:
             raise DimensionError("probs must be a nonempty 1-D array")
@@ -145,14 +145,14 @@ def leverage_distribution(profile: LeverageProfile) -> SamplingDistribution:
     By construction its misestimation factor against ``profile`` is 1, the
     best possible.
     """
-    return SamplingDistribution(probs=profile.scores / profile.rank, beta=1.0)
+    return SamplingDistribution(probs=read_only(profile.scores / profile.rank), beta=1.0)
 
 
 def uniform_distribution(n_rows: int) -> SamplingDistribution:
     """Uniform distribution over ``n_rows`` rows."""
     if n_rows < 1:
         raise InvalidParameterError(f"need at least one row, got {n_rows}")
-    return SamplingDistribution(probs=np.full(n_rows, 1.0 / n_rows))
+    return SamplingDistribution(probs=read_only(np.full(n_rows, 1.0 / n_rows)))
 
 
 def misestimation_beta(candidate: SamplingDistribution, profile: LeverageProfile) -> float:
@@ -195,6 +195,4 @@ def blended_distribution(dist: SamplingDistribution, alpha: float) -> SamplingDi
     """
     if not (0.0 <= alpha <= 1.0):
         raise InvalidParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    n = dist.n_rows
-    probs = (1.0 - alpha) * dist.probs + alpha / n
-    return SamplingDistribution(probs=probs)
+    return SamplingDistribution(probs=read_only((1.0 - alpha) * dist.probs + alpha / dist.n_rows))

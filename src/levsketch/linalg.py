@@ -1,12 +1,12 @@
 """Dense linear-algebra core: the boundary check, orthonormal bases, the
 exact least-squares reference solve, and spectral summaries.
 
-Matrices are float64 numpy arrays.  Public functions check each 2-D
-array-like they take once, with :func:`as_array`, and return read-only
-arrays.  Rank decisions everywhere use the relative threshold :data:`RANK_TOL`.
-QRs are ``dgeqrf``/``dorgqr`` from :mod:`numpy.linalg.lapack_lite` in place on
-a column-major copy, so ``q`` keeps LAPACK's layout; ``np.linalg.qr`` gives
-the same bits and is the tests' oracle.
+Matrices are float64 numpy arrays.  Public functions check each 2-D array-like
+they take once, with :func:`as_array` (a problem's shapes with :func:`as_problem`),
+and return read-only arrays.  Rank decisions everywhere use the relative
+threshold :data:`RANK_TOL`.  QRs are ``dgeqrf``/``dorgqr`` from
+:mod:`numpy.linalg.lapack_lite` in place on a column-major copy, so ``q`` keeps
+LAPACK's layout; ``np.linalg.qr`` gives the same bits and is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -39,6 +39,21 @@ def as_array(m) -> np.ndarray:
     return a
 
 
+def as_problem(a, b, x=None) -> tuple[np.ndarray, ...]:
+    """The boundary check of a least-squares problem: :func:`as_array` of
+    ``a``, ``b`` and, when given, a candidate solution ``x``, with ``b`` on
+    the rows of ``a`` and ``x`` of shape ``(a cols, b cols)``."""
+    arr, barr = as_array(a), as_array(b)
+    if arr.shape[0] != barr.shape[0]:
+        raise DimensionError(f"row counts differ: a has {arr.shape[0]}, b has {barr.shape[0]}")
+    if x is None:
+        return arr, barr
+    xarr = as_array(x)
+    if xarr.shape != (want := (arr.shape[1], barr.shape[1])):
+        raise DimensionError(f"x has shape {xarr.shape}, expected {want}")
+    return arr, barr, xarr
+
+
 def as_int(value, name: str) -> int:
     """The boundary check for an integer parameter: ``value`` as an int; a
     non-integral value such as ``2.5`` raises instead of being truncated."""
@@ -46,6 +61,12 @@ def as_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
+def in_open_unit(value: float, name: str) -> None:
+    """The boundary check for ``epsilon`` and ``delta``: in the open interval (0, 1)."""
+    if not (0.0 < value < 1.0):
+        raise InvalidParameterError(f"{name} must lie in (0, 1), got {value}")
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
@@ -56,9 +77,11 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 def kept(a, dtype) -> np.ndarray:
     """``a`` as a read-only array of ``dtype`` for a value type to keep: a
-    read-only ndarray of that dtype as it is, anything else as a read-only
-    copy, so a caller's writeable array stays writeable and its own."""
-    if isinstance(a, np.ndarray) and not a.flags.writeable and a.dtype == dtype:
+    read-only ndarray of that dtype that owns its data as it is, anything
+    else as a read-only copy: a read-only view too, as its base may still be
+    written, and a caller's writeable array stays writeable and its own."""
+    if (isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
+            and a.dtype == dtype):
         return a
     return read_only(np.array(a, dtype=dtype))
 
@@ -115,7 +138,7 @@ def fro_norm_sq_each(stack: np.ndarray) -> np.ndarray:
 class OrthonormalBasis:
     """Orthonormal basis ``q`` for the column space of a full-rank matrix.
 
-    Construction checks orthonormality and keeps a read-only copy of ``q``.
+    Construction checks orthonormality and keeps ``q`` as :func:`kept` does.
     """
 
     q: np.ndarray
@@ -133,7 +156,7 @@ class OrthonormalBasis:
         return self.q.shape[1]
 
     def __post_init__(self) -> None:
-        qa = read_only(np.array(as_array(self.q)))
+        qa = as_array(kept(self.q, np.float64))
         object.__setattr__(self, "q", qa)
         n, r = qa.shape
         if n < r:
@@ -277,12 +300,7 @@ def exact_lstsq(a, b) -> LstsqSolution:
     InvalidParameterError
         If ``||b||_F^2``, the residual or ``x_opt`` overflows float64.
     """
-    arr = as_array(a)
-    barr = as_array(b)
-    if arr.shape[0] != barr.shape[0]:
-        raise DimensionError(
-            f"row counts differ: a has {arr.shape[0]}, b has {barr.shape[0]}"
-        )
+    arr, barr = as_problem(a, b)
     # Before the QR: on column-major b the norm makes row-major copies.
     b_norm_sq = fro_norm_sq(barr)
     if not np.isfinite(b_norm_sq):

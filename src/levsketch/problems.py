@@ -54,7 +54,8 @@ class ProblemSpec:
         for name in ("n_rows", "n_cols", "rhs_cols", "seed"):
             as_int(getattr(self, name), name)
         if self.kind == "custom-file":
-            if not self.a_path or not self.b_path:
+            # A path that cannot be read, "" included, fails as an OSError when read.
+            if self.a_path is None or self.b_path is None:
                 raise InvalidParameterError(
                     "custom-file problems need a_path and b_path"
                 )

@@ -30,7 +30,7 @@ from .exceptions import (
     UnsupportedRowError,
 )
 from .leverage import SamplingDistribution
-from .linalg import DenseMatrix, as_array, as_int, kept, read_only
+from .linalg import DenseMatrix, as_array, as_int, as_problem, kept, read_only
 
 
 class RngStream:
@@ -170,9 +170,8 @@ class SketchPlan:
 
     A drawn plan has ``weights[t] * sqrt(n_samples * source.probs[draws[t]]) == 1``;
     a hand-built one may carry any finite positive weights.  ``draws`` and
-    ``weights`` are in draw order and kept read-only: read-only int64 and
-    float64 arrays as they are, anything else as a copy.
-    Plans compare and hash by identity.
+    ``weights`` are in draw order, int64 and float64, kept as
+    :func:`~levsketch.linalg.kept` keeps them.  Plans compare and hash by identity.
     """
 
     source: SamplingDistribution
@@ -357,11 +356,7 @@ def approx_matmul(a, b, p: SamplingDistribution, s: int, rng: RngStream) -> np.n
     UnsupportedRowError
         If a row where ``a`` or ``b`` is nonzero has zero probability.
     """
-    aarr, barr = as_array(a), as_array(b)
-    if aarr.shape[0] != barr.shape[0]:
-        raise DimensionError(
-            f"row counts differ: a has {aarr.shape[0]}, b has {barr.shape[0]}"
-        )
+    aarr, barr = as_problem(a, b)
     if aarr.shape[0] != p.n_rows:
         raise DimensionError(
             f"matrices have {aarr.shape[0]} rows, distribution has {p.n_rows}"

@@ -20,7 +20,8 @@ from .exceptions import (
     SketchRankDeficientError,
 )
 from .leverage import SamplingDistribution
-from .linalg import RANK_TOL, LstsqSolution, as_array, as_int, fro_norm_sq, read_only
+from .linalg import (RANK_TOL, LstsqSolution, as_array, as_int, as_problem, fro_norm_sq,
+                     in_open_unit, read_only)
 from .sketch import RngStream, SketchPlan, apply_sketch, build_sketch
 
 #: Constant in the log branch of the sample-size rule: 144 / (1 - 1/sqrt(2))^2.
@@ -40,10 +41,8 @@ class AccuracyTarget:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < 1.0):
-            raise InvalidParameterError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidParameterError(f"delta must lie in (0, 1), got {self.delta}")
+        in_open_unit(self.epsilon, "epsilon")
+        in_open_unit(self.delta, "delta")
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,8 @@ def required_samples(r: int, beta: float, target: AccuracyTarget) -> int:
 
 def solve_with_plan(a, b, plan: SketchPlan) -> SketchSolution:
     """Minimize the sketched objective for an already-realized plan."""
-    arr, barr = as_array(a), as_array(b)
+    arr, barr = as_problem(a, b)
     n, r = arr.shape
-    if barr.shape[0] != n:
-        raise DimensionError(f"row counts differ: a has {n}, b has {barr.shape[0]}")
     if n < r:
         raise DimensionError(f"matrix cannot be wider than tall, got {n}x{r}")
     if plan.n_samples < r:
@@ -150,8 +147,7 @@ def accuracy_ratio(a, b, x_tilde, exact: LstsqSolution) -> float:
     ``(a, b)``), returns ``1.0`` if the candidate also solves the system to
     working precision and ``inf`` otherwise.
     """
-    arr, barr = as_array(a), as_array(b)
-    xt = as_array(x_tilde)
+    arr, barr, xt = as_problem(a, b, x_tilde)
     resid_sq = fro_norm_sq(arr @ xt - barr)
     zero = _is_zero_residual(exact.residual_sq, exact.b_norm_sq)
     return float(_residual_ratio(resid_sq, exact.residual_sq, exact.b_norm_sq, zero))

@@ -124,18 +124,63 @@ class TestSolve:
         [["--dist", "psychic"], ["--samples", "later"], ["--epsilon", "2"], ["--delta", "0"],
          ["--seed", "-1"], ["--seed", str(2**64)]],
     )
-    def test_bad_flag_rejected_before_reading_files(self, tmp_path, capsys, monkeypatch, flags):
-        import levsketch.cli as cli_mod
+    def test_bad_flag_rejected_before_reading_files(self, problem_files, capsys, monkeypatch,
+                                                    flags):
+        import levsketch.problems as problems_mod
 
         def never(path):
             raise AssertionError("a matrix file was read")
 
-        monkeypatch.setattr(cli_mod, "read_matrix", never)
-        code = main(["solve", str(tmp_path / "a.mtx"), str(tmp_path / "b.mtx"), *flags])
+        # solve reads its files through the custom-file problem.
+        monkeypatch.setattr(problems_mod, "read_matrix", never)
+        code = main(["solve", *map(str, problem_files), *flags])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    @pytest.mark.parametrize("path, message", [
+        pytest.param("", "[Errno 2] No such file or directory: ''", id="empty"),
+        pytest.param(".", "[Errno 21] Is a directory: '.'", id="directory"),
+    ])
+    def test_unreadable_path_is_exit_2(self, problem_files, capsys, which, path, message):
+        paths = dict(zip("ab", map(str, problem_files)))
+        paths[which] = path
+        assert main(["solve", paths["a"], paths["b"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    def test_solve_and_bench_share_one_set_up(self, problem_files, tmp_path, capsys,
+                                              monkeypatch):
+        import levsketch.experiment as experiment_mod
+
+        seen = []
+        set_up_run = experiment_mod.set_up_run
+
+        def recording(cfg):
+            seen.append((cfg, set_up_run(cfg)))
+            return seen[-1][1]
+
+        # solve calls the set-up through its own binding, bench through experiment's.
+        monkeypatch.setattr(cli_mod, "set_up_run", recording)
+        monkeypatch.setattr(experiment_mod, "set_up_run", recording)
+        a_path, b_path = map(str, problem_files)
+        flags = ["--dist", "blended:0.5", "--samples", "xr:20", "--seed", "5"]
+        assert main(["solve", a_path, b_path, *flags]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kind = custom-file\na_file = {a_path}\nb_file = {b_path}\n")
+        assert main(["bench", "--config", str(cfg), *flags, "--trials", "3",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+        (solve_cfg, solve_set_up), (bench_cfg, bench_set_up) = seen
+        for run in (solve_cfg, bench_cfg):
+            assert (run.problem.kind, run.problem.a_path, run.problem.b_path) == (
+                "custom-file", a_path, b_path)
+        assert (solve_cfg.n_trials, solve_cfg.master_seed) == (1, 5)
+        assert solve_cfg == dataclasses.replace(bench_cfg, problem=solve_cfg.problem,
+                                                n_trials=1)
+        assert solve_set_up[4:] == bench_set_up[4:]  # beta and s
 
     @pytest.mark.parametrize("flags", TINY_TARGETS)
     def test_tiny_target_is_exit_1(self, problem_files, tmp_path, capsys, flags):
@@ -520,11 +565,13 @@ class TestUnwritableOut:
     def test_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, command, where):
         import levsketch.cli as cli_mod
         import levsketch.experiment as experiment_mod
+        import levsketch.problems as problems_mod
 
         def never(*args, **kwargs):
             raise AssertionError("work started before --out was checked")
 
         monkeypatch.setattr(experiment_mod, "generate_problem", never)
+        monkeypatch.setattr(problems_mod, "read_matrix", never)
         monkeypatch.setattr(cli_mod, "read_matrix", never)
         out = {"missing directory": tmp_path / "missing" / "out.txt", "a directory": tmp_path,
                "an empty path": ""}[where]

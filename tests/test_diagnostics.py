@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from levsketch import (
     SC1_THRESHOLD,
+    AccuracyTarget,
     DimensionError,
     InvalidParameterError,
     OrthonormalBasis,
@@ -232,6 +233,44 @@ class TestCheckBounds:
         )
         with pytest.raises(InvalidParameterError):
             check_bounds(a, b, exact, sol, 0.0)
+
+
+    @pytest.mark.parametrize("mangle, message", [
+        pytest.param(lambda b, x: (b, x[:, :1]), r"x has shape \(3, 1\), expected \(3, 2\)",
+                     id="one-column-x"),
+        pytest.param(lambda b, x: (b[:1], x), "row counts differ: a has 200, b has 1",
+                     id="one-row-b"),
+    ])
+    def test_shape_mismatch_rejected(self, mangle, message):
+        a, b = make_problem(24, n=200, r=3, m=2)
+        exact = exact_lstsq(a, b)
+        bb, x = mangle(b, exact.x_opt)
+        sol = SketchSolution(x_tilde=x, plan=identity_plan(200), sketched_residual_sq=0.0)
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            check_bounds(a, bb, exact, sol, 0.2)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.25, math.nan, math.inf])
+@pytest.mark.parametrize("site", ["AccuracyTarget.epsilon", "AccuracyTarget.delta",
+                                  "TrialScorer", "check_structural", "check_bounds"])
+def test_open_interval_messages(site, bad):
+    """Every epsilon/delta check in (0, 1) raises with the same text."""
+    a, b = make_problem(25)
+    exact = exact_lstsq(a, b)
+    sol = SketchSolution(x_tilde=exact.x_opt, plan=identity_plan(40), sketched_residual_sq=0.0)
+    name = "delta" if site.endswith("delta") else "epsilon"
+    call = {
+        "AccuracyTarget.epsilon": lambda: AccuracyTarget(bad, 0.5),
+        "AccuracyTarget.delta": lambda: AccuracyTarget(0.5, bad),
+        "TrialScorer": lambda: TrialScorer(exact, bad),
+        "check_structural": lambda: check_structural(identity_plan(40), exact.basis,
+                                                     exact.b_perp, bad, exact.residual_sq,
+                                                     exact.b_norm_sq),
+        "check_bounds": lambda: check_bounds(a, b, exact, sol, bad),
+    }[site]
+    with pytest.raises(InvalidParameterError) as exc_info:
+        call()
+    assert str(exc_info.value) == f"{name} must lie in (0, 1), got {bad}"
 
 
 @pytest.mark.parametrize("module, check", [

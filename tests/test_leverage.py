@@ -115,6 +115,15 @@ class TestLeverageProfileValidation:
         scores[:] = 0.5  # the caller's later writes stay its own
         np.testing.assert_array_equal(profile.scores, [0.25, 0.75])
 
+    def test_a_read_only_view_is_copied(self):
+        # A read-only view's base may still be written after the checks ran.
+        base = np.array([1.0, 1.0, 0.0])
+        view = base[:]
+        view.setflags(write=False)
+        profile = LeverageProfile(scores=view, rank=2)
+        base[:] = [5.0, -3.0, 0.0]
+        np.testing.assert_array_equal(profile.scores, [1.0, 1.0, 0.0])
+
     def test_profile_from_basis_keeps_its_scores_without_a_copy(self, monkeypatch):
         made = []
         einsum = np.einsum
@@ -164,6 +173,33 @@ class TestDistributions:
         np.testing.assert_array_equal(d.probs, [0.25] * 4)
         draws = multinomial_draws(d, 64, RngStream(1))
         np.testing.assert_array_equal(np.unique(draws), [0, 1, 2, 3])
+
+
+    def test_keeps_a_read_only_array_without_a_copy(self):
+        probs = np.full(4, 0.25)
+        probs.setflags(write=False)
+        assert SamplingDistribution(probs=probs).probs is probs
+
+    def test_copies_a_read_only_view(self):
+        base = np.full(4, 0.25)
+        view = base[:]
+        view.setflags(write=False)
+        d = SamplingDistribution(probs=view)
+        base[:] = [1.0, 0.0, 0.0, 0.0]
+        np.testing.assert_array_equal(d.probs, [0.25] * 4)
+
+    def test_builders_hand_over_their_arrays_without_a_copy(self, monkeypatch):
+        import levsketch.leverage as leverage_mod
+
+        handed = []
+        dist_type = leverage_mod.SamplingDistribution
+        monkeypatch.setattr(leverage_mod, "SamplingDistribution",
+                            lambda probs, **kw: handed.append(probs) or dist_type(probs, **kw))
+        profile = leverage_scores(np.random.default_rng(5).standard_normal((20, 3)))
+        lev = leverage_mod.leverage_distribution(profile)
+        dists = [lev, leverage_mod.uniform_distribution(20),
+                 leverage_mod.blended_distribution(lev, 0.5)]
+        assert all(d.probs is probs for d, probs in zip(dists, handed, strict=True))
 
 
 class TestMisestimationBeta:

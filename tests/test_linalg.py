@@ -32,7 +32,7 @@ from levsketch import (
     uniform_distribution,
     write_matrix,
 )
-from levsketch.linalg import as_array, fro_norm_sq_each
+from levsketch.linalg import as_array, as_problem, fro_norm_sq_each, kept
 
 
 def normal_equations_solve(a, b):
@@ -165,6 +165,47 @@ def test_fro_norm_sq_each_overflow_is_inf_without_a_warning():
     assert got.tolist() == [math.inf, 4.0, math.inf] == [fro_norm_sq(x) for x in stack]
 
 
+class TestAsProblem:
+    """One shape check for a least-squares problem ``(a, b[, x])``."""
+
+    A, B = np.ones((6, 3)), np.ones((6, 2))
+
+    def test_returns_the_checked_arrays_without_a_copy(self):
+        x = np.ones((3, 2))
+        arr, barr, xarr = as_problem(self.A, self.B, x)
+        assert arr is self.A and barr is self.B and xarr is x
+        assert len(as_problem(self.A, self.B)) == 2
+
+    @pytest.mark.parametrize("rows", [1, 5, 7])
+    def test_row_mismatch_rejected(self, rows):
+        with pytest.raises(DimensionError,
+                           match=f"^row counts differ: a has 6, b has {rows}$"):
+            as_problem(self.A, np.ones((rows, 2)), np.ones((3, 2)))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 2), (1, 2), (3, 3)])
+    def test_solution_shape_checked(self, shape):
+        with pytest.raises(DimensionError, match=rf"x has shape \({shape[0]}, {shape[1]}\), "
+                                                 r"expected \(3, 2\)"):
+            as_problem(self.A, self.B, np.ones(shape))
+
+    def test_each_operand_goes_through_as_array(self):
+        with pytest.raises(DimensionError):
+            as_problem(self.A, np.ones(6))
+        with pytest.raises(InvalidParameterError, match="finite"):
+            as_problem(self.A, self.B, np.full((3, 2), np.nan))
+
+
+def test_kept_copies_a_read_only_view():
+    # The view's base may still be written; an array owning its data is kept.
+    base = np.array([1.0, 2.0, 3.0])
+    view = base[:]
+    view.setflags(write=False)
+    got = kept(view, np.float64)
+    base[:] = 0.0
+    assert got.tolist() == [1.0, 2.0, 3.0] and not got.flags.writeable
+    assert kept(got, np.float64) is got
+
+
 class TestOrthonormalBasis:
     def test_basis_is_orthonormal_and_spans(self):
         rng = np.random.default_rng(42)
@@ -190,6 +231,19 @@ class TestOrthonormalBasis:
         bad = np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(InvalidParameterError):
             OrthonormalBasis(q=bad)
+
+    def test_constructor_keeps_a_read_only_array_without_a_copy(self):
+        q = np.eye(3)[:, :2].copy()
+        q.setflags(write=False)
+        assert OrthonormalBasis(q=q).q is q
+
+    def test_constructor_copies_a_read_only_view(self):
+        base = np.eye(3)
+        view = base[:, :2]
+        view.setflags(write=False)
+        basis = OrthonormalBasis(q=view)
+        base[:] = 7.0  # after the orthonormality check
+        np.testing.assert_array_equal(basis.q, np.eye(3)[:, :2])
 
     def test_constructor_rejects_wrong_rank(self):
         # The rank is the basis width, and a basis wider than tall cannot have it.

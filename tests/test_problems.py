@@ -193,6 +193,12 @@ class TestCustomFile:
         with pytest.raises(InvalidParameterError):
             ProblemSpec("custom-file", a_path="only-one.mtx")
 
+    def test_an_empty_path_fails_when_read(self, tmp_path):
+        # An empty path is a file that cannot be read, like a missing one.
+        spec = self.write_spec(tmp_path, 12, 12)
+        with pytest.raises(FileNotFoundError):
+            generate_problem(ProblemSpec("custom-file", a_path="", b_path=spec.b_path))
+
 
 class TestSpecValidation:
     def test_unknown_kind(self):

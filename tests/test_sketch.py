@@ -248,6 +248,18 @@ class TestSketchPlan:
         narrow.setflags(write=False)
         assert SketchPlan(uniform_distribution(3), narrow, weights).draws.dtype == np.int64
 
+    def test_copies_read_only_views(self):
+        # A read-only view's base may still be written after the checks ran.
+        base_draws, base_weights = np.array([0, 1, 2], dtype=np.int64), np.ones(3)
+        draws, weights = base_draws[:], base_weights[:]
+        draws.setflags(write=False)
+        weights.setflags(write=False)
+        plan = SketchPlan(uniform_distribution(3), draws, weights)
+        base_draws[:] = [7, 8, 9]
+        base_weights[:] = [-1.0, np.nan, 0.0]
+        np.testing.assert_array_equal(plan.draws, [0, 1, 2])
+        np.testing.assert_array_equal(plan.weights, [1.0, 1.0, 1.0])
+
     def test_build_keeps_the_drawn_arrays_without_a_copy(self, monkeypatch):
         handed = []
         plan_type = sketch_mod.SketchPlan

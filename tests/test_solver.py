@@ -220,6 +220,23 @@ class TestAccuracyRatio:
         assert exact.residual_sq <= 1e-18 * fro_norm_sq(b)
         assert accuracy_ratio(a, b, x, exact) == 1.0
 
+    @pytest.mark.parametrize("mangle, message", [
+        pytest.param(lambda b, x: (b, x[:, :1]), r"x has shape \(3, 1\), expected \(3, 2\)",
+                     id="one-column-x"),
+        pytest.param(lambda b, x: (b[:1], x), "row counts differ: a has 200, b has 1",
+                     id="one-row-b"),
+        pytest.param(lambda b, x: (b[:199], x), "row counts differ: a has 200, b has 199",
+                     id="short-b"),
+    ])
+    def test_shape_mismatch_raises_instead_of_broadcasting(self, mangle, message):
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((200, 3))
+        b = rng.standard_normal((200, 2))
+        exact = exact_lstsq(a, b)
+        bb, x = mangle(b, exact.x_opt)
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            accuracy_ratio(a, bb, x, exact)
+
     def test_consistent_system_bad_candidate_is_infinite(self):
         rng = np.random.default_rng(19)
         a = rng.standard_normal((25, 4))
