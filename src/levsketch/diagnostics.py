@@ -156,7 +156,7 @@ def check_bounds(a, b, exact: LstsqSolution, sol: SketchSolution, epsilon: float
     arr, barr, xt = as_problem(a, b, sol.x_tilde)
     xo = exact.x_opt  # checked by exact_lstsq
     limits = _BoundLimits.of(epsilon, exact.residual_sq, exact.b_norm_sq, exact.spectral,
-                             float(np.linalg.norm(arr @ xo)), fro_norm_sq(xo))
+                             fro_norm_sq(arr @ xo), fro_norm_sq(xo))
     sol_value = fro_norm_sq(xo - xt)
     resid_holds, sol_holds, gamma_holds = limits.verdicts(fro_norm_sq(arr @ xt - barr), sol_value)
     return BoundReport(resid_holds, sol_value, limits.solution_limit, sol_holds,
@@ -183,17 +183,17 @@ class _BoundLimits:
         residual_sq: float,
         scale_sq: float,
         spectral: SpectralSummary,
-        fit_norm: float,
+        fit_norm_sq: float,
         x_opt_norm_sq: float,
     ) -> "_BoundLimits":
         """Limits for a problem with ``||b||_F^2 = scale_sq`` and
-        ``||a @ x_opt||_F = fit_norm``."""
+        ``||a @ x_opt||_F^2 = fit_norm_sq``."""
         noise_floor = _NOISE_FLOOR_REL * scale_sq
         sigma_min_sq = spectral.sigma_min**2
         sol_limit = epsilon * residual_sq / sigma_min_sq if sigma_min_sq > 0 else float("inf")
         sol_floor = noise_floor / sigma_min_sq if sigma_min_sq > 0 else float("inf")
         b_norm = math.sqrt(scale_sq)
-        gamma = fit_norm / b_norm if b_norm > 0 else 1.0
+        gamma = math.sqrt(fit_norm_sq) / b_norm if b_norm > 0 else 1.0
         if gamma > 0:
             gamma_limit = epsilon * spectral.kappa**2 * (1.0 / gamma**2 - 1.0) * x_opt_norm_sq
             gamma_limit = max(gamma_limit, 0.0)  # gamma can round a hair past 1
@@ -310,7 +310,7 @@ class TrialScorer:
             exact.residual_sq,
             exact.b_norm_sq,
             exact.spectral,
-            float(np.linalg.norm(exact.r_factor @ exact.x_opt)),
+            fro_norm_sq(exact.r_factor @ exact.x_opt),
             fro_norm_sq(exact.x_opt),
         )
 

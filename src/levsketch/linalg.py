@@ -123,15 +123,16 @@ def fro_norm_sq(m) -> float:
 def fro_norm_sq_each(stack: np.ndarray) -> np.ndarray:
     """The squared Frobenius norm of each ``stack[t]``.
 
-    Each item is flattened in C order into one contiguous row (at most one
-    copy of the stack), and the ``(T, 1, k) @ (T, k, 1)`` product dots each
-    row with itself by the same BLAS dot as ``np.vdot``, with its bits; a
-    strided view would not take that path.  Like ``np.vdot``, an overflow
-    gives ``inf`` without a warning.
+    numpy's own sum of squares, with no BLAS call: one temporary of squares
+    in the stack's memory order, summed per item in that order by numpy's
+    pairwise sum.  So the bits do not depend on the BLAS thread count, and
+    when axis 0 is the outermost in memory (contiguous stacks and views such
+    as ``gram[:, :r, r:]``), item ``t`` has the bits of the one-item stack
+    ``stack[t:t + 1]``.  An overflow gives ``inf`` without a warning.
     """
-    v = np.ascontiguousarray(stack, dtype=np.float64).reshape(len(stack), 1, -1)
     with np.errstate(over="ignore"):
-        return (v @ v.transpose(0, 2, 1))[:, 0, 0]
+        sq = np.square(stack, dtype=np.float64)
+        return sq.sum(axis=tuple(range(1, sq.ndim)))
 
 
 @dataclass(frozen=True)
@@ -301,17 +302,12 @@ def exact_lstsq(a, b) -> LstsqSolution:
         If ``||b||_F^2``, the residual or ``x_opt`` overflows float64.
     """
     arr, barr = as_problem(a, b)
-    # Before the QR: on column-major b the norm makes row-major copies.
     b_norm_sq = fro_norm_sq(barr)
     if not np.isfinite(b_norm_sq):
         raise InvalidParameterError("b is too large: ||b||_F^2 overflows float64")
     q_fac, r_fac, sv = _qr_full_rank(arr)
-    # Multiply by a row-major copy of q, as np.linalg.qr returns it: matmul's
-    # summation order follows q's layout, and on consistent systems b_perp is
-    # rounding noise whose bits show in the residual columns of seeded reports.
-    q_rows = np.ascontiguousarray(q_fac)
-    qtb = q_rows.T @ barr
-    bp = barr - q_rows @ qtb
+    qtb = q_fac.T @ barr
+    bp = barr - q_fac @ qtb
     residual_sq = fro_norm_sq(bp)
     x_opt = np.linalg.solve(r_fac, qtb)
     if not (np.isfinite(residual_sq) and np.isfinite(x_opt).all()):

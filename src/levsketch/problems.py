@@ -107,7 +107,9 @@ def _plant_spike(arr: np.ndarray, target: float) -> None:
 def generate_problem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     """Build one problem instance ``(a, b, meta)``.
 
-    ``a`` and ``b`` are read-only column-major arrays.
+    ``a`` and ``b`` are read-only arrays: a generated problem's draws as
+    drawn (row-major), a file's matrices as :func:`~levsketch.mmio.read_matrix`
+    returns them.
     ``meta`` records the kind, the planted solution ``x_true`` when one
     exists, how many attempts generation took, ``exact``: the
     :func:`~levsketch.linalg.exact_lstsq` solve of ``(a, b)``, and
@@ -132,29 +134,23 @@ def generate_problem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     n, r = spec.n_rows, spec.n_cols
     last_error = "no attempt made"
     for attempt in range(1, _MAX_ATTEMPTS + 1):
-        arr = g.standard_normal((n, r))
+        a = g.standard_normal((n, r))
         if spec.kind == "spiked-coherent":
             try:
-                _plant_spike(arr, spec.coherence_target)
+                _plant_spike(a, spec.coherence_target)
             except np.linalg.LinAlgError:
                 last_error = "singular Gram matrix while planting the spike"
                 continue
         x_true = g.standard_normal((r, spec.rhs_cols))
-        barr = arr @ x_true
+        b = a @ x_true
         if spec.kind != "consistent" and spec.noise_scale > 0.0:
-            barr = barr + spec.noise_scale * g.standard_normal((n, spec.rhs_cols))
-        a = read_only(np.asfortranarray(arr))
-        b = read_only(np.asfortranarray(barr))
-        # The QR needs only the column-major copies: dropping the draws keeps
-        # one n x r array fewer alive at its peak (returning the row-major
-        # draws raised the peak RSS of 100000 x 40 problems by ~20%).
-        del arr, barr
+            b = b + spec.noise_scale * g.standard_normal((n, spec.rhs_cols))
         try:
             exact = exact_lstsq(a, b)
         except RankDeficientError:
             last_error = "design matrix came out rank deficient"
             continue
-        return a, b, _meta(spec.kind, read_only(x_true), exact, attempt)
+        return read_only(a), read_only(b), _meta(spec.kind, read_only(x_true), exact, attempt)
     raise GenerationFailedError(
         f"gave up after {_MAX_ATTEMPTS} attempts: {last_error}"
     )

@@ -30,7 +30,7 @@ from .exceptions import (
     UnsupportedRowError,
 )
 from .leverage import SamplingDistribution
-from .linalg import DenseMatrix, as_array, as_int, as_problem, kept, read_only
+from .linalg import DenseMatrix, as_array, as_int, as_problem, fro_norm_sq, kept, read_only
 
 
 class RngStream:
@@ -336,8 +336,7 @@ def sketched_norm_sq(plan: SketchPlan, x) -> float:
     if np.any((xv != 0.0) & (plan.source.probs == 0.0)):
         raise UnsupportedRowError("a nonzero coordinate of x had zero sampling probability")
     with np.errstate(over="ignore"):
-        v = xv[plan.draws] * plan.weights
-        norm_sq = float(np.dot(v, v))
+        norm_sq = fro_norm_sq(xv[plan.draws] * plan.weights)
     if not math.isfinite(norm_sq):
         raise InvalidParameterError("the sketched norm overflows float64")
     return norm_sq

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -319,6 +322,31 @@ class TestChunkInvariance:
             # sketches below the Gram floor that still have full rank.
             lost = sum("lost rank" in r.error for r in trial_rows(report))
             assert 0 < lost < lstsq_calls
+
+
+def test_desk_shaped_run_does_not_depend_on_the_blas_thread_count():
+    # A threaded BLAS dot sums in an order that follows the thread count
+    # (OpenBLAS's did at 50000 x 5); the desk problem's norms and report rows
+    # must come out the same on one BLAS thread as on two.
+    desk = PRESETS["main-theorem-desk"].configs[0]
+    assert desk.problem.n_rows == 50000 and desk.problem.seed == 20240501
+    code = (
+        "import dataclasses\n"
+        "from levsketch import PRESETS, generate_problem, report_lines, run_experiment\n"
+        "cfg = dataclasses.replace(PRESETS['main-theorem-desk'].configs[0], n_trials=3)\n"
+        "exact = generate_problem(cfg.problem)[2]['exact']\n"
+        "lines = report_lines(run_experiment(cfg))\n"
+        "assert lines[-1].startswith('# wall_time_s=')\n"
+        "print(exact.b_norm_sq.hex(), exact.residual_sq.hex(), *lines[:-1], sep='\\n')\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 2 + 1 + 3 + 8  # norms, header, trials, trailer
+    assert outputs[0] == outputs[1]
 
 
 class TestSampleCount:

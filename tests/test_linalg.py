@@ -8,6 +8,7 @@ computation, so none of these tests trust the code paths they exercise.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,15 +125,23 @@ def test_fro_norm_sq_matches_manual_sum():
     assert fro_norm_sq(a) == pytest.approx(float((a * a).sum()), rel=1e-14)
 
 
+NORM_SHAPES = [(50000, 2), (1000, 7), (3, 3)]
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("shape", [(50000, 2), (1000, 7), (3, 3)])
-def test_fro_norm_sq_bits_and_one_copy(order, shape):
-    # Same bits as vdot of the C-raveled array, for either memory order,
-    # and at most one temporary copy of a column-major input.
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+def test_fro_norm_sq_is_within_k_ulps_of_the_exact_sum(order, shape):
+    # The exact sum of squares in rationals; entries spread over ~12 decades.
+    rng = np.random.default_rng(12)
+    a = np.asarray(rng.standard_normal(shape) * rng.lognormal(0.0, 3.0, shape), order=order)
+    exact = sum(Fraction(v) ** 2 for v in a.ravel().tolist())
+    assert abs(Fraction(fro_norm_sq(a)) - exact) <= a.size * Fraction(2) ** -52 * exact
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+def test_fro_norm_sq_makes_at_most_one_temporary(order, shape):
     a = np.asarray(np.random.default_rng(12).standard_normal(shape), order=order)
-    flat = a.ravel()
-    assert fro_norm_sq(a) == float(np.vdot(flat, flat))
-    del flat
     tracemalloc.start()
     try:
         fro_norm_sq(a)
@@ -142,20 +151,20 @@ def test_fro_norm_sq_bits_and_one_copy(order, shape):
     assert peak < 1.5 * a.nbytes + 4096
 
 
-@pytest.mark.parametrize("n_items", [1, 7])
+@pytest.mark.parametrize("n_items", [1, 2, 7])
 @pytest.mark.parametrize("r, m", [(1, 1), (3, 1), (3, 2), (5, 2)])
-def test_fro_norm_sq_each_equals_vdot_bit_for_bit(n_items, r, m):
-    # Stacks of whole contiguous items and, as the scorer passes them, the
-    # strided off-diagonal blocks gram[:, :r, r:] of stacked Gram matrices,
-    # against vdot of each item's C-order ravel.
+def test_fro_norm_sq_each_item_has_the_bits_of_a_one_item_stack(n_items, r, m):
+    # Stacks of whole contiguous items and, as the scorer's blocks are, the
+    # strided off-diagonal blocks gram[:, :r, r:] of stacked Gram matrices:
+    # item t's norm does not depend on the items around it.
     rng = np.random.default_rng(13)
     scale = rng.lognormal(0.0, 4.0, (n_items, 1, 1))
     gram = rng.standard_normal((n_items, r + m, r + m)) * scale
     for stack in (gram[:, :r, :m].copy(), gram[:, :r, r:], gram):
-        want = [float(np.vdot(item.ravel(), item.ravel())) for item in stack]
         got = fro_norm_sq_each(stack)
         assert got.shape == (n_items,)
-        assert got.tolist() == want
+        assert got.tolist() == [fro_norm_sq_each(stack[t:t + 1])[0] for t in range(n_items)]
+        assert got.tolist() == [fro_norm_sq(item) for item in stack]
 
 
 def test_fro_norm_sq_each_overflow_is_inf_without_a_warning():
@@ -337,8 +346,10 @@ class TestExactLstsq:
 
 
 def reference_lstsq(a, b):
-    """The solve as built on ``np.linalg.qr``, summing over its row-major q."""
+    """The solve as built on ``np.linalg.qr``, with its q in the column-major
+    layout LAPACK writes (numpy returns a row-major copy)."""
     q, r = np.linalg.qr(a)
+    q = np.asfortranarray(q)
     qtb = q.T @ b
     bp = b - q @ qtb
     return q, r, np.linalg.solve(r, qtb), bp, fro_norm_sq(bp)
