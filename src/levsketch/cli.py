@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or parameter error, 2 I/O or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -222,7 +223,10 @@ def _thread_count(text: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first call and kept for the
+    process: parsing leaves no state in it."""
     parser = _Parser(prog="levsketch", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -34,6 +34,7 @@ from .linalg import (
     OrthonormalBasis,
     SpectralSummary,
     as_problem,
+    fill_in_slabs,
     fro_norm_sq,
     fro_norm_sq_each,
     in_open_unit,
@@ -277,7 +278,8 @@ class TrialScorer:
     ``lstsq`` as the oracle: they have the singular values of ``S q``, so
     rank-loss verdicts and error texts do not depend on which path ran.
 
-    The scorer keeps ``[q | b_perp]`` as one C-ordered ``n x (r + m)`` block,
+    The scorer keeps ``[q | b_perp]`` as one C-ordered ``n x (r + m)`` block
+    (filled in slabs from column-major ``q``: gathers from C order are faster),
     the triangular factor ``r``, and every per-problem constant of the bound
     and ratio policies; the caller may drop ``a``, ``b`` and ``exact``
     afterwards.  :func:`check_structural`, :func:`solve_with_plan`,
@@ -295,9 +297,7 @@ class TrialScorer:
     def __init__(self, exact: LstsqSolution, epsilon: float) -> None:
         in_open_unit(epsilon, "epsilon")
         q, bp = exact.basis.q, exact.b_perp
-        block = np.empty((q.shape[0], q.shape[1] + bp.shape[1]))
-        np.concatenate((q, bp), axis=1, out=block)
-        self._block = block
+        self._block = fill_in_slabs(np.empty((q.shape[0], q.shape[1] + bp.shape[1])), q, bp)
         self._rank = q.shape[1]
         self._r = exact.r_factor
         self._epsilon = epsilon

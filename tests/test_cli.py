@@ -663,6 +663,53 @@ class TestUsage:
         assert "solve" in capsys.readouterr().out
 
 
+class TestParserBuiltOnce:
+    """main builds its parser on the first call and keeps it, so any call
+    must behave as the same call in a fresh interpreter."""
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize("second", ["usage-error", "help", "solve", "bench"])
+    def test_a_later_call_matches_a_fresh_process(self, problem_files, tmp_path, capsys,
+                                                  monkeypatch, second):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+        a_path, b_path = map(str, problem_files)
+        commands = {
+            "usage-error": ["bench", "--threads", "0"],
+            "help": ["--help"],
+            "solve": ["solve", a_path, b_path, "--exact", "--seed", "3"],
+            "bench": ["bench", "--trials", "4", "--samples", "xr:6", "--seed", "14",
+                      "--out", str(tmp_path / "r.csv")],
+        }
+        fresh = subprocess.run([sys.executable, "-m", "levsketch", *commands[second]],
+                               capture_output=True, text=True)
+        assert fresh.returncode == {"usage-error": 1}.get(second, 0), fresh.stderr
+        for first in (name for name in commands if name != second):
+            main(commands[first])
+            capsys.readouterr()
+            assert main(commands[second]) == fresh.returncode
+            got = capsys.readouterr()
+            assert (got.out, got.err) == (fresh.stdout, fresh.stderr)
+
+    def test_repeated_preset_flag_does_not_accumulate(self, capsys, monkeypatch):
+        smoke, runs = cli_mod.PRESETS["smoke"], []
+
+        class Counted:
+            def run(self):
+                runs.append("smoke")
+                return smoke.run()
+
+            def evaluate(self, reports):
+                return smoke.evaluate(reports)
+
+        monkeypatch.setitem(cli_mod.PRESETS, "smoke", Counted())
+        for _ in range(2):
+            assert main(["validate", "--preset", "smoke"]) == 0
+        assert runs == ["smoke", "smoke"]
+        assert _build_parser().parse_args(["validate"]).preset is None
+
+
 class TestModuleEntryPoint:
     def run_cli(self, *args):
         return subprocess.run(

@@ -42,6 +42,7 @@ from levsketch import (
 from levsketch.diagnostics import GRAM_FLOOR, ChunkScores, TrialScorer
 from levsketch.experiment import build_distribution
 from levsketch.leverage import SamplingDistribution, profile_from_basis
+from levsketch.linalg import SLAB_ROWS
 from levsketch.sketch import TrialStreams, draw_chunk
 
 
@@ -438,6 +439,16 @@ class TestTrialScorerAgainstOracle:
                 )
             with pytest.raises(InvalidParameterError, match="finite"):
                 TrialScorer(exact, 0.3).score(plan)
+
+    @pytest.mark.parametrize("b_order", ["C", "F"])
+    @pytest.mark.parametrize("n", [5, SLAB_ROWS, 3 * SLAB_ROWS + 7])
+    def test_block_is_the_concatenation_bit_for_bit(self, n, b_order):
+        a, b = make_problem(n, n=n, r=5, m=2)
+        exact = exact_lstsq(a, np.asarray(b, order=b_order))
+        block = TrialScorer(exact, self.EPS)._block
+        want = np.concatenate((exact.basis.q, exact.b_perp), axis=1)
+        np.testing.assert_array_equal(block, want, strict=True)
+        assert block.flags.c_contiguous
 
     def test_plan_and_epsilon_validated(self):
         a, b = make_problem(13)

@@ -11,6 +11,7 @@ import pytest
 
 import levsketch.experiment as experiment_mod
 import levsketch.leverage as leverage_mod
+import levsketch.linalg as linalg_mod
 import levsketch.problems as problems_mod
 from conftest import trial_rows
 from levsketch import (
@@ -322,6 +323,22 @@ class TestChunkInvariance:
             # sketches below the Gram floor that still have full rank.
             lost = sum("lost rank" in r.error for r in trial_rows(report))
             assert 0 < lost < lstsq_calls
+
+
+def test_report_bytes_do_not_depend_on_the_slab_size(monkeypatch):
+    # The set-up's two layout copies are filled SLAB_ROWS rows at a time; one
+    # slab of all 20000 rows is the whole-matrix copy, and every byte of the
+    # report must be the same either way.
+    cfg = small_config(problem=ProblemSpec("gaussian-incoherent", n_rows=20000, n_cols=5,
+                                           rhs_cols=2, seed=2601),
+                       sample_rule="xr:60", n_trials=20)
+    bodies = set()
+    for slab in (linalg_mod.SLAB_ROWS, 20000):
+        monkeypatch.setattr(linalg_mod, "SLAB_ROWS", slab)
+        lines = report_lines(run_experiment(cfg))
+        assert lines[-1].startswith("# wall_time_s=")
+        bodies.add("\n".join(lines[:-1]))
+    assert len(bodies) == 1
 
 
 def test_desk_shaped_run_does_not_depend_on_the_blas_thread_count():

@@ -33,7 +33,14 @@ from levsketch import (
     uniform_distribution,
     write_matrix,
 )
-from levsketch.linalg import as_array, as_problem, fro_norm_sq_each, kept
+from levsketch.linalg import (
+    SLAB_ROWS,
+    _qr_full_rank,
+    as_array,
+    as_problem,
+    fro_norm_sq_each,
+    kept,
+)
 
 
 def normal_equations_solve(a, b):
@@ -384,6 +391,21 @@ class TestInPlaceQrOracle:
                 np.testing.assert_array_equal(got, want, strict=True)
             assert sol.residual_sq == resid
             np.testing.assert_array_equal(orthonormal_basis(a).q, q, strict=True)
+
+    # Row counts on and around the slab boundaries of the column-major copy.
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n, r", [
+        (n, r) for n in (1, SLAB_ROWS - 1, SLAB_ROWS, SLAB_ROWS + 1, 3 * SLAB_ROWS + 7)
+        for r in (1, 5, 40) if n >= r])
+    def test_slab_filled_copy_matches_numpy_qr_bits(self, n, r, order):
+        rng = np.random.default_rng([n, r])
+        a = np.asarray(rng.standard_normal((n, r)), order=order)
+        q, r_fac, sv = _qr_full_rank(a)
+        q_want, r_want = np.linalg.qr(a)
+        np.testing.assert_array_equal(q, np.asfortranarray(q_want), strict=True)
+        np.testing.assert_array_equal(r_fac, r_want, strict=True)
+        np.testing.assert_array_equal(sv, np.linalg.svd(r_want, compute_uv=False), strict=True)
+        assert q.flags.f_contiguous
 
     def test_inputs_are_not_modified(self):
         rng = np.random.default_rng(31)
