@@ -3,9 +3,10 @@
 A trial config fixes one problem instance, a sampling distribution, a
 sample-count rule, and an accuracy target.  Trial ``t`` draws from its own
 random stream ``(master_seed, t + 1)``, so reports are bit-reproducible for a
-fixed seed.  Trials run serially, a chunk at a time: the chunk's stream keys
-come from one vectorized pass (:class:`~levsketch.sketch.TrialStreams`, equal
-to :class:`~levsketch.sketch.RngStream` bit for bit), one sort and one
+fixed seed.  Trials run serially, a chunk at a time: the chunk's streams
+are one reused Philox with its counter set per stream
+(:class:`~levsketch.sketch.TrialStreams`, equal to
+:class:`~levsketch.sketch.RngStream` bit for bit), one sort and one
 guide-table lookup draw a chunk's sketches, one gather of their distinct
 rows and stacked small solves score them, and BLAS already spreads the work
 over the available cores.  Reports are byte-identical whatever the chunk size.
@@ -53,9 +54,7 @@ MAX_SAMPLES = 10_000_000
 #: Most trials one run may make.  A run keeps its trials as report columns,
 #: about 70 bytes per trial (7.0 MB held after a 100000-trial run, by
 #: tracemalloc), so this many hold ~0.7 GB and twice that while the chunks
-#: are joined; larger requests fail before the problem is generated.  It also
-#: keeps every trial stream index ``t + 1`` within one 32-bit word, which
-#: :class:`~levsketch.sketch.TrialStreams` needs.
+#: are joined; larger requests fail before the problem is generated.
 MAX_TRIALS = 10_000_000
 
 #: A chunk of trials holds ``max(1, CHUNK_DRAWS // s)`` sketches: at most this

@@ -8,10 +8,10 @@ least-squares trial depends on; :func:`draw_chunk` draws only the multisets
 of a chunk of sketches.  Applying a plan to a matrix keeps the sampled, rescaled rows; the
 implied sketching operator is never materialized densely outside of tests.
 
-Every draw comes from a Philox stream ``(seed, stream_index)``.
-:class:`RngStream` is the general stream, built through numpy's
-``SeedSequence``; :class:`TrialStreams` gives a run's trial streams a chunk
-at a time, bit for bit the same, with no stream object built per trial.
+Every draw comes from a Philox stream ``(seed, stream_index)``: the seed's
+Philox jumped ``stream_index`` times.  :class:`RngStream` is the general
+stream; :class:`TrialStreams` gives a run's trial streams a chunk at a time,
+bit for bit the same, with no stream object built per trial.
 """
 
 from __future__ import annotations
@@ -33,17 +33,26 @@ from .leverage import SamplingDistribution
 from .linalg import DenseMatrix, as_array, as_int, as_problem, fro_norm_sq, kept, read_only
 
 
+def _stream_index(stream_index) -> int:  # a count of Philox jumps, which wrap at 2**128
+    index = as_int(stream_index, "stream_index")
+    if not (0 <= index < 2**128):
+        raise InvalidParameterError(f"stream_index must lie in [0, 2**128), got {stream_index}")
+    return index
+
+
 class RngStream:
     """Deterministic, splittable random stream.
 
     A stream is identified by ``(seed, stream_index)``; identical pairs
     yield identical draw sequences on every platform, and distinct stream
     indices give statistically independent streams.  The generator is the
-    counter-based Philox 4x64, named by :attr:`algorithm_id`.
+    counter-based Philox 4x64, named by :attr:`algorithm_id`: stream ``i``
+    is stream 0's Philox jumped ``i`` times (``Philox.jumped(i)``, an
+    advance of ``i * 2**128`` counter values under one key).
 
     Streams are stateful: each draw consumes from the stream.  Use one
-    stream per task.  This is the general path (any stream index) and the
-    oracle that :class:`TrialStreams` is tested against.
+    stream per task.  This is the general path and the oracle that
+    :class:`TrialStreams` is tested against.
     """
 
     algorithm_id = "philox4x64"
@@ -51,18 +60,16 @@ class RngStream:
 
     def __init__(self, seed: int, stream_index: int = 0) -> None:
         self.seed = as_int(seed, "seed")
-        self.stream_index = as_int(stream_index, "stream_index")
         if not (0 <= self.seed < 2**64):
             raise InvalidParameterError(f"seed must be a 64-bit integer, got {seed}")
-        if self.stream_index < 0:
-            raise InvalidParameterError(f"stream_index must be nonnegative, got {stream_index}")
+        self.stream_index = _stream_index(stream_index)
         self._generator: np.random.Generator | None = None
 
     @property
     def generator(self) -> np.random.Generator:
         if self._generator is None:
-            seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_index,))
-            self._generator = np.random.Generator(np.random.Philox(seq))
+            philox = np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=(0,)))
+            self._generator = np.random.Generator(philox.advance(self.stream_index << 128))
         return self._generator
 
     def __repr__(self) -> str:
@@ -72,93 +79,36 @@ class RngStream:
         )
 
 
-# numpy's SeedSequence constants (bit_generator.pyx).  All arithmetic wraps at
-# 32 bits: uint32 arrays wrap by themselves, and products of ints are masked.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_POOL_SIZE = 4
-#: The running hash constant after the pool mix: 4 hashes fill the pool and
-#: 12 mix it, whatever the seed.
-_POOL_CONST = _INIT_A * pow(_MULT_A, 16, 2**32) & _MASK32
-
-
-def _hashmix(value: np.ndarray, const: int, mult: int):
-    """SeedSequence's hash of the uint32 array ``value`` under the running
-    constant ``const``; returns the hash and the next constant."""
-    nxt = const * mult & _MASK32
-    value = (value ^ const) * nxt
-    return value ^ (value >> _XSHIFT), nxt
-
-
-def _mix(x: int, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's ``mix`` of the pool word ``x`` and the uint32 array ``y``."""
-    result = (_MIX_MULT_L * x & _MASK32) - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
-
-
 class TrialStreams:
-    """The streams ``RngStream(seed, i)`` of one seed, for stream indices
-    ``0 <= i < 2**32``, drawn a block at a time with no SeedSequence or Philox
-    built per stream.
+    """The streams ``RngStream(seed, i)`` of one seed, drawn a block at a time
+    with no stream object built per stream.
 
-    Philox is counter-based, so a stream is a pure function of its 128-bit
-    key, ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``.
-    The seed's words fill SeedSequence's whole entropy pool (zero-padded with
-    a spawn key; without one, the missing words are hashed as zeros all the
-    same), so its pool mix is the same for every ``i`` and is
-    ``SeedSequence(seed).pool``.  :meth:`keys` does the rest (the mix of the
-    one index word, then ``generate_state``) for a block of indices in one
-    vectorized pass, and :meth:`uniforms` draws each stream's
-    uniforms from one reused Philox set to the stream's key at counter 0.
-    Both equal the :class:`RngStream` path bit for bit.
+    Jumping ``i`` times from counter 0 sets Philox's counter to ``(0, 0,
+    i mod 2**64, i >> 64)`` and empties its buffer, so :meth:`uniforms` draws
+    every stream from stream 0's Philox, reused, by writing just those
+    counter words: the :class:`RngStream` path bit for bit.
 
     The Philox is shared state: use one instance per task.
     """
 
-    __slots__ = ("seed", "_pool", "_bitgen", "_state", "_generator")
+    __slots__ = ("seed", "_bitgen", "_state", "_generator")
 
     def __init__(self, seed: int) -> None:
-        self.seed = RngStream(seed).seed  # the same seed check
-        self._pool = np.random.SeedSequence(self.seed).pool.tolist()
-        self._bitgen = np.random.Philox(0)
+        stream = RngStream(seed)
+        self.seed, self._generator = stream.seed, stream.generator
+        self._bitgen = self._generator.bit_generator
         self._state = self._bitgen.state  # counter 0 and an empty buffer
-        self._generator = np.random.Generator(self._bitgen)
-
-    def keys(self, stream_indices: range) -> np.ndarray:
-        """The ``(len(stream_indices), 2)`` uint64 Philox keys of the streams,
-        ``SeedSequence(seed, spawn_key=(i,)).generate_state(2, np.uint64)``
-        bit for bit."""
-        if len(stream_indices) and not (
-            0 <= min(stream_indices) and max(stream_indices) <= _MASK32
-        ):
-            raise InvalidParameterError(
-                f"stream indices must lie in [0, 2**32), got {stream_indices!r}"
-            )
-        index = np.arange(stream_indices.start, stream_indices.stop, stream_indices.step,
-                          dtype=np.int64).astype(np.uint32)
-        # The index word is the entropy left over past the pool: it is mixed
-        # into every pool word.
-        pool, const = list(self._pool), _POOL_CONST
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(index, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-        words = np.empty((index.size, _POOL_SIZE), dtype="<u4")
-        const = _INIT_B
-        for dst in range(_POOL_SIZE):
-            words[:, dst], const = _hashmix(pool[dst], const, _MULT_B)
-        return words.view("<u8").astype(np.uint64)
 
     def uniforms(self, count: int, stream_indices: range) -> np.ndarray:
         """A ``(len(stream_indices), count)`` array whose row ``t`` is the first
         ``count`` uniforms of stream ``(seed, stream_indices[t])``."""
+        if stream_indices:
+            _stream_index(min(stream_indices)), _stream_index(max(stream_indices))
         u = np.empty((len(stream_indices), count))
-        state = self._state
-        for row, key in zip(u, self.keys(stream_indices)):
-            state["state"]["key"] = key
-            self._bitgen.state = state
+        counter = self._state["state"]["counter"]
+        for row, index in zip(u, stream_indices):
+            counter[2], counter[3] = index & 0xFFFFFFFFFFFFFFFF, index >> 64
+            self._bitgen.state = self._state
             self._generator.random(out=row)
         return u
 

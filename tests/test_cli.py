@@ -607,6 +607,22 @@ class TestUndecodableInput:
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [expected]
 
+    @pytest.mark.parametrize("command", ["leverage", "solve"])
+    @pytest.mark.parametrize("prefix, line", [
+        (b"%%MatrixMarket matrix array real general \xe9\n2 1\n", 1),
+        (b"%%MatrixMarket matrix array real general\n% caf\xe9\n2 1\n", 2),
+    ], ids=["header", "comment"])
+    def test_a_bad_byte_before_the_body_is_exit_2_with_its_line(
+            self, problem_files, tmp_path, capsys, command, prefix, line):
+        a_path, _ = problem_files
+        bad = tmp_path / "bad.mtx"
+        bad.write_bytes(prefix + b"1.0\n2.0\n")
+        argv = ["leverage", str(bad)] if command == "leverage" else \
+            ["solve", str(a_path), str(bad)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: line {line}: not UTF-8: byte 0xe9"]
+
 
 class TestValidate:
     def test_smoke_preset_passes(self, capsys):

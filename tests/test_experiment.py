@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -523,6 +524,33 @@ class TestPresets:
         preset = PRESETS["smoke"]
         results = preset.evaluate(preset.run())
         assert all(ok for _, ok, _ in results)
+
+    # pytest runs only smoke's configs; the other presets' checks are fed
+    # stub reports at and just below each threshold.
+    @pytest.mark.parametrize("name, attr, rate", [
+        ("main-theorem-desk", "success_rate", 0.8),
+        ("sc2-markov-desk", "sc2_rate", 0.75),
+    ])
+    def test_rate_check_passes_at_its_threshold_and_fails_below(self, name, attr, rate):
+        preset = PRESETS[name]
+        (cfg,) = preset.configs
+        assert rate == pytest.approx(1.0 - cfg.target.delta)
+        threshold = rate - 3.0 * math.sqrt(rate * (1.0 - rate) / cfg.n_trials)
+        for value, ok in ((threshold, True), (float(np.nextafter(threshold, 0.0)), False)):
+            report = SimpleNamespace(**{attr: value}, implication_violations=0)
+            assert preset.evaluate([report]) == [
+                (attr, ok, f"{attr}={value:.4f} threshold={threshold:.4f}"),
+                ("implication_violations", True, "implication_violations=0"),
+            ]
+
+    def test_leverage_vs_uniform_check_passes_at_a_tie_and_fails_below(self):
+        preset = PRESETS["leverage-vs-uniform"]
+        assert [c.distribution for c in preset.configs] == ["leverage", "uniform"]
+        for lev, ok in ((0.5, True), (float(np.nextafter(0.5, 0.0)), False), (1.0, True)):
+            reports = [SimpleNamespace(success_rate=lev),
+                       SimpleNamespace(success_rate=0.5)]
+            assert preset.evaluate(reports) == [
+                ("leverage_beats_uniform", ok, f"leverage={lev:.4f} uniform=0.5000")]
 
     def test_evaluate_shape(self):
         preset = PRESETS["smoke"]

@@ -201,6 +201,26 @@ def test_non_utf8_bytes_raise_parse_error_with_their_line(tmp_path):
     assert exc_info.value.line == 4
 
 
+HEAD_BYTES = b"%%MatrixMarket matrix array real general"
+#: A byte that is not UTF-8 before the body, where the fast path's line
+#: reader stops: the line parser then decides, and names the line.
+BAD_PREFIXES = {
+    "header": (HEAD_BYTES + b" \xe9\n2 1\n", 1),
+    "comment": (HEAD_BYTES + b"\n% caf\xe9\n2 1\n", 2),
+    "crlf-comment": (HEAD_BYTES + b"\r\n%\r\n% \xff\r\n2 1\r\n", 3),
+}
+
+
+@pytest.mark.parametrize("where", sorted(BAD_PREFIXES))
+def test_non_utf8_byte_before_the_body_raises_the_line_parsers_error(tmp_path, where):
+    prefix, line = BAD_PREFIXES[where]
+    path = tmp_path / "m.mtx"
+    path.write_bytes(prefix + b"1.0\n2.0\n")
+    with pytest.raises(MatrixMarketParseError, match=f"^line {line}: not UTF-8: byte 0x") as exc:
+        read_matrix(path)
+    assert exc.value.line == line
+
+
 def test_plain_file_skips_the_line_parser(tmp_path, monkeypatch):
     # Without this, a one-pass read that always fell back would pass every test.
     def never(raw):

@@ -10,6 +10,7 @@ from levsketch import (
     InvalidParameterError,
     RankDeficientError,
     ProblemSpec,
+    RngStream,
     PROBLEM_KINDS,
     exact_lstsq,
     fro_norm_sq,
@@ -73,6 +74,19 @@ class TestSpikedCoherent:
         )
         a, _, _ = generate_problem(spec)
         assert leverage_scores(a).coherence >= 0.98
+
+    def test_target_one_saturates(self):
+        # Leverage 1 is unreachable with finite entries; row 0 is scaled by
+        # 1e8 instead, leaving its leverage within ~1e-14 of 1.
+        spec = ProblemSpec("spiked-coherent", n_rows=400, n_cols=4, coherence_target=1.0, seed=3)
+        a, _, meta = generate_problem(spec)
+        drawn = RngStream(3, 0).generator.standard_normal((400, 4))
+        planted = drawn.copy()
+        problems_mod._plant_spike(planted, 1.0)
+        np.testing.assert_array_equal(planted[0], 1e8 * drawn[0])
+        np.testing.assert_array_equal(a, planted)
+        assert 1.0 - 1e-12 < meta["coherence"] <= 1.0
+        assert meta["coherence"] == leverage_scores(a).coherence
 
     def test_target_range_validated(self):
         with pytest.raises(InvalidParameterError):
@@ -152,6 +166,37 @@ class TestRetry:
     def test_one_factorization(self, count_numpy_calls):
         generate_problem(self.spec)
         assert count_numpy_calls(40, names=("qr",)) == count_numpy_calls(40) == 1
+
+    def test_singular_spike_gram_is_retried_then_gives_up(self, monkeypatch):
+        # All rows but row 0 zero: the Gram matrix the spike is solved against
+        # is singular.
+        arr = np.zeros((6, 3))
+        arr[0] = 1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            problems_mod._plant_spike(arr, 0.5)
+        spec = ProblemSpec("spiked-coherent", n_rows=40, n_cols=3, coherence_target=0.5, seed=5)
+        real, calls = problems_mod._plant_spike, []
+
+        def singular_once(a, target):
+            calls.append(a.copy())
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            real(a, target)
+
+        monkeypatch.setattr(problems_mod, "_plant_spike", singular_once)
+        a, _, meta = generate_problem(spec)
+        assert meta["attempts"] == 2
+        np.testing.assert_array_equal(a[1:], calls[1][1:])
+        assert abs(meta["coherence"] - 0.5) < 1e-12
+
+        def singular(a, target):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(problems_mod, "_plant_spike", singular)
+        with pytest.raises(GenerationFailedError,
+                           match="gave up after 5 attempts: singular Gram matrix while "
+                                 "planting the spike"):
+            generate_problem(spec)
 
 
 class TestCustomFile:

@@ -6,7 +6,12 @@ distributions are hand-built with exact dyadic probabilities (so every CDF
 entry is exact) or are ``uniform_distribution(n)``, and no step of a draw
 goes through BLAS, so the digests are the same on every platform.  A change
 that alters any seeded draw (alias sampling, say, or a different stream)
-fails here and has to say so and write new digests.
+fails here and has to say so and write new digests.  Generated problems
+draw from stream 0 alone, and :func:`problem_digest` pins those draws, so a
+change of the trial streams that keeps stream 0 keeps them too.
+
+A change of the draws also has to keep them distributed as ``p``, which
+``test_sketch.py``'s chi-square test of pooled chunk counts checks.
 """
 
 import hashlib
@@ -14,7 +19,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from levsketch import RngStream, SamplingDistribution, multinomial_draws, uniform_distribution
+from levsketch import (
+    ProblemSpec,
+    RngStream,
+    SamplingDistribution,
+    generate_problem,
+    multinomial_draws,
+    uniform_distribution,
+)
 from levsketch.sketch import TrialStreams, draw_chunk
 
 
@@ -79,25 +91,25 @@ def chunk_digest(p: SamplingDistribution) -> str:
 
 
 DRAWS_DIGESTS = {
-    "dyadic-7": "957dc7fd86dda58f11fe4d95d422af7416e3828bf600c287c54d8b803d8d68ad",
+    "dyadic-7": "2af9af54083bd3bb65f6f17b18351d7494b50ecfa77b0703b515351507cddf14",
     "dyadic-one-heavy": "5903ec5fd0f8bebdd9e7ed77d75a1c97c04f21490eb203f8f553f522865167ae",
-    "dyadic-wide": "7a5abcae8a1fcef008e2078ce83eb83f3692ca8a68e96e6a32d10d85ad6fc5b7",
-    "dyadic-zero-tail": "e5a0234c3064ca6a95741b317d989f81f363e90cee46586c60bc658f67b639e0",
+    "dyadic-wide": "9b31fa7283d367cc8c72866afcbfe2ca856b8401ea5ee165f444e21738496e84",
+    "dyadic-zero-tail": "1fcbfacec83ab89e62eac39feb5af041eb1672b8958798d590881064e95226ba",
     "one-row": "e3c2af35d1dfc500e16f826a071cc311bf55003a3de77de7ea3376c6b6fa2857",
-    "uniform-1000": "ee6aadb6071dbb78bbb5fb658fb2a6b2a636fe98cafd8bec50ea6f75b5ebd0b4",
-    "uniform-5": "e8910c7f7b439b06ef5f03b14cf6e7dee505bc8417523393d837a66985287c95",
-    "uniform-64": "66fb09f304ebb14bb06536e701c171e76a4ae7029a58391cb7b4542ba9154331",
+    "uniform-1000": "c572f856edff4e0f3e8aa6fe017c1f9b57b2e2fa2c791fdddee01eb3ec1393b3",
+    "uniform-5": "2c61cd3769ac040e89dc4a8cf6362a7dd7bda7571386fbc6a0f25f2c2ca2910a",
+    "uniform-64": "bc690d9b8ac7b2dac0dc02b811b480ccbc52e200ddbc42605e126ebfd1276b75",
 }
 
 CHUNK_DIGESTS = {
-    "dyadic-7": "b2d38775016166c47841d7b41fc84ef642580509c64304caf04b86ee83f5050e",
-    "dyadic-one-heavy": "12eef6435776455b985957a0f8c92ec74f356d02c2ac32390acc93a0752a4ac9",
-    "dyadic-wide": "c4d7b01a4660998774c074c0c0f552f006178af52069a57e1b7cc69a32c2d372",
-    "dyadic-zero-tail": "6b6dc40a848829b8b2e06149b2508e89e14af7cc6c40522461ff47fce4c4ce2d",
+    "dyadic-7": "074aab50acbb1f49d56d5f8a56b83136d44f3a385df430d6146cda5afff770a1",
+    "dyadic-one-heavy": "31196cbcf93180f6ce6a10bdb9cfcff8075d607b10ab76d7fc7d018df391374f",
+    "dyadic-wide": "044e7af83a7d5ca1744d7d4494a67af73684b5942f6377881e1ec4589307dadb",
+    "dyadic-zero-tail": "0e6cadb8be22fb1ea9b574366c4775665130f719e70246ea4b75b2aaf9dd2eb0",
     "one-row": "bee32629929ed5e6ff266b36ba420749610033fafa0104ea97a98f86883c58de",
-    "uniform-1000": "e6d5f7a12583e41f9918b84e1eef50da5e3176a85c094c18aeb4ce66ee57e15c",
-    "uniform-5": "f979b3710fc2f0fe5afaeeff29d39984ffe8ff1d6a3d4b7d24f6f937794c8717",
-    "uniform-64": "1ac045d26eb5b3f5a27e0a405477b92b7663988d11f32c3c0f419037add73320",
+    "uniform-1000": "34451d293dce8455b02bee5fed8c3fe660dfcf5984d6f2532111e2b31681833d",
+    "uniform-5": "90b7b26eef7b22158f2709f6adc7c8f8a79299bbba916183bc28f470c9394e2c",
+    "uniform-64": "1f437f9fe1f44364b766a9fb08c763c8fc67b117d77b570512a9b9ea7438c15c",
 }
 
 
@@ -121,3 +133,35 @@ def test_cases_are_exact():
             assert np.all(p.probs * 2.0 ** 20 == np.round(p.probs * 2.0 ** 20))
     wide = DISTRIBUTIONS["dyadic-wide"]().probs
     assert np.all(wide[100:160] == 0.0) and np.all(wide[-40:] == 0.0) and wide[-41] > 0.0
+
+
+PROBLEMS = {
+    "gaussian-incoherent": ProblemSpec("gaussian-incoherent", 500, 4, rhs_cols=2,
+                                       noise_scale=0.5, seed=2**63 + 5),
+    "spiked-coherent": ProblemSpec("spiked-coherent", 500, 4, rhs_cols=2,
+                                   coherence_target=0.9, seed=12345),
+    "consistent": ProblemSpec("consistent", 500, 4, rhs_cols=2, seed=0),
+}
+
+
+def problem_digest(spec: ProblemSpec) -> str:
+    """Digest of the stream-0 draws a generated problem keeps as drawn: ``a``
+    (but a spiked row 0, rescaled through a Gram solve) and ``x_true``.  ``b``
+    is ``a @ x_true`` plus noise, a BLAS product, so it is not pinned."""
+    a, _, meta = generate_problem(spec)
+    h = hashlib.sha256()
+    _update(h, a[1:] if spec.kind == "spiked-coherent" else a, meta["x_true"])
+    return h.hexdigest()
+
+
+PROBLEM_DIGESTS = {
+    "consistent": "d7daa22c0b600d52233580f2fcaa3ba3be32fc4d33b24848ef034050d2764a82",
+    "gaussian-incoherent": "2af3f701e9a116442c1cceb34cbf10e15cfabefeb4a02fa93a28114986bb4b28",
+    "spiked-coherent": "177d8690d2bbf99574a993158b874fa5fda3f6f92f8fc62cee6256d5c5f8e339",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_generated_problems_are_pinned(kind):
+    assert problem_digest(PROBLEMS[kind]) == PROBLEM_DIGESTS[kind]
+

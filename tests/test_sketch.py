@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import dense_operator
+from test_seeded_draws import DISTRIBUTIONS
 from levsketch import (
     DimensionError,
     InvalidParameterError,
@@ -94,6 +95,26 @@ class TestMultinomialDraws:
         for k in range(3):
             se = np.sqrt(probs[k] * (1 - probs[k]) / s)
             assert abs(counts[k] - probs[k]) <= 5 * se
+
+    def test_pooled_chunk_counts_fit_the_distribution(self):
+        # 1000 sketches of 2000 rows from the pinned wide case (3000 rows, zero
+        # runs and a zero tail): every positive row expects s * T * p >= 7.6
+        # draws (its least p is 2**-18), enough for a chi-square test.
+        from scipy import stats
+
+        p = DISTRIBUTIONS["dyadic-wide"]()
+        s, streams = 2000, TrialStreams(2024)
+        counts = np.zeros(p.n_rows)
+        for first in range(1, 1001, 250):
+            chunk = draw_chunk(p, s, streams, range(first, first + 250))
+            rows = chunk.unique_rows
+            np.add.at(counts, rows, np.rint(chunk.weight_sq_sums * s * p.probs[rows]))
+        assert counts.sum() == s * 1000
+        positive = p.probs > 0.0
+        assert not counts[~positive].any()
+        expected = s * 1000 * p.probs[positive]
+        assert expected.min() >= 5.0
+        assert stats.chisquare(counts[positive], expected).pvalue > 1e-4
 
     def test_sample_count_validated(self):
         with pytest.raises(InvalidSampleCountError):

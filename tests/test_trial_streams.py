@@ -1,11 +1,12 @@
 """Trial streams drawn a chunk at a time against the RngStream oracle.
 
-``TrialStreams`` derives the Philox keys of many streams in one vectorized
-pass and fills their uniforms from one reused Philox; every key, uniform and
-multiset must equal what ``RngStream`` (one ``SeedSequence`` and one
-``Philox`` per stream) gives, bit for bit.  The key derivation depends on
-``SeedSequence``'s mixing and on the layout of ``Philox.state``, so CI also
-runs this file on the oldest supported numpy.
+Stream ``(seed, i)`` is the seed's stream-0 Philox (keyed by
+``SeedSequence(seed, spawn_key=(0,))``) jumped ``i`` times.
+``TrialStreams`` fills a chunk's uniforms from one reused Philox, writing
+each stream's counter words; every uniform and multiset must equal what
+``RngStream`` (and numpy's own ``Philox.jumped``) gives, bit for bit.  This
+depends on the layout of ``Philox.state``, so CI also runs this file on the
+oldest supported numpy.
 """
 
 import numpy as np
@@ -28,42 +29,54 @@ from levsketch.sketch import SketchChunk, TrialStreams, draw_chunk
 
 EDGE_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1, 915247,
               *np.random.default_rng(16).integers(0, 2**64, 20, dtype=np.uint64).tolist()]
-EDGE_INDICES = [0, 1, 2, 3, 100, 65535, 2**31, 2**32 - 1]
+EDGE_INDICES = [0, 1, 2, 3, 100, 65535, 2**31, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 + 3,
+                2**128 - 1]
 
 
-def seed_sequence_key(seed, index):
-    return np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(2, np.uint64)
+def jumped_generator(seed, index):
+    philox = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,)))
+    return np.random.Generator(philox.jumped(index))
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
-def test_keys_equal_seed_sequence_on_edge_seeds_and_indices(seed):
+def test_streams_equal_jumped_philox_on_edge_seeds_and_indices(seed):
     streams = TrialStreams(seed)
+    key = np.random.SeedSequence(seed, spawn_key=(0,)).generate_state(2, np.uint64)
     for index in EDGE_INDICES:
-        key = streams.keys(range(index, index + 1))
-        assert key.dtype == np.uint64 and key.shape == (1, 2)
-        np.testing.assert_array_equal(key[0], seed_sequence_key(seed, index))
-    block = streams.keys(range(0, 2**32, 2**32 // 7))
-    np.testing.assert_array_equal(
-        block, [seed_sequence_key(seed, i) for i in range(0, 2**32, 2**32 // 7)])
+        want = jumped_generator(seed, index).random(9)  # past two 4-word Philox blocks
+        stream = RngStream(seed, index)
+        state = stream.generator.bit_generator.state
+        np.testing.assert_array_equal(state["state"]["key"], key)
+        np.testing.assert_array_equal(state["state"]["counter"],
+                                      [0, 0, index % 2**64, index >> 64])
+        assert state["buffer_pos"] == 4
+        np.testing.assert_array_equal(stream.generator.random(9), want)
+        np.testing.assert_array_equal(streams.uniforms(9, range(index, index + 1)), [want])
+    block = range(0, 2**70, 2**70 // 7)
+    np.testing.assert_array_equal(streams.uniforms(5, block),
+                                  [jumped_generator(seed, i).random(5) for i in block])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=2**64 - 1),
-       st.integers(min_value=0, max_value=2**32 - 1),
-       st.integers(min_value=0, max_value=6))
-def test_keys_equal_seed_sequence(seed, first, count):
-    stop = min(first + count, 2**32)
-    want = [seed_sequence_key(seed, i) for i in range(first, stop)]
-    got = TrialStreams(seed).keys(range(first, stop))
-    assert got.shape == (stop - first, 2)
-    np.testing.assert_array_equal(got, np.array(want, dtype=np.uint64).reshape(-1, 2))
+       st.integers(min_value=0, max_value=2**128 - 1),
+       st.integers(min_value=0, max_value=6),
+       st.integers(min_value=1, max_value=9))
+def test_uniforms_equal_jumped_philox(seed, first, count, s):
+    stop = min(first + count, 2**128)
+    got = TrialStreams(seed).uniforms(s, range(first, stop))
+    assert got.shape == (stop - first, s)
+    np.testing.assert_array_equal(
+        got, np.reshape([jumped_generator(seed, i).random(s) for i in range(first, stop)],
+                        (-1, s)))
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**32, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("s", [1, 2, 3, 5, 7, 1001])
 def test_uniforms_equal_rng_streams(seed, s):
     streams = TrialStreams(seed)
-    for indices in (range(4, 5), range(0, 9), range(2**32 - 3, 2**32)):
+    for indices in (range(4, 5), range(0, 9), range(2**32 - 3, 2**32),
+                    range(2**64 - 2, 2**64 + 2)):
         want = np.stack([RngStream(seed, i).generator.random(s) for i in indices])
         np.testing.assert_array_equal(streams.uniforms(s, indices), want)
     # The reused generator carries nothing from one block to the next.
@@ -90,9 +103,13 @@ def test_bad_seeds_and_indices_rejected():
     for seed in (-1, 2**64, 1.5):
         with pytest.raises(InvalidParameterError):
             TrialStreams(seed)
-    for indices in (range(-1, 2), range(2**32 - 1, 2**32 + 1)):
-        with pytest.raises(InvalidParameterError, match="stream indices"):
-            TrialStreams(3).keys(indices)
+    for index in (-1, 2**128):
+        with pytest.raises(InvalidParameterError, match="stream_index"):
+            RngStream(3, index)
+    # Jumps wrap at 2**128, where two indices would name one stream.
+    for indices in (range(-1, 2), range(2**128 - 1, 2**128 + 1)):
+        with pytest.raises(InvalidParameterError, match="stream_index"):
+            TrialStreams(3).uniforms(2, indices)
 
 
 @pytest.mark.parametrize("master_seed", [0, 2**63 + 5])
@@ -121,9 +138,9 @@ def test_run_matches_a_run_drawn_through_rng_streams(master_seed, monkeypatch):
 
 
 def test_trial_loop_builds_no_stream_per_trial(monkeypatch):
-    # Problem generation builds one RngStream (one SeedSequence and one
-    # Philox) and a run's TrialStreams one SeedSequence (for its pool) and
-    # one Philox, whatever the trial count.
+    # Problem generation builds one RngStream and a run's TrialStreams
+    # another, each one SeedSequence and one Philox (which jumped() copies),
+    # whatever the trial count: a trial only writes two counter words.
     counts = {}
     for name in ("SeedSequence", "Philox"):
         original = getattr(np.random, name)
@@ -145,8 +162,8 @@ def test_trial_loop_builds_no_stream_per_trial(monkeypatch):
 
 
 def test_trial_count_bound():
-    # Trial t draws from stream t + 1, which must fit one 32-bit word.
-    assert experiment_mod.MAX_TRIALS <= 2**32 - 1
+    # The bound holds a run's report in memory; any count over it fails
+    # before the problem is generated.
     base = dict(problem=ProblemSpec("gaussian-incoherent", 120, 3, seed=21))
     assert TrialConfig(**base, n_trials=experiment_mod.MAX_TRIALS).n_trials == \
         experiment_mod.MAX_TRIALS
