@@ -23,13 +23,14 @@ from levsketch import (
 a, b, meta = generate_problem(
     ProblemSpec("gaussian-incoherent", n_rows=20000, n_cols=6, rhs_cols=2, seed=7)
 )
-print(f"problem: {a.shape[0]} x {a.shape[1]}, rhs {b.shape[1]}, coherence {meta['coherence']:.4f}")
+profile = meta["profile"]  # leverage scores from generation's QR
+print(f"problem: {a.shape[0]} x {a.shape[1]}, rhs {b.shape[1]}, "
+      f"coherence {profile.coherence:.4f}")
 
 exact = meta["exact"]  # generation already solved the problem exactly
 print(f"exact residual^2 = {exact.residual_sq:.6f}")
 
 # the guarantee-backed sample count is conservative
-profile = meta["profile"]  # leverage scores from the same QR
 target = AccuracyTarget(epsilon=0.1, delta=0.1)
 s_formula = required_samples(profile.rank, 1.0, target)
 print(f"formula sample count for eps=0.1, delta=0.1: {s_formula}")

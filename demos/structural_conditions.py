@@ -32,7 +32,6 @@ a, b, meta = generate_problem(
 # generation's one QR gives the exact solve, the basis Q, the singular
 # values of A and the leverage scores
 exact = meta["exact"]
-basis = exact.basis
 dist = leverage_distribution(meta["profile"])
 eps = 0.25
 trials = 200
@@ -42,16 +41,14 @@ for s in (20, 40, 80, 160, 320):
     sc1_hits = sc2_hits = both = violations = 0
     for t in range(trials):
         plan = build_sketch(dist, s, RngStream(9000 + s, t + 1))
-        rep = check_structural(
-            plan, basis, exact.b_perp, eps, exact.residual_sq, exact.b_norm_sq
-        )
+        rep = check_structural(plan, exact, eps)
         sc1_hits += rep.sc1_holds
         sc2_hits += rep.sc2_holds
         if rep.sc1_holds and rep.sc2_holds:
             both += 1
             # conditions hold, so the accuracy bounds must too
             sol = solve_with_plan(a, b, plan)
-            bounds = check_bounds(a, b, exact, sol, eps)
+            bounds = check_bounds(a, b, sol.x_tilde, exact, eps)
             if not (bounds.residual_bound_holds and bounds.solution_bound_holds):
                 violations += 1
     print(f"{s:>6} {sc1_hits / trials:>9.2f} {sc2_hits / trials:>9.2f} "

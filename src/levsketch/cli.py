@@ -28,8 +28,8 @@ from .experiment import PRESETS, TrialConfig, run_experiment, set_up_run, write_
 from .leverage import leverage_scores
 from .mmio import read_matrix, read_text, write_lines, write_matrix
 from .problems import ProblemSpec
-from .sketch import RngStream, build_sketch
-from .solver import AccuracyTarget, accuracy_ratio, solve_with_plan
+from .sketch import RngStream
+from .solver import AccuracyTarget, accuracy_ratio, sketched_lstsq
 
 #: Every config key, with its default; config files may set no other key.
 _DEFAULTS = {
@@ -137,7 +137,7 @@ def _cmd_solve(args) -> int:
     _check_out_path(args.out)
     a, b, exact, dist, beta, s = set_up_run(cfg)
     # The sketch of bench's trial 0 on the same config.
-    sol = solve_with_plan(a, b, build_sketch(dist, s, RngStream(args.seed, 1)))
+    sol = sketched_lstsq(a, b, dist, s, RngStream(args.seed, 1))
     print(
         f"rows={a.shape[0]} cols={a.shape[1]} rhs={b.shape[1]} dist={args.dist} "
         f"beta={beta:.6g} s={s} sketched_residual_sq={sol.sketched_residual_sq:.17g}"

@@ -31,8 +31,6 @@ from .exceptions import DimensionError, InvalidParameterError
 from .linalg import (
     RANK_TOL,
     LstsqSolution,
-    OrthonormalBasis,
-    SpectralSummary,
     as_problem,
     fill_in_slabs,
     fro_norm_sq,
@@ -40,7 +38,7 @@ from .linalg import (
     in_open_unit,
 )
 from .sketch import SketchChunk, SketchPlan, apply_sketch
-from .solver import SketchSolution, _is_zero_residual, _residual_ratio
+from .solver import _is_zero_residual, _residual_ratio
 
 #: Threshold on the smallest squared singular value of the sketched basis.
 SC1_THRESHOLD = 1.0 / math.sqrt(2.0)
@@ -80,7 +78,7 @@ class BoundReport:
     """Verdicts for the residual, solution-error, and gamma bounds."""
 
     residual_bound_holds: bool
-    solution_bound_value: float
+    solution_err_sq: float
     solution_bound_limit: float
     solution_bound_holds: bool
     gamma: float
@@ -88,35 +86,17 @@ class BoundReport:
     gamma_bound_holds: bool
 
 
-def check_structural(
-    plan: SketchPlan,
-    basis: OrthonormalBasis,
-    b_perp,
-    epsilon: float,
-    residual_sq: float,
-    scale_sq: float,
-) -> StructuralReport:
+def check_structural(plan: SketchPlan, exact: LstsqSolution, epsilon: float) -> StructuralReport:
     """Evaluate both structural conditions for a realized plan.
 
-    Parameters
-    ----------
-    plan : SketchPlan
-    basis : OrthonormalBasis
-        Orthonormal basis of the design matrix's column space.
-    b_perp : array-like
-        Residual component of the right-hand side (from the exact solve).
-    epsilon : float
-        Target accuracy in (0, 1).
-    residual_sq : float
-        Exact minimal residual ``||b_perp||_F^2``.
-    scale_sq : float
-        ``||b||_F^2``; the SC2 limit includes the noise floor relative to it,
-        so on a consistent system rounding noise does not decide the verdict.
+    ``exact`` is the exact solve of the problem the plan samples: SC1 reads
+    its basis ``q``, SC2 its residual component ``b_perp`` and the limit
+    ``epsilon * residual_sq / 2``.  The SC2 limit includes the noise floor
+    relative to ``exact.b_norm_sq``, so on a consistent system rounding
+    noise does not decide the verdict.
     """
     in_open_unit(epsilon, "epsilon")
-    if residual_sq < 0.0:
-        raise InvalidParameterError(f"residual_sq must be >= 0, got {residual_sq}")
-    q = basis.q
+    q = exact.basis.q
     r = q.shape[1]
     sq = np.asarray(apply_sketch(plan, q))
     if plan.n_samples < r:
@@ -125,10 +105,10 @@ def check_structural(
     else:
         sv = np.linalg.svd(sq, compute_uv=False)
         sc1_value = float(sv[-1]) ** 2
-    sbp = np.asarray(apply_sketch(plan, b_perp))
+    sbp = np.asarray(apply_sketch(plan, exact.b_perp))
     sc2_value = fro_norm_sq(sq.T @ sbp)
-    sc1_holds, sc2_holds = _structural_verdicts(sc1_value, sc2_value, epsilon, residual_sq,
-                                                scale_sq)
+    sc1_holds, sc2_holds = _structural_verdicts(sc1_value, sc2_value, epsilon,
+                                                exact.residual_sq, exact.b_norm_sq)
     return StructuralReport(sc1_value, sc1_holds, sc2_value, sc2_holds)
 
 
@@ -142,8 +122,8 @@ def _structural_verdicts(sc1_value, sc2_value, epsilon, residual_sq, scale_sq):
     return sc1_value >= SC1_THRESHOLD - _STRUCTURAL_SLACK, sc2_value <= sc2_limit
 
 
-def check_bounds(a, b, exact: LstsqSolution, sol: SketchSolution, epsilon: float) -> BoundReport:
-    """Compare a sketched solution against the accuracy bounds.
+def check_bounds(a, b, x_tilde, exact: LstsqSolution, epsilon: float) -> BoundReport:
+    """Compare a candidate solution ``x_tilde`` against the accuracy bounds.
 
     Checks three things: the true residual against ``(1 + epsilon)`` times
     the optimum, the solution error against ``epsilon * residual_sq /
@@ -154,10 +134,9 @@ def check_bounds(a, b, exact: LstsqSolution, sol: SketchSolution, epsilon: float
     ``exact.b_norm_sq``, from the exact solve of ``(a, b)``.
     """
     in_open_unit(epsilon, "epsilon")
-    arr, barr, xt = as_problem(a, b, sol.x_tilde)
+    arr, barr, xt = as_problem(a, b, x_tilde)
     xo = exact.x_opt  # checked by exact_lstsq
-    limits = _BoundLimits.of(epsilon, exact.residual_sq, exact.b_norm_sq, exact.spectral,
-                             fro_norm_sq(arr @ xo), fro_norm_sq(xo))
+    limits = _BoundLimits.of(epsilon, exact, fro_norm_sq(arr @ xo))
     sol_value = fro_norm_sq(xo - xt)
     resid_holds, sol_holds, gamma_holds = limits.verdicts(fro_norm_sq(arr @ xt - barr), sol_value)
     return BoundReport(resid_holds, sol_value, limits.solution_limit, sol_holds,
@@ -178,25 +157,20 @@ class _BoundLimits:
     gamma_ceiling: float
 
     @classmethod
-    def of(
-        cls,
-        epsilon: float,
-        residual_sq: float,
-        scale_sq: float,
-        spectral: SpectralSummary,
-        fit_norm_sq: float,
-        x_opt_norm_sq: float,
-    ) -> "_BoundLimits":
-        """Limits for a problem with ``||b||_F^2 = scale_sq`` and
-        ``||a @ x_opt||_F^2 = fit_norm_sq``."""
-        noise_floor = _NOISE_FLOOR_REL * scale_sq
+    def of(cls, epsilon: float, exact: LstsqSolution, fit_norm_sq: float) -> "_BoundLimits":
+        """Limits for the problem ``exact`` solves, with ``||a @ x_opt||_F^2 =
+        fit_norm_sq``; the oracle and the scorer each compute that norm their
+        own way."""
+        residual_sq, spectral = exact.residual_sq, exact.spectral
+        noise_floor = _NOISE_FLOOR_REL * exact.b_norm_sq
         sigma_min_sq = spectral.sigma_min**2
         sol_limit = epsilon * residual_sq / sigma_min_sq if sigma_min_sq > 0 else float("inf")
         sol_floor = noise_floor / sigma_min_sq if sigma_min_sq > 0 else float("inf")
-        b_norm = math.sqrt(scale_sq)
+        b_norm = math.sqrt(exact.b_norm_sq)
         gamma = math.sqrt(fit_norm_sq) / b_norm if b_norm > 0 else 1.0
         if gamma > 0:
-            gamma_limit = epsilon * spectral.kappa**2 * (1.0 / gamma**2 - 1.0) * x_opt_norm_sq
+            gamma_limit = (epsilon * spectral.kappa**2 * (1.0 / gamma**2 - 1.0)
+                           * fro_norm_sq(exact.x_opt))
             gamma_limit = max(gamma_limit, 0.0)  # gamma can round a hair past 1
         else:
             # b has no component in the column space: the alignment bound is
@@ -305,14 +279,7 @@ class TrialScorer:
         self._scale_sq = exact.b_norm_sq
         self._zero_residual = _is_zero_residual(exact.residual_sq, exact.b_norm_sq)
         # ||a @ x_opt|| = ||q @ r @ x_opt|| = ||r @ x_opt||.
-        self._limits = _BoundLimits.of(
-            epsilon,
-            exact.residual_sq,
-            exact.b_norm_sq,
-            exact.spectral,
-            fro_norm_sq(exact.r_factor @ exact.x_opt),
-            fro_norm_sq(exact.x_opt),
-        )
+        self._limits = _BoundLimits.of(epsilon, exact, fro_norm_sq(exact.r_factor @ exact.x_opt))
 
     def score(self, plan: SketchPlan) -> ChunkScores:
         """Measure one realized plan: :meth:`score_chunk` of a one-sketch

@@ -144,9 +144,14 @@ CSV_COLUMNS = ("trial_id", "s", "beta", *ChunkScores._fields,
                "rng_algorithm", "rng_seed", "rng_stream_index")
 
 
+def _share(holds: np.ndarray) -> float:
+    """The share of trials on which a boolean score column holds."""
+    return int(np.count_nonzero(holds)) / holds.size
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """One config's trials plus aggregate rates.
+    """One config's trials; its aggregate rates are counts over them.
 
     ``scores`` holds the trials as columns: entry ``t`` of each
     :class:`ChunkScores` array is trial ``t``'s value in the CSV column of
@@ -159,11 +164,30 @@ class ExperimentReport:
     scores: ChunkScores
     s: int
     beta: float
-    success_rate: float
-    sc1_rate: float
-    sc2_rate: float
-    implication_violations: int
     wall_time_s: float
+
+    @property
+    def success_rate(self) -> float:
+        """Share of trials whose solve is epsilon-accurate."""
+        return _share(self.scores.eps_accurate)
+
+    @property
+    def sc1_rate(self) -> float:
+        """Share of trials on which SC1 holds."""
+        return _share(self.scores.sc1_holds)
+
+    @property
+    def sc2_rate(self) -> float:
+        """Share of trials on which SC2 holds."""
+        return _share(self.scores.sc2_holds)
+
+    @property
+    def implication_violations(self) -> int:
+        """Trials on which both structural conditions hold but an accuracy
+        bound does not; the conditions must imply both bounds."""
+        sc = self.scores
+        return int(np.count_nonzero(sc.sc1_holds & sc.sc2_holds
+                                    & ~(sc.residual_bound_holds & sc.solution_bound_holds)))
 
 
 def build_distribution(spec_text: str, profile) -> tuple[SamplingDistribution, float]:
@@ -228,11 +252,11 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     :func:`draw_chunk` draws the multisets of a chunk's sketches, and a
     :class:`TrialScorer` scores each from the Gram matrix of its distinct
     rows in the coordinates of the orthonormal basis.  The chunks'
-    :class:`ChunkScores`, joined, are the report's ``scores``, and each rate
-    is a count over one of their boolean columns.  No per-trial plan, draw
-    order, score object or record is built.  Per-trial
-    failures (a sketch losing rank) become failure entries, never batch
-    aborts; so does every trial of a problem that cannot be generated.
+    :class:`ChunkScores`, joined, are the report's ``scores``, over which
+    its rates are counted.  No per-trial plan, draw order, score object or
+    record is built.  Per-trial failures (a sketch losing rank) become
+    failure entries, never batch aborts; so does every trial of a problem
+    that cannot be generated.
     """
     t_start = time.perf_counter()
     n = cfg.n_trials
@@ -262,23 +286,8 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
         ]
         scores = ChunkScores(*(np.concatenate(column) for column in zip(*chunks)))
 
-    def rate(holds: np.ndarray) -> float:
-        return int(np.count_nonzero(holds)) / n
-
-    # The structural conditions must imply both accuracy bounds.
-    violations = (scores.sc1_holds & scores.sc2_holds
-                  & ~(scores.residual_bound_holds & scores.solution_bound_holds))
-    return ExperimentReport(
-        config=cfg,
-        scores=scores,
-        s=s,
-        beta=beta,
-        success_rate=rate(scores.eps_accurate),
-        sc1_rate=rate(scores.sc1_holds),
-        sc2_rate=rate(scores.sc2_holds),
-        implication_violations=int(np.count_nonzero(violations)),
-        wall_time_s=time.perf_counter() - t_start,
-    )
+    return ExperimentReport(config=cfg, scores=scores, s=s, beta=beta,
+                            wall_time_s=time.perf_counter() - t_start)
 
 
 #: Trials formatted at a time; bounds the row text :func:`write_report` holds.

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DimensionError, InvalidParameterError, UnsupportedRowError
-from .linalg import OrthonormalBasis, kept, orthonormal_basis, read_only
+from .linalg import OrthonormalBasis, as_int, kept, orthonormal_basis, read_only
 
 _SCORE_SUM_TOL = 1e-8
 _UNIT_TOL = 1e-12
@@ -32,6 +32,7 @@ class LeverageProfile:
     def __post_init__(self) -> None:
         scores = kept(self.scores, np.float64)
         object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "rank", as_int(self.rank, "rank"))
         if scores.ndim != 1 or scores.size < 1:
             raise DimensionError("scores must be a nonempty 1-D array")
         if not np.all(np.isfinite(scores)):
@@ -150,6 +151,7 @@ def leverage_distribution(profile: LeverageProfile) -> SamplingDistribution:
 
 def uniform_distribution(n_rows: int) -> SamplingDistribution:
     """Uniform distribution over ``n_rows`` rows."""
+    n_rows = as_int(n_rows, "n_rows")
     if n_rows < 1:
         raise InvalidParameterError(f"need at least one row, got {n_rows}")
     return SamplingDistribution(probs=read_only(np.full(n_rows, 1.0 / n_rows)))

@@ -110,13 +110,13 @@ def generate_problem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     ``a`` and ``b`` are read-only arrays: a generated problem's draws as
     drawn (row-major), a file's matrices as :func:`~levsketch.mmio.read_matrix`
     returns them.
-    ``meta`` records the kind, the planted solution ``x_true`` when one
-    exists, how many attempts generation took, ``exact``: the
+    ``meta`` records the planted solution ``x_true`` when one exists, how
+    many attempts generation took, ``exact``: the
     :func:`~levsketch.linalg.exact_lstsq` solve of ``(a, b)``, and
-    ``profile``: the leverage profile of its basis, whose coherence is also
-    kept as ``coherence``.  The QR is the full-rank check, so a problem is
-    factored once and its scores computed once.  Generation is deterministic
-    in ``spec.seed``.
+    ``profile``: the leverage profile of its basis, which gives the
+    coherence.  The QR is the full-rank check, so a problem is factored once
+    and its scores computed once.  Generation is deterministic in
+    ``spec.seed``.
 
     Raises
     ------
@@ -127,7 +127,7 @@ def generate_problem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     if spec.kind == "custom-file":
         a = np.asarray(read_matrix(spec.a_path))
         b = np.asarray(read_matrix(spec.b_path))
-        return a, b, _meta(spec.kind, None, exact_lstsq(a, b), 1)
+        return a, b, _meta(None, exact_lstsq(a, b), 1)
 
     rng = RngStream(spec.seed, stream_index=0)
     g = rng.generator
@@ -150,21 +150,16 @@ def generate_problem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, dict]:
         except RankDeficientError:
             last_error = "design matrix came out rank deficient"
             continue
-        return read_only(a), read_only(b), _meta(spec.kind, read_only(x_true), exact, attempt)
+        return read_only(a), read_only(b), _meta(read_only(x_true), exact, attempt)
     raise GenerationFailedError(
         f"gave up after {_MAX_ATTEMPTS} attempts: {last_error}"
     )
 
 
-def _meta(
-    kind: str, x_true: np.ndarray | None, exact: LstsqSolution, attempts: int
-) -> dict:
-    profile = profile_from_basis(exact.basis)
+def _meta(x_true: np.ndarray | None, exact: LstsqSolution, attempts: int) -> dict:
     return {
-        "kind": kind,
         "x_true": x_true,
-        "coherence": profile.coherence,
         "attempts": attempts,
         "exact": exact,
-        "profile": profile,
+        "profile": profile_from_basis(exact.basis),
     }

@@ -35,7 +35,6 @@ from levsketch import (
     generate_problem,
     leverage_scores,
     multinomial_draws,
-    orthonormal_basis,
     required_samples,
     run_experiment,
     sketched_norm_sq,
@@ -311,12 +310,9 @@ def test_c8_oracle_equivalence():
         norm_dense = float(np.sum((s_dense @ x) ** 2))
         norm_gap = abs(norm_dense - sketched_norm_sq(plan, x)) / max(1.0, norm_dense)
 
-        basis = orthonormal_basis(a)
         exact = exact_lstsq(a, b)
-        rep = check_structural(
-            plan, basis, exact.b_perp, 0.3, exact.residual_sq, exact.b_norm_sq
-        )
-        sq = s_dense @ basis.q
+        rep = check_structural(plan, exact, 0.3)
+        sq = s_dense @ exact.basis.q
         sc1_dense = float(np.linalg.svd(sq, compute_uv=False)[-1]) ** 2
         sc2_dense = float(np.sum((sq.T @ (s_dense @ exact.b_perp)) ** 2))
         sc1_gap = abs(sc1_dense - rep.sc1_value) / max(1.0, sc1_dense)

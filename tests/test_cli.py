@@ -111,6 +111,11 @@ class TestSolve:
         a_path, b_path = problem_files
         assert main(["solve", str(a_path), str(b_path), "--samples", "later"]) == 1
 
+    def test_fewer_samples_than_the_rank_is_exit_1(self, problem_files, capsys):
+        a_path, b_path = problem_files
+        assert main(["solve", str(a_path), str(b_path), "--samples", "2"]) == 1
+        assert capsys.readouterr().err == "error: 2 samples cannot cover rank 3\n"
+
     @pytest.mark.parametrize("dist", ["psychic", "blended:abc", "blended:2"])
     def test_bad_dist_flag_is_exit_1(self, problem_files, capsys, dist):
         a_path, b_path = problem_files

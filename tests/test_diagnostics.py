@@ -6,7 +6,7 @@ sketched quantities have closed forms to compare against.
 
 import importlib
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -17,12 +17,10 @@ from levsketch import (
     AccuracyTarget,
     DimensionError,
     InvalidParameterError,
-    OrthonormalBasis,
     ProblemSpec,
     RngStream,
     SketchPlan,
     SketchRankDeficientError,
-    SketchSolution,
     accuracy_ratio,
     build_sketch,
     check_bounds,
@@ -39,7 +37,7 @@ from levsketch import (
     uniform_distribution,
     write_matrix,
 )
-from levsketch.diagnostics import GRAM_FLOOR, ChunkScores, TrialScorer
+from levsketch.diagnostics import GRAM_FLOOR, BoundReport, ChunkScores, TrialScorer
 from levsketch.experiment import build_distribution
 from levsketch.leverage import SamplingDistribution, profile_from_basis
 from levsketch.linalg import SLAB_ROWS
@@ -65,11 +63,7 @@ def make_problem(seed, n=40, r=3, m=2):
 class TestCheckStructural:
     def test_identity_sketch_satisfies_both(self):
         a, b = make_problem(1)
-        basis = orthonormal_basis(a)
-        exact = exact_lstsq(a, b)
-        rep = check_structural(
-            identity_plan(40), basis, exact.b_perp, 0.25, exact.residual_sq, exact.b_norm_sq
-        )
+        rep = check_structural(identity_plan(40), exact_lstsq(a, b), 0.25)
         assert rep.sc1_value == pytest.approx(1.0, abs=1e-12)
         assert rep.sc1_holds
         assert rep.sc2_value == pytest.approx(0.0, abs=1e-18)
@@ -78,83 +72,71 @@ class TestCheckStructural:
     def test_sc1_threshold_edges(self):
         # scaling every weight by w turns sigma_min(SQ)^2 into w^2
         a, b = make_problem(2)
-        basis = orthonormal_basis(a)
         exact = exact_lstsq(a, b)
         w_lo = math.sqrt(0.70)  # 0.70 < 1/sqrt(2) = 0.7071...
         w_hi = math.sqrt(0.72)
-        rep_lo = check_structural(
-            identity_plan(40, w_lo), basis, exact.b_perp, 0.25, exact.residual_sq,
-            exact.b_norm_sq,
-        )
-        rep_hi = check_structural(
-            identity_plan(40, w_hi), basis, exact.b_perp, 0.25, exact.residual_sq,
-            exact.b_norm_sq,
-        )
+        rep_lo = check_structural(identity_plan(40, w_lo), exact, 0.25)
+        rep_hi = check_structural(identity_plan(40, w_hi), exact, 0.25)
         assert rep_lo.sc1_value == pytest.approx(0.70, rel=1e-12)
         assert not rep_lo.sc1_holds
         assert rep_hi.sc1_holds
         assert SC1_THRESHOLD == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
+    @staticmethod
+    def two_row_solve(fit, d):
+        """The exact solve of ``a = [1, 1]^T``, ``b = [fit + d, fit - d]^T``:
+        ``q = [1, 1]^T / sqrt(2)``, ``b_perp = [d, -d]^T``, ``residual_sq =
+        2 d^2`` and ``||b||^2 = 2 fit^2 + 2 d^2``.  Drawing row 0 alone with
+        weight ``w`` gives the cross term ``(w^2 d / sqrt(2))^2 = w^4 d^2 / 2``."""
+        return exact_lstsq(np.ones((2, 1)), np.array([[fit + d], [fit - d]]))
+
+    @staticmethod
+    def row_zero_plan(w):
+        return SketchPlan(uniform_distribution(2), np.array([0]), np.array([w]))
+
     def test_sc2_threshold_edges(self):
-        # synthetic basis and residual with a closed-form cross term
-        q = np.eye(5)[:, :2]
-        basis = OrthonormalBasis(q=q)
-        plan = identity_plan(5)
-        eps, r2 = 0.5, 4.0  # threshold eps*r2/2 = 1.0; b is all residual, ||b||^2 = r2
-        for c_sq, expected in ((0.99, True), (1.01, False)):
-            bp = np.zeros((5, 1))
-            bp[0, 0] = math.sqrt(c_sq)
-            rep = check_structural(plan, basis, bp, eps, r2, r2)
-            assert rep.sc2_value == pytest.approx(c_sq, rel=1e-12)
+        # d = 1 and eps = 0.5 put the threshold eps * residual_sq / 2 at 0.5,
+        # so the cross term w^4 / 2 crosses it at w^4 = 1.
+        exact = self.two_row_solve(0.0, 1.0)
+        for c, expected in ((0.99, True), (1.01, False)):
+            rep = check_structural(self.row_zero_plan(c**0.25), exact, 0.5)
+            assert rep.sc2_value == pytest.approx(c / 2, rel=1e-12)
             assert rep.sc2_holds is expected
 
     def test_sc2_noise_floor(self):
         # A residual of 1e-20 against ||b||^2 = 1 is rounding noise: the
-        # cross term (also 1e-20, four times eps*r2/2) is under the noise
-        # floor 1e-18 * ||b||^2, so SC2 holds; at ||b||^2 = r2 it does not.
-        q = np.eye(5)[:, :2]
-        basis = OrthonormalBasis(q=q)
-        bp = np.zeros((5, 1))
-        bp[0, 0] = 1e-10
-        r2 = 1e-20
-        assert check_structural(identity_plan(5), basis, bp, 0.5, r2, 1.0).sc2_holds
-        assert not check_structural(identity_plan(5), basis, bp, 0.5, r2, r2).sc2_holds
+        # cross term (w^4 = 4: also 1e-20, four times eps*r2/2) is under the
+        # noise floor 1e-18 * ||b||^2, so SC2 holds; with no fitted part,
+        # ||b||^2 = r2, it does not.
+        d = math.sqrt(0.5e-20)
+        plan = self.row_zero_plan(math.sqrt(2.0))
+        assert check_structural(plan, self.two_row_solve(math.sqrt(0.5), d), 0.5).sc2_holds
+        assert not check_structural(plan, self.two_row_solve(0.0, d), 0.5).sc2_holds
 
     def test_undersampled_plan_has_zero_sc1(self):
         a, b = make_problem(3, n=20, r=4)
-        basis = orthonormal_basis(a)
-        exact = exact_lstsq(a, b)
         plan = SketchPlan(
             source=uniform_distribution(20),
             draws=np.array([0, 1]),
             weights=np.ones(2),
         )
-        rep = check_structural(
-            plan, basis, exact.b_perp, 0.25, exact.residual_sq, exact.b_norm_sq
-        )
+        rep = check_structural(plan, exact_lstsq(a, b), 0.25)
         assert rep.sc1_value == 0.0
         assert not rep.sc1_holds
 
     def test_epsilon_validated(self):
         a, b = make_problem(4)
-        basis = orthonormal_basis(a)
-        exact = exact_lstsq(a, b)
         with pytest.raises(InvalidParameterError):
-            check_structural(
-                identity_plan(40), basis, exact.b_perp, 1.5, exact.residual_sq, exact.b_norm_sq
-            )
+            check_structural(identity_plan(40), exact_lstsq(a, b), 1.5)
 
 
 class TestCheckBounds:
     def test_exact_candidate_passes_everything(self):
         a, b = make_problem(5)
         exact = exact_lstsq(a, b)
-        sol = SketchSolution(
-            x_tilde=exact.x_opt, plan=identity_plan(40), sketched_residual_sq=exact.residual_sq
-        )
-        rep = check_bounds(a, b, exact, sol, 0.2)
+        rep = check_bounds(a, b, exact.x_opt, exact, 0.2)
         assert rep.residual_bound_holds
-        assert rep.solution_bound_value == pytest.approx(0.0, abs=1e-18)
+        assert rep.solution_err_sq == pytest.approx(0.0, abs=1e-18)
         assert rep.solution_bound_holds
         assert rep.gamma_bound_holds
         assert 0.0 < rep.gamma <= 1.0 + 1e-12
@@ -162,9 +144,7 @@ class TestCheckBounds:
     def test_far_candidate_fails(self):
         a, b = make_problem(6)
         exact = exact_lstsq(a, b)
-        bad = exact.x_opt + 100.0
-        sol = SketchSolution(x_tilde=bad, plan=identity_plan(40), sketched_residual_sq=0.0)
-        rep = check_bounds(a, b, exact, sol, 0.2)
+        rep = check_bounds(a, b, exact.x_opt + 100.0, exact, 0.2)
         assert not rep.residual_bound_holds
         assert not rep.solution_bound_holds
 
@@ -173,18 +153,14 @@ class TestCheckBounds:
         exact = exact_lstsq(a, b)
         bad = np.array(exact.x_opt)
         bad[0, 0] = np.inf
-        sol = SketchSolution(x_tilde=bad, plan=identity_plan(40), sketched_residual_sq=0.0)
         with pytest.raises(InvalidParameterError, match="finite"):
-            check_bounds(a, b, exact, sol, 0.2)
+            check_bounds(a, b, bad, exact, 0.2)
 
     def test_solution_limit_formula(self):
         a, b = make_problem(7)
         exact = exact_lstsq(a, b)
-        sol = SketchSolution(
-            x_tilde=exact.x_opt, plan=identity_plan(40), sketched_residual_sq=exact.residual_sq
-        )
         eps = 0.3
-        rep = check_bounds(a, b, exact, sol, eps)
+        rep = check_bounds(a, b, exact.x_opt, exact, eps)
         sigma_min = spectral_extremes(a).sigma_min
         assert rep.solution_bound_limit == pytest.approx(
             eps * exact.residual_sq / sigma_min**2, rel=1e-12
@@ -195,10 +171,7 @@ class TestCheckBounds:
         exact = exact_lstsq(a, b)
         q = orthonormal_basis(a).q
         gamma_oracle = np.linalg.norm(q @ (q.T @ b)) / np.linalg.norm(b)
-        sol = SketchSolution(
-            x_tilde=exact.x_opt, plan=identity_plan(40), sketched_residual_sq=exact.residual_sq
-        )
-        rep = check_bounds(a, b, exact, sol, 0.2)
+        rep = check_bounds(a, b, exact.x_opt, exact, 0.2)
         assert rep.gamma == pytest.approx(float(gamma_oracle), rel=1e-10)
 
     def test_consistent_system_has_gamma_one(self):
@@ -206,10 +179,7 @@ class TestCheckBounds:
         a = rng.standard_normal((30, 3))
         b = a @ rng.standard_normal((3, 1))
         exact = exact_lstsq(a, b)
-        sol = SketchSolution(
-            x_tilde=exact.x_opt, plan=identity_plan(30), sketched_residual_sq=0.0
-        )
-        rep = check_bounds(a, b, exact, sol, 0.2)
+        rep = check_bounds(a, b, exact.x_opt, exact, 0.2)
         assert rep.gamma == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_rhs_vacuous_gamma_bound(self):
@@ -218,10 +188,7 @@ class TestCheckBounds:
         b = np.zeros((5, 1))
         b[4, 0] = 3.0
         exact = exact_lstsq(a, b)
-        sol = SketchSolution(
-            x_tilde=exact.x_opt, plan=identity_plan(5), sketched_residual_sq=0.0
-        )
-        rep = check_bounds(a, b, exact, sol, 0.2)
+        rep = check_bounds(a, b, exact.x_opt, exact, 0.2)
         assert rep.gamma_bound_limit == math.inf
         assert rep.gamma_bound_holds
         assert rep.gamma > 0.0
@@ -229,11 +196,8 @@ class TestCheckBounds:
     def test_epsilon_validated(self):
         a, b = make_problem(11)
         exact = exact_lstsq(a, b)
-        sol = SketchSolution(
-            x_tilde=exact.x_opt, plan=identity_plan(40), sketched_residual_sq=0.0
-        )
         with pytest.raises(InvalidParameterError):
-            check_bounds(a, b, exact, sol, 0.0)
+            check_bounds(a, b, exact.x_opt, exact, 0.0)
 
 
     @pytest.mark.parametrize("mangle, message", [
@@ -246,9 +210,8 @@ class TestCheckBounds:
         a, b = make_problem(24, n=200, r=3, m=2)
         exact = exact_lstsq(a, b)
         bb, x = mangle(b, exact.x_opt)
-        sol = SketchSolution(x_tilde=x, plan=identity_plan(200), sketched_residual_sq=0.0)
         with pytest.raises(DimensionError, match=f"^{message}$"):
-            check_bounds(a, bb, exact, sol, 0.2)
+            check_bounds(a, bb, x, exact, 0.2)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.25, math.nan, math.inf])
@@ -258,16 +221,13 @@ def test_open_interval_messages(site, bad):
     """Every epsilon/delta check in (0, 1) raises with the same text."""
     a, b = make_problem(25)
     exact = exact_lstsq(a, b)
-    sol = SketchSolution(x_tilde=exact.x_opt, plan=identity_plan(40), sketched_residual_sq=0.0)
     name = "delta" if site.endswith("delta") else "epsilon"
     call = {
         "AccuracyTarget.epsilon": lambda: AccuracyTarget(bad, 0.5),
         "AccuracyTarget.delta": lambda: AccuracyTarget(0.5, bad),
         "TrialScorer": lambda: TrialScorer(exact, bad),
-        "check_structural": lambda: check_structural(identity_plan(40), exact.basis,
-                                                     exact.b_perp, bad, exact.residual_sq,
-                                                     exact.b_norm_sq),
-        "check_bounds": lambda: check_bounds(a, b, exact, sol, bad),
+        "check_structural": lambda: check_structural(identity_plan(40), exact, bad),
+        "check_bounds": lambda: check_bounds(a, b, exact.x_opt, exact, bad),
     }[site]
     with pytest.raises(InvalidParameterError) as exc_info:
         call()
@@ -275,9 +235,9 @@ def test_open_interval_messages(site, bad):
 
 
 @pytest.mark.parametrize("module, check", [
-    pytest.param("solver", lambda a, b, exact, sol: accuracy_ratio(a, b, sol.x_tilde, exact),
+    pytest.param("solver", lambda a, b, exact, x: accuracy_ratio(a, b, x, exact),
                  id="accuracy_ratio"),
-    pytest.param("diagnostics", lambda a, b, exact, sol: check_bounds(a, b, exact, sol, 0.2),
+    pytest.param("diagnostics", lambda a, b, exact, x: check_bounds(a, b, x, exact, 0.2),
                  id="check_bounds"),
 ])
 def test_b_norm_comes_from_the_exact_solve(module, check, monkeypatch):
@@ -285,8 +245,8 @@ def test_b_norm_comes_from_the_exact_solve(module, check, monkeypatch):
     # exact.b_norm_sq and never pass b to fro_norm_sq again.
     a, b = make_problem(8)
     exact = exact_lstsq(a, b)
-    sol = sketched_lstsq(a, b, uniform_distribution(40), 20, RngStream(8))
-    want = check(a, b, exact, sol)
+    x = sketched_lstsq(a, b, uniform_distribution(40), 20, RngStream(8)).x_tilde
+    want = check(a, b, exact, x)
     seen = []
     mod = importlib.import_module(f"levsketch.{module}")
     original = mod.fro_norm_sq
@@ -296,7 +256,7 @@ def test_b_norm_comes_from_the_exact_solve(module, check, monkeypatch):
         return original(m)
 
     monkeypatch.setattr(mod, "fro_norm_sq", recording)
-    assert check(a, b, exact, sol) == want
+    assert check(a, b, exact, x) == want
     assert seen and not any(np.shares_memory(m, b) for m in seen)
 
 
@@ -307,19 +267,15 @@ def test_structural_conditions_imply_bounds_small_sweep():
     a = rng.standard_normal((300, 4))
     b = a @ rng.standard_normal((4, 2)) + 0.7 * rng.standard_normal((300, 2))
     exact = exact_lstsq(a, b)
-    basis = orthonormal_basis(a)
     p = leverage_distribution(leverage_scores(a))
     eps = 0.3
     checked = 0
     for t in range(300):
         plan = build_sketch(p, 64, RngStream(606060, t + 1))
-        srep = check_structural(
-            plan, basis, exact.b_perp, eps, exact.residual_sq, exact.b_norm_sq
-        )
+        srep = check_structural(plan, exact, eps)
         if not (srep.sc1_holds and srep.sc2_holds):
             continue
-        sol = solve_with_plan(a, b, plan)
-        brep = check_bounds(a, b, exact, sol, eps)
+        brep = check_bounds(a, b, solve_with_plan(a, b, plan).x_tilde, exact, eps)
         assert brep.residual_bound_holds, f"trial {t}: residual bound broke"
         assert brep.solution_bound_holds, f"trial {t}: solution bound broke"
         checked += 1
@@ -333,7 +289,7 @@ class TestTrialScorerAgainstOracle:
     EPS = 0.3
     # Columns at the scale of the exact residual; on a consistent system
     # they are rounding noise on both paths.
-    RESIDUAL_SCALE = {"sc2_value", "solution_bound_value", "solution_bound_limit",
+    RESIDUAL_SCALE = {"sc2_value", "solution_err_sq", "solution_bound_limit",
                       "gamma_bound_limit"}
 
     @staticmethod
@@ -377,9 +333,7 @@ class TestTrialScorerAgainstOracle:
 
     @classmethod
     def oracle(cls, a, b, exact, plan):
-        sr = check_structural(
-            plan, exact.basis, exact.b_perp, cls.EPS, exact.residual_sq, exact.b_norm_sq
-        )
+        sr = check_structural(plan, exact, cls.EPS)
         out = {**asdict(sr), "accuracy_ratio": float("inf"), "eps_accurate": False, "error": ""}
         try:
             sol = solve_with_plan(a, b, plan)
@@ -388,7 +342,7 @@ class TestTrialScorerAgainstOracle:
             return out
         out["accuracy_ratio"] = accuracy_ratio(a, b, sol.x_tilde, exact)
         out["eps_accurate"] = out["accuracy_ratio"] <= 1.0 + cls.EPS
-        out.update(asdict(check_bounds(a, b, exact, sol, cls.EPS)))
+        out.update(asdict(check_bounds(a, b, sol.x_tilde, exact, cls.EPS)))
         return out
 
     @staticmethod
@@ -434,9 +388,7 @@ class TestTrialScorerAgainstOracle:
                           np.array([1e308, 1.0, 1.0]))
         with np.errstate(over="ignore"):
             with pytest.raises(InvalidParameterError, match="finite"):
-                check_structural(
-                    plan, exact.basis, exact.b_perp, 0.3, exact.residual_sq, exact.b_norm_sq
-                )
+                check_structural(plan, exact, 0.3)
             with pytest.raises(InvalidParameterError, match="finite"):
                 TrialScorer(exact, 0.3).score(plan)
 
@@ -459,11 +411,9 @@ class TestTrialScorerAgainstOracle:
             TrialScorer(exact, 0.3).score(identity_plan(39))
 
 
-#: The oracle's name of each ChunkScores bound column.
-BOUND_FIELDS = {"solution_err_sq": "solution_bound_value",
-                **{name: name for name in ("solution_bound_limit", "solution_bound_holds",
-                                           "residual_bound_holds", "gamma",
-                                           "gamma_bound_limit", "gamma_bound_holds")}}
+#: The ChunkScores columns of the bound check, named as its BoundReport fields;
+#: a failed sketch holds failure entries in them, and the oracle has none.
+BOUND_COLUMNS = [f.name for f in fields(BoundReport)]
 
 
 def score_fields(scores, k=0):
@@ -471,14 +421,12 @@ def score_fields(scores, k=0):
     bound columns only when it has no error, and otherwise after checking
     that they hold the failure entries (nan values, false verdicts)."""
     row = {name: column.tolist()[k] for name, column in zip(ChunkScores._fields, scores)}
-    out = {name: row[name] for name in ChunkScores._fields if name not in BOUND_FIELDS}
-    if not row["error"]:
-        out.update({BOUND_FIELDS[name]: row[name] for name in BOUND_FIELDS})
-    else:
-        for name in BOUND_FIELDS:
+    if row["error"]:
+        for name in BOUND_COLUMNS:
             assert (math.isnan(row[name]) if isinstance(row[name], float)
                     else row[name] is False), f"{name} of a failed sketch: {row[name]!r}"
-    return out
+            del row[name]
+    return row
 
 
 def assert_kernel_matches_oracle(got, want, zero_residual=False):

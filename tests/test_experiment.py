@@ -129,8 +129,13 @@ class TestRunExperiment:
         assert all(r.rng_algorithm == "philox4x64" for r in rows)
         assert report.s == 24  # xr:8 with rank 3
         assert report.beta == 1.0  # exact leverage sampling
-        for rate in (report.success_rate, report.sc1_rate, report.sc2_rate):
-            assert 0.0 <= rate <= 1.0
+        # The rates and the violation count are counts over the trial columns.
+        for rate, column in (("success_rate", "eps_accurate"), ("sc1_rate", "sc1_holds"),
+                             ("sc2_rate", "sc2_holds")):
+            assert getattr(report, rate) == sum(getattr(r, column) for r in rows) / 12
+        assert report.implication_violations == sum(
+            r.sc1_holds and r.sc2_holds and not (r.residual_bound_holds
+                                                 and r.solution_bound_holds) for r in rows)
 
     def test_rerun_is_identical(self):
         cfg = small_config()
@@ -446,11 +451,13 @@ class TestReportFormat:
         for t, values in enumerate(specials):
             for name, value in values.items():
                 columns[name][t] = value
-        report = dataclasses.replace(report, scores=ChunkScores(**columns), beta=-0.0,
-                                     success_rate=math.inf, sc1_rate=0.25)
+        # The trailer's rates are counted over these columns.
+        columns["eps_accurate"][:] = False
+        columns["sc1_holds"][:] = np.arange(4) == 1
+        report = dataclasses.replace(report, scores=ChunkScores(**columns), beta=-0.0)
         got = report_lines(report)
         assert got[:5] == oracle_lines(report)
-        assert got[7:10] == ["# beta=-0", "# success_rate=inf", "# sc1_rate=0.25"]
+        assert got[7:10] == ["# beta=-0", "# success_rate=0", "# sc1_rate=0.25"]
         assert got[1].startswith("0,24,-0,nan,")
         assert ",a;b ;c," in got[3] and got[3].endswith(",x y;%d,0,3")
         assert "1.7976931348623157e+308" in got[2] and "4.9406564584124654e-324" in got[2]

@@ -108,6 +108,28 @@ class TestLeverageProfileValidation:
         with pytest.raises(InvalidParameterError, match="finite"):
             LeverageProfile(scores=np.array([np.nan, 0.5]), rank=1)
 
+    @pytest.mark.parametrize("scores, rank, error, message", [
+        pytest.param(np.full((2, 2), 0.5), 2, DimensionError,
+                     "scores must be a nonempty 1-D array", id="2-D"),
+        pytest.param(np.array([]), 1, DimensionError,
+                     "scores must be a nonempty 1-D array", id="empty"),
+        pytest.param(np.array([0.5, 0.5]), 0, InvalidParameterError, "rank 0 out of range",
+                     id="rank-0"),
+        pytest.param(np.array([1.0, 1.0]), 3, InvalidParameterError, "rank 3 out of range",
+                     id="rank-above-n"),
+    ])
+    def test_malformed_profile_rejected(self, scores, rank, error, message):
+        with pytest.raises(error) as exc_info:
+            LeverageProfile(scores=scores, rank=rank)
+        assert str(exc_info.value) == message
+
+    def test_non_integral_rank_rejected_not_truncated(self):
+        # The scores sum to 1.5, so only the integer check can reject it.
+        with pytest.raises(InvalidParameterError) as exc_info:
+            LeverageProfile(scores=np.array([0.75, 0.75]), rank=1.5)
+        assert str(exc_info.value) == "rank must be an integer, got 1.5"
+        assert LeverageProfile(scores=np.array([0.75, 0.25]), rank=np.int64(1)).rank == 1
+
     def test_a_writeable_array_is_copied_not_frozen(self):
         scores = np.array([0.25, 0.75])
         profile = LeverageProfile(scores=scores, rank=1)
@@ -150,6 +172,31 @@ class TestDistributions:
         dist = uniform_distribution(8)
         np.testing.assert_allclose(dist.probs, np.full(8, 0.125))
         assert dist.beta is None
+
+    @pytest.mark.parametrize("n_rows, error, message", [
+        pytest.param(0, InvalidParameterError, "need at least one row, got 0", id="zero"),
+        pytest.param(2.5, InvalidParameterError, "n_rows must be an integer, got 2.5",
+                     id="non-integral"),
+    ])
+    def test_uniform_row_count_checked(self, n_rows, error, message):
+        with pytest.raises(error) as exc_info:
+            uniform_distribution(n_rows)
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("probs, beta, error, message", [
+        pytest.param(np.full((2, 2), 0.25), None, DimensionError,
+                     "probs must be a nonempty 1-D array", id="2-D"),
+        pytest.param(np.array([]), None, DimensionError,
+                     "probs must be a nonempty 1-D array", id="empty"),
+        pytest.param(np.array([0.5, 0.5]), 0.0, InvalidParameterError,
+                     "beta must lie in (0, 1], got 0.0", id="beta-0"),
+        pytest.param(np.array([0.5, 0.5]), 1.5, InvalidParameterError,
+                     "beta must lie in (0, 1], got 1.5", id="beta-above-1"),
+    ])
+    def test_malformed_distribution_rejected(self, probs, beta, error, message):
+        with pytest.raises(error) as exc_info:
+            SamplingDistribution(probs=probs, beta=beta)
+        assert str(exc_info.value) == message
 
     def test_probs_must_sum_to_one(self):
         with pytest.raises(InvalidParameterError):

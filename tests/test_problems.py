@@ -35,9 +35,9 @@ class TestGaussianIncoherent:
         a, b, meta = generate_problem(spec)
         assert a.shape == (100, 4)
         assert b.shape == (100, 3)
-        assert meta["kind"] == "gaussian-incoherent"
+        assert meta.keys() == {"x_true", "attempts", "exact", "profile"}
         assert meta["x_true"].shape == (4, 3)
-        assert meta["coherence"] == pytest.approx(leverage_scores(a).coherence)
+        assert meta["profile"].coherence == pytest.approx(leverage_scores(a).coherence)
 
     def test_deterministic_in_seed(self):
         spec = ProblemSpec("gaussian-incoherent", n_rows=50, n_cols=3, seed=12)
@@ -56,7 +56,7 @@ class TestGaussianIncoherent:
         for seed in range(20):
             spec = ProblemSpec("gaussian-incoherent", n_rows=1000, n_cols=5, seed=seed)
             _, _, meta = generate_problem(spec)
-            assert meta["coherence"] <= 10 * 5 / 1000
+            assert meta["profile"].coherence <= 10 * 5 / 1000
 
 
 class TestSpikedCoherent:
@@ -66,7 +66,7 @@ class TestSpikedCoherent:
                 "spiked-coherent", n_rows=400, n_cols=4, coherence_target=target, seed=3
             )
             _, _, meta = generate_problem(spec)
-            assert meta["coherence"] == pytest.approx(target, abs=1e-8)
+            assert meta["profile"].coherence == pytest.approx(target, abs=1e-8)
 
     def test_spiked_high_target(self):
         spec = ProblemSpec(
@@ -85,8 +85,8 @@ class TestSpikedCoherent:
         problems_mod._plant_spike(planted, 1.0)
         np.testing.assert_array_equal(planted[0], 1e8 * drawn[0])
         np.testing.assert_array_equal(a, planted)
-        assert 1.0 - 1e-12 < meta["coherence"] <= 1.0
-        assert meta["coherence"] == leverage_scores(a).coherence
+        assert 1.0 - 1e-12 < meta["profile"].coherence <= 1.0
+        assert meta["profile"].coherence == leverage_scores(a).coherence
 
     def test_target_range_validated(self):
         with pytest.raises(InvalidParameterError):
@@ -117,10 +117,9 @@ def test_meta_carries_the_exact_solve(kind):
     spec = ProblemSpec(kind, n_rows=60, n_cols=4, rhs_cols=2, coherence_target=0.9, seed=8)
     a, b, meta = generate_problem(spec)
     assert_same_solve(meta["exact"], exact_lstsq(a, b))
-    assert meta["coherence"] == leverage_scores(a).coherence
     profile = meta["profile"]
     np.testing.assert_array_equal(profile.scores, leverage_scores(a).scores)
-    assert profile.coherence == meta["coherence"] and profile.rank == 4
+    assert profile.coherence == leverage_scores(a).coherence and profile.rank == 4
 
 
 def assert_same_solve(got, want):
@@ -153,7 +152,7 @@ class TestRetry:
         # the retry uses the next design drawn from the same stream
         np.testing.assert_array_equal(a, calls[1])
         assert not np.array_equal(calls[0], calls[1])
-        assert meta["coherence"] == leverage_scores(a).coherence
+        assert meta["profile"].coherence == leverage_scores(a).coherence
 
     def test_always_deficient_gives_up(self, monkeypatch):
         def deficient(a, b):
@@ -187,7 +186,7 @@ class TestRetry:
         a, _, meta = generate_problem(spec)
         assert meta["attempts"] == 2
         np.testing.assert_array_equal(a[1:], calls[1][1:])
-        assert abs(meta["coherence"] - 0.5) < 1e-12
+        assert abs(meta["profile"].coherence - 0.5) < 1e-12
 
         def singular(a, target):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -215,7 +214,7 @@ class TestCustomFile:
         assert meta["x_true"] is None
         assert meta["attempts"] == 1
         assert_same_solve(meta["exact"], exact_lstsq(a, b))
-        assert meta["coherence"] == leverage_scores(a).coherence
+        assert meta["profile"].coherence == leverage_scores(a).coherence
 
     def test_one_factorization(self, tmp_path, count_numpy_calls):
         spec = self.write_spec(tmp_path, 12, 12)

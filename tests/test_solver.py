@@ -161,6 +161,12 @@ class TestSketchedLstsq:
         sol = sketched_lstsq(a, b, uniform_distribution(20), np.int64(7), RngStream(0))
         assert sol.plan.n_samples == 7
 
+    def test_wide_matrix_rejected(self):
+        plan = build_sketch(uniform_distribution(2), 3, RngStream(0))
+        with pytest.raises(DimensionError) as exc_info:
+            solve_with_plan(np.ones((2, 3)), np.ones((2, 1)), plan)
+        assert str(exc_info.value) == "matrix cannot be wider than tall, got 2x3"
+
     def test_row_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             sketched_lstsq(
