@@ -160,9 +160,9 @@ def _cmd_leverage(args) -> int:
     print(f"rows={profile.n_rows} rank={profile.rank} coherence={profile.coherence:.17g}")
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_lines(fh, profile.scores, "%.17g\n")
+            write_lines(fh, profile.scores)
     else:
-        write_lines(sys.stdout, profile.scores, "%.17g\n")
+        write_lines(sys.stdout, profile.scores)
     return 0
 
 

@@ -62,11 +62,14 @@ def as_problem(a, b, x=None) -> tuple[np.ndarray, ...]:
 
 def as_int(value, name: str) -> int:
     """The boundary check for an integer parameter: ``value`` as an int; a
-    non-integral value such as ``2.5`` raises instead of being truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    non-integral value such as ``2.5``, or a bool, raises instead of being
+    truncated or counted as 0 or 1."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def in_open_unit(value: float, name: str) -> None:

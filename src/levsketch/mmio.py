@@ -6,9 +6,9 @@ column-major order.  Writes put one entry per line in scientific notation
 with 17 significant digits, so a write/read round trip reproduces every
 float64 bit for bit.
 
-A write (:func:`write_lines`, which also prints ``leverage``'s ``%.17g``
-scores) gives exactly the bytes of ``line_format % v`` for each value.  It
-takes :data:`WRITE_BLOCK` values at a time.  A digit kernel, the printing
+A write (:func:`write_lines`, which also prints ``leverage``'s scores)
+gives exactly the bytes of ``"%.16e\\n" % v`` for each value.  It takes
+:data:`WRITE_BLOCK` values at a time.  A digit kernel, the printing
 counterpart of the reader's Eisel-Lemire path (Adams 2019, "Ryu revisited:
 printf floating point conversion"), estimates each value's decimal exponent
 k from its binary exponent and rounds ``|x| * 10**(16 - k)`` to 17 digits
@@ -71,22 +71,20 @@ WRITE_BLOCK = 16384
 READ_BLOCK = 1 << 18
 
 
-def write_lines(fh, values: np.ndarray, line_format: str) -> None:
+def write_lines(fh, values: np.ndarray) -> None:
     """Write each entry of the 1-D float64 ``values`` to the text file ``fh``
-    as ``line_format % v``, for ``line_format`` ``"%.16e\\n"`` or
-    ``"%.17g\\n"``.
+    as ``"%.16e\\n" % v``.
 
     The digit kernel (:func:`_decimal_digits`) rounds ``WRITE_BLOCK`` values
-    at a time to 17 significant digits, and the format's layout turns them
-    into bytes.  ``%`` formats only the values the kernel leaves undecided;
-    their texts are spliced in where their lines go.
+    at a time to 17 significant digits, and :func:`_layout` turns them into
+    bytes.  ``%`` formats only the values the kernel leaves undecided; their
+    texts are spliced in where their lines go.
     """
-    layout = _LAYOUTS[line_format]
     values = np.asarray(values, dtype=np.float64)
     for start in range(0, len(values), WRITE_BLOCK):
         block = values[start:start + WRITE_BLOCK]
         digits, exponents, undecided = _decimal_digits(block)
-        rows, keep = layout(np.signbit(block), _digit_bytes(digits), exponents)
+        rows, keep = _layout(np.signbit(block), _digit_bytes(digits), exponents)
         at = np.flatnonzero(undecided)
         keep[at] = False
         text = rows.reshape(-1).take(np.flatnonzero(keep)).tobytes().decode("ascii")
@@ -94,7 +92,7 @@ def write_lines(fh, values: np.ndarray, line_format: str) -> None:
             # An undecided value's line is empty here: its text goes where
             # the lines before it end.
             cuts = [0, *np.cumsum(keep.sum(axis=1))[at].tolist(), len(text)]
-            exact = [line_format % v for v in block[at].tolist()] + [""]
+            exact = ["%.16e\n" % v for v in block[at].tolist()] + [""]
             text = "".join(text[a:b] + t for a, b, t in zip(cuts, cuts[1:], exact))
         fh.write(text)
 
@@ -104,7 +102,7 @@ def write_matrix(path: str | os.PathLike, m) -> None:
     a = as_array(m)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"%%MatrixMarket matrix array real general\n{a.shape[0]} {a.shape[1]}\n")
-        write_lines(fh, a.ravel(order="F"), "%.16e\n")
+        write_lines(fh, a.ravel(order="F"))
 
 
 def decode_text(data: bytes, error: type[LevSketchError]) -> str:
@@ -488,81 +486,25 @@ def _digit_bytes(d: np.ndarray) -> np.ndarray:
     return groups.view(np.uint8)[:, 3:]
 
 
-def _rows(template: np.ndarray, k: np.ndarray, exponent_at: int) -> np.ndarray:
-    """One copy of the line ``template`` per value, with the sign and three
-    digits of ``k`` after the "e" at ``exponent_at``."""
-    rows = np.empty((len(k), template.size), np.uint8)
-    rows[:] = template
-    rows[:, exponent_at + 1] = np.where(k < 0, ord("-"), ord("+"))
-    exponent = _four_digits().take(np.abs(k)).view(np.uint8).reshape(-1, 4)
-    rows[:, exponent_at + 2:exponent_at + 5] = exponent[:, 1:]
-    return rows
+#: A line: sign, lead digit, ".", 16 digits, "e", sign, 3 digits, "\n".
+_LINE = np.frombuffer(b"-0.0000000000000000e+000\n", np.uint8)
+_LINE_E = 19
 
 
-#: ``%.16e`` line: sign, lead digit, ".", 16 digits, "e", sign, 3 digits, "\n".
-_E_TEMPLATE = np.frombuffer(b"-0.0000000000000000e+000\n", np.uint8)
-_E_EXP = 19
-
-
-def _layout_e(negative: np.ndarray, digits: np.ndarray, k: np.ndarray):
-    """Byte rows and keep masks of ``%.16e`` lines."""
-    rows = _rows(_E_TEMPLATE, k, _E_EXP)
+def _layout(negative: np.ndarray, digits: np.ndarray, k: np.ndarray):
+    """Byte rows and keep masks of the ``%.16e`` lines of values with signs
+    ``negative``, 17 ASCII digits ``digits`` and decimal exponents ``k``."""
+    rows = np.empty((len(k), _LINE.size), np.uint8)
+    rows[:] = _LINE
     rows[:, 1] = digits[:, 0]
-    rows[:, 3:_E_EXP] = digits[:, 1:]
+    rows[:, 3:_LINE_E] = digits[:, 1:]
+    rows[:, _LINE_E + 1] = np.where(k < 0, ord("-"), ord("+"))
+    exponent = _four_digits().take(np.abs(k)).view(np.uint8).reshape(-1, 4)
+    rows[:, _LINE_E + 2:_LINE_E + 5] = exponent[:, 1:]
     keep = np.ones(rows.shape, bool)
     keep[:, 0] = negative
-    keep[:, _E_EXP + 2] = np.abs(k) >= 100
+    keep[:, _LINE_E + 2] = np.abs(k) >= 100
     return rows, keep
-
-
-#: ``%.17g`` line: sign, "0.000" for fixed notation below 1, 17 digits each
-#: followed by a slot for the point, "e", sign, 3 digits, "\n", and two
-#: slots never kept, so a line's keep mask is 6 bytes of bits.
-_G_TEMPLATE = np.frombuffer(b"-0.000" + b"0." * 17 + b"e+000\n  ", np.uint8)
-_G_DIGIT = 6
-_G_EXP = _G_DIGIT + 34
-
-
-def _bits(*slots: int) -> int:
-    """The keep mask of the given slots of a line, as an integer."""
-    return sum(1 << s for s in slots)
-
-
-#: Keep bits of the digits up to digit j, of "0." and z more zeros, and of
-#: the exponent with 2 and with 3 digits.
-_G_DIGITS_TO = np.array([_bits(*range(_G_DIGIT, _G_DIGIT + 2 * j + 1, 2)) for j in range(17)],
-                        np.uint64)
-_G_ZEROS = np.array([_bits(*range(1, 3 + z)) for z in range(4)], np.uint64)
-_G_EXP2 = _U64(_bits(_G_EXP, _G_EXP + 1, _G_EXP + 3, _G_EXP + 4))
-_G_EXP3 = _G_EXP2 | _U64(_bits(_G_EXP + 2))
-
-
-def _layout_g(negative: np.ndarray, digits: np.ndarray, k: np.ndarray):
-    """Byte rows and keep masks of ``%.17g`` lines: scientific notation for
-    an exponent below -4 or above 16, fixed otherwise, trailing zeros and a
-    bare point dropped."""
-    rows = _rows(_G_TEMPLATE, k, _G_EXP)
-    rows[:, _G_DIGIT:_G_EXP:2] = digits
-    scientific = (k < -4) | (k > 16)
-    below_one = ~scientific & (k < 0)
-    # The point follows digit ``point`` (none for fixed notation below one);
-    # digits run to the last nonzero one (the lead digit is 0 only for a
-    # zero), or to the point if that is later.
-    point = np.where(scientific | below_one, 0, k)
-    nonzero = digits != ord("0")
-    last = 16 - np.argmax(nonzero[:, ::-1], axis=1)
-    last[~nonzero[:, 0]] = 0
-    np.maximum(last, point, out=last)
-    bits = _G_DIGITS_TO[last] | negative | _U64(_bits(_G_EXP + 5))
-    bits |= np.where(below_one, _G_ZEROS[np.clip(-1 - k, 0, 3)], _U64(0))
-    bits |= np.where(~below_one & (last > point),
-                     _U64(1) << (_G_DIGIT + 1 + 2 * point).astype(np.uint64), _U64(0))
-    bits |= np.where(scientific, np.where(np.abs(k) >= 100, _G_EXP3, _G_EXP2), _U64(0))
-    six = bits.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :6]
-    return rows, np.unpackbits(six, axis=1, bitorder="little").view(bool)
-
-
-_LAYOUTS = {"%.16e\n": _layout_e, "%.17g\n": _layout_g}
 
 
 def _parse_lines(raw: str) -> DenseMatrix:

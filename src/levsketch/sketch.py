@@ -153,9 +153,10 @@ class SketchPlan:
 
 def _sample_count(s) -> int:
     """``s`` as a row count; every draw goes through here, so a count that is
-    not a positive integer (``2.5`` included) raises instead of being truncated."""
+    not a positive integer (``2.5`` and ``True`` included) raises instead of
+    being truncated or counted as 1."""
     try:
-        count = operator.index(s)
+        count = 0 if isinstance(s, (bool, np.bool_)) else operator.index(s)
     except TypeError:
         count = 0
     if count < 1:

@@ -20,7 +20,7 @@ from .exceptions import (
     SketchRankDeficientError,
 )
 from .leverage import SamplingDistribution
-from .linalg import (RANK_TOL, LstsqSolution, as_array, as_int, as_problem, fro_norm_sq,
+from .linalg import (RANK_TOL, LstsqSolution, as_int, as_problem, fro_norm_sq,
                      in_open_unit, read_only)
 from .sketch import RngStream, SketchPlan, apply_sketch, build_sketch
 
@@ -125,17 +125,13 @@ def sketched_lstsq(
 
     Raises
     ------
+    InvalidSampleCountError
+        If ``s`` is not a positive integer.
     SketchRankDeficientError
         If ``s < r`` or the realized sketch loses column rank.  Not retried
         internally, so failure rates stay measurable.
     """
-    arr = as_array(a)
-    if s < arr.shape[1]:
-        raise SketchRankDeficientError(
-            f"{s} samples cannot cover rank {arr.shape[1]}"
-        )
-    plan = build_sketch(p, s, rng)
-    return solve_with_plan(arr, b, plan)
+    return solve_with_plan(a, b, build_sketch(p, s, rng))
 
 
 def accuracy_ratio(a, b, x_tilde, exact: LstsqSolution) -> float:

@@ -18,8 +18,9 @@ import levsketch.cli as cli_mod
 from levsketch import (
     AccuracyTarget,
     ConfigParseError,
+    ProblemSpec,
+    generate_problem,
     leverage_scores,
-    mmio,
     read_matrix,
     run_experiment,
     write_matrix,
@@ -284,7 +285,7 @@ class TestLeverage:
     def test_output_bytes_match_per_value_format(self, problem_files, tmp_path, capsys):
         a_path, _ = problem_files
         scores = leverage_scores(read_matrix(a_path)).scores
-        lines = "".join(format(v, ".17g") + "\n" for v in scores)
+        lines = "".join(format(v, ".16e") + "\n" for v in scores)
         out = tmp_path / "scores.txt"
         assert main(["leverage", str(a_path), "--out", str(out)]) == 0
         assert out.read_bytes() == lines.encode()
@@ -292,20 +293,20 @@ class TestLeverage:
         assert main(["leverage", str(a_path)]) == 0
         assert capsys.readouterr().out == header + lines
 
-    def test_scores_across_blocks_and_the_notation_switch_match_per_value_format(
-        self, tmp_path, capsys
-    ):
-        # More rows than one write block, and scores on both sides of 1e-4,
-        # where %.17g switches from fixed to scientific notation.
-        n = mmio.WRITE_BLOCK + 1
-        a = np.random.default_rng(231).standard_normal((n, 2))
-        path, out = tmp_path / "tall.mtx", tmp_path / "scores.txt"
+    def test_scores_at_the_files_solve_shape_match_per_value_format(self, tmp_path, capsys):
+        # The benchmark's files-solve matrix: 50000 rows, four write blocks,
+        # whose score file the benchmark sums and takes the max of.
+        a, _, meta = generate_problem(ProblemSpec("spiked-coherent", 50000, 5,
+                                                  coherence_target=0.9, seed=231))
+        path, out = tmp_path / "A.mtx", tmp_path / "scores.txt"
         write_matrix(path, a)
         scores = leverage_scores(read_matrix(path)).scores
-        lines = "".join("%.17g\n" % v for v in scores.tolist())
-        assert "e-05\n" in lines and "\n0.000" in lines
+        assert scores.tobytes() == meta["profile"].scores.tobytes()
+        lines = "".join("%.16e\n" % v for v in scores.tolist())
         assert main(["leverage", str(path), "--out", str(out)]) == 0
         assert out.read_bytes() == lines.encode()
+        parsed = np.array([float(t) for t in out.read_text().splitlines()])
+        assert parsed.tobytes() == scores.tobytes()
         header = capsys.readouterr().out
         assert main(["leverage", str(path)]) == 0
         assert capsys.readouterr().out == header + lines

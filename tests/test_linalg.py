@@ -15,13 +15,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levsketch import (
+    AccuracyTarget,
     DenseMatrix,
     DimensionError,
     InvalidParameterError,
+    LevSketchError,
     OrthonormalBasis,
+    ProblemSpec,
     RankDeficientError,
     RngStream,
     SpectralSummary,
+    TrialConfig,
     apply_sketch,
     build_sketch,
     exact_lstsq,
@@ -37,10 +41,37 @@ from levsketch.linalg import (
     SLAB_ROWS,
     _qr_full_rank,
     as_array,
+    as_int,
     as_problem,
     fro_norm_sq_each,
     kept,
 )
+from levsketch.sketch import _sample_count
+
+
+#: Each boundary that takes an integer parameter, called with one value.
+INTEGER_ENTRY_POINTS = {
+    "as_int": lambda v: as_int(v, "n"),
+    "ProblemSpec-seed": lambda v: ProblemSpec("gaussian-incoherent", 20, 2, seed=v),
+    "ProblemSpec-sizes": lambda v: ProblemSpec("gaussian-incoherent", n_rows=v, n_cols=v),
+    "TrialConfig-n_trials": lambda v: TrialConfig(
+        ProblemSpec("gaussian-incoherent", 20, 2), "leverage", "xr:4",
+        AccuracyTarget(0.3, 0.3), n_trials=v),
+    "RngStream": lambda v: RngStream(v),
+    "sample_count": _sample_count,
+}
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "numpy-True"])
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS.values(), ids=INTEGER_ENTRY_POINTS.keys())
+def test_bools_are_rejected_as_integers_like_non_integral_values(entry, value):
+    # A bool is an int to Python, but True seeds, sizes and counts are
+    # mistakes, not 1: each raises what 2.5 raises.
+    with pytest.raises(LevSketchError) as non_integral:
+        entry(2.5)
+    with pytest.raises(type(non_integral.value)) as exc_info:
+        entry(value)
+    assert str(exc_info.value) == str(non_integral.value).replace("2.5", repr(value))
 
 
 def normal_equations_solve(a, b):

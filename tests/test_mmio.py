@@ -363,17 +363,14 @@ def test_write_read_round_trip_is_bit_exact(rows, cols, data):
 
 # -- the writer's digit kernel against % --------------------------------------
 
-_LINE_FORMATS = pytest.mark.parametrize("line_format", ["%.16e\n", "%.17g\n"], ids=["16e", "17g"])
-
-
-def _written(values, line_format: str) -> str:
+def _written(values) -> str:
     fh = io.StringIO()
-    mmio.write_lines(fh, np.asarray(values, dtype=np.float64), line_format)
+    mmio.write_lines(fh, np.asarray(values, dtype=np.float64))
     return fh.getvalue()
 
 
-def _per_value(values, line_format: str) -> str:
-    return "".join(line_format % v for v in np.asarray(values, dtype=np.float64).tolist())
+def _per_value(values) -> str:
+    return "".join("%.16e\n" % v for v in np.asarray(values, dtype=np.float64).tolist())
 
 
 def _ties() -> list[float]:
@@ -407,10 +404,9 @@ def _edge_values() -> np.ndarray:
 
 
 class TestWriter:
-    @_LINE_FORMATS
-    def test_edge_values_match_per_value_format(self, line_format):
+    def test_edge_values_match_per_value_format(self):
         values = _edge_values()
-        assert _written(values, line_format) == _per_value(values, line_format)
+        assert _written(values) == _per_value(values)
 
     def test_edge_values_round_into_new_decades_and_tie(self):
         # The edge set holds doubles below a power of ten that round up to it
@@ -423,26 +419,23 @@ class TestWriter:
         assert len(_ties()) > 100
         assert mmio._decimal_digits(np.array(_ties()))[2].all()
 
-    @_LINE_FORMATS
-    def test_random_bit_patterns_match_per_value_format(self, line_format):
+    def test_random_bit_patterns_match_per_value_format(self):
         rng = np.random.default_rng(2302)
         values = rng.integers(0, 2**64, 40000, dtype=np.uint64, endpoint=False).view(np.float64)
-        assert _written(values, line_format) == _per_value(values, line_format)
+        assert _written(values) == _per_value(values)
 
-    @_LINE_FORMATS
     @pytest.mark.parametrize("n", [mmio.WRITE_BLOCK - 1, mmio.WRITE_BLOCK, mmio.WRITE_BLOCK + 1])
-    def test_block_sizes_match_per_value_format(self, line_format, n):
+    def test_block_sizes_match_per_value_format(self, n):
         rng = np.random.default_rng(n)
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n)
         values[::97] = _edge_values()[: len(values[::97])]
-        assert _written(values, line_format) == _per_value(values, line_format)
+        assert _written(values) == _per_value(values)
 
-    @_LINE_FORMATS
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
-    def test_round_trip(self, line_format, values):
-        text = _written(values, line_format)
-        assert text == _per_value(values, line_format)
+    def test_round_trip(self, values):
+        text = _written(values)
+        assert text == _per_value(values)
         parsed = np.array([float(t) for t in text.split()], dtype=np.float64)
         assert parsed.tobytes() == np.array(values, dtype=np.float64).tobytes()
 
@@ -454,11 +447,7 @@ class TestWriter:
         scores = meta["profile"].scores
         for values in (normals, scores):
             assert not mmio._decimal_digits(values)[2].any()
-        assert _written(scores, "%.17g\n") == _per_value(scores, "%.17g\n")
-
-    def test_other_line_formats_are_rejected(self):
-        with pytest.raises(KeyError):
-            mmio.write_lines(io.StringIO(), np.ones(3), "%.15g\n")
+        assert _written(scores) == _per_value(scores)
 
     def test_importing_the_cli_builds_no_digit_table(self):
         src = Path(__file__).resolve().parent.parent / "src"

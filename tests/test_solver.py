@@ -132,8 +132,9 @@ class TestSketchedLstsq:
         rng = np.random.default_rng(13)
         a = rng.standard_normal((20, 3))
         b = rng.standard_normal((20, 1))
-        with pytest.raises(SketchRankDeficientError):
+        with pytest.raises(SketchRankDeficientError) as exc_info:
             sketched_lstsq(a, b, uniform_distribution(20), 2, RngStream(0))
+        assert str(exc_info.value) == "2 samples cannot cover rank 3"
 
     def test_rank_collapse_is_surfaced_not_retried(self):
         # a point mass keeps drawing the same row: SA has rank 1 < 2
@@ -156,8 +157,12 @@ class TestSketchedLstsq:
         rng = np.random.default_rng(17)
         a = rng.standard_normal((20, 3))
         b = rng.standard_normal((20, 1))
-        with pytest.raises(InvalidSampleCountError, match="positive integer"):
-            sketched_lstsq(a, b, uniform_distribution(20), 7.9, RngStream(0))
+        # A count that is not a positive integer raises what every draw
+        # raises, also where it is below the rank 3.
+        for s in (7.9, 2.5, 0, True):
+            with pytest.raises(InvalidSampleCountError) as exc_info:
+                sketched_lstsq(a, b, uniform_distribution(20), s, RngStream(0))
+            assert str(exc_info.value) == f"s must be a positive integer, got {s!r}"
         sol = sketched_lstsq(a, b, uniform_distribution(20), np.int64(7), RngStream(0))
         assert sol.plan.n_samples == 7
 
