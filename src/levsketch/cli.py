@@ -210,7 +210,8 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-_THREADS_HELP = "accepted for compatibility (N >= 1); trials always run serially"
+_THREADS_HELP = ("accepted for compatibility (N >= 1) and changes nothing: trials are "
+                 "scored in order, with the next chunk drawn on one worker thread")
 
 
 def _thread_count(text: str) -> int:

@@ -313,7 +313,10 @@ class TrialScorer:
         with np.errstate(over="ignore", invalid="ignore"):
             g *= np.sqrt(chunk.weight_sq_sums)[:, None]
             rows = [g[lo:hi] for lo, hi in zip(chunk.offsets[:-1], chunk.offsets[1:])]
-            gram = np.stack([x.T @ x for x in rows])
+            # np.dot, not @: both make the same BLAS syrk call, but numpy's
+            # matmul holds the GIL through it and np.dot releases it, so the
+            # draw of the next chunk (experiment.run_experiment) runs meanwhile.
+            gram = np.stack([np.dot(x.T, x) for x in rows])
         finite = np.isfinite(gram).all(axis=(1, 2))
         if not all(np.isfinite(rows[t]).all() for t in np.flatnonzero(~finite)):
             raise InvalidParameterError("matrix entries must be finite")

@@ -3,13 +3,14 @@
 A trial config fixes one problem instance, a sampling distribution, a
 sample-count rule, and an accuracy target.  Trial ``t`` draws from its own
 random stream ``(master_seed, t + 1)``, so reports are bit-reproducible for a
-fixed seed.  Trials run serially, a chunk at a time: the chunk's streams
+fixed seed.  Trials run a chunk at a time: the chunk's streams
 are one reused Philox with its counter set per stream
 (:class:`~levsketch.sketch.TrialStreams`, equal to
 :class:`~levsketch.sketch.RngStream` bit for bit), one sort and one
-guide-table lookup draw a chunk's sketches, one gather of their distinct
-rows and stacked small solves score them, and BLAS already spreads the work
-over the available cores.  Reports are byte-identical whatever the chunk size.
+guide-table lookup draw a chunk's sketches, and one gather of their distinct
+rows and stacked small solves score them.  Chunks are scored in order on the
+calling thread while one worker thread draws the next chunk.  Reports are
+byte-identical whatever the chunk size.
 A report keeps its trials as the scorer's
 :class:`~levsketch.diagnostics.ChunkScores` columns, the one per-trial
 schema: they are the report's per-trial CSV columns, and each column's dtype
@@ -19,6 +20,7 @@ picks its formatting in the report's one row template.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
@@ -241,6 +243,56 @@ def set_up_run(cfg: TrialConfig):
     return a, b, meta["exact"], dist, beta, s
 
 
+def _drawn_one_ahead(draw, score, keys: range) -> list:
+    """``[score(draw(k)) for k in keys]``, with each draw after the first made
+    on a worker thread while the calling thread scores the chunk before it.
+
+    The first draw is made here, so a single key starts no thread and
+    whatever the first draw caches is built before the worker reads it.
+    The worker draws the rest in order, one ahead of the scoring and no
+    further; scoring stays on this thread, in order.  The worker is joined
+    before this returns or raises: a draw's exception is raised here, and an
+    exception in scoring waits for the draw in flight.
+    """
+    drawn = draw(keys[0])
+    if len(keys) == 1:
+        return [score(drawn)]
+    wanted, ready = threading.Semaphore(0), threading.Semaphore(0)
+    slot = []  # the worker's last draw, or what it raised
+    stop = False
+
+    def draw_ahead() -> None:
+        for key in keys[1:]:
+            wanted.acquire()
+            if stop:
+                return
+            try:
+                slot.append(draw(key))
+            except BaseException as exc:
+                slot.append(exc)
+                return
+            finally:
+                ready.release()
+
+    worker = threading.Thread(target=draw_ahead, name="levsketch-draw-ahead")
+    worker.start()
+    scored = []
+    try:
+        for _ in keys[1:]:
+            wanted.release()
+            scored.append(score(drawn))
+            ready.acquire()
+            drawn = slot.pop()
+            if isinstance(drawn, BaseException):
+                raise drawn
+    finally:
+        stop = True
+        wanted.release()
+        worker.join()
+    scored.append(score(drawn))
+    return scored
+
+
 def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     """Run ``cfg.n_trials`` independent sketched solves and score them.
 
@@ -251,7 +303,11 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     then run in chunks of ``max(1, CHUNK_DRAWS // s)``:
     :func:`draw_chunk` draws the multisets of a chunk's sketches, and a
     :class:`TrialScorer` scores each from the Gram matrix of its distinct
-    rows in the coordinates of the orthonormal basis.  The chunks'
+    rows in the coordinates of the orthonormal basis.  Each chunk after the
+    first is drawn on a worker thread while this thread scores the chunk
+    before it (:func:`_drawn_one_ahead`).  The worker makes no BLAS call
+    and alone uses the one :class:`TrialStreams`, so the draws are the
+    serial loop's bit for bit.  The chunks'
     :class:`ChunkScores`, joined, are the report's ``scores``, over which
     its rates are counted.  No per-trial plan, draw order, score object or
     record is built.  Per-trial failures (a sketch losing rank) become
@@ -279,11 +335,11 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
         del exact
         chunk = max(1, CHUNK_DRAWS // s)
         streams = TrialStreams(cfg.master_seed)
-        chunks = [
-            scorer.score_chunk(draw_chunk(
-                dist, s, streams, range(first + 1, min(first + chunk, n) + 1)))
-            for first in range(0, n, chunk)
-        ]
+
+        def draw(first: int):
+            return draw_chunk(dist, s, streams, range(first + 1, min(first + chunk, n) + 1))
+
+        chunks = _drawn_one_ahead(draw, scorer.score_chunk, range(0, n, chunk))
         scores = ChunkScores(*(np.concatenate(column) for column in zip(*chunks)))
 
     return ExperimentReport(config=cfg, scores=scores, s=s, beta=beta,

@@ -34,8 +34,16 @@ SLAB_ROWS = 4096
 
 def as_array(m) -> np.ndarray:
     """The boundary check: ``m`` as a 2-D float64 array with a positive shape
-    and finite entries, without a copy when it already is one."""
-    a = np.asarray(m, dtype=np.float64)
+    and finite entries, without a copy when it already is one.  Entries that
+    are not real numbers (complex, text) raise, where numpy's cast would drop
+    an imaginary part with only a warning."""
+    try:
+        a = np.asarray(m)
+        if a.dtype.kind not in "biufO":
+            raise TypeError(f"got dtype {a.dtype}")
+        a = a.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"matrix entries must be real numbers: {exc}") from None
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:

@@ -543,6 +543,18 @@ class TestGramFloor:
         assert_kernel_matches_oracle(got, want)
 
 
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 7, 64, 1000, 19341])
+@pytest.mark.parametrize("n_cols", [3, 7, 42])
+def test_gram_products_have_the_bits_of_matmul(n_rows, n_cols):
+    # The scorer forms each sketch's Gram matrix with np.dot, which releases
+    # the GIL around its BLAS call where the matmul operator does not; the
+    # reports keep their bytes only while the two agree bit for bit.
+    rng = np.random.default_rng(1000 * n_rows + n_cols)
+    g = rng.standard_normal((n_rows + 5, n_cols)) * np.exp(rng.normal(0, 10, (n_rows + 5, 1)))
+    x = g[2:2 + n_rows]  # a row slice of a C-ordered block, as the scorer takes
+    np.testing.assert_array_equal(np.dot(x.T, x).view(np.uint64), (x.T @ x).view(np.uint64))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     st.sampled_from(["gaussian-incoherent", "spiked-coherent", "consistent"]),

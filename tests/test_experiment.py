@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +21,7 @@ from levsketch import (
     CSV_COLUMNS,
     AccuracyTarget,
     ChunkScores,
+    ExperimentReport,
     GenerationFailedError,
     InvalidParameterError,
     InvalidSampleCountError,
@@ -26,12 +29,14 @@ from levsketch import (
     ProblemSpec,
     RngStream,
     TrialConfig,
+    TrialScorer,
     parse_distribution_spec,
     parse_sample_rule,
     report_lines,
     run_experiment,
     write_report,
 )
+from levsketch.sketch import TrialStreams, draw_chunk
 
 
 def small_config(**overrides):
@@ -329,6 +334,156 @@ class TestChunkInvariance:
             # sketches below the Gram floor that still have full rank.
             lost = sum("lost rank" in r.error for r in trial_rows(report))
             assert 0 < lost < lstsq_calls
+
+
+#: Longest any run below may take before its test fails instead of hanging.
+JOIN_TIMEOUT_S = 120
+
+
+def bounded(fn):
+    """``fn()`` on a helper thread joined with a timeout, so that a deadlock
+    fails the test instead of hanging it; returns what ``fn`` returns or
+    raises what it raises."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # handed to the test's thread
+            out["error"] = exc
+
+    helper = threading.Thread(target=target, daemon=True)
+    helper.start()
+    helper.join(JOIN_TIMEOUT_S)
+    assert not helper.is_alive(), f"no result in {JOIN_TIMEOUT_S} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+@pytest.fixture
+def run_threads(monkeypatch):
+    """The threads started from any thread but the test's own (that is, by
+    the code :func:`bounded` runs), recorded by ``threading.Thread.start``."""
+    started, test_thread = [], threading.current_thread()
+    original = threading.Thread.start
+
+    def recording(thread):
+        if threading.current_thread() is not test_thread:
+            started.append(thread)
+        original(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def serial_report_lines(cfg, per_chunk):
+    """The report lines but the wall time, from the serial loop: each chunk
+    of ``per_chunk`` trials drawn, then scored, on this thread."""
+    exact, dist, beta, s = experiment_mod.set_up_run(cfg)[2:]
+    scorer, streams = TrialScorer(exact, cfg.target.epsilon), TrialStreams(cfg.master_seed)
+    n = cfg.n_trials
+    chunks = [scorer.score_chunk(draw_chunk(dist, s, streams,
+                                            range(first + 1, min(first + per_chunk, n) + 1)))
+              for first in range(0, n, per_chunk)]
+    scores = ChunkScores(*(np.concatenate(column) for column in zip(*chunks)))
+    return report_lines(ExperimentReport(cfg, scores, s, beta, 0.0))[:-1]
+
+
+class TestDrawAhead:
+    """A run draws each chunk after the first on one worker thread while the
+    calling thread scores the chunk before it; reports are the serial
+    loop's, and no thread outlives the run."""
+
+    class Failed(RuntimeError):
+        pass
+
+    @pytest.mark.parametrize("case, per_chunk", [
+        pytest.param(small_config(n_trials=60), 3, id="120x3-20-chunks"),
+        pytest.param(small_config(sample_rule="3", n_trials=40), 7, id="120x3-s3-rank-lost"),
+        pytest.param(PRESETS["implication-sweep"].configs[4], 1,
+                     id="coherent-uniform-1-per-chunk")])
+    def test_many_chunk_run_equals_the_serial_loop(self, case, per_chunk, monkeypatch,
+                                                   run_threads):
+        drawn_on = []
+
+        def recording_draw(*args):
+            drawn_on.append(threading.current_thread())
+            return draw_chunk(*args)
+
+        s = experiment_mod.set_up_run(case)[5]
+        monkeypatch.setattr(experiment_mod, "CHUNK_DRAWS", per_chunk * s)
+        monkeypatch.setattr(experiment_mod, "draw_chunk", recording_draw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+        try:
+            lines = bounded(lambda: report_lines(run_experiment(case)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert lines[-1].startswith("# wall_time_s=")
+        assert lines[:-1] == serial_report_lines(case, per_chunk)
+        # The first chunk on the calling thread, every later one on the worker.
+        assert len(run_threads) == 1 and not run_threads[0].is_alive()
+        assert len(drawn_on) == -(-case.n_trials // per_chunk)
+        assert drawn_on[0] is not run_threads[0]
+        assert all(thread is run_threads[0] for thread in drawn_on[1:])
+
+    def test_a_draw_error_on_the_worker_is_raised_by_the_run(self, monkeypatch, run_threads):
+        drawn_on = []
+
+        def failing_draw(*args):
+            drawn_on.append(threading.current_thread())
+            if len(drawn_on) == 3:
+                raise self.Failed("chunk 3 could not be drawn")
+            return draw_chunk(*args)
+
+        monkeypatch.setattr(experiment_mod, "CHUNK_DRAWS", 2 * 24)
+        monkeypatch.setattr(experiment_mod, "draw_chunk", failing_draw)
+        baseline = threading.active_count()
+        with pytest.raises(self.Failed, match="^chunk 3 could not be drawn$"):
+            bounded(lambda: run_experiment(small_config(n_trials=12)))
+        assert drawn_on[2] is run_threads[0]
+        assert len(drawn_on) == 3  # nothing is drawn after the error
+        assert not run_threads[0].is_alive()
+        assert threading.active_count() == baseline
+
+    def test_a_score_error_waits_for_the_draw_in_flight(self, monkeypatch, run_threads):
+        in_flight, finished = threading.Event(), threading.Event()
+
+        def slow_draw(*args):
+            chunk = draw_chunk(*args)
+            if threading.current_thread() in run_threads:
+                in_flight.set()
+                time.sleep(0.2)
+                finished.set()
+            return chunk
+
+        def failing_score(scorer, chunk):
+            assert in_flight.wait(10)
+            raise self.Failed("chunk 1 could not be scored")
+
+        monkeypatch.setattr(experiment_mod, "CHUNK_DRAWS", 2 * 24)
+        monkeypatch.setattr(experiment_mod, "draw_chunk", slow_draw)
+        monkeypatch.setattr(TrialScorer, "score_chunk", failing_score)
+        baseline = threading.active_count()
+        with pytest.raises(self.Failed, match="^chunk 1 could not be scored$"):
+            bounded(lambda: run_experiment(small_config(n_trials=12)))
+        assert finished.is_set()
+        assert len(run_threads) == 1 and not run_threads[0].is_alive()
+        assert threading.active_count() == baseline
+
+    def test_a_one_chunk_run_starts_no_thread(self, run_threads):
+        cfg = PRESETS["implication-sweep"].configs[0]  # 120 trials of 24 rows
+        assert cfg.n_trials * 24 <= experiment_mod.CHUNK_DRAWS
+        assert bounded(lambda: run_experiment(cfg)).s == 24
+        assert run_threads == []
+
+    def test_importing_the_package_starts_no_thread(self):
+        code = "import threading, levsketch.cli; print(threading.active_count())"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=JOIN_TIMEOUT_S)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
 
 
 def test_report_bytes_do_not_depend_on_the_slab_size(monkeypatch):

@@ -8,6 +8,7 @@ computation, so none of these tests trust the code paths they exercise.
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,32 @@ class TestDenseMatrix:
                 check([[1.0, np.nan]])
             with pytest.raises(InvalidParameterError):
                 check([[np.inf, 0.0]])
+
+    @pytest.mark.parametrize("entries", [
+        pytest.param(np.array([[1 + 2j]]), id="complex-array"),
+        pytest.param(np.array([[1.0 + 0j, 2.0 + 0j]]), id="complex-with-zero-imaginary"),
+        pytest.param([[1 + 2j]], id="complex-list"),
+        pytest.param(np.array([[1 + 2j]], dtype=object), id="complex-objects"),
+        pytest.param([["a"]], id="text"),
+        pytest.param([["1.5"]], id="numeric-text"),
+        pytest.param([[1.0, 2.0], [3.0]], id="ragged")])
+    def test_entries_that_are_not_real_numbers_rejected(self, entries):
+        # numpy's float cast drops an imaginary part with only a ComplexWarning
+        # and raises its own ValueError on text; both are boundary errors here.
+        for check in (DenseMatrix, as_array):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidParameterError, match="must be real numbers"):
+                    check(entries)
+
+    def test_real_integer_and_bool_entries_accepted(self):
+        for entries in (np.array([[1, -2], [3, 4]], dtype=np.int32), [[1, -2], [3, 4]],
+                        np.array([[True, False], [False, True]])):
+            a = as_array(entries)
+            assert a.dtype == np.float64
+            np.testing.assert_array_equal(a, np.asarray(entries, dtype=np.float64))
+        f64 = np.ones((2, 2))
+        assert as_array(f64) is f64
 
     def test_array_protocol_without_copy_keyword(self, monkeypatch):
         # numpy 1.x calls __array__() or __array__(dtype) and rejects
