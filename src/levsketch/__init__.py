@@ -69,7 +69,6 @@ from .sketch import (
     apply_sketch,
     build_sketch,
     multinomial_draws,
-    sketched_norm_sq,
 )
 from .solver import (
     SAMPLE_SIZE_CONSTANT,
@@ -139,7 +138,6 @@ __all__ = [
     "required_samples",
     "run_experiment",
     "sketched_lstsq",
-    "sketched_norm_sq",
     "solve_with_plan",
     "spectral_extremes",
     "uniform_distribution",

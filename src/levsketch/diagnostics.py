@@ -281,18 +281,6 @@ class TrialScorer:
         # ||a @ x_opt|| = ||q @ r @ x_opt|| = ||r @ x_opt||.
         self._limits = _BoundLimits.of(epsilon, exact, fro_norm_sq(exact.r_factor @ exact.x_opt))
 
-    def score(self, plan: SketchPlan) -> ChunkScores:
-        """Measure one realized plan: :meth:`score_chunk` of a one-sketch
-        chunk that holds only its multiset, the distinct rows drawn
-        (ascending) with the sums of their squared weights."""
-        rows, inverse = np.unique(plan.draws, return_inverse=True)
-        # A weight past ~1e154 squares to inf; score_chunk rejects that.
-        with np.errstate(over="ignore"):
-            weight_sq_sums = np.bincount(inverse, weights=plan.weights * plan.weights,
-                                         minlength=rows.size)
-        return self.score_chunk(SketchChunk(plan.n_source_rows, plan.n_samples, rows,
-                                            weight_sq_sums, np.array([0, rows.size])))
-
     def score_chunk(self, chunk: SketchChunk) -> ChunkScores:
         """Measure every sketch of a chunk: one entry per sketch, in order,
         in each column.

@@ -9,7 +9,7 @@ are one reused Philox with its counter set per stream
 :class:`~levsketch.sketch.RngStream` bit for bit), one sort and one
 guide-table lookup draw a chunk's sketches, and one gather of their distinct
 rows and stacked small solves score them.  Chunks are scored in order on the
-calling thread while one worker thread draws the next chunk.  Reports are
+calling thread while a one-worker executor draws the next chunk.  Reports are
 byte-identical whatever the chunk size.
 A report keeps its trials as the scorer's
 :class:`~levsketch.diagnostics.ChunkScores` columns, the one per-trial
@@ -20,7 +20,6 @@ picks its formatting in the report's one row template.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
@@ -245,50 +244,27 @@ def set_up_run(cfg: TrialConfig):
 
 def _drawn_one_ahead(draw, score, keys: range) -> list:
     """``[score(draw(k)) for k in keys]``, with each draw after the first made
-    on a worker thread while the calling thread scores the chunk before it.
+    on a one-worker executor while the calling thread scores the chunk before it.
 
     The first draw is made here, so a single key starts no thread and
     whatever the first draw caches is built before the worker reads it.
     The worker draws the rest in order, one ahead of the scoring and no
-    further; scoring stays on this thread, in order.  The worker is joined
-    before this returns or raises: a draw's exception is raised here, and an
-    exception in scoring waits for the draw in flight.
+    further; scoring stays on this thread, in order.  Leaving the executor
+    joins its worker: a draw's exception is raised here by ``result()``,
+    and an exception in scoring waits for the draw in flight.
     """
     drawn = draw(keys[0])
     if len(keys) == 1:
         return [score(drawn)]
-    wanted, ready = threading.Semaphore(0), threading.Semaphore(0)
-    slot = []  # the worker's last draw, or what it raised
-    stop = False
+    # Imported here: concurrent.futures loads logging, which would add to every CLI start.
+    from concurrent.futures import ThreadPoolExecutor
 
-    def draw_ahead() -> None:
-        for key in keys[1:]:
-            wanted.acquire()
-            if stop:
-                return
-            try:
-                slot.append(draw(key))
-            except BaseException as exc:
-                slot.append(exc)
-                return
-            finally:
-                ready.release()
-
-    worker = threading.Thread(target=draw_ahead, name="levsketch-draw-ahead")
-    worker.start()
     scored = []
-    try:
-        for _ in keys[1:]:
-            wanted.release()
+    with ThreadPoolExecutor(1, thread_name_prefix="levsketch-draw-ahead") as worker:
+        for key in keys[1:]:
+            ahead = worker.submit(draw, key)
             scored.append(score(drawn))
-            ready.acquire()
-            drawn = slot.pop()
-            if isinstance(drawn, BaseException):
-                raise drawn
-    finally:
-        stop = True
-        wanted.release()
-        worker.join()
+            drawn = ahead.result()
     scored.append(score(drawn))
     return scored
 
@@ -304,8 +280,8 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     :func:`draw_chunk` draws the multisets of a chunk's sketches, and a
     :class:`TrialScorer` scores each from the Gram matrix of its distinct
     rows in the coordinates of the orthonormal basis.  Each chunk after the
-    first is drawn on a worker thread while this thread scores the chunk
-    before it (:func:`_drawn_one_ahead`).  The worker makes no BLAS call
+    first is drawn on a one-worker executor while this thread scores the
+    chunk before it (:func:`_drawn_one_ahead`).  The worker makes no BLAS call
     and alone uses the one :class:`TrialStreams`, so the draws are the
     serial loop's bit for bit.  The chunks'
     :class:`ChunkScores`, joined, are the report's ``scores``, over which

@@ -32,18 +32,27 @@ _ORTHONORMALITY_TOL = 1e-10
 SLAB_ROWS = 4096
 
 
-def as_array(m) -> np.ndarray:
-    """The boundary check: ``m`` as a 2-D float64 array with a positive shape
-    and finite entries, without a copy when it already is one.  Entries that
-    are not real numbers (complex, text) raise, where numpy's cast would drop
-    an imaginary part with only a warning."""
+def _cast(m, dtype, copy: bool) -> np.ndarray:
+    """``m`` as an array of ``dtype``, float64 or int64.  Entries that are not
+    real numbers (complex, text), or for int64 not integers (floats, bools),
+    raise, where numpy's cast would drop an imaginary part with only a
+    warning, parse the text or truncate."""
+    integer = np.dtype(dtype).kind == "i"
     try:
         a = np.asarray(m)
-        if a.dtype.kind not in "biufO":
+        if a.dtype.kind not in ("iu" if integer else "biufO"):
             raise TypeError(f"got dtype {a.dtype}")
-        a = a.astype(np.float64, copy=False)
+        return a.astype(dtype, copy=copy)
     except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"matrix entries must be real numbers: {exc}") from None
+        what = "integers" if integer else "real numbers"
+        raise InvalidParameterError(f"entries must be {what}: {exc}") from None
+
+
+def as_array(m) -> np.ndarray:
+    """The boundary check: ``m`` as a 2-D float64 array with a positive shape
+    and finite entries, without a copy when it already is one; entries that
+    are not real numbers raise (:func:`_cast`)."""
+    a = _cast(m, np.float64, copy=False)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D array, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -106,11 +115,12 @@ def kept(a, dtype) -> np.ndarray:
     """``a`` as a read-only array of ``dtype`` for a value type to keep: a
     read-only ndarray of that dtype that owns its data as it is, anything
     else as a read-only copy: a read-only view too, as its base may still be
-    written, and a caller's writeable array stays writeable and its own."""
+    written, and a caller's writeable array stays writeable and its own.
+    Entries of the wrong kind raise as in :func:`_cast`."""
     if (isinstance(a, np.ndarray) and not a.flags.writeable and a.flags.owndata
             and a.dtype == dtype):
         return a
-    return read_only(np.array(a, dtype=dtype))
+    return read_only(_cast(a, dtype, copy=True))
 
 
 class DenseMatrix:

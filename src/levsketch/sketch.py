@@ -16,7 +16,6 @@ bit for bit the same, with no stream object built per trial.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +29,7 @@ from .exceptions import (
     UnsupportedRowError,
 )
 from .leverage import SamplingDistribution
-from .linalg import DenseMatrix, as_array, as_int, as_problem, fro_norm_sq, kept, read_only
+from .linalg import DenseMatrix, as_array, as_int, as_problem, kept, read_only
 
 
 def _stream_index(stream_index) -> int:  # a count of Philox jumps, which wrap at 2**128
@@ -267,30 +266,6 @@ def apply_sketch(plan: SketchPlan, m) -> DenseMatrix:
     with np.errstate(over="ignore"):
         product = np.multiply(arr[plan.draws, :], plan.weights[:, None], order="F")
     return DenseMatrix(product)
-
-
-def sketched_norm_sq(plan: SketchPlan, x) -> float:
-    """Squared norm of the sketched vector ``S x`` for a finite ``n``-vector ``x``.
-
-    Raises
-    ------
-    UnsupportedRowError
-        If ``x`` is nonzero on a row that ``plan.source`` never draws.
-    """
-    xv = np.asarray(x, dtype=np.float64)
-    if xv.shape != (plan.n_source_rows,):
-        raise DimensionError(
-            f"x has shape {xv.shape}, plan expects ({plan.n_source_rows},)"
-        )
-    if not np.all(np.isfinite(xv)):
-        raise InvalidParameterError("x must have finite entries")
-    if np.any((xv != 0.0) & (plan.source.probs == 0.0)):
-        raise UnsupportedRowError("a nonzero coordinate of x had zero sampling probability")
-    with np.errstate(over="ignore"):
-        norm_sq = fro_norm_sq(xv[plan.draws] * plan.weights)
-    if not math.isfinite(norm_sq):
-        raise InvalidParameterError("the sketched norm overflows float64")
-    return norm_sq
 
 
 def approx_matmul(a, b, p: SamplingDistribution, s: int, rng: RngStream) -> np.ndarray:

@@ -37,7 +37,6 @@ from levsketch import (
     multinomial_draws,
     required_samples,
     run_experiment,
-    sketched_norm_sq,
     write_matrix,
 )
 
@@ -101,7 +100,7 @@ def test_c2_sketched_norm_unbiased():
         vals = y[draws].mean(axis=1)
         for t in range(50):  # tie the vectorized form to the real API
             assert math.isclose(
-                sketched_norm_sq(plan_from_draws(draws[t], s, p), x),
+                fro_norm_sq(apply_sketch(plan_from_draws(draws[t], s, p), x[:, None])),
                 vals[t],
                 rel_tol=1e-12,
             )
@@ -289,9 +288,9 @@ def test_c7_sample_size_arithmetic():
 
 def test_c8_oracle_equivalence():
     """Dense materializations of 50 random plans (N <= 16) reproduce
-    apply_sketch, sketched_norm_sq, and both structural-condition values to
-    1e-12; exact_lstsq matches normal equations to 1e-8 relative on 50
-    seeded instances."""
+    apply_sketch, the squared norm of a sketched vector, and both
+    structural-condition values to 1e-12; exact_lstsq matches normal
+    equations to 1e-8 relative on 50 seeded instances."""
     rng = np.random.default_rng(88001)
     worst_plan = 0.0
     for i in range(50):
@@ -308,7 +307,8 @@ def test_c8_oracle_equivalence():
         gap = np.max(np.abs(s_dense @ a - apply_sketch(plan, a).array))
         x = rng.standard_normal(n)
         norm_dense = float(np.sum((s_dense @ x) ** 2))
-        norm_gap = abs(norm_dense - sketched_norm_sq(plan, x)) / max(1.0, norm_dense)
+        norm_sketched = fro_norm_sq(apply_sketch(plan, x[:, None]))
+        norm_gap = abs(norm_dense - norm_sketched) / max(1.0, norm_dense)
 
         exact = exact_lstsq(a, b)
         rep = check_structural(plan, exact, 0.3)

@@ -41,7 +41,7 @@ from levsketch.diagnostics import GRAM_FLOOR, BoundReport, ChunkScores, TrialSco
 from levsketch.experiment import build_distribution
 from levsketch.leverage import SamplingDistribution, profile_from_basis
 from levsketch.linalg import SLAB_ROWS
-from levsketch.sketch import TrialStreams, draw_chunk
+from levsketch.sketch import SketchChunk, TrialStreams, draw_chunk
 
 
 def identity_plan(n, weight=1.0):
@@ -51,6 +51,18 @@ def identity_plan(n, weight=1.0):
         draws=np.arange(n),
         weights=np.full(n, weight),
     )
+
+
+def one_sketch_chunk(plan):
+    """A plan as the one-sketch chunk the scorer takes: its distinct rows,
+    ascending, with the sums of their squared weights."""
+    rows, inverse = np.unique(plan.draws, return_inverse=True)
+    # A weight past ~1e154 squares to inf; score_chunk rejects that.
+    with np.errstate(over="ignore"):
+        weight_sq_sums = np.bincount(inverse, weights=plan.weights * plan.weights,
+                                     minlength=rows.size)
+    return SketchChunk(plan.n_source_rows, plan.n_samples, rows, weight_sq_sums,
+                       np.array([0, rows.size]))
 
 
 def make_problem(seed, n=40, r=3, m=2):
@@ -347,7 +359,7 @@ class TestTrialScorerAgainstOracle:
 
     @staticmethod
     def kernel(scorer, plan):
-        return score_fields(scorer.score(plan))
+        return score_fields(scorer.score_chunk(one_sketch_chunk(plan)))
 
     @pytest.mark.parametrize("dist_spec", ["leverage", "uniform", "blended:0.5"])
     @pytest.mark.parametrize("kind", ["gaussian-incoherent", "spiked-coherent", "consistent",
@@ -390,7 +402,7 @@ class TestTrialScorerAgainstOracle:
             with pytest.raises(InvalidParameterError, match="finite"):
                 check_structural(plan, exact, 0.3)
             with pytest.raises(InvalidParameterError, match="finite"):
-                TrialScorer(exact, 0.3).score(plan)
+                TrialScorer(exact, 0.3).score_chunk(one_sketch_chunk(plan))
 
     @pytest.mark.parametrize("b_order", ["C", "F"])
     @pytest.mark.parametrize("n", [5, SLAB_ROWS, 3 * SLAB_ROWS + 7])
@@ -408,7 +420,7 @@ class TestTrialScorerAgainstOracle:
         with pytest.raises(InvalidParameterError):
             TrialScorer(exact, 1.0)
         with pytest.raises(DimensionError):
-            TrialScorer(exact, 0.3).score(identity_plan(39))
+            TrialScorer(exact, 0.3).score_chunk(one_sketch_chunk(identity_plan(39)))
 
 
 #: The ChunkScores columns of the bound check, named as its BoundReport fields;
@@ -463,8 +475,8 @@ class TestGramFloor:
     @staticmethod
     def eig_ratio(q, plan):
         """Eigenvalue ratio of the Gram matrix the scorer forms from the plan's multiset."""
-        rows, inverse = np.unique(plan.draws, return_inverse=True)
-        sq = q[rows] * np.sqrt(np.bincount(inverse, weights=plan.weights**2))[:, None]
+        chunk = one_sketch_chunk(plan)
+        sq = q[chunk.unique_rows] * np.sqrt(chunk.weight_sq_sums)[:, None]
         eigs = np.linalg.eigvalsh(sq.T @ sq)
         return eigs[0] / eigs[-1]
 
@@ -525,7 +537,7 @@ class TestGramFloor:
         with np.errstate(over="ignore"):
             assert np.isinf(plan.weights[0] ** 2)
         with pytest.raises(InvalidParameterError, match="finite"):
-            TrialScorer(exact, 0.3).score(plan)
+            TrialScorer(exact, 0.3).score_chunk(one_sketch_chunk(plan))
 
     def test_gram_overflow_falls_back_to_lstsq(self, count_numpy_calls):
         # Rows scaled by 1e150 are finite, but b_perp at 1e6 makes their Gram

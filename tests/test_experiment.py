@@ -479,11 +479,16 @@ class TestDrawAhead:
         assert run_threads == []
 
     def test_importing_the_package_starts_no_thread(self):
-        code = "import threading, levsketch.cli; print(threading.active_count())"
+        code = ("import sys, threading, levsketch.cli; print(threading.active_count()); "
+                "print('concurrent.futures' in sys.modules, 'logging' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=JOIN_TIMEOUT_S)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "1\n"
+        count, loaded = proc.stdout.splitlines()
+        assert count == "1"
+        # The executor is imported by the first run that needs it, so the
+        # CLI's start does not pay for concurrent.futures and logging.
+        assert loaded == "False False"
 
 
 def test_report_bytes_do_not_depend_on_the_slab_size(monkeypatch):

@@ -21,10 +21,13 @@ from levsketch import (
     DimensionError,
     InvalidParameterError,
     LevSketchError,
+    LeverageProfile,
     OrthonormalBasis,
     ProblemSpec,
     RankDeficientError,
     RngStream,
+    SamplingDistribution,
+    SketchPlan,
     SpectralSummary,
     TrialConfig,
     apply_sketch,
@@ -278,6 +281,26 @@ def test_kept_copies_a_read_only_view():
     base[:] = 0.0
     assert got.tolist() == [1.0, 2.0, 3.0] and not got.flags.writeable
     assert kept(got, np.float64) is got
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: SketchPlan(uniform_distribution(3), np.array([0.5, 1.7]), np.ones(2)),
+                 id="float-draws"),
+    pytest.param(lambda: SketchPlan(uniform_distribution(3), [True, False], np.ones(2)),
+                 id="bool-draws"),
+    pytest.param(lambda: SketchPlan(uniform_distribution(3), np.array(["1"]), np.ones(1)),
+                 id="text-draws"),
+    pytest.param(lambda: SketchPlan(uniform_distribution(3), [0, 1], np.array([1 + 1j, 1])),
+                 id="complex-weights"),
+    pytest.param(lambda: LeverageProfile(np.array(["0.5", "0.5"]), 1), id="text-scores"),
+    pytest.param(lambda: SamplingDistribution(np.array([0.5 + 1j, 0.5])), id="complex-probs")])
+def test_kept_rejects_values_a_cast_would_change(make):
+    # numpy's cast would truncate floats, count bools as 0 and 1, parse text
+    # and drop an imaginary part with only a ComplexWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="entries must be"):
+            make()
 
 
 class TestOrthonormalBasis:

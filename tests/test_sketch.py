@@ -26,8 +26,8 @@ from levsketch import (
     apply_sketch,
     approx_matmul,
     build_sketch,
+    fro_norm_sq,
     multinomial_draws,
-    sketched_norm_sq,
     uniform_distribution,
 )
 from levsketch import sketch as sketch_mod
@@ -309,15 +309,6 @@ class TestApplyAgainstDenseOracle:
             expected = dense_operator(plan) @ m
             np.testing.assert_allclose(apply_sketch(plan, m).array, expected, atol=1e-12)
 
-    def test_sketched_norm_matches(self):
-        rng = np.random.default_rng(55)
-        p_raw = rng.random(9) + 0.05
-        p = SamplingDistribution(probs=p_raw / p_raw.sum())
-        plan = build_sketch(p, 14, RngStream(8))
-        x = rng.standard_normal(9)
-        expected = float(np.sum((dense_operator(plan) @ x) ** 2))
-        assert sketched_norm_sq(plan, x) == pytest.approx(expected, rel=1e-12)
-
     def test_overflowing_product_rejected_without_a_warning(self):
         plan = SketchPlan(uniform_distribution(4), np.array([0, 1]), np.array([1e300, 1.0]))
         with pytest.raises(InvalidParameterError, match="finite"):
@@ -327,53 +318,6 @@ class TestApplyAgainstDenseOracle:
         plan = build_sketch(uniform_distribution(5), 3, RngStream(1))
         with pytest.raises(DimensionError):
             apply_sketch(plan, np.ones((6, 2)))
-        with pytest.raises(DimensionError):
-            sketched_norm_sq(plan, np.ones(6))
-
-
-class TestSketchedNormContract:
-    def test_x_must_be_an_n_vector(self):
-        plan = build_sketch(uniform_distribution(6), 4, RngStream(0))
-        for x in (np.ones((2, 3)), np.ones((6, 1)), np.ones(5)):
-            with pytest.raises(DimensionError):
-                sketched_norm_sq(plan, x)
-
-    def test_nonfinite_x_rejected(self):
-        plan = build_sketch(uniform_distribution(6), 4, RngStream(0))
-        for bad in (np.nan, np.inf):
-            x = np.ones(6)
-            x[plan.draws[0]] = bad
-            with pytest.raises(InvalidParameterError, match="finite"):
-                sketched_norm_sq(plan, x)
-
-    def test_unsupported_coordinate_rejected(self):
-        p = SamplingDistribution(probs=np.array([0.5, 0.5, 0.0]))
-        plan = build_sketch(p, 5, RngStream(0))
-        x = np.array([1.0, 1.0, 2.0])  # nonzero in the dead row
-        with pytest.raises(UnsupportedRowError):
-            sketched_norm_sq(plan, x)
-
-    def test_overflow_raises_without_a_warning(self):
-        # Each sketched entry is finite, but their squares overflow; the
-        # suite turns a RuntimeWarning into an error.
-        plan = build_sketch(uniform_distribution(4), 3, RngStream(1))
-        with pytest.raises(InvalidParameterError, match="overflows float64"):
-            sketched_norm_sq(plan, np.full(4, 1e200))
-
-    def test_unbiased_in_expectation(self):
-        # smaller version of the acceptance run: one (x, p) pair, 20000 plans
-        rng = np.random.default_rng(606)
-        n, s, trials = 12, 6, 20000
-        x = rng.standard_normal(n)
-        p_raw = rng.random(n) + 0.1
-        p = SamplingDistribution(probs=p_raw / p_raw.sum())
-        stream = RngStream(909)
-        vals = np.empty(trials)
-        for t in range(trials):
-            vals[t] = sketched_norm_sq(build_sketch(p, s, stream), x)
-        target = float(x @ x)
-        se = vals.std(ddof=1) / np.sqrt(trials)
-        assert abs(vals.mean() - target) <= 5 * se
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -389,7 +333,8 @@ def test_norm_preserved_exactly_for_constant_leverage(seed, s):
     signs = rng.choice([-1.0, 1.0], size=n)
     x = signs * 2.0
     plan = build_sketch(uniform_distribution(n), s, RngStream(seed))
-    assert sketched_norm_sq(plan, x) == pytest.approx(float(x @ x), rel=1e-12)
+    norm_sq = fro_norm_sq(apply_sketch(plan, x[:, None]))
+    assert norm_sq == pytest.approx(float(x @ x), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
