@@ -326,11 +326,6 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
 REPORT_BLOCK = 16384
 
 
-def _fmt_float(v) -> str:
-    # 17 significant digits round-trip a double; nan and +-inf print as such.
-    return format(float(v), ".17g")
-
-
 def _text(value) -> str:
     # A comma or newline inside a text field would break the CSV row.
     return str(value).replace(",", ";").replace("\n", " ")
@@ -338,29 +333,12 @@ def _text(value) -> str:
 
 #: Per score column ``dtype.kind`` (float, bool, object text): the ``%``
 #: conversion of the column in the row template and the Python values it
-#: formats.  ``%.17g`` of a Python float is ``_fmt_float``'s text, nan,
-#: +-inf and -0 included.
+#: formats.  ``%.17g`` round-trips a double and prints nan, +-inf and -0 as such.
 _CONVERSIONS = {
     "f": ("%.17g", np.ndarray.tolist),
     "b": ("%s", lambda column: np.where(column, "true", "false").tolist()),
     "O": ("%s", lambda column: [_text(v) for v in column.tolist()]),
 }
-
-
-def _distinct_texts(column: np.ndarray) -> list[str]:
-    """``%.17g`` texts of a float column, each distinct value formatted once.
-
-    Equal bits give equal text, nan and -0 included; for a column that
-    holds one value per problem (nan on error rows) that is one or two
-    conversions instead of one per row.
-    """
-    distinct, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    texts = ["%.17g" % v for v in distinct.view(np.float64).tolist()]
-    return [texts[i] for i in inverse.tolist()]
-
-
-#: Score columns that hold one value per problem, nan on error rows.
-_PER_PROBLEM = ("solution_bound_limit", "gamma", "gamma_bound_limit")
 
 
 def _row_blocks(report: ExperimentReport):
@@ -369,22 +347,18 @@ def _row_blocks(report: ExperimentReport):
     Every row is one ``%`` of a template in which ``s``, ``beta``, the
     algorithm id and the seed are already formatted; its arguments are the
     trial id, the trial's score columns and its stream index.  Each score
-    column's conversion follows its dtype (:data:`_CONVERSIONS`), except
-    that the per-problem columns arrive as text, each distinct value
-    formatted once.
+    column's conversion follows its dtype alone (:data:`_CONVERSIONS`).
     """
     def const(text: str) -> str:
         return text.replace("%", "%%")
 
-    conversions = [("%s", _distinct_texts) if name in _PER_PROBLEM
-                   else _CONVERSIONS[column.dtype.kind]
-                   for name, column in zip(ChunkScores._fields, report.scores)]
+    conversions = [_CONVERSIONS[column.dtype.kind] for column in report.scores]
     template = ",".join([
-        "%d", const(str(report.s)), const(_fmt_float(report.beta)),
+        "%d", const(str(report.s)), const("%.17g" % report.beta),
         *(conversion for conversion, _ in conversions),
         const(_text(RngStream.algorithm_id)), const(str(report.config.master_seed)), "%d",
     ])
-    n = len(report.scores.error)
+    n = len(report.scores[0])
     for start in range(0, n, REPORT_BLOCK):
         stop = min(start + REPORT_BLOCK, n)
         columns = [values(column[start:stop])
@@ -397,13 +371,13 @@ def _trailer(report: ExperimentReport) -> list[str]:
     return [
         f"# n_trials={report.config.n_trials}",
         f"# s={report.s}",
-        f"# beta={_fmt_float(report.beta)}",
-        f"# success_rate={_fmt_float(report.success_rate)}",
-        f"# sc1_rate={_fmt_float(report.sc1_rate)}",
-        f"# sc2_rate={_fmt_float(report.sc2_rate)}",
+        "# beta=%.17g" % report.beta,
+        "# success_rate=%.17g" % report.success_rate,
+        "# sc1_rate=%.17g" % report.sc1_rate,
+        "# sc2_rate=%.17g" % report.sc2_rate,
         f"# implication_violations={report.implication_violations}",
         f"# master_seed={report.config.master_seed}",
-        f"# wall_time_s={_fmt_float(report.wall_time_s)}",
+        "# wall_time_s=%.17g" % report.wall_time_s,
     ]
 
 

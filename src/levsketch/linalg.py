@@ -34,13 +34,13 @@ SLAB_ROWS = 4096
 
 def _cast(m, dtype, copy: bool) -> np.ndarray:
     """``m`` as an array of ``dtype``, float64 or int64.  Entries that are not
-    real numbers (complex, text), or for int64 not integers (floats, bools),
-    raise, where numpy's cast would drop an imaginary part with only a
-    warning, parse the text or truncate."""
+    real numbers (complex, text, Python objects), or for int64 not integers
+    (floats, bools), raise, where numpy's cast would drop an imaginary part
+    with only a warning, parse the text, call ``float()`` or truncate."""
     integer = np.dtype(dtype).kind == "i"
     try:
         a = np.asarray(m)
-        if a.dtype.kind not in ("iu" if integer else "biufO"):
+        if a.dtype.kind not in ("iu" if integer else "biuf"):
             raise TypeError(f"got dtype {a.dtype}")
         return a.astype(dtype, copy=copy)
     except (TypeError, ValueError) as exc:

@@ -53,6 +53,8 @@ class ProblemSpec:
             )
         for name in ("n_rows", "n_cols", "rhs_cols", "seed"):
             as_int(getattr(self, name), name)
+        if not (0 <= self.seed < 2**64):  # the stream-0 seed check, before any work
+            raise InvalidParameterError(f"problem seed must be a 64-bit integer, got {self.seed}")
         if self.kind == "custom-file":
             # A path that cannot be read, "" included, fails as an OSError when read.
             if self.a_path is None or self.b_path is None:

@@ -445,6 +445,23 @@ class TestBench:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_bad_problem_seed_is_named_in_the_error(self, tmp_path, capsys, monkeypatch):
+        # Not "seed must be ...", which reads as a bad --seed.
+        import levsketch.experiment as experiment_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the problem was generated")
+
+        monkeypatch.setattr(experiment_mod, "generate_problem", never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("problem_seed = -1\n")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: problem seed must be a 64-bit integer, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_non_finite_noise_scale_is_exit_1(self, tmp_path, capsys, noise):
         # NaN fails every comparison: a range check alone lets it through,

@@ -626,6 +626,11 @@ class TestReportFormat:
         *(pytest.param(cfg, id=f"{name}-{i}")
           for name, preset in PRESETS.items() for i, cfg in enumerate(preset.configs)),
         pytest.param(small_config(sample_rule="2"), id="s<r"),
+        # Scored rows and a rank-lost one: the per-problem columns hold a
+        # value on the first and nan on the second.
+        pytest.param(small_config(problem=ProblemSpec("spiked-coherent", 120, 3, rhs_cols=2,
+                                                      coherence_target=0.9, seed=21),
+                                  sample_rule="3"), id="scored-and-rank-lost"),
         pytest.param("generation-failure", id="generation-failure"),
     ])
     def test_report_lines_equal_the_per_value_oracle(self, case, monkeypatch):

@@ -122,7 +122,11 @@ class TestDenseMatrix:
         pytest.param(np.array([[1 + 2j]], dtype=object), id="complex-objects"),
         pytest.param([["a"]], id="text"),
         pytest.param([["1.5"]], id="numeric-text"),
-        pytest.param([[1.0, 2.0], [3.0]], id="ragged")])
+        pytest.param([[1.0, 2.0], [3.0]], id="ragged"),
+        pytest.param(np.array([["1.5"]], dtype=object), id="numeric-text-objects"),
+        pytest.param(np.array([[Fraction(1, 2)]], dtype=object), id="fraction-objects"),
+        pytest.param(np.array([[1.0]], dtype=object), id="float-objects"),
+        pytest.param([[10**400]], id="int-past-the-float-range")])
     def test_entries_that_are_not_real_numbers_rejected(self, entries):
         # numpy's float cast drops an imaginary part with only a ComplexWarning
         # and raises its own ValueError on text; both are boundary errors here.
@@ -293,10 +297,14 @@ def test_kept_copies_a_read_only_view():
     pytest.param(lambda: SketchPlan(uniform_distribution(3), [0, 1], np.array([1 + 1j, 1])),
                  id="complex-weights"),
     pytest.param(lambda: LeverageProfile(np.array(["0.5", "0.5"]), 1), id="text-scores"),
-    pytest.param(lambda: SamplingDistribution(np.array([0.5 + 1j, 0.5])), id="complex-probs")])
+    pytest.param(lambda: SamplingDistribution(np.array([0.5 + 1j, 0.5])), id="complex-probs"),
+    pytest.param(lambda: LeverageProfile(np.array(["0.5", "0.5"], dtype=object), 1),
+                 id="text-object-scores"),
+    pytest.param(lambda: SamplingDistribution(np.array(["0.5", "0.5"], dtype=object)),
+                 id="text-object-probs")])
 def test_kept_rejects_values_a_cast_would_change(make):
     # numpy's cast would truncate floats, count bools as 0 and 1, parse text
-    # and drop an imaginary part with only a ComplexWarning.
+    # (in an object array too) and drop an imaginary part with only a ComplexWarning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameterError, match="entries must be"):

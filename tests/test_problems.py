@@ -264,6 +264,17 @@ class TestSpecValidation:
             ProblemSpec("gaussian-incoherent", **{**spec, field: spec[field] + 0.5})
         ProblemSpec("gaussian-incoherent", **{**spec, field: np.int64(spec[field])})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Checked at construction, as TrialConfig checks master_seed, and
+        # named as the problem's seed.
+        with pytest.raises(InvalidParameterError, match=f"problem seed .*got {seed}$"):
+            ProblemSpec("gaussian-incoherent", n_rows=10, n_cols=2, seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert ProblemSpec("gaussian-incoherent", n_rows=10, n_cols=2, seed=seed).seed == seed
+
     def test_noise_nonnegative(self):
         with pytest.raises(InvalidParameterError):
             ProblemSpec("gaussian-incoherent", n_rows=10, n_cols=2, noise_scale=-1.0)
