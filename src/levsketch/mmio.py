@@ -7,19 +7,23 @@ with 17 significant digits, so a write/read round trip reproduces every
 float64 bit for bit.
 
 A write (:func:`write_lines`, which also prints ``leverage``'s scores)
-gives exactly the bytes of ``"%.16e\\n" % v`` for each value.  It takes
-:data:`WRITE_BLOCK` values at a time.  A digit kernel, the printing
-counterpart of the reader's Eisel-Lemire path (Adams 2019, "Ryu revisited:
-printf floating point conversion"), estimates each value's decimal exponent
-k from its binary exponent and rounds ``|x| * 10**(16 - k)`` to 17 digits
-from one 53x128-bit product against the reader's table of powers of five.
-The block's lines are laid out as bytes from a table of the 4-digit strings
-and compacted in one gather.  ``%`` formats only what the kernel leaves
-undecided: subnormals, values below about 1e-292 (outside the table), and
-products within a few units of a half in their last word, exact ties
-included; their texts are spliced in where their lines go.  The block size
-bounds the temporaries, a few MB, so a large write does not raise the peak
-RSS.
+gives exactly the bytes of ``"%.16e\\n" % v`` for each value of a 1-D array
+of real numbers.  It takes :data:`WRITE_BLOCK` values at a time.  A digit
+kernel, the printing counterpart of the reader's Eisel-Lemire path (Adams
+2019, "Ryu revisited: printf floating point conversion"), estimates each
+value's decimal exponent k from its binary exponent and rounds ``|x| *
+10**(16 - k)`` to 17 digits from one 53x128-bit product against the
+reader's table of powers of five.  The block's lines are laid out as byte
+rows, each with room for a sign and a three-digit exponent, from a table
+of the 4-digit strings.  A block with no negative value, no three-digit
+exponent and nothing undecided -- every block of leverage scores -- writes
+the same 23 columns of every row in one copy; any other block compacts its
+rows in one gather of the bytes each line keeps.  ``%`` formats only what
+the kernel leaves undecided: subnormals, values below about 1e-292
+(outside the table), and products within a few units of a half in their
+last word, exact ties included; their texts are spliced in where their
+lines go.  The block size bounds the temporaries, a few MB, so a large
+write does not raise the peak RSS.
 
 A read parses the prefix (header, leading comments and blank lines, size
 line) with the line parser's own :func:`_prefix`, then reads the body from
@@ -27,9 +31,21 @@ the file's bytes, :data:`READ_BLOCK` bytes at a time (each block cut at
 ASCII whitespace), into one preallocated array.  A block whose every token
 is in the writer's own format -- ``[-+]?d.<16 digits>[eE][-+]dd[d]``, as
 ``{:.16e}`` and C's ``%.16e`` print it -- is read by a vectorized decimal
-reader.  It decides almost every token with the Eisel-Lemire algorithm
-(Lemire 2021, "Number parsing at a gigabyte per second"): one 64x128-bit
-product against a table of powers of five, rounded to nearest even.
+reader.  Token edges are the block's ASCII whitespace.  Each token is read
+as machine words gathered straight from the file's bytes through
+1-byte-stride views, two records a token: the 16 fraction digits as two
+little-endian 8-byte words, the lead digit and the point as a 16-bit word,
+and ``e``, the exponent's sign and two digits as a 32-bit word.  One
+subtraction a word and the SWAR eight-digit test check all of a block's
+bytes at once (Lemire 2021, "Number parsing at a gigabyte per second"), and
+three multiply-shift steps turn each fraction word into its 8-digit value.
+The reader decides almost every token with the Eisel-Lemire algorithm of
+the same paper: one 64x128-bit product against a table of powers of five,
+rounded to nearest even.  The exact-tie check runs only on tokens with
+10**q in [1e-4, 1e23], and the all-ones check on the low product word only
+where that word is all ones; both sets are almost always empty, and
+Mushtak and Lemire 2023 ("Fast number parsing without fallback") show that
+the all-ones case does not arise for significands of up to 19 digits.
 ``float`` decides every other block, token by token on the block's
 ``bytes.split()``, and every token the decimal reader cannot decide: a
 nonzero significand below 2**53 (a leading digit 0), a subnormal, an
@@ -53,10 +69,9 @@ import os
 import re
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .exceptions import LevSketchError, MatrixMarketParseError
-from .linalg import DenseMatrix, as_array, read_only
+from .exceptions import DimensionError, LevSketchError, MatrixMarketParseError
+from .linalg import DenseMatrix, _cast, as_array, read_only
 
 _HEADER_FIELDS = ("%%matrixmarket", "matrix", "array", "real", "general")
 
@@ -71,30 +86,34 @@ WRITE_BLOCK = 16384
 READ_BLOCK = 1 << 18
 
 
-def write_lines(fh, values: np.ndarray) -> None:
-    """Write each entry of the 1-D float64 ``values`` to the text file ``fh``
-    as ``"%.16e\\n" % v``.
+def write_lines(fh, values) -> None:
+    """Write each entry of the 1-D ``values`` to the text file ``fh`` as
+    ``"%.16e\\n" % v``.
 
-    The digit kernel (:func:`_decimal_digits`) rounds ``WRITE_BLOCK`` values
-    at a time to 17 significant digits, and :func:`_layout` turns them into
-    bytes.  ``%`` formats only the values the kernel leaves undecided; their
-    texts are spliced in where their lines go.
+    Entries that are not real numbers raise ``InvalidParameterError`` and
+    any other shape ``DimensionError``, as in :func:`~levsketch.linalg.as_array`;
+    bools are written as 0 and 1.  The digit kernel
+    (:func:`_decimal_digits`) rounds ``WRITE_BLOCK`` values at a time to 17
+    significant digits, and :func:`_layout` turns them into byte rows.  A
+    block without a sign, a three-digit exponent or an undecided value
+    writes the same 23 columns of every row; any other block keeps each
+    line's own bytes, and ``%`` formats the undecided values, whose texts
+    are spliced in where their lines go.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _cast(values, np.float64, copy=False)
+    if values.ndim != 1:
+        raise DimensionError(f"expected a 1-D array, got ndim={values.ndim}")
     for start in range(0, len(values), WRITE_BLOCK):
         block = values[start:start + WRITE_BLOCK]
         digits, exponents, undecided = _decimal_digits(block)
-        rows, keep = _layout(np.signbit(block), _digit_bytes(digits), exponents)
+        rows = _layout(_digit_bytes(digits), exponents)
+        negative, hundreds = np.signbit(block), np.abs(exponents) >= 100
         at = np.flatnonzero(undecided)
-        keep[at] = False
-        text = rows.reshape(-1).take(np.flatnonzero(keep)).tobytes().decode("ascii")
-        if at.size:
-            # An undecided value's line is empty here: its text goes where
-            # the lines before it end.
-            cuts = [0, *np.cumsum(keep.sum(axis=1))[at].tolist(), len(text)]
-            exact = ["%.16e\n" % v for v in block[at].tolist()] + [""]
-            text = "".join(text[a:b] + t for a, b, t in zip(cuts, cuts[1:], exact))
-        fh.write(text)
+        if at.size or negative.any() or hundreds.any():
+            fh.write(_kept_lines(block, rows, negative, hundreds, at))
+        else:
+            lines = np.concatenate((rows[:, 1:_HUNDREDS], rows[:, _HUNDREDS + 1:]), axis=1)
+            fh.write(lines.tobytes().decode("ascii"))
 
 
 def write_matrix(path: str | os.PathLike, m) -> None:
@@ -199,28 +218,42 @@ def _utf8_lines(data: bytes, ends: list[int]):
 
 # -- the decimal reader -------------------------------------------------------
 
-#: A canonical token after its optional sign, one byte a column: column j
-#: holds a byte b with ``((b | _BYTE_CASE[j]) - _BYTE_LOW[j]) % 256 <
-#: _BYTE_SPAN[j]``.  The exponent's sign column admits "+,-" here and "," is
-#: rejected apart; a third exponent digit may follow.
-_CANONICAL = b"0.0000000000000000e+00"
-_E, _E_SIGN = _CANONICAL.index(b"e"), _CANONICAL.index(b"+")
-_BYTE_LOW = np.frombuffer(_CANONICAL, np.uint8).copy()
-_BYTE_LOW[[_E, _E_SIGN]] = [ord("e"), ord("+")]
-_BYTE_SPAN = np.where(_BYTE_LOW == ord("0"), 10, 1).astype(np.uint8)
-_BYTE_SPAN[_E_SIGN] = 3
-_BYTE_CASE = np.zeros(len(_CANONICAL), np.uint8)
-_BYTE_CASE[_E] = 0x20  # "E" | 0x20 == "e"
+_U64 = np.uint64
+_LOW32, _32 = _U64(0xFFFFFFFF), _U64(32)
+_ALL_ONES = _U64(2**64 - 1)
+
+#: A canonical token after its optional sign is ``d.<16 digits>[eE][-+]dd``
+#: and an optional third exponent digit, read as words.  The 16 bytes at
+#: offset 2 are the fraction's two little-endian 8-digit words; the 24 bytes
+#: that end at offset 22 hold the lead digit and the point as their second
+#: uint16 word, and ``e``, the exponent's sign and two digits as their sixth
+#: uint32 word.  Subtracting the bytes of the least valid text (``_POINT``,
+#: ``_ZEROS``, and ``_EXPONENT`` after ``| 0x20`` maps "E" to "e") takes a
+#: valid word, with no borrow, to its bytes' values: a lead digit and a
+#: zero; eight digits; a zero, 0 or 2 for "+" or "-", and two digits.  No
+#: other word lands in that range, borrow or not, since adding the text back
+#: to a word in range carries nothing.
+_TOKEN = 22
+_POINT = np.uint16(0x2E30)  # "0."
+_ZEROS = _U64(0x3030303030303030)  # "00000000"
+_EXPONENT = np.uint32(0x30302B65)  # "e+00"
+#: A word of bytes below 16 has one of 10 or more exactly when adding 6 to
+#: every byte makes one reach 16, with no carry; so a word holds eight digit
+#: values exactly when neither it nor it plus ``_SIXES`` has a bit in
+#: ``_HIGH_NIBBLES`` (SWAR, as in Lemire 2021).
+_SIXES, _HIGH_NIBBLES = _U64(0x0606060606060606), _U64(0xF0F0F0F0F0F0F0F0)
+#: The same test on the exponent word, whose byte 0 must be 0 and byte 1 0 or 2.
+_EXPONENT_SIXES, _EXPONENT_FREE = np.uint32(0x06060000), np.uint32(0xF0F0FDFF)
+#: q = e - 16 of a two-digit exponent e, by 100 for a "-" sign plus |e|.
+_Q_OF_SIGNED = np.concatenate((np.arange(100), -np.arange(100))).astype(np.int64) - 16
 
 _SPACE = re.compile(rb"\s")
 
 #: Decimal exponents q of w * 10**q that the power table covers; w * 10**q
 #: is below the least subnormal under it and overflows above it.
 _Q_MIN, _Q_MAX = -342, 308
-
-_U64 = np.uint64
-_LOW32, _32 = _U64(0xFFFFFFFF), _U64(32)
-_ALL_ONES = _U64(2**64 - 1)
+#: 64 minus the bit length of a w of 54 to 57 bits, by w >> 53.
+_LEADING_ZEROS = np.array([10, 10, 9, 9, 8, 8, 8, 8] + [7] * 8, np.uint64)
 
 
 @functools.cache
@@ -257,22 +290,24 @@ def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bits of the doubles nearest ``w * 10**q``, ties to even, for uint64
-    ``w`` below 10**17 and int64 ``q``, and the mask of the entries left
-    undecided.
+    ``w`` below 10**17 and int64 ``q`` in [-1015, 983], and the mask of the
+    entries left undecided.
 
     This is fast_float's ``compute_float`` for float64, one array operation
     per step.  A zero ``w`` gives +0.  Left undecided: a nonzero ``w``
-    below 2**53, ``q`` outside the table, subnormal or infinite results, and a
-    low product word of all ones outside q in [-27, 55], where a truncated
-    power of five might not decide the rounding.
+    below 2**53, subnormal or infinite results (``q`` outside the table
+    among them), and a low product word of all ones outside q in [-27, 55],
+    where a truncated power of five might not decide the rounding.  The
+    exact-tie and all-ones checks run only on the entries that can need
+    them, almost always none.
     """
     hi5, lo5 = _powers_of_five()
     row = np.clip(q, _Q_MIN, _Q_MAX) - _Q_MIN
     # lz shifts the top bit of a w of 54 to 57 bits to bit 63.
-    lz = 7 + sum((w < _U64(2**k)).view(np.int8) for k in (54, 55, 56))
-    short = w < _U64(2**53)
+    lz = _LEADING_ZEROS[(w >> _U64(53)).view(np.int64)]
     zero = w == _U64(0)
-    w = w << lz.astype(np.uint64)
+    short = w - _U64(1) < _U64(2**53 - 1)
+    w = w << lz
     hi, lo = _mul128(w, hi5[row])
     retry = np.flatnonzero((hi & _U64(0x1FF)) == _U64(0x1FF))
     if retry.size:
@@ -284,21 +319,23 @@ def _eisel_lemire(w: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     upper = hi >> _U64(63)
     shift = upper + _U64(9)
     mantissa = hi >> shift
-    power2 = ((q * 217706) >> 16) + 63 + upper.view(np.int64) - lz + 1023
-    # An exact tie shifts out only zeros; round it down to even.
-    tie = ((lo <= _U64(1)) & (q >= -4) & (q <= 23) & ((mantissa & _U64(3)) == _U64(1))
-           & ((mantissa << shift) == hi))
-    mantissa -= tie
-    mantissa += mantissa & _U64(1)
-    mantissa >>= _U64(1)
-    carry = mantissa >> _U64(53)
-    mantissa >>= carry
-    power2 += carry.view(np.int64)
-    bits = (power2.view(np.uint64) << _U64(52)) | (mantissa & _U64(2**52 - 1))
-    undecided = ~zero & (
-        short | (q < _Q_MIN) | (q > _Q_MAX) | (power2 <= 0) | (power2 >= 2047)
-        | ((lo == _ALL_ONES) & ((q < -27) | (q > 55)))
-    )
+    power2 = ((q * 217706) >> 16) + (63 + 1023) + (upper - lz).view(np.int64)
+    # An exact tie shifts out only zeros; round it down to even.  Only
+    # 10**q in [1e-4, 1e23] can give one with 17 digits.
+    near = np.flatnonzero((q + 4).view(np.uint64) <= _U64(27))
+    if near.size:
+        m, h = mantissa[near], hi[near]
+        mantissa[near] -= ((lo[near] <= _U64(1)) & ((m & _U64(3)) == _U64(1))
+                           & ((m << shift[near]) == h))
+    mantissa = (mantissa + _U64(1)) >> _U64(1)
+    # Rounding up to 2**53 carries into the exponent: 2**52 is the implicit bit.
+    bits = ((power2 - 1).view(np.uint64) << _U64(52)) + mantissa
+    power2 += (mantissa >> _U64(53)).view(np.int64)
+    undecided = short | ((power2 - 1).view(np.uint64) >= _U64(2046))
+    ones = np.flatnonzero(lo == _ALL_ONES)
+    if ones.size:
+        undecided[ones] |= (q[ones] < -27) | (q[ones] > 55)
+    undecided &= ~zero
     bits[zero] = 0
     return bits, undecided
 
@@ -321,39 +358,59 @@ def _is_space(b: np.ndarray) -> np.ndarray:
     return (b == ord(" ")) | ((b - np.uint8(9)) < np.uint8(5))
 
 
+def _records(data: bytes, size: int) -> np.ndarray:
+    """The ``size``-byte records of ``data``, one starting at each byte: a
+    1-byte-stride view, so that a fancy index gathers words at any offset."""
+    return np.ndarray((len(data) - size + 1,), f"V{size}", data, 0, (1,))
+
+
 def _read_block(data: bytes, buf: np.ndarray, lo: int, hi: int) -> np.ndarray | None:
     """The values of the tokens in ``buf[lo:hi]``, which starts and ends at
-    whitespace or the end of the data, or None if ``float`` rejects a token
-    or a value is not finite."""
-    edges = np.flatnonzero(np.diff(_is_space(buf[lo:hi]), prepend=True, append=True)) + lo
-    starts, ends = edges[0::2], edges[1::2]
+    whitespace or the end of the data and comes after at least two bytes,
+    or None if ``float`` rejects a token or a value is not finite."""
+    block = buf[lo:hi]
+    # The tokens lie between the bytes up to " ", if those are whitespace.
+    gaps = np.flatnonzero(block <= np.uint8(ord(" ")))
+    if not np.all(_is_space(block[gaps])):
+        return _float_each(data[lo:hi].split())
+    bounds = np.concatenate(([-1], gaps, [hi - lo]))
+    token = np.flatnonzero(np.diff(bounds) > 1)
+    starts = bounds[token] + (lo + 1)
+    ends = bounds[token + 1] + lo
     lead = buf[starts]
-    first = starts + ((lead == ord("-")) | (lead == ord("+")))  # the leading digit
+    negative = lead == ord("-")
+    first = starts + (negative | (lead == ord("+")))  # the leading digit
     length = ends - first
-    long = length == len(_CANONICAL) + 1
-    if not np.all(long | (length == len(_CANONICAL))):
+    if not np.all((length - _TOKEN).view(np.uint64) <= _U64(1)):
         return _float_each(data[lo:hi].split())
     if not len(starts):
         return np.empty(0)
-    token = sliding_window_view(buf, len(_CANONICAL))[first]
-    third = buf[first[long] + len(_CANONICAL)] - np.uint8(48)
-    negative_e = token[:, _E_SIGN] == ord("-")
-    if not (np.all(((token | _BYTE_CASE) - _BYTE_LOW) < _BYTE_SPAN) and np.all(third < 10)
-            and np.all(negative_e | (token[:, _E_SIGN] == ord("+")))):
+    digits = _records(data, 16)[first + 2].view(np.uint64).reshape(-1, 2) - _ZEROS
+    frame = _records(data, 24)[first - 2]
+    lead_digit = frame.view(np.uint16)[1::12] - _POINT
+    exponent = (frame.view(np.uint32)[5::6] | np.uint32(0x20)) - _EXPONENT
+    long = np.flatnonzero(length > _TOKEN)
+    third = buf[first[long] + _TOKEN] - np.uint8(48)
+    if (lead_digit.max() >= 10 or np.any(third >= 10)
+            or np.bitwise_or.reduce(digits | (digits + _SIXES), axis=None) & _HIGH_NIBBLES
+            or np.bitwise_or.reduce(exponent | (exponent + _EXPONENT_SIXES)) & _EXPONENT_FREE):
         return _float_each(data[lo:hi].split())
-    # The 16 fraction digits as two little-endian 8-byte words, each turned
-    # into its 8-digit value by three multiply-shift-mask steps.
-    digits = np.ascontiguousarray(token[:, 2:_E]).view("<u8") - _U64(0x3030303030303030)
-    digits = (digits * _U64(10) + (digits >> _U64(8))) & _U64(0x00FF00FF00FF00FF)
-    digits = (digits * _U64(100) + (digits >> _U64(16))) & _U64(0x0000FFFF0000FFFF)
-    digits = (digits * _U64(10000) + (digits >> _U64(32))) & _LOW32
-    w = ((token[:, 0] - np.uint8(48)).astype(np.uint64) * _U64(10**16)
+    # Each fraction word's 8 digit values become its 8-digit value in three
+    # multiply-shift steps, 2, 4 and 8 digits at a time.
+    digits = ((digits * _U64(10 << 8 | 1)) >> _U64(8)) & _U64(0x00FF00FF00FF00FF)
+    digits = ((digits * _U64(100 << 16 | 1)) >> _U64(16)) & _U64(0x0000FFFF0000FFFF)
+    digits = (digits * _U64(10000 << 32 | 1)) >> _U64(32)
+    w = (lead_digit.astype(np.uint64) * _U64(10**16)
          + digits[:, 0] * _U64(10**8) + digits[:, 1])
-    e = ((token[:, _E_SIGN + 1] - np.uint8(48)).astype(np.int64) * 10
-         + (token[:, _E_SIGN + 2] - np.uint8(48)))
-    e[long] = e[long] * 10 + third
-    bits, undecided = _eisel_lemire(w, np.where(negative_e, -e, e) - 16)
-    bits |= (lead == ord("-")).astype(np.uint64) << _U64(63)
+    # The exponent word, bytes (0, sign 0 or 2, d1, d2), times the bytes
+    # (1, 10, 50) has 50 * sign + 10 * d1 + d2 in its top byte.
+    signed = (exponent * np.uint32(50 << 16 | 10 << 8 | 1)) >> np.uint32(24)
+    q = _Q_OF_SIGNED.take(signed)
+    if long.size:
+        e = (signed[long] % np.uint32(100)).astype(np.int64) * 10 + third
+        q[long] = np.where(signed[long] >= 100, -e, e) - 16
+    bits, undecided = _eisel_lemire(w, q)
+    bits |= negative.astype(np.uint64) << _U64(63)
     values = bits.view(np.float64)
     if undecided.any():
         at = np.flatnonzero(undecided)
@@ -489,22 +546,40 @@ def _digit_bytes(d: np.ndarray) -> np.ndarray:
 #: A line: sign, lead digit, ".", 16 digits, "e", sign, 3 digits, "\n".
 _LINE = np.frombuffer(b"-0.0000000000000000e+000\n", np.uint8)
 _LINE_E = 19
+_HUNDREDS = _LINE_E + 2  # the exponent's hundreds digit
 
 
-def _layout(negative: np.ndarray, digits: np.ndarray, k: np.ndarray):
-    """Byte rows and keep masks of the ``%.16e`` lines of values with signs
-    ``negative``, 17 ASCII digits ``digits`` and decimal exponents ``k``."""
+def _layout(digits: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Byte rows of the ``%.16e`` lines of values with 17 ASCII digits
+    ``digits`` and decimal exponents ``k``, each with a "-" sign and a
+    three-digit exponent; the writer drops the columns a line has not."""
     rows = np.empty((len(k), _LINE.size), np.uint8)
     rows[:] = _LINE
     rows[:, 1] = digits[:, 0]
     rows[:, 3:_LINE_E] = digits[:, 1:]
     rows[:, _LINE_E + 1] = np.where(k < 0, ord("-"), ord("+"))
     exponent = _four_digits().take(np.abs(k)).view(np.uint8).reshape(-1, 4)
-    rows[:, _LINE_E + 2:_LINE_E + 5] = exponent[:, 1:]
+    rows[:, _HUNDREDS:_LINE_E + 5] = exponent[:, 1:]
+    return rows
+
+
+def _kept_lines(block: np.ndarray, rows: np.ndarray, negative: np.ndarray,
+                hundreds: np.ndarray, at: np.ndarray) -> str:
+    """The text of a block's lines from its byte rows: each line keeps its
+    sign and hundreds digit where it has them, and the lines of the values
+    at ``at``, which the digit kernel left undecided, are ``%``'s."""
     keep = np.ones(rows.shape, bool)
     keep[:, 0] = negative
-    keep[:, _LINE_E + 2] = np.abs(k) >= 100
-    return rows, keep
+    keep[:, _HUNDREDS] = hundreds
+    keep[at] = False
+    text = rows.reshape(-1).take(np.flatnonzero(keep)).tobytes().decode("ascii")
+    if at.size:
+        # An undecided value's line is empty here: its text goes where
+        # the lines before it end.
+        cuts = [0, *np.cumsum(keep.sum(axis=1))[at].tolist(), len(text)]
+        exact = ["%.16e\n" % v for v in block[at].tolist()] + [""]
+        text = "".join(text[a:b] + t for a, b, t in zip(cuts, cuts[1:], exact))
+    return text
 
 
 def _parse_lines(raw: str) -> DenseMatrix:

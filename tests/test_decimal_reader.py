@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levsketch import MatrixMarketParseError, mmio, read_matrix
+from levsketch import MatrixMarketParseError, ProblemSpec, generate_problem, mmio, read_matrix
 
 _HEADER = "%%MatrixMarket matrix array real general\n"
 
@@ -137,6 +137,8 @@ def test_halfway_decimals_and_their_neighbours_match_float():
     # double and 2**1024, so float() rounds it to the largest double.
     "1.7976931348623158e+308", "-1.7976931348623158e+308",
     "0.9999999999999999e+00", "0.0000000000000001e+00", "0.1234567890123456e-05",
+    # Significands in [2**52, 2**53): below 2**53, so float decides them.
+    "0.5000000000000001e+00", "-0.9007199254740991E-300", "0.4503599627370496e+16",
 ])
 def test_edge_tokens_match_float(token, tmp_path):
     tokens = [token, "1.0000000000000000e+00", token]
@@ -199,6 +201,32 @@ def test_canonical_file_sends_no_token_to_float(tmp_path, monkeypatch):
     assert read_matrix(path).array.tobytes() == src.tobytes()
 
 
+def test_a_benchmark_sized_problem_reads_every_block_without_float(tmp_path, monkeypatch):
+    # The 50000x5 spiked problem and its two right-hand sides, written by
+    # write_matrix and read at the default READ_BLOCK: many blocks, each cut
+    # where a token ends, and every token decided by the word reader.
+    a, b, _ = generate_problem(ProblemSpec("spiked-coherent", 50000, 5, rhs_cols=2,
+                                           coherence_target=0.9))
+    blocks = []
+    read_block = mmio._read_block
+
+    def counted(data, buf, lo, hi):
+        blocks.append(hi - lo)
+        return read_block(data, buf, lo, hi)
+
+    monkeypatch.setattr(mmio, "_read_block", counted)
+    monkeypatch.setattr(mmio, "_float_each", _never)
+    monkeypatch.setattr(mmio, "_parse_lines", _never)
+    for name, src, count in (("A", a, 23), ("B", b, 9)):
+        path = tmp_path / f"{name}.mtx"
+        mmio.write_matrix(path, src)
+        blocks.clear()
+        got = read_matrix(path).array
+        assert len(blocks) == count
+        tokens = path.read_bytes().split(b"\n", 2)[2].split()
+        assert got.tobytes(order="F") == _float_bits(tokens) == src.tobytes(order="F")
+
+
 @pytest.mark.parametrize("body", [
     b"1.5\n2.0000000000000000e+00\n",                          # a short token
     b"1.0000000000000000e+00\n2.00000000000000000e+00\n",      # 17 fraction digits
@@ -233,6 +261,27 @@ def test_other_bodies_read_as_the_line_parser_reads_them(body, tmp_path):
         assert m is None
     else:
         assert ("ok", m.shape, m.array.tobytes()) == got
+
+
+@pytest.mark.parametrize("token", [b"-1.2345678901234567e-05", b"9.8765432109876543E+123"])
+def test_every_one_byte_change_of_a_token_reads_as_float_reads_it(token):
+    # Each byte of the words the reader checks, and the sign, set to each
+    # of the 256 values: the body reads as float reads its tokens, or not
+    # at all where float rejects one or the count changes.
+    other = b"5.0000000000000000e-01"
+    for at in range(len(token)):
+        for byte in range(256):
+            changed = token[:at] + bytes([byte]) + token[at + 1:]
+            data = f"{_HEADER}2 1\n".encode() + changed + b"\n" + other + b"\n"
+            tokens = [changed, other]
+            try:
+                expected = _float_bits(tokens) if len(changed.split()) == 1 else None
+            except ValueError:
+                expected = None
+            if expected is not None and not np.isfinite(float(changed)):
+                expected = None
+            m = mmio._read_body(data)
+            assert (m if m is None else m.array.tobytes()) == expected, changed
 
 
 def test_a_size_larger_than_the_body_allocates_nothing(tmp_path):

@@ -21,6 +21,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levsketch import (
+    DimensionError,
+    InvalidParameterError,
     MatrixMarketParseError,
     ProblemSpec,
     generate_problem,
@@ -369,6 +371,10 @@ def _written(values) -> str:
     return fh.getvalue()
 
 
+def _never_kept(*args):
+    raise AssertionError("a block kept each line's own bytes")
+
+
 def _per_value(values) -> str:
     return "".join("%.16e\n" % v for v in np.asarray(values, dtype=np.float64).tolist())
 
@@ -439,7 +445,7 @@ class TestWriter:
         parsed = np.array([float(t) for t in text.split()], dtype=np.float64)
         assert parsed.tobytes() == np.array(values, dtype=np.float64).tobytes()
 
-    def test_kernel_leaves_no_normal_or_leverage_score_to_percent(self):
+    def test_kernel_leaves_no_normal_or_leverage_score_to_percent(self, monkeypatch):
         # The other tests check the kernel where it decides, not only %.
         normals = np.random.default_rng(2303).standard_normal(100_000)
         _, _, meta = generate_problem(ProblemSpec("spiked-coherent", 50000, 5,
@@ -447,7 +453,52 @@ class TestWriter:
         scores = meta["profile"].scores
         for values in (normals, scores):
             assert not mmio._decimal_digits(values)[2].any()
+        # Scores lie in (0, 1] with two-digit exponents: each of the four
+        # blocks writes the same 23 columns of its rows.
+        monkeypatch.setattr(mmio, "_kept_lines", _never_kept)
         assert _written(scores) == _per_value(scores)
+
+    def test_each_path_writes_the_blocks_it_is_given(self, monkeypatch):
+        # Blocks of 4: one negative value, a hundreds digit either way or an
+        # undecided value makes a block keep each line's own bytes, and the
+        # blocks between write the same 23 columns of their rows.
+        special = [-0.5, 1e-100, 1e300, 5e-324, -0.0]
+        values = np.full(4 * (2 * len(special) + 1), 0.375)
+        values[4::8] = special
+        kept = []
+        kept_lines = mmio._kept_lines
+
+        def counted(block, *args):
+            kept.append(block.tolist())
+            return kept_lines(block, *args)
+
+        monkeypatch.setattr(mmio, "WRITE_BLOCK", 4)
+        monkeypatch.setattr(mmio, "_kept_lines", counted)
+        assert _written(values) == _per_value(values)
+        assert kept == [[v, 0.375, 0.375, 0.375] for v in special]
+
+    @pytest.mark.parametrize("values", [
+        ["1.5"], np.array(["2.5"]), [1 + 2j], np.array([1.0 + 0j]), [object()],
+    ])
+    def test_entries_that_are_not_real_numbers_raise(self, values):
+        fh = io.StringIO()
+        with pytest.raises(InvalidParameterError, match="entries must be real numbers"):
+            mmio.write_lines(fh, values)
+        assert fh.getvalue() == ""
+
+    @pytest.mark.parametrize("values", [np.ones((2, 2)), [[1.0]], 1.5, np.float64(2.0)])
+    def test_values_that_are_not_1d_raise(self, values):
+        fh = io.StringIO()
+        with pytest.raises(DimensionError, match="expected a 1-D array"):
+            mmio.write_lines(fh, values)
+        assert fh.getvalue() == ""
+
+    def test_bools_and_integers_are_written_as_floats(self):
+        fh = io.StringIO()
+        mmio.write_lines(fh, [True, False])
+        mmio.write_lines(fh, np.array([3, -7], np.int64))
+        mmio.write_lines(fh, [])
+        assert fh.getvalue() == _per_value([1.0, 0.0, 3.0, -7.0])
 
     def test_importing_the_cli_builds_no_digit_table(self):
         src = Path(__file__).resolve().parent.parent / "src"
