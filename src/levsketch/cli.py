@@ -19,11 +19,7 @@ import io
 import os
 import sys
 
-from .exceptions import (
-    ConfigParseError,
-    LevSketchError,
-    MatrixMarketParseError,
-)
+from .exceptions import ConfigParseError, LevSketchError, _LineParseError
 from .experiment import PRESETS, TrialConfig, run_experiment, set_up_run, write_report
 from .leverage import leverage_scores
 from .mmio import read_matrix, read_text, write_lines, write_matrix
@@ -62,8 +58,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config(path: str) -> dict[str, str]:
-    """Read a flat ``key = value`` config file; ``#`` starts a comment."""
+    """Read a flat ``key = value`` config file; ``#`` starts a comment, and
+    each key may appear once."""
     out: dict[str, str] = {}
+    first_lines: dict[str, int] = {}
     # Decode once as UTF-8, then split at universal newlines as a text-mode
     # read would.
     with io.StringIO(read_text(path, ConfigParseError), newline=None) as fh:
@@ -76,7 +74,10 @@ def read_config(path: str) -> dict[str, str]:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _DEFAULTS:
                 raise ConfigParseError(f"unknown key {key!r}", lineno)
-            out[key] = value
+            if key in first_lines:
+                raise ConfigParseError(
+                    f"repeated key {key!r}, first given at line {first_lines[key]}", lineno)
+            out[key], first_lines[key] = value, lineno
     return out
 
 
@@ -234,14 +235,6 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="sketched solve on matrix files")
     p_solve.add_argument("a", help="design matrix file (Matrix Market array)")
     p_solve.add_argument("b", help="right-hand-side matrix file")
-    # argparse runs a string default through the flag's type.
-    p_solve.add_argument("--dist", default=_DEFAULTS["dist"],
-                         help="leverage | uniform | blended:ALPHA")
-    p_solve.add_argument("--samples", default=_DEFAULTS["samples"],
-                         help="auto | INT | xr:K")
-    p_solve.add_argument("--epsilon", type=float, default=_DEFAULTS["epsilon"])
-    p_solve.add_argument("--delta", type=float, default=_DEFAULTS["delta"])
-    p_solve.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     p_solve.add_argument("--out", default=None, help="write the solution here")
     p_solve.add_argument("--exact", action="store_true",
                          help="also run the exact solve and print the ratio")
@@ -254,19 +247,23 @@ def _build_parser() -> _Parser:
 
     p_bench = sub.add_parser("bench", help="Monte Carlo experiment, CSV report")
     p_bench.add_argument("--config", default=None, help="key = value config file")
-    p_bench.add_argument("--seed", type=int, default=None, help="master seed")
     p_bench.add_argument("--trials", type=int, default=None)
-    p_bench.add_argument("--epsilon", type=float, default=None)
-    p_bench.add_argument("--delta", type=float, default=None)
-    p_bench.add_argument("--dist", default=None,
-                         help="leverage | uniform | blended:ALPHA")
-    p_bench.add_argument("--samples", default=None, help="auto | INT | xr:K")
     p_bench.add_argument("--cap-samples", dest="cap_samples", type=int, default=None,
                          help="cap the sample count (0 = no cap)")
     p_bench.add_argument("--out", default="report.csv", help="CSV report path")
     p_bench.add_argument("--threads", type=_thread_count, default=1,
                          metavar="N", help=_THREADS_HELP)
     p_bench.set_defaults(func=_cmd_bench)
+
+    # Run flags: solve defaults to the config defaults (argparse runs a string
+    # default through the type), bench to None so the config file's value stays.
+    for p_run, defaults in ((p_solve, _DEFAULTS), (p_bench, {})):
+        p_run.add_argument("--dist", default=defaults.get("dist"),
+                           help="leverage | uniform | blended:ALPHA")
+        p_run.add_argument("--samples", default=defaults.get("samples"), help="auto | INT | xr:K")
+        p_run.add_argument("--epsilon", type=float, default=defaults.get("epsilon"))
+        p_run.add_argument("--delta", type=float, default=defaults.get("delta"))
+        p_run.add_argument("--seed", type=int, default=defaults.get("seed"), help="master seed")
 
     p_val = sub.add_parser("validate", help="run built-in validation presets")
     p_val.add_argument("--preset", action="append", default=None,
@@ -291,7 +288,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MatrixMarketParseError, ConfigParseError, OSError) as exc:
+    except (_LineParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LevSketchError as exc:

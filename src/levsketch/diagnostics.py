@@ -38,7 +38,6 @@ from .linalg import (
     in_open_unit,
 )
 from .sketch import SketchChunk, SketchPlan, apply_sketch
-from .solver import _is_zero_residual, _residual_ratio
 
 #: Threshold on the smallest squared singular value of the sketched basis.
 SC1_THRESHOLD = 1.0 / math.sqrt(2.0)
@@ -50,6 +49,26 @@ SC1_THRESHOLD = 1.0 / math.sqrt(2.0)
 _STRUCTURAL_SLACK = 1e-12
 _BOUND_SLACK_REL = 1e-10
 _NOISE_FLOOR_REL = 1e-18
+
+# Exact residuals at or below this fraction of ||b||_F^2 are treated as zero
+# (consistent system); at that scale the residual ratio is pure noise.
+_ZERO_RESIDUAL_REL = 1e-18
+_ZERO_RESIDUAL_PASS_REL = 1e-12
+
+
+def _is_zero_residual(residual_sq: float, scale_sq: float) -> bool:
+    """Whether an exact residual is indistinguishable from zero next to
+    ``scale_sq = ||b||_F^2`` (a consistent system)."""
+    return residual_sq <= _ZERO_RESIDUAL_REL * scale_sq
+
+
+def _residual_ratio(resid_sq, residual_sq: float, scale_sq: float, zero_residual: bool):
+    """``resid_sq / residual_sq`` under the zero-residual policy of
+    :func:`~levsketch.solver.accuracy_ratio`, for a scalar or an array ``resid_sq``."""
+    if zero_residual:
+        return np.where(resid_sq <= _ZERO_RESIDUAL_PASS_REL * scale_sq, 1.0, np.inf)
+    return resid_sq / residual_sq
+
 
 #: The scorer solves the normal equations of a sketch only when
 #: ``lambda_min > GRAM_FLOOR * lambda_max`` for the Gram matrix of the

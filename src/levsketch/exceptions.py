@@ -38,17 +38,17 @@ class GenerationFailedError(LevSketchError, RuntimeError):
     """Synthetic problem generation exhausted its retry budget."""
 
 
-class MatrixMarketParseError(LevSketchError, ValueError):
+class _LineParseError(LevSketchError, ValueError):
+    """A file is malformed at the 1-based line ``line``."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+class MatrixMarketParseError(_LineParseError):
     """A matrix file is malformed; ``line`` is the 1-based offending line."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
-
-class ConfigParseError(LevSketchError, ValueError):
+class ConfigParseError(_LineParseError):
     """A run-configuration file is malformed; ``line`` is 1-based."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line

@@ -29,11 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import ChunkScores, TrialScorer
-from .exceptions import (
-    GenerationFailedError,
-    InvalidParameterError,
-    InvalidSampleCountError,
-)
+from .exceptions import InvalidParameterError, InvalidSampleCountError
 from .leverage import (
     SamplingDistribution,
     blended_distribution,
@@ -65,7 +61,7 @@ CHUNK_DRAWS = 32768
 
 def parse_distribution_spec(text: str) -> tuple[str, float]:
     """Parse ``leverage``, ``uniform``, or ``blended:ALPHA``."""
-    name, _, arg = text.partition(":")
+    name, colon, arg = text.partition(":")
     name = name.strip().lower()
     if name == "blended":
         try:
@@ -77,7 +73,7 @@ def parse_distribution_spec(text: str) -> tuple[str, float]:
         if not (0.0 <= alpha <= 1.0):
             raise InvalidParameterError(f"alpha must lie in [0, 1], got {alpha}")
         return "blended", alpha
-    if name in ("leverage", "uniform") and not arg:
+    if name in ("leverage", "uniform") and not colon:
         return name, 0.0
     raise InvalidParameterError(
         f"unknown distribution {text!r}; use leverage, uniform, or blended:ALPHA"
@@ -287,37 +283,25 @@ def run_experiment(cfg: TrialConfig) -> ExperimentReport:
     :class:`ChunkScores`, joined, are the report's ``scores``, over which
     its rates are counted.  No per-trial plan, draw order, score object or
     record is built.  Per-trial failures (a sketch losing rank) become
-    failure entries, never batch aborts; so does every trial of a problem
-    that cannot be generated.
+    failure entries, never batch aborts.  A failed set-up (a problem that
+    cannot be generated or read, or a sample rule over :data:`MAX_SAMPLES`)
+    raises, and no trial runs.
     """
     t_start = time.perf_counter()
     n = cfg.n_trials
-    try:
-        # Trials read only the factors of the exact solve; the problem
-        # itself is dropped here, so peak memory stays at generation's.
-        exact, dist, beta, s = set_up_run(cfg)[2:]
-    except GenerationFailedError as exc:
-        s, beta = 0, float("nan")
-        nan, false = np.full(n, np.nan), np.zeros(n, dtype=bool)
-        error = np.full(n, f"generation failed: {exc}", dtype=object)
-        scores = ChunkScores(
-            sc1_value=nan, sc1_holds=false, sc2_value=nan, sc2_holds=false,
-            accuracy_ratio=np.full(n, np.inf), eps_accurate=false, solution_err_sq=nan,
-            solution_bound_limit=nan, solution_bound_holds=false, residual_bound_holds=false,
-            gamma=nan, gamma_bound_limit=nan, gamma_bound_holds=false, error=error,
-        )
-    else:
-        scorer = TrialScorer(exact, cfg.target.epsilon)
-        del exact
-        chunk = max(1, CHUNK_DRAWS // s)
-        streams = TrialStreams(cfg.master_seed)
+    # Trials read only the factors of the exact solve; the problem itself is
+    # dropped here, so peak memory stays at generation's.
+    exact, dist, beta, s = set_up_run(cfg)[2:]
+    scorer = TrialScorer(exact, cfg.target.epsilon)
+    del exact
+    chunk = max(1, CHUNK_DRAWS // s)
+    streams = TrialStreams(cfg.master_seed)
 
-        def draw(first: int):
-            return draw_chunk(dist, s, streams, range(first + 1, min(first + chunk, n) + 1))
+    def draw(first: int):
+        return draw_chunk(dist, s, streams, range(first + 1, min(first + chunk, n) + 1))
 
-        chunks = _drawn_one_ahead(draw, scorer.score_chunk, range(0, n, chunk))
-        scores = ChunkScores(*(np.concatenate(column) for column in zip(*chunks)))
-
+    chunks = _drawn_one_ahead(draw, scorer.score_chunk, range(0, n, chunk))
+    scores = ChunkScores(*(np.concatenate(column) for column in zip(*chunks)))
     return ExperimentReport(config=cfg, scores=scores, s=s, beta=beta,
                             wall_time_s=time.perf_counter() - t_start)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import SC1_THRESHOLD, _is_zero_residual, _residual_ratio
 from .exceptions import (
     DimensionError,
     InvalidParameterError,
@@ -24,13 +25,9 @@ from .linalg import (RANK_TOL, LstsqSolution, as_int, as_problem, fro_norm_sq,
                      in_open_unit, read_only)
 from .sketch import RngStream, SketchPlan, apply_sketch, build_sketch
 
-#: Constant in the log branch of the sample-size rule: 144 / (1 - 1/sqrt(2))^2.
-SAMPLE_SIZE_CONSTANT = 144.0 / (1.0 - 1.0 / math.sqrt(2.0)) ** 2
-
-# Exact residuals at or below this fraction of ||b||_F^2 are treated as zero
-# (consistent system); at that scale the residual ratio is pure noise.
-_ZERO_RESIDUAL_REL = 1e-18
-_ZERO_RESIDUAL_PASS_REL = 1e-12
+#: Constant in the log branch of the sample-size rule, 144 / (1 - 1/sqrt(2))^2:
+#: it pays for SC1 at its threshold.
+SAMPLE_SIZE_CONSTANT = 144.0 / (1.0 - SC1_THRESHOLD) ** 2
 
 
 @dataclass(frozen=True)
@@ -147,17 +144,3 @@ def accuracy_ratio(a, b, x_tilde, exact: LstsqSolution) -> float:
     resid_sq = fro_norm_sq(arr @ xt - barr)
     zero = _is_zero_residual(exact.residual_sq, exact.b_norm_sq)
     return float(_residual_ratio(resid_sq, exact.residual_sq, exact.b_norm_sq, zero))
-
-
-def _is_zero_residual(residual_sq: float, scale_sq: float) -> bool:
-    """Whether an exact residual is indistinguishable from zero next to
-    ``scale_sq = ||b||_F^2`` (a consistent system)."""
-    return residual_sq <= _ZERO_RESIDUAL_REL * scale_sq
-
-
-def _residual_ratio(resid_sq, residual_sq: float, scale_sq: float, zero_residual: bool):
-    """``resid_sq / residual_sq`` under the zero-residual policy of
-    :func:`accuracy_ratio`, for a scalar ``resid_sq`` or an array of them."""
-    if zero_residual:
-        return np.where(resid_sq <= _ZERO_RESIDUAL_PASS_REL * scale_sq, 1.0, np.inf)
-    return resid_sq / residual_sq

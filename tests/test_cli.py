@@ -5,6 +5,7 @@ error, 3 validation failure.  Most tests drive cli.main() in process; a
 couple run the real interpreter entry point.
 """
 
+import argparse
 import dataclasses
 import re
 import subprocess
@@ -19,6 +20,7 @@ from levsketch import (
     AccuracyTarget,
     ConfigParseError,
     ProblemSpec,
+    RankDeficientError,
     generate_problem,
     leverage_scores,
     read_matrix,
@@ -73,6 +75,17 @@ class TestReadConfig:
         p.write_text("just some words\n")
         with pytest.raises(ConfigParseError):
             read_config(p)
+
+    def test_repeated_key_rejected_at_its_second_line(self, tmp_path, capsys):
+        p = tmp_path / "run.cfg"
+        p.write_text("trials = 2\nseed = 4\ntrials = 3\n")
+        with pytest.raises(ConfigParseError,
+                           match=r"^line 3: repeated key 'trials', first given at line 1$"):
+            read_config(p)
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3: repeated key 'trials'")
+        assert not out.exists()
 
 
 class TestSolve:
@@ -255,6 +268,21 @@ class TestSolve:
             cfg.distribution, cfg.sample_rule, cfg.target.epsilon, cfg.target.delta,
             cfg.master_seed)
         assert (type(args.epsilon), type(args.delta), type(args.seed)) == (float, float, int)
+        # solve and bench take the same run flags, of the same types; bench's
+        # default to None, so that a flag left out keeps the config file's value.
+        commands = next(action.choices for action in _build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        run_flags = {"--dist": None, "--samples": None, "--epsilon": float, "--delta": float,
+                     "--seed": int}
+
+        def flags(command):
+            return {option: (action.type, action.default)
+                    for action in commands[command]._actions
+                    for option in action.option_strings if option in run_flags}
+
+        assert flags("solve") == {option: (kind, _DEFAULTS[option[2:]])
+                                  for option, kind in run_flags.items()}
+        assert flags("bench") == {option: (kind, None) for option, kind in run_flags.items()}
 
     def test_deterministic_output_file(self, problem_files, tmp_path, capsys):
         a_path, b_path = problem_files
@@ -662,6 +690,28 @@ class TestValidate:
 
     def test_unknown_preset_is_exit_1(self, capsys):
         assert main(["validate", "--preset", "nonesuch"]) == 1
+
+    @pytest.mark.parametrize("command", [
+        pytest.param(["bench", "--trials", "3"], id="bench"),
+        pytest.param(["validate", "--preset", "smoke"], id="validate"),
+    ])
+    def test_generation_failure_is_exit_1_without_a_report(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        # A problem that cannot be generated fails the set-up, like every
+        # other set-up failure: one error line, no report, no summary.
+        import levsketch.problems as problems_mod
+
+        def deficient(a, b):
+            raise RankDeficientError("never full rank")
+
+        monkeypatch.setattr(problems_mod, "exact_lstsq", deficient)
+        out = tmp_path / "r.csv"
+        assert main([*command, *(["--out", str(out)] if command[0] == "bench" else [])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: gave up after 5 attempts: design matrix came out rank deficient"]
+        assert not out.exists()
 
     def test_failing_preset_is_exit_3(self, capsys, monkeypatch):
         import levsketch.cli as cli_mod
