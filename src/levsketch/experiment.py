@@ -40,7 +40,7 @@ from .leverage import (
 from .linalg import as_int
 from .problems import ProblemSpec, generate_problem
 # build_sketch is unused here; perfbench's tracer test checks that it wraps this binding.
-from .sketch import RngStream, TrialStreams, build_sketch, draw_chunk  # noqa: F401
+from .sketch import MAX_SEED, RngStream, TrialStreams, build_sketch, draw_chunk  # noqa: F401
 from .solver import AccuracyTarget, required_samples
 
 #: Most rows one sketch may draw; a sketch of s rows is gathered into
@@ -92,18 +92,14 @@ def parse_sample_rule(text: str) -> tuple[str, int]:
             raise InvalidParameterError(
                 f"multiple-of-rank rule needs an integer, got {text!r}"
             ) from None
-        if c < 1:
-            raise InvalidParameterError(f"rank multiple must be >= 1, got {c}")
-        return "xr", c
+        return "xr", as_int(c, "rank multiple", 1)
     try:
         s = int(t)
     except ValueError:
         raise InvalidParameterError(
             f"samples must be 'auto', an integer, or 'xr:C', got {text!r}"
         ) from None
-    if s < 1:
-        raise InvalidParameterError(f"sample count must be >= 1, got {s}")
-    return "explicit", s
+    return "explicit", as_int(s, "sample count", 1)
 
 
 @dataclass(frozen=True)
@@ -121,17 +117,9 @@ class TrialConfig:
     def __post_init__(self) -> None:
         parse_distribution_spec(self.distribution)
         parse_sample_rule(self.sample_rule)
-        RngStream(self.master_seed)  # the trial streams' seed check, before any work
-        for name in ("n_trials", "cap_samples"):
-            as_int(getattr(self, name), name)
-        if not (1 <= self.n_trials <= MAX_TRIALS):
-            raise InvalidParameterError(
-                f"need 1 <= n_trials <= {MAX_TRIALS}, got {self.n_trials}"
-            )
-        if self.cap_samples < 0:
-            raise InvalidParameterError(
-                f"cap_samples must be >= 0 (0 = no cap), got {self.cap_samples}"
-            )
+        as_int(self.master_seed, "seed", 0, MAX_SEED)  # the trial streams' seed, before any work
+        as_int(self.n_trials, "n_trials", 1, MAX_TRIALS)
+        as_int(self.cap_samples, "cap_samples", 0)  # 0 = no cap
 
 
 #: Column order of CSV reports, fixed so reports are byte-comparable: the

@@ -32,13 +32,11 @@ class LeverageProfile:
     def __post_init__(self) -> None:
         scores = kept(self.scores, np.float64)
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "rank", as_int(self.rank, "rank"))
         if scores.ndim != 1 or scores.size < 1:
             raise DimensionError("scores must be a nonempty 1-D array")
         if not np.all(np.isfinite(scores)):
             raise InvalidParameterError("scores must be finite")
-        if self.rank < 1 or self.rank > scores.size:
-            raise InvalidParameterError(f"rank {self.rank} out of range")
+        object.__setattr__(self, "rank", as_int(self.rank, "rank", 1, scores.size))
         if scores.min() < 0.0 or scores.max() > 1.0 + _UNIT_TOL:
             raise InvalidParameterError("scores must lie in [0, 1]")
         if abs(float(scores.sum()) - self.rank) > _SCORE_SUM_TOL:
@@ -151,9 +149,7 @@ def leverage_distribution(profile: LeverageProfile) -> SamplingDistribution:
 
 def uniform_distribution(n_rows: int) -> SamplingDistribution:
     """Uniform distribution over ``n_rows`` rows."""
-    n_rows = as_int(n_rows, "n_rows")
-    if n_rows < 1:
-        raise InvalidParameterError(f"need at least one row, got {n_rows}")
+    n_rows = as_int(n_rows, "n_rows", 1)
     return SamplingDistribution(probs=read_only(np.full(n_rows, 1.0 / n_rows)))
 
 

@@ -77,16 +77,22 @@ def as_problem(a, b, x=None) -> tuple[np.ndarray, ...]:
     return arr, barr, xarr
 
 
-def as_int(value, name: str) -> int:
-    """The boundary check for an integer parameter: ``value`` as an int; a
-    non-integral value such as ``2.5``, or a bool, raises instead of being
-    truncated or counted as 0 or 1."""
+def as_int(value, name: str, lo: int | None = None, hi: int | None = None,
+           error: type[Exception] = InvalidParameterError) -> int:
+    """The boundary check for an integer parameter: ``value`` as an int in
+    ``[lo, hi]`` (inclusive; ``hi`` only with ``lo``).  Anything else raises
+    ``error``: a value out of range, and a non-integral value such as ``2.5``
+    or a bool, which is neither truncated nor counted as 0 or 1."""
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            n = operator.index(value)
         except TypeError:
             pass
-    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        else:
+            if (lo is None or lo <= n) and (hi is None or n <= hi):
+                return n
+    bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise error(f"{name} must be an integer{bounds}, got {value!r}")
 
 
 def in_open_unit(value: float, name: str) -> None:

@@ -16,7 +16,7 @@ from .exceptions import GenerationFailedError, InvalidParameterError, RankDefici
 from .leverage import profile_from_basis
 from .linalg import LstsqSolution, as_int, exact_lstsq, read_only
 from .mmio import read_matrix
-from .sketch import RngStream
+from .sketch import MAX_SEED, RngStream
 
 PROBLEM_KINDS = (
     "gaussian-incoherent",
@@ -51,10 +51,11 @@ class ProblemSpec:
             raise InvalidParameterError(
                 f"unknown problem kind {self.kind!r}; choose from {PROBLEM_KINDS}"
             )
-        for name in ("n_rows", "n_cols", "rhs_cols", "seed"):
+        for name in ("n_rows", "n_cols"):
             as_int(getattr(self, name), name)
-        if not (0 <= self.seed < 2**64):  # the stream-0 seed check, before any work
-            raise InvalidParameterError(f"problem seed must be a 64-bit integer, got {self.seed}")
+        # A file problem's right-hand sides are the columns of its b file.
+        as_int(self.rhs_cols, "rhs_cols", None if self.kind == "custom-file" else 1)
+        as_int(self.seed, "problem seed", 0, MAX_SEED)  # the stream-0 seed check, before any work
         if self.kind == "custom-file":
             # A path that cannot be read, "" included, fails as an OSError when read.
             if self.a_path is None or self.b_path is None:
@@ -66,8 +67,6 @@ class ProblemSpec:
             raise InvalidParameterError(
                 f"need n_rows > n_cols >= 1, got {self.n_rows}x{self.n_cols}"
             )
-        if self.rhs_cols < 1:
-            raise InvalidParameterError(f"need rhs_cols >= 1, got {self.rhs_cols}")
         entries = self.n_rows * (self.n_cols + self.rhs_cols)
         if entries > MAX_ENTRIES:
             raise InvalidParameterError(
@@ -125,14 +124,15 @@ def generate_problem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, dict]:
     GenerationFailedError
         If a full-column-rank design cannot be produced within the retry
         budget.
+    InvalidParameterError
+        If ``spec.noise_scale`` is so large that ``b`` overflows.
     """
     if spec.kind == "custom-file":
         a = np.asarray(read_matrix(spec.a_path))
         b = np.asarray(read_matrix(spec.b_path))
         return a, b, _meta(None, exact_lstsq(a, b), 1)
 
-    rng = RngStream(spec.seed, stream_index=0)
-    g = rng.generator
+    g = RngStream(spec.seed, stream_index=0).generator
     n, r = spec.n_rows, spec.n_cols
     last_error = "no attempt made"
     for attempt in range(1, _MAX_ATTEMPTS + 1):
@@ -146,7 +146,12 @@ def generate_problem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, dict]:
         x_true = g.standard_normal((r, spec.rhs_cols))
         b = a @ x_true
         if spec.kind != "consistent" and spec.noise_scale > 0.0:
-            b = b + spec.noise_scale * g.standard_normal((n, spec.rhs_cols))
+            with np.errstate(over="ignore"):
+                b = b + spec.noise_scale * g.standard_normal((n, spec.rhs_cols))
+            if not np.isfinite(b).all():  # every redraw would overflow too
+                raise InvalidParameterError(
+                    f"noise_scale = {spec.noise_scale!r} makes b overflow float64"
+                )
         try:
             exact = exact_lstsq(a, b)
         except RankDeficientError:

@@ -16,7 +16,6 @@ bit for bit the same, with no stream object built per trial.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,11 +31,11 @@ from .leverage import SamplingDistribution
 from .linalg import DenseMatrix, as_array, as_int, as_problem, kept, read_only
 
 
-def _stream_index(stream_index) -> int:  # a count of Philox jumps, which wrap at 2**128
-    index = as_int(stream_index, "stream_index")
-    if not (0 <= index < 2**128):
-        raise InvalidParameterError(f"stream_index must lie in [0, 2**128), got {stream_index}")
-    return index
+#: The largest seed: a seed is a 64-bit unsigned integer.
+MAX_SEED = 2**64 - 1
+
+#: The largest stream index: a count of Philox jumps, which wrap at 2**128.
+MAX_STREAM_INDEX = 2**128 - 1
 
 
 class RngStream:
@@ -49,27 +48,19 @@ class RngStream:
     is stream 0's Philox jumped ``i`` times (``Philox.jumped(i)``, an
     advance of ``i * 2**128`` counter values under one key).
 
-    Streams are stateful: each draw consumes from the stream.  Use one
-    stream per task.  This is the general path and the oracle that
+    Streams are stateful: each draw consumes from :attr:`generator`.  Use
+    one stream per task.  This is the general path and the oracle that
     :class:`TrialStreams` is tested against.
     """
 
     algorithm_id = "philox4x64"
-    __slots__ = ("seed", "stream_index", "_generator")
+    __slots__ = ("seed", "stream_index", "generator")
 
     def __init__(self, seed: int, stream_index: int = 0) -> None:
-        self.seed = as_int(seed, "seed")
-        if not (0 <= self.seed < 2**64):
-            raise InvalidParameterError(f"seed must be a 64-bit integer, got {seed}")
-        self.stream_index = _stream_index(stream_index)
-        self._generator: np.random.Generator | None = None
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            philox = np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=(0,)))
-            self._generator = np.random.Generator(philox.advance(self.stream_index << 128))
-        return self._generator
+        self.seed = as_int(seed, "seed", 0, MAX_SEED)
+        self.stream_index = as_int(stream_index, "stream_index", 0, MAX_STREAM_INDEX)
+        philox = np.random.Philox(np.random.SeedSequence(self.seed, spawn_key=(0,)))
+        self.generator = np.random.Generator(philox.advance(self.stream_index << 128))
 
     def __repr__(self) -> str:
         return (
@@ -102,7 +93,8 @@ class TrialStreams:
         """A ``(len(stream_indices), count)`` array whose row ``t`` is the first
         ``count`` uniforms of stream ``(seed, stream_indices[t])``."""
         if stream_indices:
-            _stream_index(min(stream_indices)), _stream_index(max(stream_indices))
+            for index in (min(stream_indices), max(stream_indices)):
+                as_int(index, "stream_index", 0, MAX_STREAM_INDEX)
         u = np.empty((len(stream_indices), count))
         counter = self._state["state"]["counter"]
         for row, index in zip(u, stream_indices):
@@ -150,19 +142,6 @@ class SketchPlan:
         return self.draws.size
 
 
-def _sample_count(s) -> int:
-    """``s`` as a row count; every draw goes through here, so a count that is
-    not a positive integer (``2.5`` and ``True`` included) raises instead of
-    being truncated or counted as 1."""
-    try:
-        count = 0 if isinstance(s, (bool, np.bool_)) else operator.index(s)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise InvalidSampleCountError(f"s must be a positive integer, got {s!r}")
-    return count
-
-
 #: Guide-table passes before keys still moving (in long zero runs) finish by bisection.
 _WALK_PASSES = 8
 
@@ -207,7 +186,7 @@ def multinomial_draws(p: SamplingDistribution, s: int, rng: RngStream) -> np.nda
     draw order: inverse-CDF lookups of ``s`` uniforms from ``rng`` in
     ``p.cdf`` through its guide table (Chen & Asau 1974).  Rows with zero
     probability are never drawn."""
-    return _search(p, rng.generator.random(_sample_count(s)))
+    return _search(p, rng.generator.random(as_int(s, "s", 1, error=InvalidSampleCountError)))
 
 
 def build_sketch(p: SamplingDistribution, s: int, rng: RngStream) -> SketchPlan:
@@ -245,7 +224,7 @@ def draw_chunk(
     the ``(T, s)`` uniforms (:meth:`TrialStreams.uniforms`) along their rows,
     one guide-table lookup (:func:`_search`) and one run-length pass.
     """
-    u = streams.uniforms(_sample_count(s), stream_indices)
+    u = streams.uniforms(as_int(s, "s", 1, error=InvalidSampleCountError), stream_indices)
     u.sort(axis=1)
     return SketchChunk(p.n_rows, u.shape[1], *_multisets(p, _search(p, u)))
 

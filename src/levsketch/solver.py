@@ -62,9 +62,7 @@ def required_samples(r: int, beta: float, target: AccuracyTarget) -> int:
     the problem's row count (sampling is with replacement); one past the float
     range raises :class:`InvalidSampleCountError`.
     """
-    r = as_int(r, "rank")
-    if r < 1:
-        raise InvalidParameterError(f"rank must be >= 1, got {r}")
+    r = as_int(r, "rank", 1)
     if not (0.0 < beta <= 1.0):
         raise InvalidParameterError(f"beta must lie in (0, 1], got {beta}")
     log_branch = SAMPLE_SIZE_CONSTANT * math.log(r / target.delta)

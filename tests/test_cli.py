@@ -487,7 +487,8 @@ class TestBench:
         assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: problem seed must be a 64-bit integer, got -1\n"
+        assert captured.err == (
+            "error: problem seed must be an integer in [0, 18446744073709551615], got -1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("noise", ["nan", "inf"])
@@ -502,6 +503,19 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: noise_scale must be finite and >= 0, got {noise}"]
+        assert not out.exists()
+
+    def test_overflowing_noise_is_exit_1_with_one_error_line(self, tmp_path, capsys):
+        # At this scale the noisy b overflows as it is formed: one error
+        # line, and no numpy warning before it.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_rows = 50\nn_cols = 3\nnoise_scale = 1e308\ntrials = 3\n")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: noise_scale = 1e+308 makes b overflow float64"]
         assert not out.exists()
 
     def test_overflowing_b_file_is_exit_1(self, problem_files, tmp_path, capsys):

@@ -51,6 +51,7 @@ def inputs(tmp_path_factory):
         "deficient": f"kind = custom-file\na_file = {paths['deficient']}\n"
                      f"b_file = {paths['b']}\ntrials = 2\n",
         "too-big": "n_rows = 100000000\nn_cols = 40\ntrials = 1\n",
+        "noise-overflow": "n_rows = 50\nn_cols = 3\nnoise_scale = 1e308\ntrials = 3\n",
         "unknown-key": "colour = blue\n",
         "garbage": "???\n",
     }

@@ -113,10 +113,10 @@ class TestLeverageProfileValidation:
                      "scores must be a nonempty 1-D array", id="2-D"),
         pytest.param(np.array([]), 1, DimensionError,
                      "scores must be a nonempty 1-D array", id="empty"),
-        pytest.param(np.array([0.5, 0.5]), 0, InvalidParameterError, "rank 0 out of range",
-                     id="rank-0"),
-        pytest.param(np.array([1.0, 1.0]), 3, InvalidParameterError, "rank 3 out of range",
-                     id="rank-above-n"),
+        pytest.param(np.array([0.5, 0.5]), 0, InvalidParameterError,
+                     "rank must be an integer in [1, 2], got 0", id="rank-0"),
+        pytest.param(np.array([1.0, 1.0]), 3, InvalidParameterError,
+                     "rank must be an integer in [1, 2], got 3", id="rank-above-n"),
     ])
     def test_malformed_profile_rejected(self, scores, rank, error, message):
         with pytest.raises(error) as exc_info:
@@ -127,7 +127,7 @@ class TestLeverageProfileValidation:
         # The scores sum to 1.5, so only the integer check can reject it.
         with pytest.raises(InvalidParameterError) as exc_info:
             LeverageProfile(scores=np.array([0.75, 0.75]), rank=1.5)
-        assert str(exc_info.value) == "rank must be an integer, got 1.5"
+        assert str(exc_info.value) == "rank must be an integer in [1, 2], got 1.5"
         assert LeverageProfile(scores=np.array([0.75, 0.25]), rank=np.int64(1)).rank == 1
 
     def test_a_writeable_array_is_copied_not_frozen(self):
@@ -174,8 +174,8 @@ class TestDistributions:
         assert dist.beta is None
 
     @pytest.mark.parametrize("n_rows, error, message", [
-        pytest.param(0, InvalidParameterError, "need at least one row, got 0", id="zero"),
-        pytest.param(2.5, InvalidParameterError, "n_rows must be an integer, got 2.5",
+        pytest.param(0, InvalidParameterError, "n_rows must be an integer >= 1, got 0", id="zero"),
+        pytest.param(2.5, InvalidParameterError, "n_rows must be an integer >= 1, got 2.5",
                      id="non-integral"),
     ])
     def test_uniform_row_count_checked(self, n_rows, error, message):

@@ -20,6 +20,7 @@ from levsketch import (
     DenseMatrix,
     DimensionError,
     InvalidParameterError,
+    InvalidSampleCountError,
     LevSketchError,
     LeverageProfile,
     OrthonormalBasis,
@@ -35,8 +36,11 @@ from levsketch import (
     exact_lstsq,
     fro_norm_sq,
     leverage_scores,
+    multinomial_draws,
     orthonormal_basis,
+    parse_sample_rule,
     read_matrix,
+    required_samples,
     spectral_extremes,
     uniform_distribution,
     write_matrix,
@@ -50,7 +54,8 @@ from levsketch.linalg import (
     fro_norm_sq_each,
     kept,
 )
-from levsketch.sketch import _sample_count
+from levsketch.experiment import MAX_TRIALS
+from levsketch.sketch import MAX_SEED, MAX_STREAM_INDEX, TrialStreams, draw_chunk
 
 
 #: Each boundary that takes an integer parameter, called with one value.
@@ -62,7 +67,7 @@ INTEGER_ENTRY_POINTS = {
         ProblemSpec("gaussian-incoherent", 20, 2), "leverage", "xr:4",
         AccuracyTarget(0.3, 0.3), n_trials=v),
     "RngStream": lambda v: RngStream(v),
-    "sample_count": _sample_count,
+    "sample_count": lambda v: build_sketch(uniform_distribution(2), v, RngStream(0)),
 }
 
 
@@ -76,6 +81,75 @@ def test_bools_are_rejected_as_integers_like_non_integral_values(entry, value):
     with pytest.raises(type(non_integral.value)) as exc_info:
         entry(value)
     assert str(exc_info.value) == str(non_integral.value).replace("2.5", repr(value))
+
+
+def _trial_config(**fields):
+    return TrialConfig(ProblemSpec("gaussian-incoherent", 20, 2), "leverage", "xr:4",
+                       AccuracyTarget(0.3, 0.3), **fields)
+
+
+#: Every bounded integer setting of the library: (call with one value, lo,
+#: hi or None, the error type its site raises, the name its message gives,
+#: whether the value reaches the check only as an int).
+BOUNDED_SETTINGS = {
+    "RngStream-seed": (RngStream, 0, MAX_SEED, InvalidParameterError, "seed", False),
+    "RngStream-stream_index": (lambda v: RngStream(0, v), 0, MAX_STREAM_INDEX,
+                               InvalidParameterError, "stream_index", False),
+    "TrialStreams-stream_index": (lambda v: TrialStreams(0).uniforms(1, range(v, v + 1)), 0,
+                                  MAX_STREAM_INDEX, InvalidParameterError, "stream_index", True),
+    "multinomial_draws-s": (lambda v: multinomial_draws(uniform_distribution(2), v, RngStream(0)),
+                            1, None, InvalidSampleCountError, "s", False),
+    "draw_chunk-s": (lambda v: draw_chunk(uniform_distribution(2), v, TrialStreams(0), range(1)),
+                     1, None, InvalidSampleCountError, "s", False),
+    "ProblemSpec-seed": (lambda v: ProblemSpec("gaussian-incoherent", 20, 2, seed=v), 0, MAX_SEED,
+                         InvalidParameterError, "problem seed", False),
+    "ProblemSpec-rhs_cols": (lambda v: ProblemSpec("gaussian-incoherent", 20, 2, rhs_cols=v), 1,
+                             None, InvalidParameterError, "rhs_cols", False),
+    "TrialConfig-master_seed": (lambda v: _trial_config(master_seed=v), 0, MAX_SEED,
+                                InvalidParameterError, "seed", False),
+    "TrialConfig-n_trials": (lambda v: _trial_config(n_trials=v), 1, MAX_TRIALS,
+                             InvalidParameterError, "n_trials", False),
+    "TrialConfig-cap_samples": (lambda v: _trial_config(cap_samples=v), 0, None,
+                                InvalidParameterError, "cap_samples", False),
+    "parse_sample_rule-xr": (lambda v: parse_sample_rule(f"xr:{v}"), 1, None,
+                             InvalidParameterError, "rank multiple", True),
+    "parse_sample_rule-count": (lambda v: parse_sample_rule(str(v)), 1, None,
+                                InvalidParameterError, "sample count", True),
+    "required_samples-rank": (lambda v: required_samples(v, 1.0, AccuracyTarget(0.1, 0.1)), 1,
+                              None, InvalidParameterError, "rank", False),
+    "LeverageProfile-rank": (lambda v: LeverageProfile(np.array([1.0]), v), 1, 1,
+                             InvalidParameterError, "rank", False),
+    "uniform_distribution-n_rows": (uniform_distribution, 1, None, InvalidParameterError,
+                                    "n_rows", False),
+}
+
+
+def _bounded_cases():
+    for setting, (call, lo, hi, error, name, ints_only) in BOUNDED_SETTINGS.items():
+        cases = {"lo-1": lo - 1, "lo": lo}
+        if hi is not None:
+            cases.update({"hi": hi, "hi+1": hi + 1})
+        cases["numpy"] = np.uint64(MAX_SEED) if hi == MAX_SEED else np.int64(lo)
+        if not ints_only:
+            cases.update({"True": True, "2.5": 2.5})
+        bounds = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        for label, value in cases.items():
+            accepted = label in ("lo", "hi", "numpy")
+            yield pytest.param(call, value, None if accepted else error,
+                               f"{name} must be an integer {bounds}", id=f"{setting}-{label}")
+
+
+@pytest.mark.parametrize("call, value, error, text", _bounded_cases())
+def test_every_bounded_integer_setting_checks_its_range_with_one_message(call, value, error, text):
+    # Each bound is inclusive; outside it, and for a bool or a non-integral
+    # value, the site raises its own error type with as_int's message.
+    if error is None:
+        call(value)
+        return
+    with pytest.raises(error) as exc_info:
+        call(value)
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == f"{text}, got {value!r}"
 
 
 def normal_equations_solve(a, b):

@@ -162,6 +162,19 @@ class TestRetry:
         with pytest.raises(GenerationFailedError, match="rank deficient"):
             generate_problem(self.spec)
 
+    @pytest.mark.parametrize("kind", ["gaussian-incoherent", "spiked-coherent"])
+    def test_overflowing_noise_raises_once_without_a_warning(self, monkeypatch, kind):
+        # Every redraw at this scale overflows too, so nothing is retried or
+        # factored; the warnings filter turns a leaked overflow into a failure.
+        def never(a, b):
+            raise AssertionError("b was factored")
+
+        monkeypatch.setattr(problems_mod, "exact_lstsq", never)
+        spec = ProblemSpec(kind, n_rows=50, n_cols=3, noise_scale=1e308, coherence_target=0.9)
+        with pytest.raises(InvalidParameterError) as exc_info:
+            generate_problem(spec)
+        assert str(exc_info.value) == "noise_scale = 1e+308 makes b overflow float64"
+
     def test_one_factorization(self, count_numpy_calls):
         generate_problem(self.spec)
         assert count_numpy_calls(40, names=("qr",)) == count_numpy_calls(40) == 1

@@ -124,12 +124,12 @@ class TestMultinomialDraws:
         # Every draw goes through one check: 2.5 rows is not 2 rows.
         p = uniform_distribution(10)
         for s in (2.5, 3.7, np.float64(3.0), "3"):
-            with pytest.raises(InvalidSampleCountError, match="positive integer"):
-                multinomial_draws(p, s, RngStream(1))
-            with pytest.raises(InvalidSampleCountError, match="positive integer"):
-                build_sketch(p, s, RngStream(1))
-            with pytest.raises(InvalidSampleCountError, match="positive integer"):
-                draw_chunk(p, s, TrialStreams(1), range(1))
+            for draw in (lambda: multinomial_draws(p, s, RngStream(1)),
+                         lambda: build_sketch(p, s, RngStream(1)),
+                         lambda: draw_chunk(p, s, TrialStreams(1), range(1))):
+                with pytest.raises(InvalidSampleCountError) as exc_info:
+                    draw()
+                assert str(exc_info.value) == f"s must be an integer >= 1, got {s!r}"
         for s in (np.int64(3), np.int32(3)):
             np.testing.assert_array_equal(build_sketch(p, s, RngStream(1)).draws,
                                           build_sketch(p, 3, RngStream(1)).draws)

@@ -162,7 +162,7 @@ class TestSketchedLstsq:
         for s in (7.9, 2.5, 0, True):
             with pytest.raises(InvalidSampleCountError) as exc_info:
                 sketched_lstsq(a, b, uniform_distribution(20), s, RngStream(0))
-            assert str(exc_info.value) == f"s must be a positive integer, got {s!r}"
+            assert str(exc_info.value) == f"s must be an integer >= 1, got {s!r}"
         sol = sketched_lstsq(a, b, uniform_distribution(20), np.int64(7), RngStream(0))
         assert sol.plan.n_samples == 7
 
