@@ -99,7 +99,14 @@ def _check_out_path(path: str | None) -> None:
         raise PermissionError(f"cannot write {path}: permission denied")
 
 
-def _trial_config(values: dict[str, str]) -> TrialConfig:
+#: The config keys of a generated problem; a custom-file problem reads none.
+_GENERATED_KEYS = ("n_rows", "n_cols", "rhs_cols", "noise_scale", "coherence_target",
+                   "problem_seed")
+
+
+def _trial_config(values: dict[str, str], given=()) -> TrialConfig:
+    """The run of a full table of config ``values``, of which a config file
+    set the keys in ``given``."""
     def number(key: str, kind: type):
         try:
             return kind(values[key])
@@ -107,17 +114,24 @@ def _trial_config(values: dict[str, str]) -> TrialConfig:
             what = "an integer" if kind is int else "a number"
             raise ValueError(f"{key} must be {what}, got {values[key]!r}") from None
 
-    spec = ProblemSpec(
-        kind=values["kind"],
-        n_rows=number("n_rows", int),
-        n_cols=number("n_cols", int),
-        rhs_cols=number("rhs_cols", int),
-        noise_scale=number("noise_scale", float),
-        coherence_target=number("coherence_target", float),
-        seed=number("problem_seed", int),
-        a_path=values["a_file"] or None,
-        b_path=values["b_file"] or None,
-    )
+    paths = {"a_path": values["a_file"] or None, "b_path": values["b_file"] or None}
+    if values["kind"] == "custom-file":
+        for key in _GENERATED_KEYS:
+            if key in given:
+                raise ValueError(f"a custom-file problem reads only a_file and b_file, "
+                                 f"got {key} = {values[key]!r}")
+        spec = ProblemSpec("custom-file", **paths)
+    else:
+        spec = ProblemSpec(
+            kind=values["kind"],
+            n_rows=number("n_rows", int),
+            n_cols=number("n_cols", int),
+            rhs_cols=number("rhs_cols", int),
+            noise_scale=number("noise_scale", float),
+            coherence_target=number("coherence_target", float),
+            seed=number("problem_seed", int),
+            **paths,
+        )
     return TrialConfig(
         problem=spec,
         distribution=values["dist"],
@@ -168,14 +182,13 @@ def _cmd_leverage(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    values = dict(_DEFAULTS)
-    if args.config:
-        values.update(read_config(args.config))
+    given = read_config(args.config) if args.config else {}
+    values = dict(_DEFAULTS, **given)
     # A flag given on the command line beats the config file's value.
     values.update((key, str(flag)) for key, flag in vars(args).items()
                   if key in _DEFAULTS and flag is not None)
     try:
-        cfg = _trial_config(values)
+        cfg = _trial_config(values, given)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     _check_out_path(args.out)

@@ -32,10 +32,10 @@ from .linalg import (
     RANK_TOL,
     LstsqSolution,
     as_problem,
+    as_real,
     fill_in_slabs,
     fro_norm_sq,
     fro_norm_sq_each,
-    in_open_unit,
 )
 from .sketch import SketchChunk, SketchPlan, apply_sketch
 
@@ -114,7 +114,7 @@ def check_structural(plan: SketchPlan, exact: LstsqSolution, epsilon: float) -> 
     relative to ``exact.b_norm_sq``, so on a consistent system rounding
     noise does not decide the verdict.
     """
-    in_open_unit(epsilon, "epsilon")
+    as_real(epsilon, "epsilon", 0, 1, "()")
     q = exact.basis.q
     r = q.shape[1]
     sq = np.asarray(apply_sketch(plan, q))
@@ -152,7 +152,7 @@ def check_bounds(a, b, x_tilde, exact: LstsqSolution, epsilon: float) -> BoundRe
     ``sigma_min(a)``, ``kappa`` and ``||b||_F^2`` are ``exact.spectral`` and
     ``exact.b_norm_sq``, from the exact solve of ``(a, b)``.
     """
-    in_open_unit(epsilon, "epsilon")
+    as_real(epsilon, "epsilon", 0, 1, "()")
     arr, barr, xt = as_problem(a, b, x_tilde)
     xo = exact.x_opt  # checked by exact_lstsq
     limits = _BoundLimits.of(epsilon, exact, fro_norm_sq(arr @ xo))
@@ -288,7 +288,7 @@ class TrialScorer:
     """
 
     def __init__(self, exact: LstsqSolution, epsilon: float) -> None:
-        in_open_unit(epsilon, "epsilon")
+        as_real(epsilon, "epsilon", 0, 1, "()")
         q, bp = exact.basis.q, exact.b_perp
         self._block = fill_in_slabs(np.empty((q.shape[0], q.shape[1] + bp.shape[1])), q, bp)
         self._rank = q.shape[1]

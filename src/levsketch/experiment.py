@@ -37,7 +37,7 @@ from .leverage import (
     misestimation_beta,
     uniform_distribution,
 )
-from .linalg import as_int
+from .linalg import as_int, as_real
 from .problems import ProblemSpec, generate_problem
 # build_sketch is unused here; perfbench's tracer test checks that it wraps this binding.
 from .sketch import MAX_SEED, RngStream, TrialStreams, build_sketch, draw_chunk  # noqa: F401
@@ -59,8 +59,14 @@ MAX_TRIALS = 10_000_000
 CHUNK_DRAWS = 32768
 
 
+def _check_text(text, name: str) -> None:
+    if not isinstance(text, str):
+        raise InvalidParameterError(f"{name} must be text, got {text!r}")
+
+
 def parse_distribution_spec(text: str) -> tuple[str, float]:
     """Parse ``leverage``, ``uniform``, or ``blended:ALPHA``."""
+    _check_text(text, "distribution")
     name, colon, arg = text.partition(":")
     name = name.strip().lower()
     if name == "blended":
@@ -70,9 +76,7 @@ def parse_distribution_spec(text: str) -> tuple[str, float]:
             raise InvalidParameterError(
                 f"blended distribution needs a numeric alpha, got {text!r}"
             ) from None
-        if not (0.0 <= alpha <= 1.0):
-            raise InvalidParameterError(f"alpha must lie in [0, 1], got {alpha}")
-        return "blended", alpha
+        return "blended", as_real(alpha, "alpha", 0, 1)
     if name in ("leverage", "uniform") and not colon:
         return name, 0.0
     raise InvalidParameterError(
@@ -82,6 +86,7 @@ def parse_distribution_spec(text: str) -> tuple[str, float]:
 
 def parse_sample_rule(text: str) -> tuple[str, int]:
     """Parse ``auto`` (sample-size formula), an explicit count, or ``xr:C``."""
+    _check_text(text, "sample rule")
     t = text.strip().lower()
     if t == "auto":
         return "auto", 0

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DimensionError, InvalidParameterError, UnsupportedRowError
-from .linalg import OrthonormalBasis, as_int, kept, orthonormal_basis, read_only
+from .linalg import OrthonormalBasis, as_int, as_real, kept, orthonormal_basis, read_only
 
 _SCORE_SUM_TOL = 1e-8
 _UNIT_TOL = 1e-12
@@ -76,8 +76,8 @@ class SamplingDistribution:
         total = float(probs.sum())
         if abs(total - 1.0) > _UNIT_TOL:
             raise InvalidParameterError(f"probabilities sum to {total!r}, not 1")
-        if self.beta is not None and not (0.0 < self.beta <= 1.0):
-            raise InvalidParameterError(f"beta must lie in (0, 1], got {self.beta}")
+        if self.beta is not None:
+            as_real(self.beta, "beta", 0, 1, "(]")
 
     @property
     def n_rows(self) -> int:
@@ -191,6 +191,5 @@ def blended_distribution(dist: SamplingDistribution, alpha: float) -> SamplingDi
     least ``alpha/n``.  This is the canonical way to build degraded test
     distributions with a known analytic floor on ``beta``.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = float(as_real(alpha, "alpha", 0, 1))  # a Fraction would make an object array
     return SamplingDistribution(probs=read_only((1.0 - alpha) * dist.probs + alpha / dist.n_rows))

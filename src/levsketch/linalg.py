@@ -12,6 +12,8 @@ cache-sized row slabs (:func:`fill_in_slabs`), so ``q`` keeps LAPACK's layout;
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -95,10 +97,20 @@ def as_int(value, name: str, lo: int | None = None, hi: int | None = None,
     raise error(f"{name} must be an integer{bounds}, got {value!r}")
 
 
-def in_open_unit(value: float, name: str) -> None:
-    """The boundary check for ``epsilon`` and ``delta``: in the open interval (0, 1)."""
-    if not (0.0 < value < 1.0):
-        raise InvalidParameterError(f"{name} must lie in (0, 1), got {value}")
+def as_real(value, name: str, lo, hi, ends: str = "[]"):
+    """The boundary check for a real parameter: ``value``, as it is, when it is
+    a ``numbers.Real`` but not a bool, finite as a float, in the interval from
+    ``lo`` to ``hi`` with the ends ``ends`` marks closed or open (``"[]"``,
+    ``"(]"``, ``"()"``, ``"[)"``).  Anything else raises ``InvalidParameterError``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        try:
+            if (math.isfinite(value) and (lo < value if ends[0] == "(" else lo <= value)
+                    and (value < hi if ends[1] == ")" else value <= hi)):
+                return value
+        except OverflowError:  # an int or a Fraction past the float range
+            pass
+    raise InvalidParameterError(
+        f"{name} must be a finite real number in {ends[0]}{lo}, {hi}{ends[1]}, got {value!r}")
 
 
 def fill_in_slabs(out: np.ndarray, *parts: np.ndarray) -> np.ndarray:
@@ -240,16 +252,15 @@ class LstsqSolution:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Extreme singular values and the condition number of a matrix."""
+    """Extreme singular values and the condition number of a matrix:
+    ``0 <= sigma_min <= sigma_max``, both finite."""
 
     sigma_min: float
     sigma_max: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.sigma_min <= self.sigma_max):
-            raise InvalidParameterError(
-                f"need 0 <= sigma_min <= sigma_max, got {self.sigma_min}, {self.sigma_max}"
-            )
+        as_real(self.sigma_max, "sigma_max", 0, math.inf, "[)")
+        as_real(self.sigma_min, "sigma_min", 0, self.sigma_max)
 
     @property
     def kappa(self) -> float:

@@ -70,7 +70,8 @@ import re
 
 import numpy as np
 
-from .exceptions import DimensionError, LevSketchError, MatrixMarketParseError
+from .exceptions import (DimensionError, InvalidParameterError, LevSketchError,
+                         MatrixMarketParseError)
 from .linalg import DenseMatrix, _cast, as_array, read_only
 
 _HEADER_FIELDS = ("%%matrixmarket", "matrix", "array", "real", "general")
@@ -116,8 +117,21 @@ def write_lines(fh, values) -> None:
             fh.write(lines.tobytes().decode("ascii"))
 
 
+def as_path(path, name: str = "path") -> str | bytes:
+    """The boundary check for a file path: ``os.fspath(path)``, so a str,
+    bytes or ``os.PathLike``.  Anything else raises ``InvalidParameterError``
+    before any ``open``: an int or a bool would open, and then close, a file
+    descriptor the caller owns."""
+    try:
+        return os.fspath(path)
+    except TypeError:
+        raise InvalidParameterError(
+            f"{name} must be a str, bytes or os.PathLike, got {path!r}") from None
+
+
 def write_matrix(path: str | os.PathLike, m) -> None:
     """Write any 2-D array-like in Matrix Market array format."""
+    path = as_path(path)
     a = as_array(m)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"%%MatrixMarket matrix array real general\n{a.shape[0]} {a.shape[1]}\n")
@@ -140,7 +154,7 @@ def decode_text(data: bytes, error: type[LevSketchError]) -> str:
 
 def read_text(path: str | os.PathLike, error: type[LevSketchError]) -> str:
     """Read a whole file as UTF-8 text, as :func:`decode_text` decodes it."""
-    with open(path, "rb") as fh:
+    with open(as_path(path), "rb") as fh:
         return decode_text(fh.read(), error)
 
 
@@ -155,8 +169,10 @@ def read_matrix(path: str | os.PathLike) -> DenseMatrix:
         1-based line number.
     OSError
         If the file cannot be opened.
+    InvalidParameterError
+        If ``path`` is not a path (:func:`as_path`).
     """
-    with open(path, "rb") as fh:
+    with open(as_path(path), "rb") as fh:
         data = fh.read()
     m = _read_body(data)
     return m if m is not None else _parse_lines(decode_text(data, MatrixMarketParseError))
@@ -572,7 +588,7 @@ def _kept_lines(block: np.ndarray, rows: np.ndarray, negative: np.ndarray,
     keep[:, 0] = negative
     keep[:, _HUNDREDS] = hundreds
     keep[at] = False
-    text = rows.reshape(-1).take(np.flatnonzero(keep)).tobytes().decode("ascii")
+    text = rows[keep].tobytes().decode("ascii")
     if at.size:
         # An undecided value's line is empty here: its text goes where
         # the lines before it end.

@@ -8,14 +8,14 @@ loaded from matrix files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .exceptions import GenerationFailedError, InvalidParameterError, RankDeficientError
 from .leverage import profile_from_basis
-from .linalg import LstsqSolution, as_int, exact_lstsq, read_only
-from .mmio import read_matrix
+from .linalg import LstsqSolution, as_int, as_real, exact_lstsq, read_only
+from .mmio import as_path, read_matrix
 from .sketch import MAX_SEED, RngStream
 
 PROBLEM_KINDS = (
@@ -53,16 +53,27 @@ class ProblemSpec:
             )
         for name in ("n_rows", "n_cols"):
             as_int(getattr(self, name), name)
-        # A file problem's right-hand sides are the columns of its b file.
-        as_int(self.rhs_cols, "rhs_cols", None if self.kind == "custom-file" else 1)
+        as_int(self.rhs_cols, "rhs_cols", 1)
         as_int(self.seed, "problem seed", 0, MAX_SEED)  # the stream-0 seed check, before any work
+        as_real(self.noise_scale, "noise_scale", 0, math.inf, "[)")
         if self.kind == "custom-file":
+            # A file problem's shape is its files': it reads no other setting.
+            for f in fields(self):
+                if f.name not in ("kind", "a_path", "b_path") and getattr(self, f.name) != f.default:
+                    raise InvalidParameterError(
+                        f"a custom-file problem reads only a_path and b_path, "
+                        f"got {f.name} = {getattr(self, f.name)!r}")
             # A path that cannot be read, "" included, fails as an OSError when read.
             if self.a_path is None or self.b_path is None:
                 raise InvalidParameterError(
                     "custom-file problems need a_path and b_path"
                 )
+            as_path(self.a_path, "a_path")
+            as_path(self.b_path, "b_path")
             return
+        if self.a_path is not None or self.b_path is not None:
+            raise InvalidParameterError(
+                f"a {self.kind} problem is generated and reads no a_path or b_path")
         if not (self.n_rows > self.n_cols >= 1):
             raise InvalidParameterError(
                 f"need n_rows > n_cols >= 1, got {self.n_rows}x{self.n_cols}"
@@ -73,17 +84,8 @@ class ProblemSpec:
                 f"a {self.n_rows}x{self.n_cols} problem with {self.rhs_cols} right-hand "
                 f"side(s) has {entries} entries, over the budget of {MAX_ENTRIES}"
             )
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
-            raise InvalidParameterError(
-                f"noise_scale must be finite and >= 0, got {self.noise_scale}"
-            )
         if self.kind == "spiked-coherent":
-            lo = self.n_cols / self.n_rows
-            if not (lo <= self.coherence_target <= 1.0):
-                raise InvalidParameterError(
-                    f"coherence_target must lie in [{lo:.3g}, 1], got "
-                    f"{self.coherence_target}"
-                )
+            as_real(self.coherence_target, "coherence_target", self.n_cols / self.n_rows, 1)
 
 
 def _plant_spike(arr: np.ndarray, target: float) -> None:
@@ -146,8 +148,8 @@ def generate_problem(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, dict]:
         x_true = g.standard_normal((r, spec.rhs_cols))
         b = a @ x_true
         if spec.kind != "consistent" and spec.noise_scale > 0.0:
-            with np.errstate(over="ignore"):
-                b = b + spec.noise_scale * g.standard_normal((n, spec.rhs_cols))
+            with np.errstate(over="ignore"):  # float(): a Fraction would make an object array
+                b = b + float(spec.noise_scale) * g.standard_normal((n, spec.rhs_cols))
             if not np.isfinite(b).all():  # every redraw would overflow too
                 raise InvalidParameterError(
                     f"noise_scale = {spec.noise_scale!r} makes b overflow float64"

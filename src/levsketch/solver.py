@@ -21,8 +21,7 @@ from .exceptions import (
     SketchRankDeficientError,
 )
 from .leverage import SamplingDistribution
-from .linalg import (RANK_TOL, LstsqSolution, as_int, as_problem, fro_norm_sq,
-                     in_open_unit, read_only)
+from .linalg import RANK_TOL, LstsqSolution, as_int, as_problem, as_real, fro_norm_sq, read_only
 from .sketch import RngStream, SketchPlan, apply_sketch, build_sketch
 
 #: Constant in the log branch of the sample-size rule, 144 / (1 - 1/sqrt(2))^2:
@@ -38,8 +37,8 @@ class AccuracyTarget:
     delta: float
 
     def __post_init__(self) -> None:
-        in_open_unit(self.epsilon, "epsilon")
-        in_open_unit(self.delta, "delta")
+        as_real(self.epsilon, "epsilon", 0, 1, "()")
+        as_real(self.delta, "delta", 0, 1, "()")
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,7 @@ def required_samples(r: int, beta: float, target: AccuracyTarget) -> int:
     range raises :class:`InvalidSampleCountError`.
     """
     r = as_int(r, "rank", 1)
-    if not (0.0 < beta <= 1.0):
-        raise InvalidParameterError(f"beta must lie in (0, 1], got {beta}")
+    as_real(beta, "beta", 0, 1, "(]")
     log_branch = SAMPLE_SIZE_CONSTANT * math.log(r / target.delta)
     try:
         tail_branch = 1.0 / (target.delta * target.epsilon)

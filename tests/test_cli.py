@@ -502,7 +502,39 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: noise_scale must be finite and >= 0, got {noise}"]
+            f"error: noise_scale must be a finite real number in [0, inf), got {noise}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_rows", "3"), ("n_cols", "2"), ("rhs_cols", "0"), ("noise_scale", "5"),
+        ("coherence_target", "0.5"), ("problem_seed", "0")])
+    def test_custom_file_config_with_a_generated_problem_key_is_exit_1(
+            self, problem_files, tmp_path, capsys, key, value):
+        # A file problem's shape is its files': a key it would not read is
+        # an error, even at the default value, not a setting run without.
+        a_path, b_path = problem_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kind = custom-file\na_file = {a_path}\nb_file = {b_path}\n"
+                       f"{key} = {value}\ntrials = 2\n")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: a custom-file problem reads only a_file and b_file, got {key} = {value!r}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["a_file", "b_file"])
+    def test_generated_problem_config_with_a_file_is_exit_1(self, problem_files, tmp_path,
+                                                           capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kind = consistent\n{key} = {problem_files[0]}\ntrials = 2\n")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: a consistent problem is generated and reads no a_path or b_path"]
         assert not out.exists()
 
     def test_overflowing_noise_is_exit_1_with_one_error_line(self, tmp_path, capsys):

@@ -243,7 +243,7 @@ def test_open_interval_messages(site, bad):
     }[site]
     with pytest.raises(InvalidParameterError) as exc_info:
         call()
-    assert str(exc_info.value) == f"{name} must lie in (0, 1), got {bad}"
+    assert str(exc_info.value) == f"{name} must be a finite real number in (0, 1), got {bad}"
 
 
 @pytest.mark.parametrize("module, check", [

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,6 +118,26 @@ class TestTrialConfigValidation:
     def test_cap_nonnegative(self):
         with pytest.raises(InvalidParameterError):
             small_config(cap_samples=-1)
+
+    @pytest.mark.parametrize("value", [3, None, b"auto"], ids=["int", "None", "bytes"])
+    @pytest.mark.parametrize("field, name", [("distribution", "distribution"),
+                                             ("sample_rule", "sample rule")])
+    def test_rules_that_are_not_text_rejected(self, field, name, value):
+        # Not an AttributeError or TypeError from a str method.
+        with pytest.raises(InvalidParameterError) as exc_info:
+            small_config(**{field: value})
+        assert str(exc_info.value) == f"{name} must be text, got {value!r}"
+
+    def test_decimal_epsilon_rejected_before_any_problem_is_generated(self, monkeypatch):
+        # A Decimal compares with floats, so a range check alone let it
+        # through, and the run failed after the problem was generated.
+        generated = []
+        monkeypatch.setattr(experiment_mod, "generate_problem", generated.append)
+        with pytest.raises(InvalidParameterError) as exc_info:
+            run_experiment(small_config(target=AccuracyTarget(Decimal("0.1"), 0.1)))
+        assert str(exc_info.value) == (
+            "epsilon must be a finite real number in (0, 1), got Decimal('0.1')")
+        assert generated == []
 
     @pytest.mark.parametrize("field", ["master_seed", "n_trials", "cap_samples"])
     def test_integer_fields_reject_non_integral_values(self, field):

@@ -189,9 +189,10 @@ class TestDistributions:
         pytest.param(np.array([]), None, DimensionError,
                      "probs must be a nonempty 1-D array", id="empty"),
         pytest.param(np.array([0.5, 0.5]), 0.0, InvalidParameterError,
-                     "beta must lie in (0, 1], got 0.0", id="beta-0"),
+                     "beta must be a finite real number in (0, 1], got 0.0", id="beta-0"),
         pytest.param(np.array([0.5, 0.5]), 1.5, InvalidParameterError,
-                     "beta must lie in (0, 1], got 1.5", id="beta-above-1"),
+                     "beta must be a finite real number in (0, 1], got 1.5",
+                     id="beta-above-1"),
     ])
     def test_malformed_distribution_rejected(self, probs, beta, error, message):
         with pytest.raises(error) as exc_info:

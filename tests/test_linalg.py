@@ -9,6 +9,7 @@ computation, so none of these tests trust the code paths they exercise.
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -31,13 +32,18 @@ from levsketch import (
     SketchPlan,
     SpectralSummary,
     TrialConfig,
+    TrialScorer,
     apply_sketch,
+    blended_distribution,
     build_sketch,
+    check_bounds,
+    check_structural,
     exact_lstsq,
     fro_norm_sq,
     leverage_scores,
     multinomial_draws,
     orthonormal_basis,
+    parse_distribution_spec,
     parse_sample_rule,
     read_matrix,
     required_samples,
@@ -51,6 +57,7 @@ from levsketch.linalg import (
     as_array,
     as_int,
     as_problem,
+    as_real,
     fro_norm_sq_each,
     kept,
 )
@@ -150,6 +157,95 @@ def test_every_bounded_integer_setting_checks_its_range_with_one_message(call, v
         call(value)
     assert type(exc_info.value) is error
     assert str(exc_info.value) == f"{text}, got {value!r}"
+
+
+def _epsilon_sites():
+    a = np.random.default_rng(3).standard_normal((8, 2))
+    b = a[:, :1] + 1.0
+    exact = exact_lstsq(a, b)
+    plan = build_sketch(uniform_distribution(8), 4, RngStream(0))
+    return {
+        "AccuracyTarget-epsilon": lambda v: AccuracyTarget(v, 0.5),
+        "check_structural-epsilon": lambda v: check_structural(plan, exact, v),
+        "check_bounds-epsilon": lambda v: check_bounds(a, b, exact.x_opt, exact, v),
+        "TrialScorer-epsilon": lambda v: TrialScorer(exact, v),
+    }
+
+
+#: Every real setting of the library: (call with one value, lo, hi, ends,
+#: the name its message gives, whether the value reaches the check only as
+#: text, parsed by float()).
+BOUNDED_REALS = {
+    **{site: (call, 0, 1, "()", "epsilon", False) for site, call in _epsilon_sites().items()},
+    "AccuracyTarget-delta": (lambda v: AccuracyTarget(0.5, v), 0, 1, "()", "delta", False),
+    "required_samples-beta": (lambda v: required_samples(2, v, AccuracyTarget(0.1, 0.1)), 0, 1,
+                              "(]", "beta", False),
+    "SamplingDistribution-beta": (lambda v: SamplingDistribution(np.full(2, 0.5), v), 0, 1,
+                                  "(]", "beta", False),
+    "blended_distribution-alpha": (lambda v: blended_distribution(uniform_distribution(2), v),
+                                   0, 1, "[]", "alpha", False),
+    "parse_distribution_spec-alpha": (lambda v: parse_distribution_spec(f"blended:{v!r}"), 0, 1,
+                                      "[]", "alpha", True),
+    "ProblemSpec-noise_scale": (lambda v: ProblemSpec("gaussian-incoherent", 20, 2,
+                                                      noise_scale=v),
+                                0, math.inf, "[)", "noise_scale", False),
+    "ProblemSpec-coherence_target": (lambda v: ProblemSpec("spiked-coherent", 20, 2,
+                                                           coherence_target=v),
+                                     0.1, 1, "[]", "coherence_target", False),
+    "SpectralSummary-sigma_max": (lambda v: SpectralSummary(0.0, v), 0, math.inf, "[)",
+                                  "sigma_max", False),
+    "SpectralSummary-sigma_min": (lambda v: SpectralSummary(v, 2.0), 0, 2.0, "[]",
+                                  "sigma_min", False),
+}
+
+
+def _real_cases():
+    for setting, (call, lo, hi, ends, name, text_only) in BOUNDED_REALS.items():
+        cases = {}  # label: (value, accepted)
+        for end, side, outward in ((lo, 0, -math.inf), (hi, 1, math.inf)):
+            cases[f"end{side}"] = (end, math.isfinite(end) and ends[side] in "[]")
+            if math.isfinite(end):
+                cases[f"outside{side}"] = (np.nextafter(float(end), outward).item(), False)
+        cases.update({"nan": (math.nan, False), "inf": (math.inf, False),
+                      "-inf": (-math.inf, False)})
+        if not text_only:
+            inside = (lo + hi) / 2 if math.isfinite(hi) else lo + 1.5
+            cases.update({
+                "float32": (np.float32(inside), True), "float64": (np.float64(inside), True),
+                "Fraction": (Fraction(inside), True),
+                **{label: (value, False) for label, value in (
+                    ("True", True), ("numpy-True", np.True_), ("text", "0.5"), ("None", None),
+                    ("complex", 0.5 + 0j), ("Decimal", Decimal("0.5")))},
+            })
+        if setting == "SamplingDistribution-beta":
+            cases["None"] = (None, True)  # a beta that is not known
+        interval = f"{ends[0]}{lo}, {hi}{ends[1]}"
+        for label, (value, accepted) in cases.items():
+            yield pytest.param(call, value, accepted,
+                               f"{name} must be a finite real number in {interval}",
+                               id=f"{setting}-{label}")
+
+
+@pytest.mark.parametrize("call, value, accepted, text", _real_cases())
+def test_every_real_setting_checks_its_range_with_one_message(call, value, accepted, text):
+    # A closed end is in, an open one out, and one step outside either end
+    # is out; nan, infinities, bools and values that are not real numbers
+    # are out at every site, with as_real's error and message.
+    if accepted:
+        call(value)
+        return
+    with pytest.raises(InvalidParameterError) as exc_info:
+        call(value)
+    assert type(exc_info.value) is InvalidParameterError
+    assert str(exc_info.value) == f"{text}, got {value!r}"
+
+
+def test_as_real_keeps_the_value_it_was_given():
+    for value in (0.25, np.float32(0.25), Fraction(1, 4), 1):
+        assert as_real(value, "x", 0, 1) is value
+    with pytest.raises(InvalidParameterError, match=r"^x must be a finite real number in "
+                       r"\[0, inf\), got 1000"):
+        as_real(10**400, "x", 0, math.inf, "[)")  # past the float range
 
 
 def normal_equations_solve(a, b):

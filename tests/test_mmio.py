@@ -10,6 +10,7 @@ tests that use it).
 """
 
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -187,6 +188,25 @@ class TestParseErrors:
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_matrix(tmp_path / "does-not-exist.mtx")
+
+
+@pytest.mark.parametrize("name, call", [
+    ("path", read_matrix),
+    ("path", lambda fd: write_matrix(fd, np.eye(2))),
+    ("path", lambda fd: mmio.read_text(fd, MatrixMarketParseError)),
+    ("a_path", lambda fd: ProblemSpec("custom-file", a_path=fd, b_path="b.mtx")),
+], ids=["read_matrix", "write_matrix", "read_text", "ProblemSpec"])
+def test_a_file_descriptor_is_not_a_path(tmp_path, name, call):
+    # open() takes an int as a file descriptor and closes it with the file:
+    # read_matrix(0) read stdin and closed it.
+    path = tmp_path / "m.mtx"
+    write_matrix(path, np.eye(2))
+    fd = os.open(path, os.O_RDWR)
+    with pytest.raises(InvalidParameterError) as exc_info:
+        call(fd)
+    assert str(exc_info.value) == f"{name} must be a str, bytes or os.PathLike, got {fd!r}"
+    os.fstat(fd)  # still open
+    os.close(fd)
 
 
 def test_write_accepts_plain_arrays(tmp_path):

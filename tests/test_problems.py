@@ -1,5 +1,7 @@
 """Synthetic problem generation for the bench harness."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,17 @@ class TestGaussianIncoherent:
         a2, b2, _ = generate_problem(spec)
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
+
+    @pytest.mark.parametrize("noise", [Fraction(1, 2), np.float32(0.5), 1],
+                             ids=["Fraction", "float32", "int"])
+    def test_any_real_noise_scale_gives_the_bits_of_its_float(self, noise):
+        # as_real accepts every finite numbers.Real; a Fraction times an
+        # array would be an object array.
+        want = generate_problem(ProblemSpec("gaussian-incoherent", 40, 3, noise_scale=float(noise),
+                                            seed=4))[1]
+        got = generate_problem(ProblemSpec("gaussian-incoherent", 40, 3, noise_scale=noise,
+                                           seed=4))[1]
+        np.testing.assert_array_equal(got, want)
 
     def test_different_seeds_differ(self):
         a1, _, _ = generate_problem(ProblemSpec("gaussian-incoherent", 50, 3, seed=1))
@@ -246,6 +259,31 @@ class TestCustomFile:
         return ProblemSpec("custom-file", a_path=str(tmp_path / "a.mtx"),
                            b_path=str(tmp_path / "b.mtx"))
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_rows", 3), ("n_cols", 2), ("rhs_cols", 2), ("noise_scale", 5.0),
+        ("coherence_target", 0.5), ("seed", 1)])
+    def test_generated_problem_settings_rejected(self, field, value):
+        # They were accepted and ignored: the files give the shape.
+        with pytest.raises(InvalidParameterError) as exc_info:
+            ProblemSpec("custom-file", a_path="a.mtx", b_path="b.mtx", **{field: value})
+        assert str(exc_info.value) == (
+            f"a custom-file problem reads only a_path and b_path, got {field} = {value!r}")
+
+    @pytest.mark.parametrize("path", [3, True, 2.5], ids=["int", "bool", "float"])
+    def test_paths_must_be_paths(self, path):
+        # open() takes an int or a bool as a file descriptor, and closes it.
+        with pytest.raises(InvalidParameterError) as exc_info:
+            ProblemSpec("custom-file", a_path="a.mtx", b_path=path)
+        assert str(exc_info.value) == f"b_path must be a str, bytes or os.PathLike, got {path!r}"
+
+    def test_path_like_and_bytes_paths_accepted(self, tmp_path):
+        spec = self.write_spec(tmp_path, 12, 12)
+        a, _, _ = generate_problem(spec)
+        for a_path in (tmp_path / "a.mtx", spec.a_path.encode()):
+            got, _, _ = generate_problem(ProblemSpec("custom-file", a_path=a_path,
+                                                     b_path=spec.b_path))
+            np.testing.assert_array_equal(got, a)
+
     def test_paths_required(self):
         with pytest.raises(InvalidParameterError):
             ProblemSpec("custom-file", a_path="only-one.mtx")
@@ -265,6 +303,15 @@ class TestSpecValidation:
     def test_must_be_tall(self):
         with pytest.raises(InvalidParameterError):
             ProblemSpec("gaussian-incoherent", n_rows=5, n_cols=5)
+
+    @pytest.mark.parametrize("kind", [k for k in PROBLEM_KINDS if k != "custom-file"])
+    @pytest.mark.parametrize("field", ["a_path", "b_path"])
+    def test_generated_kinds_reject_paths(self, kind, field):
+        # They were accepted and the files never read.
+        with pytest.raises(InvalidParameterError) as exc_info:
+            ProblemSpec(kind, n_rows=10, n_cols=2, **{field: "a.mtx"})
+        assert str(exc_info.value) == (
+            f"a {kind} problem is generated and reads no a_path or b_path")
 
     def test_rhs_cols_positive(self):
         with pytest.raises(InvalidParameterError):
