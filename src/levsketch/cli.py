@@ -18,8 +18,9 @@ import functools
 import io
 import os
 import sys
+from dataclasses import replace
 
-from .exceptions import ConfigParseError, LevSketchError, _LineParseError
+from .exceptions import ConfigParseError, InvalidParameterError, LevSketchError, _LineParseError
 from .experiment import PRESETS, TrialConfig, run_experiment, set_up_run, write_report
 from .leverage import leverage_scores
 from .mmio import read_matrix, read_text, write_lines, write_matrix
@@ -28,6 +29,7 @@ from .sketch import RngStream
 from .solver import AccuracyTarget, accuracy_ratio, sketched_lstsq
 
 #: Every config key, with its default; config files may set no other key.
+#: The run flags of ``solve`` and ``bench`` set the key of their name.
 _DEFAULTS = {
     "kind": "gaussian-incoherent",
     "n_rows": "2000",
@@ -48,13 +50,9 @@ _DEFAULTS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse hook
-        raise _UsageError(message)
+        raise InvalidParameterError(message)
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -112,14 +110,15 @@ def _trial_config(values: dict[str, str], given=()) -> TrialConfig:
             return kind(values[key])
         except ValueError:
             what = "an integer" if kind is int else "a number"
-            raise ValueError(f"{key} must be {what}, got {values[key]!r}") from None
+            raise InvalidParameterError(f"{key} must be {what}, got {values[key]!r}") from None
 
     paths = {"a_path": values["a_file"] or None, "b_path": values["b_file"] or None}
     if values["kind"] == "custom-file":
         for key in _GENERATED_KEYS:
             if key in given:
-                raise ValueError(f"a custom-file problem reads only a_file and b_file, "
-                                 f"got {key} = {values[key]!r}")
+                raise InvalidParameterError(
+                    f"a custom-file problem reads only a_file and b_file, "
+                    f"got {key} = {values[key]!r}")
         spec = ProblemSpec("custom-file", **paths)
     else:
         spec = ProblemSpec(
@@ -143,18 +142,26 @@ def _trial_config(values: dict[str, str], given=()) -> TrialConfig:
     )
 
 
+def _run_config(args, table: dict[str, str], given=()) -> TrialConfig:
+    """The run of ``_DEFAULTS``, updated by ``table`` and then by each run
+    flag given in ``args``; a config file set the keys in ``given``."""
+    values = dict(_DEFAULTS, **table)
+    values.update((key, flag) for key, flag in vars(args).items()
+                  if key in _DEFAULTS and flag is not None)
+    return _trial_config(values, given)
+
+
 def _cmd_solve(args) -> int:
-    # The config checks every flag before --out is checked and the files read.
-    cfg = TrialConfig(
-        ProblemSpec("custom-file", a_path=args.a, b_path=args.b), distribution=args.dist,
-        sample_rule=args.samples, target=AccuracyTarget(args.epsilon, args.delta),
-        n_trials=1, master_seed=args.seed)
+    # The flags are checked before --out is checked and the files read.  The
+    # paths are kept as given: an empty one fails when read.
+    cfg = replace(_run_config(args, {"trials": "1"}),
+                  problem=ProblemSpec("custom-file", a_path=args.a, b_path=args.b))
     _check_out_path(args.out)
     a, b, exact, dist, beta, s = set_up_run(cfg)
     # The sketch of bench's trial 0 on the same config.
-    sol = sketched_lstsq(a, b, dist, s, RngStream(args.seed, 1))
+    sol = sketched_lstsq(a, b, dist, s, RngStream(cfg.master_seed, 1))
     print(
-        f"rows={a.shape[0]} cols={a.shape[1]} rhs={b.shape[1]} dist={args.dist} "
+        f"rows={a.shape[0]} cols={a.shape[1]} rhs={b.shape[1]} dist={cfg.distribution} "
         f"beta={beta:.6g} s={s} sketched_residual_sq={sol.sketched_residual_sq:.17g}"
     )
     if args.exact:
@@ -183,14 +190,8 @@ def _cmd_leverage(args) -> int:
 
 def _cmd_bench(args) -> int:
     given = read_config(args.config) if args.config else {}
-    values = dict(_DEFAULTS, **given)
     # A flag given on the command line beats the config file's value.
-    values.update((key, str(flag)) for key, flag in vars(args).items()
-                  if key in _DEFAULTS and flag is not None)
-    try:
-        cfg = _trial_config(values, given)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    cfg = _run_config(args, given, given)
     _check_out_path(args.out)
     report = run_experiment(cfg)
     write_report(report, args.out)
@@ -207,7 +208,7 @@ def _cmd_validate(args) -> int:
     names = args.preset or sorted(PRESETS)
     unknown = [n for n in names if n not in PRESETS]
     if unknown:
-        raise _UsageError(
+        raise InvalidParameterError(
             f"unknown preset(s) {unknown}; available: {sorted(PRESETS)}"
         )
     failures = 0
@@ -260,23 +261,22 @@ def _build_parser() -> _Parser:
 
     p_bench = sub.add_parser("bench", help="Monte Carlo experiment, CSV report")
     p_bench.add_argument("--config", default=None, help="key = value config file")
-    p_bench.add_argument("--trials", type=int, default=None)
-    p_bench.add_argument("--cap-samples", dest="cap_samples", type=int, default=None,
+    p_bench.add_argument("--trials")
+    p_bench.add_argument("--cap-samples", dest="cap_samples",
                          help="cap the sample count (0 = no cap)")
     p_bench.add_argument("--out", default="report.csv", help="CSV report path")
     p_bench.add_argument("--threads", type=_thread_count, default=1,
                          metavar="N", help=_THREADS_HELP)
     p_bench.set_defaults(func=_cmd_bench)
 
-    # Run flags: solve defaults to the config defaults (argparse runs a string
-    # default through the type), bench to None so the config file's value stays.
-    for p_run, defaults in ((p_solve, _DEFAULTS), (p_bench, {})):
-        p_run.add_argument("--dist", default=defaults.get("dist"),
-                           help="leverage | uniform | blended:ALPHA")
-        p_run.add_argument("--samples", default=defaults.get("samples"), help="auto | INT | xr:K")
-        p_run.add_argument("--epsilon", type=float, default=defaults.get("epsilon"))
-        p_run.add_argument("--delta", type=float, default=defaults.get("delta"))
-        p_run.add_argument("--seed", type=int, default=defaults.get("seed"), help="master seed")
+    # Run flags: text, read with the config file's keys by _trial_config; a
+    # flag left out is None and keeps the key's value.
+    for p_run in (p_solve, p_bench):
+        p_run.add_argument("--dist", help="leverage | uniform | blended:ALPHA")
+        p_run.add_argument("--samples", help="auto | INT | xr:K")
+        p_run.add_argument("--epsilon")
+        p_run.add_argument("--delta")
+        p_run.add_argument("--seed", help="master seed")
 
     p_val = sub.add_parser("validate", help="run built-in validation presets")
     p_val.add_argument("--preset", action="append", default=None,
@@ -288,19 +288,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # -h/--help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (_LineParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

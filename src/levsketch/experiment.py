@@ -120,6 +120,10 @@ class TrialConfig:
     cap_samples: int = 0
 
     def __post_init__(self) -> None:
+        for name, kind in (("problem", ProblemSpec), ("target", AccuracyTarget)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidParameterError(
+                    f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         parse_distribution_spec(self.distribution)
         parse_sample_rule(self.sample_rule)
         as_int(self.master_seed, "seed", 0, MAX_SEED)  # the trial streams' seed, before any work
@@ -383,27 +387,30 @@ def write_report(report: ExperimentReport, path) -> None:
 
 @dataclass(frozen=True)
 class Preset:
-    """Named validation scenario: configs plus pass/fail checks."""
+    """Named validation scenario: configs plus pass/fail checks.  Every
+    preset is also checked, last, for zero implication violations."""
 
     name: str
     description: str
     configs: tuple[TrialConfig, ...]
-    checks: tuple[tuple[str, Callable[[list[ExperimentReport]], tuple[bool, str]]], ...]
+    checks: tuple[tuple[str, Callable[[list[ExperimentReport]], tuple[bool, str]]], ...] = ()
 
     def run(self) -> list[ExperimentReport]:
         return [run_experiment(c) for c in self.configs]
 
     def evaluate(self, reports: list[ExperimentReport]) -> list[tuple[str, bool, str]]:
-        return [(name, *check(reports)) for name, check in self.checks]
+        checks = (*self.checks, ("implication_violations", _check_no_violations))
+        return [(name, *check(reports)) for name, check in checks]
 
 
-def _three_se(rate: float, n: int) -> float:
-    return 3.0 * math.sqrt(rate * (1.0 - rate) / n)
-
-
-def _check_rate(attr: str, threshold: float):
+def _check_rate(attr: str):
+    """The check that the first report's ``attr`` is at least its config's
+    1 - delta less three standard errors over its ``n_trials``."""
     def check(reports: list[ExperimentReport]) -> tuple[bool, str]:
-        rate = getattr(reports[0], attr)
+        report = reports[0]
+        want = 1.0 - report.config.target.delta
+        threshold = want - 3.0 * math.sqrt(want * (1.0 - want) / report.config.n_trials)
+        rate = getattr(report, attr)
         return rate >= threshold, f"{attr}={rate:.4f} threshold={threshold:.4f}"
 
     return check
@@ -419,8 +426,8 @@ def _check_leverage_beats_uniform(reports: list[ExperimentReport]) -> tuple[bool
     return lev >= unif, f"leverage={lev:.4f} uniform={unif:.4f}"
 
 
-def _builtin_presets() -> dict[str, Preset]:
-    presets: dict[str, Preset] = {}
+def _builtin_presets() -> list[Preset]:
+    presets: list[Preset] = []
 
     # Desk-scale end-to-end run of the sample-size formula: n=50000, r=5,
     # delta=0.2, eps=0.1 puts the formula on its log branch (s = 27016).
@@ -432,16 +439,13 @@ def _builtin_presets() -> dict[str, Preset]:
         n_trials=200,
         master_seed=915247,
     )
-    presets["main-theorem-desk"] = Preset(
+    presets.append(Preset(
         name="main-theorem-desk",
         description="formula-sized leverage sketch solves within (1+eps) "
         "at rate >= 1-delta minus 3 standard errors (200 trials)",
         configs=(desk,),
-        checks=(
-            ("success_rate", _check_rate("success_rate", 0.8 - _three_se(0.8, 200))),
-            ("implication_violations", _check_no_violations),
-        ),
-    )
+        checks=(("success_rate", _check_rate("success_rate")),),
+    ))
 
     # Cross-term condition at its Markov-bound sample count s = 128.
     sc2 = TrialConfig(
@@ -452,16 +456,13 @@ def _builtin_presets() -> dict[str, Preset]:
         n_trials=400,
         master_seed=77002,
     )
-    presets["sc2-markov-desk"] = Preset(
+    presets.append(Preset(
         name="sc2-markov-desk",
         description="cross-term condition holds at rate >= 1-delta minus 3 "
         "standard errors with the minimal Markov sample count (400 trials)",
         configs=(sc2,),
-        checks=(
-            ("sc2_rate", _check_rate("sc2_rate", 0.75 - _three_se(0.75, 400))),
-            ("implication_violations", _check_no_violations),
-        ),
-    )
+        checks=(("sc2_rate", _check_rate("sc2_rate")),),
+    ))
 
     # Every kind x distribution combination; the structural implication
     # must never be violated, whatever the success rates are.
@@ -489,13 +490,12 @@ def _builtin_presets() -> dict[str, Preset]:
                     master_seed=seed * 31 + 7,
                 )
             )
-    presets["implication-sweep"] = Preset(
+    presets.append(Preset(
         name="implication-sweep",
         description="structural conditions imply both accuracy bounds on "
         "every problem kind and distribution (1080 trials)",
         configs=tuple(sweep),
-        checks=(("implication_violations", _check_no_violations),),
-    )
+    ))
 
     # A planted high-leverage row: leverage sampling must do at least as
     # well as uniform at the same sample count.
@@ -512,13 +512,13 @@ def _builtin_presets() -> dict[str, Preset]:
         master_seed=4242,
     )
     unif_cfg = replace(lev_cfg, distribution="uniform")
-    presets["leverage-vs-uniform"] = Preset(
+    presets.append(Preset(
         name="leverage-vs-uniform",
         description="on a coherent problem, leverage sampling succeeds at "
         "least as often as uniform at equal sample count (200 trials each)",
         configs=(lev_cfg, unif_cfg),
         checks=(("leverage_beats_uniform", _check_leverage_beats_uniform),),
-    )
+    ))
 
     smoke = TrialConfig(
         problem=ProblemSpec("gaussian-incoherent", 300, 3, rhs_cols=1, seed=99),
@@ -528,13 +528,12 @@ def _builtin_presets() -> dict[str, Preset]:
         n_trials=20,
         master_seed=100,
     )
-    presets["smoke"] = Preset(
+    presets.append(Preset(
         name="smoke",
         description="tiny end-to-end pipeline exercise (20 trials)",
         configs=(smoke,),
-        checks=(("implication_violations", _check_no_violations),),
-    )
+    ))
     return presets
 
 
-PRESETS = _builtin_presets()
+PRESETS = {preset.name: preset for preset in _builtin_presets()}

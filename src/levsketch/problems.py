@@ -84,8 +84,10 @@ class ProblemSpec:
                 f"a {self.n_rows}x{self.n_cols} problem with {self.rhs_cols} right-hand "
                 f"side(s) has {entries} entries, over the budget of {MAX_ENTRIES}"
             )
-        if self.kind == "spiked-coherent":
-            as_real(self.coherence_target, "coherence_target", self.n_cols / self.n_rows, 1)
+        # A spike's leverage is at least the mean leverage r/n; the other
+        # kinds plant none but take the same kind of setting.
+        lo = self.n_cols / self.n_rows if self.kind == "spiked-coherent" else 0
+        as_real(self.coherence_target, "coherence_target", lo, 1)
 
 
 def _plant_spike(arr: np.ndarray, target: float) -> None:

@@ -260,29 +260,31 @@ class TestSolve:
         assert fields(solve_out) == fields(bench_out)
         assert set(fields(solve_out)) == {"s", "beta"}
 
-    def test_defaults_are_the_config_defaults(self):
-        # bench and config files read the same table, through _trial_config.
-        args = _build_parser().parse_args(["solve", "a.mtx", "b.mtx"])
-        cfg = _trial_config(dict(_DEFAULTS))
-        assert (args.dist, args.samples, args.epsilon, args.delta, args.seed) == (
-            cfg.distribution, cfg.sample_rule, cfg.target.epsilon, cfg.target.delta,
-            cfg.master_seed)
-        assert (type(args.epsilon), type(args.delta), type(args.seed)) == (float, float, int)
-        # solve and bench take the same run flags, of the same types; bench's
-        # default to None, so that a flag left out keeps the config file's value.
+    def test_defaults_are_the_config_defaults(self, problem_files, capsys, monkeypatch):
+        # solve and bench take the same run flags, as text with no default:
+        # a flag left out keeps the table's value, and _trial_config reads
+        # each key, from a flag or a config file, the one way.
         commands = next(action.choices for action in _build_parser()._actions
                         if isinstance(action, argparse._SubParsersAction))
-        run_flags = {"--dist": None, "--samples": None, "--epsilon": float, "--delta": float,
-                     "--seed": int}
+        run_flags = {"--dist", "--samples", "--epsilon", "--delta", "--seed"}
+        bench_flags = run_flags | {"--trials", "--cap-samples"}
 
         def flags(command):
             return {option: (action.type, action.default)
                     for action in commands[command]._actions
-                    for option in action.option_strings if option in run_flags}
+                    for option in action.option_strings if option in bench_flags}
 
-        assert flags("solve") == {option: (kind, _DEFAULTS[option[2:]])
-                                  for option, kind in run_flags.items()}
-        assert flags("bench") == {option: (kind, None) for option, kind in run_flags.items()}
+        assert flags("solve") == {option: (None, None) for option in run_flags}
+        assert flags("bench") == {option: (None, None) for option in bench_flags}
+        # solve with no run flag runs the config defaults, with one trial.
+        seen = []
+        set_up_run = cli_mod.set_up_run
+        monkeypatch.setattr(cli_mod, "set_up_run",
+                            lambda cfg: seen.append(cfg) or set_up_run(cfg))
+        assert main(["solve", *map(str, problem_files)]) == 0
+        (cfg,) = seen
+        assert cfg == dataclasses.replace(_trial_config(dict(_DEFAULTS)), problem=cfg.problem,
+                                          n_trials=1)
 
     def test_deterministic_output_file(self, problem_files, tmp_path, capsys):
         a_path, b_path = problem_files
@@ -458,6 +460,34 @@ class TestBench:
         assert captured.err == f"error: {key} must be {what}, got {text!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        *(("bench", flag) for flag in ("--epsilon", "--delta", "--seed", "--trials",
+                                       "--cap-samples")),
+        *(("solve", flag) for flag in ("--epsilon", "--delta", "--seed")),
+    ])
+    def test_unparsable_run_flag_is_the_config_files_error(self, problem_files, tmp_path, capsys,
+                                                           monkeypatch, command, flag):
+        # A run flag is read as its config key is, with the one error text.
+        import levsketch.problems as problems_mod
+
+        def never(path):
+            raise AssertionError("a matrix file was read")
+
+        monkeypatch.setattr(problems_mod, "read_matrix", never)
+        key = flag[2:].replace("-", "_")
+        what = "a number" if key in ("epsilon", "delta") else "an integer"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = abc\n")
+        out = tmp_path / "out"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        from_file = capsys.readouterr().err
+        files = [str(path) for path in problem_files] if command == "solve" else []
+        assert main([command, *files, flag, "abc", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == from_file == f"error: {key} must be {what}, got 'abc'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_bad_seed_rejected_before_generation(self, tmp_path, capsys, monkeypatch, seed):
         import levsketch.experiment as experiment_mod
@@ -503,6 +533,28 @@ class TestBench:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: noise_scale must be a finite real number in [0, inf), got {noise}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["gaussian-incoherent", "consistent"])
+    @pytest.mark.parametrize("value", ["nan", "5", "-1"])
+    def test_out_of_range_coherence_target_is_exit_1(self, tmp_path, capsys, monkeypatch, kind,
+                                                     value):
+        # The kinds that plant no spike ran with any coherence_target, nan too.
+        import levsketch.experiment as experiment_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the problem was generated")
+
+        monkeypatch.setattr(experiment_mod, "generate_problem", never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kind = {kind}\nn_rows = 200\ncoherence_target = {value}\ntrials = 2\n")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: coherence_target must be a finite real number in [0, 1], "
+            f"got {float(value)!r}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [

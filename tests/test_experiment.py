@@ -139,6 +139,23 @@ class TestTrialConfigValidation:
             "epsilon must be a finite real number in (0, 1), got Decimal('0.1')")
         assert generated == []
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("problem", "gaussian-incoherent", "ProblemSpec"),
+        ("problem", None, "ProblemSpec"),
+        ("target", (0.1, 0.2), "AccuracyTarget"),
+        ("target", None, "AccuracyTarget"),
+    ])
+    def test_problem_and_target_of_another_type_rejected_before_generation(
+            self, monkeypatch, field, value, kind):
+        # A tuple target was generated and factored, then failed with an
+        # AttributeError on target.epsilon.
+        generated = []
+        monkeypatch.setattr(experiment_mod, "generate_problem", generated.append)
+        with pytest.raises(InvalidParameterError) as exc_info:
+            run_experiment(small_config(**{field: value}))
+        assert str(exc_info.value) == f"{field} must be a {kind}, got {value!r}"
+        assert generated == []
+
     @pytest.mark.parametrize("field", ["master_seed", "n_trials", "cap_samples"])
     def test_integer_fields_reject_non_integral_values(self, field):
         # A float seed was truncated: master_seed=1.9 ran seed 1's trials.
@@ -702,13 +719,33 @@ class TestPresets:
         for name, preset in PRESETS.items():
             assert preset.name == name
             assert preset.configs
-            assert preset.checks
             assert preset.description
+            # evaluate adds the implication gate; no preset lists it.
+            assert "implication_violations" not in [check for check, _ in preset.checks]
 
     def test_smoke_preset_passes(self):
         preset = PRESETS["smoke"]
         results = preset.evaluate(preset.run())
         assert all(ok for _, ok, _ in results)
+
+    @staticmethod
+    def stub_reports(preset, violations=0, **rates):
+        """A report per config of ``preset``: every rate 1 unless given,
+        and ``violations`` on the last config."""
+        rates = {"success_rate": 1.0, "sc1_rate": 1.0, "sc2_rate": 1.0, **rates}
+        reports = [SimpleNamespace(config=cfg, **rates, implication_violations=0)
+                   for cfg in preset.configs]
+        reports[-1].implication_violations = violations
+        return reports
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_ends_with_the_implication_gate(self, name):
+        preset = PRESETS[name]
+        for violations, ok in ((0, True), (1, False)):
+            results = preset.evaluate(self.stub_reports(preset, violations))
+            assert results[-1] == ("implication_violations", ok,
+                                   f"implication_violations={violations}")
+            assert [check for check, _, _ in results].count("implication_violations") == 1
 
     # pytest runs only smoke's configs; the other presets' checks are fed
     # stub reports at and just below each threshold.
@@ -719,23 +756,40 @@ class TestPresets:
     def test_rate_check_passes_at_its_threshold_and_fails_below(self, name, attr, rate):
         preset = PRESETS[name]
         (cfg,) = preset.configs
-        assert rate == pytest.approx(1.0 - cfg.target.delta)
+        assert 1.0 - cfg.target.delta == rate  # exactly, so the threshold keeps its bits
         threshold = rate - 3.0 * math.sqrt(rate * (1.0 - rate) / cfg.n_trials)
         for value, ok in ((threshold, True), (float(np.nextafter(threshold, 0.0)), False)):
-            report = SimpleNamespace(**{attr: value}, implication_violations=0)
-            assert preset.evaluate([report]) == [
+            assert preset.evaluate(self.stub_reports(preset, **{attr: value})) == [
                 (attr, ok, f"{attr}={value:.4f} threshold={threshold:.4f}"),
                 ("implication_violations", True, "implication_violations=0"),
             ]
+
+    @pytest.mark.parametrize("name, attr", [("main-theorem-desk", "success_rate"),
+                                            ("sc2-markov-desk", "sc2_rate")])
+    def test_rate_threshold_follows_the_reports_config(self, name, attr):
+        # The threshold is 1 - delta less three standard errors over n_trials,
+        # both read from the checked report's config.
+        preset = PRESETS[name]
+        (base,) = preset.configs
+        for n_trials, delta in ((50, 0.1), (1000, 0.3), (base.n_trials, 0.05)):
+            cfg = dataclasses.replace(base, n_trials=n_trials,
+                                      target=dataclasses.replace(base.target, delta=delta))
+            want = 1.0 - delta
+            threshold = want - 3.0 * math.sqrt(want * (1.0 - want) / n_trials)
+            check = dataclasses.replace(preset, configs=(cfg,))
+            for value, ok in ((threshold, True), (float(np.nextafter(threshold, 0.0)), False)):
+                results = check.evaluate(self.stub_reports(check, **{attr: value}))
+                assert results[0] == (attr, ok, f"{attr}={value:.4f} threshold={threshold:.4f}")
 
     def test_leverage_vs_uniform_check_passes_at_a_tie_and_fails_below(self):
         preset = PRESETS["leverage-vs-uniform"]
         assert [c.distribution for c in preset.configs] == ["leverage", "uniform"]
         for lev, ok in ((0.5, True), (float(np.nextafter(0.5, 0.0)), False), (1.0, True)):
-            reports = [SimpleNamespace(success_rate=lev),
-                       SimpleNamespace(success_rate=0.5)]
-            assert preset.evaluate(reports) == [
-                ("leverage_beats_uniform", ok, f"leverage={lev:.4f} uniform=0.5000")]
+            lev_report, unif_report = self.stub_reports(preset)
+            lev_report.success_rate, unif_report.success_rate = lev, 0.5
+            assert preset.evaluate([lev_report, unif_report]) == [
+                ("leverage_beats_uniform", ok, f"leverage={lev:.4f} uniform=0.5000"),
+                ("implication_violations", True, "implication_violations=0")]
 
     def test_evaluate_shape(self):
         preset = PRESETS["smoke"]

@@ -192,6 +192,9 @@ BOUNDED_REALS = {
     "ProblemSpec-coherence_target": (lambda v: ProblemSpec("spiked-coherent", 20, 2,
                                                            coherence_target=v),
                                      0.1, 1, "[]", "coherence_target", False),
+    **{f"ProblemSpec-coherence_target-{kind}": (
+        lambda v, kind=kind: ProblemSpec(kind, 20, 2, coherence_target=v),
+        0, 1, "[]", "coherence_target", False) for kind in ("gaussian-incoherent", "consistent")},
     "SpectralSummary-sigma_max": (lambda v: SpectralSummary(0.0, v), 0, math.inf, "[)",
                                   "sigma_max", False),
     "SpectralSummary-sigma_min": (lambda v: SpectralSummary(v, 2.0), 0, 2.0, "[]",
